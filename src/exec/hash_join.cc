@@ -200,6 +200,14 @@ Result<TablePtr> HashJoin(const Table& left, const Table& right,
     out_right.insert(out_right.end(), p.r.begin(), p.r.end());
   }
 
+  // Identity probe (every left row emitted exactly once, in order — e.g. a
+  // fact table joined to a dimension on its unique key): the left columns
+  // pass through shared instead of being gathered into copies.
+  bool left_identity = out_left.size() == left_rows;
+  for (size_t i = 0; left_identity && i < left_rows; ++i) {
+    left_identity = out_left[i] == i;
+  }
+
   // Materialize output columns, one gather task per column.
   Schema schema;
   for (size_t c = 0; c < left.num_columns(); ++c) {
@@ -215,7 +223,8 @@ Result<TablePtr> HashJoin(const Table& left, const Table& right,
   MLCS_RETURN_IF_ERROR(ParallelItems(
       policy, ncols, [&](size_t c) -> Status {
         if (c < left.num_columns()) {
-          columns[c] = left.column(c)->Take(out_left);
+          columns[c] = left_identity ? left.column(c)
+                                     : left.column(c)->Take(out_left);
         } else {
           columns[c] =
               TakeOrNull(*right.column(c - left.num_columns()), out_right);

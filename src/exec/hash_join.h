@@ -19,7 +19,10 @@ enum class JoinType { kInner, kLeft };
 /// Output schema: all left columns followed by all right columns; right
 /// column names that collide with a left name get a "_r" suffix. For
 /// kLeft, unmatched left rows appear once with NULL right columns.
-/// NULL keys never match (SQL semantics).
+/// NULL keys never match (SQL semantics). When the probe emits every left
+/// row exactly once and in order (unique build keys that every probe row
+/// matches, or a LEFT join over unique build keys), the output shares the
+/// left input's columns instead of gathering copies.
 ///
 /// Parallel plan on the policy's pool: morsel-parallel key hashing, a
 /// hash-partitioned build (one task per partition, partition chosen by the

@@ -556,7 +556,19 @@ Result<std::unique_ptr<DecisionTree>> DecisionTree::DeserializeBody(
   MLCS_ASSIGN_OR_RETURN(options.exact_splits, reader->ReadBool());
   MLCS_ASSIGN_OR_RETURN(options.seed, reader->ReadU64());
   auto tree = std::make_unique<DecisionTree>(options);
+  // Model BLOBs live in ordinary UPDATE-able tables, so every count and
+  // index is checked before it sizes an allocation or steers a tree walk.
+  // `min_bytes` is the smallest encoding of one counted element.
+  auto check_count = [reader](uint64_t count, size_t min_bytes,
+                              const char* what) -> Status {
+    if (count > reader->remaining() / min_bytes) {
+      return Status::ParseError(std::string("corrupt tree: ") + what +
+                                " count exceeds the payload");
+    }
+    return Status::OK();
+  };
   MLCS_ASSIGN_OR_RETURN(uint64_t num_classes, reader->ReadVarint());
+  MLCS_RETURN_IF_ERROR(check_count(num_classes, sizeof(int32_t), "class"));
   tree->classes_.resize(num_classes);
   for (auto& c : tree->classes_) {
     MLCS_ASSIGN_OR_RETURN(c, reader->ReadI32());
@@ -564,26 +576,46 @@ Result<std::unique_ptr<DecisionTree>> DecisionTree::DeserializeBody(
   MLCS_ASSIGN_OR_RETURN(uint64_t nf, reader->ReadVarint());
   tree->num_features_ = nf;
   MLCS_ASSIGN_OR_RETURN(uint64_t num_importances, reader->ReadVarint());
+  MLCS_RETURN_IF_ERROR(
+      check_count(num_importances, sizeof(double), "importance"));
   tree->feature_importances_.resize(num_importances);
   for (auto& v : tree->feature_importances_) {
     MLCS_ASSIGN_OR_RETURN(v, reader->ReadDouble());
   }
   MLCS_ASSIGN_OR_RETURN(uint64_t num_nodes, reader->ReadVarint());
+  if (num_nodes == 0) return Status::ParseError("corrupt tree: no nodes");
+  // feature + threshold + left + right + a one-byte probs count.
+  constexpr size_t kMinNodeBytes = 4 + 8 + 4 + 4 + 1;
+  MLCS_RETURN_IF_ERROR(check_count(num_nodes, kMinNodeBytes, "node"));
   tree->nodes_.resize(num_nodes);
-  for (auto& node : tree->nodes_) {
+  for (size_t i = 0; i < num_nodes; ++i) {
+    Node& node = tree->nodes_[i];
     MLCS_ASSIGN_OR_RETURN(node.feature, reader->ReadI32());
     MLCS_ASSIGN_OR_RETURN(node.threshold, reader->ReadDouble());
     MLCS_ASSIGN_OR_RETURN(node.left, reader->ReadU32());
     MLCS_ASSIGN_OR_RETURN(node.right, reader->ReadU32());
     MLCS_ASSIGN_OR_RETURN(uint64_t np, reader->ReadVarint());
+    MLCS_RETURN_IF_ERROR(check_count(np, sizeof(double), "probability"));
     node.probs.resize(np);
     for (auto& p : node.probs) {
       MLCS_ASSIGN_OR_RETURN(double d, reader->ReadDouble());
       p = static_cast<float>(d);
     }
-    // Bounds-check child indices against the node array.
-    if (node.feature >= 0 &&
-        (node.left >= num_nodes || node.right >= num_nodes)) {
+    if (node.feature < 0) {
+      // Leaf: PredictProba indexes probs by class position.
+      if (node.probs.size() != tree->classes_.size()) {
+        return Status::ParseError(
+            "corrupt tree: leaf distribution does not match the classes");
+      }
+      continue;
+    }
+    if (static_cast<uint64_t>(node.feature) >= nf) {
+      return Status::ParseError("corrupt tree: split feature out of range");
+    }
+    // Fit appends children after their parent, so parent < child holds in
+    // every valid tree — and rules out cycles in WalkToLeaf.
+    if (node.left <= i || node.right <= i || node.left >= num_nodes ||
+        node.right >= num_nodes) {
       return Status::ParseError("corrupt tree: child index out of range");
     }
   }

@@ -118,15 +118,6 @@ class TrainingSource {
 /// materialized path would have held.
 void CountTrainingSourceFit(const TrainingSource& source);
 
-/// Process-wide factorized-training toggle. Defaults on; the
-/// MLCS_DISABLE_FACTORIZED environment variable (any non-empty value)
-/// starts it off. Gates both the pipeline's factorized training path and
-/// the optimizer's aggregate-pushdown-below-join rewrite, so one switch
-/// reverts the whole factorized stack to the materialized fallback.
-bool FactorizedEnabled();
-/// Returns the previous value (test helper for save/restore).
-bool SetFactorizedEnabled(bool enabled);
-
 }  // namespace mlcs::ml
 
 #endif  // MLCS_ML_TRAINING_SOURCE_H_

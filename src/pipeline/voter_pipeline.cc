@@ -1,6 +1,5 @@
 #include "pipeline/voter_pipeline.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "client/client.h"
@@ -13,9 +12,7 @@
 #include "io/npy.h"
 #include "ml/pickle.h"
 #include "ml/random_forest.h"
-#include "ml/training_source.h"
 #include "modelstore/model_cache.h"
-#include "obs/metrics.h"
 
 namespace mlcs::pipeline {
 
@@ -81,79 +78,37 @@ Result<double> PrecinctShareMae(const Table& predictions,
   return mae / static_cast<double>(rows);
 }
 
-/// Shared by the external channels: client-side wrangle + train + predict
-/// + aggregate, starting from already-loaded voters/precincts frames.
-Result<PipelineResult> RunExternal(dataframe::DataFrame voters,
-                                   dataframe::DataFrame precincts,
-                                   const PipelineConfig& config,
-                                   std::string method,
-                                   double load_seconds) {
-  PipelineResult result;
-  result.method = std::move(method);
-  WallTimer wrangle_timer;
-
-  // Preprocessing (pandas analogue): join, labels, split mask.
+/// Client-side wrangle for the file channels (pandas analogue): join,
+/// then add the same `label` and `is_train` columns WranglingSql()
+/// projects, so every external channel hands FinishFromWrangled one shape.
+Result<TablePtr> WrangleFrames(const TablePtr& voters,
+                               const TablePtr& precincts,
+                               const PipelineConfig& config) {
   MLCS_ASSIGN_OR_RETURN(dataframe::DataFrame joined,
-                        voters.Merge(precincts, {"precinct_id"}));
+                        dataframe::DataFrame(voters).Merge(
+                            dataframe::DataFrame(precincts), {"precinct_id"}));
   MLCS_ASSIGN_OR_RETURN(ColumnPtr voter_id, joined.Column("voter_id"));
   MLCS_ASSIGN_OR_RETURN(ColumnPtr dem, joined.Column("dem_votes"));
   MLCS_ASSIGN_OR_RETURN(ColumnPtr rep, joined.Column("rep_votes"));
-  ColumnPtr label = GenerateLabelColumn(*voter_id, *dem, *rep, config.seed);
-  ColumnPtr mask =
-      SplitMaskColumn(*voter_id, config.seed, config.train_fraction);
-  MLCS_RETURN_IF_ERROR(joined.AddColumn("label", label));
-  MLCS_ASSIGN_OR_RETURN(dataframe::DataFrame train_df, joined.Filter(*mask));
-  MLCS_ASSIGN_OR_RETURN(ColumnPtr not_mask,
-                        exec::UnaryKernel(exec::UnOpKind::kNot, *mask));
-  MLCS_ASSIGN_OR_RETURN(dataframe::DataFrame test_df,
-                        joined.Filter(*not_mask));
-  result.load_wrangle_seconds = load_seconds + wrangle_timer.ElapsedSeconds();
-
-  // Training.
-  WallTimer train_timer;
-  std::vector<std::string> features = FeatureNames(config);
-  MLCS_ASSIGN_OR_RETURN(ml::Matrix x_train, train_df.ToMatrix(features));
-  MLCS_ASSIGN_OR_RETURN(ml::Labels y_train, train_df.LabelColumn("label"));
-  ml::RandomForestOptions opt;
-  opt.n_estimators = config.n_estimators;
-  opt.max_depth = config.max_depth;
-  opt.seed = config.seed;
-  ml::RandomForest forest(opt);
-  MLCS_RETURN_IF_ERROR(forest.Fit(x_train, y_train));
-  result.train_seconds = train_timer.ElapsedSeconds();
-
-  // Prediction + per-precinct aggregation.
-  WallTimer predict_timer;
-  MLCS_ASSIGN_OR_RETURN(ml::Matrix x_test, test_df.ToMatrix(features));
-  MLCS_ASSIGN_OR_RETURN(ml::Labels pred, forest.Predict(x_test));
-  dataframe::DataFrame pred_df(test_df.table());
-  MLCS_RETURN_IF_ERROR(
-      pred_df.AddColumn("pred", Column::FromInt32(ml::Labels(pred))));
-  MLCS_ASSIGN_OR_RETURN(
-      dataframe::DataFrame aggregated,
-      pred_df.GroupBy({"precinct_id"},
-                      {{exec::AggOp::kSum, "pred", "pred_dem"},
-                       {exec::AggOp::kCountStar, "", "n"}}));
-  result.predict_seconds = predict_timer.ElapsedSeconds();
-
-  result.test_rows = test_df.num_rows();
-  result.precinct_predictions = aggregated.table();
-  MLCS_ASSIGN_OR_RETURN(result.precinct_share_mae,
-                        PrecinctShareMae(*aggregated.table(), config));
-  result.total_seconds = result.load_wrangle_seconds +
-                         result.train_seconds + result.predict_seconds;
-  return result;
+  MLCS_RETURN_IF_ERROR(joined.AddColumn(
+      "label", GenerateLabelColumn(*voter_id, *dem, *rep, config.seed)));
+  MLCS_RETURN_IF_ERROR(joined.AddColumn(
+      "is_train",
+      SplitMaskColumn(*voter_id, config.seed, config.train_fraction)));
+  return joined.table();
 }
 
-/// Post-wrangle tail shared by the channels that receive an already
-/// joined+labelled table (socket and row-cursor): split, train, predict,
-/// aggregate.
+/// Post-wrangle tail shared by every external channel, starting from a
+/// joined table carrying `label` and `is_train`: split, train, predict,
+/// aggregate. The split counts toward load+wrangle, after `load_seconds`
+/// (everything the channel spent getting the wrangled table).
 Result<PipelineResult> FinishFromWrangled(TablePtr wrangled,
                                           const PipelineConfig& config,
                                           std::string method,
                                           double load_seconds) {
   PipelineResult result;
   result.method = std::move(method);
+  WallTimer split_timer;
   dataframe::DataFrame joined(std::move(wrangled));
   MLCS_ASSIGN_OR_RETURN(ColumnPtr mask_col, joined.Column("is_train"));
   MLCS_ASSIGN_OR_RETURN(dataframe::DataFrame train_df,
@@ -162,7 +117,7 @@ Result<PipelineResult> FinishFromWrangled(TablePtr wrangled,
                         exec::UnaryKernel(exec::UnOpKind::kNot, *mask_col));
   MLCS_ASSIGN_OR_RETURN(dataframe::DataFrame test_df,
                         joined.Filter(*not_mask));
-  result.load_wrangle_seconds = load_seconds;
+  result.load_wrangle_seconds = load_seconds + split_timer.ElapsedSeconds();
 
   WallTimer train_timer;
   std::vector<std::string> features = FeatureNames(config);
@@ -198,90 +153,6 @@ Result<PipelineResult> FinishFromWrangled(TablePtr wrangled,
   return result;
 }
 
-/// Factorized wrangle (DESIGN.md §14): the dimension table's only
-/// contribution to the wrangled output is the per-precinct dem share
-/// consumed by gen_label, so the fact⋈dim join is replaced by a K-entry
-/// share LUT computed over `precincts` alone and gathered through
-/// voters.precinct_id. The output table reuses the voters' column buffers;
-/// the join output is never materialized. Bit-identical to the
-/// WranglingSql() result: precinct_id is unique in `precincts` (the inner
-/// join preserves fact row order and multiplicity) and every label sees
-/// exactly the share double the joined path would compute for its row.
-/// Fails — so the caller can fall back to the join — when a voter
-/// references a precinct the dimension table does not have.
-Result<TablePtr> FactorizedWrangle(Database* db,
-                                   const PipelineConfig& config) {
-  MLCS_ASSIGN_OR_RETURN(TablePtr voters, db->catalog().GetTable("voters"));
-  MLCS_ASSIGN_OR_RETURN(TablePtr precincts,
-                        db->catalog().GetTable("precincts"));
-  auto plain = [](ColumnPtr c) { return c->is_encoded() ? c->Decode() : c; };
-
-  // Dim-side statistic: share[k] = dem_k / (dem_k + rep_k).
-  MLCS_ASSIGN_OR_RETURN(ColumnPtr pid_col,
-                        precincts->ColumnByName("precinct_id"));
-  MLCS_ASSIGN_OR_RETURN(ColumnPtr dem_col,
-                        precincts->ColumnByName("dem_votes"));
-  MLCS_ASSIGN_OR_RETURN(ColumnPtr rep_col,
-                        precincts->ColumnByName("rep_votes"));
-  pid_col = plain(pid_col);
-  dem_col = plain(dem_col);
-  rep_col = plain(rep_col);
-  const auto& pid = pid_col->i32_data();
-  const auto& dem = dem_col->i32_data();
-  const auto& rep = rep_col->i32_data();
-  int64_t max_pid = -1;
-  for (int32_t p : pid) {
-    if (p < 0) return Status::InvalidArgument("negative precinct_id");
-    max_pid = std::max<int64_t>(max_pid, p);
-  }
-  std::vector<double> share(static_cast<size_t>(max_pid + 1), 0.0);
-  std::vector<uint8_t> present(share.size(), 0);
-  for (size_t k = 0; k < pid.size(); ++k) {
-    double dk = static_cast<double>(dem[k]);
-    double rk = static_cast<double>(rep[k]);
-    double total = dk + rk;
-    share[static_cast<size_t>(pid[k])] = total > 0 ? dk / total : 0.5;
-    present[static_cast<size_t>(pid[k])] = 1;
-  }
-
-  MLCS_ASSIGN_OR_RETURN(ColumnPtr voter_id, voters->ColumnByName("voter_id"));
-  MLCS_ASSIGN_OR_RETURN(ColumnPtr precinct,
-                        voters->ColumnByName("precinct_id"));
-  voter_id = plain(voter_id);
-  precinct = plain(precinct);
-  for (int32_t k : precinct->i32_data()) {
-    if (k < 0 || static_cast<size_t>(k) >= share.size() ||
-        !present[static_cast<size_t>(k)]) {
-      return Status::InvalidArgument(
-          "voter references a precinct outside the dimension table");
-    }
-  }
-  ColumnPtr label =
-      GenerateLabelColumnFactorized(*voter_id, *precinct, share, config.seed);
-  ColumnPtr mask =
-      SplitMaskColumn(*voter_id, config.seed, config.train_fraction);
-
-  // Same shape as the WranglingSql() output, zero-copy from the fact table.
-  Schema schema;
-  std::vector<ColumnPtr> columns;
-  schema.AddField("voter_id", TypeId::kInt32);
-  columns.push_back(voter_id);
-  for (const std::string& name : FeatureNames(config)) {
-    MLCS_ASSIGN_OR_RETURN(ColumnPtr col, voters->ColumnByName(name));
-    col = plain(col);
-    schema.AddField(name, col->type());
-    columns.push_back(std::move(col));
-  }
-  schema.AddField("label", TypeId::kInt32);
-  columns.push_back(std::move(label));
-  schema.AddField("is_train", TypeId::kBool);
-  columns.push_back(std::move(mask));
-  obs::MetricsRegistry::Global()
-      .GetCounter("mlcs.factorized.pipeline_wrangles")
-      ->Add(1);
-  return std::make_shared<Table>(std::move(schema), std::move(columns));
-}
-
 }  // namespace
 
 ColumnPtr GenerateLabelColumn(const Column& voter_id, const Column& dem,
@@ -304,24 +175,6 @@ ColumnPtr GenerateLabelColumn(const Column& voter_id, const Column& dem,
                                static_cast<uint32_t>(ids[i])) *
                            0x100000001B3ULL));
     labels[i] = u < share ? 1 : 0;
-  }
-  return Column::FromInt32(std::move(labels));
-}
-
-ColumnPtr GenerateLabelColumnFactorized(const Column& voter_id,
-                                        const Column& precinct,
-                                        const std::vector<double>& share,
-                                        uint64_t seed) {
-  size_t n = voter_id.size();
-  std::vector<int32_t> labels(n);
-  const auto& ids = voter_id.i32_data();
-  const auto& keys = precinct.i32_data();
-  for (size_t i = 0; i < n; ++i) {
-    double u = HashToUnit(seed ^ kLabelSalt ^
-                          (static_cast<uint64_t>(
-                               static_cast<uint32_t>(ids[i])) *
-                           0x100000001B3ULL));
-    labels[i] = u < share[static_cast<size_t>(keys[i])] ? 1 : 0;
   }
   return Column::FromInt32(std::move(labels));
 }
@@ -503,22 +356,13 @@ Result<PipelineResult> RunInDatabase(Database* db,
   result.method = "mlcs (in-database UDF)";
   std::vector<std::string> features = FeatureNames(config);
 
-  // Wrangle: labels + split, all inside the engine. When factorized
-  // training is enabled the per-precinct label share is computed below the
-  // join (a K-entry LUT over `precincts`) and the join output is never
-  // materialized; otherwise — or whenever the LUT cannot represent the
-  // data — the SQL join path runs. Either way the result is registered
-  // directly (columnar intermediates share buffers, MonetDB style) instead
-  // of CREATE TABLE AS, which would deep-copy.
+  // Wrangle: join + labels + split, all inside the engine as SQL. The
+  // result is registered directly (columnar intermediates share buffers,
+  // MonetDB style) instead of CREATE TABLE AS, which would deep-copy; each
+  // voter matches exactly one precinct, so the join passes the voter
+  // columns through uncopied.
   WallTimer wrangle_timer;
-  TablePtr joined;
-  if (ml::FactorizedEnabled()) {
-    auto wrangled = FactorizedWrangle(db, config);
-    if (wrangled.ok()) joined = std::move(wrangled).ValueOrDie();
-  }
-  if (joined == nullptr) {
-    MLCS_ASSIGN_OR_RETURN(joined, db->Query(WranglingSql(config)));
-  }
+  MLCS_ASSIGN_OR_RETURN(TablePtr joined, db->Query(WranglingSql(config)));
   MLCS_RETURN_IF_ERROR(db->catalog().CreateTable("voter_joined", joined,
                                                  /*or_replace=*/true));
   result.load_wrangle_seconds = wrangle_timer.ElapsedSeconds();
@@ -580,10 +424,10 @@ Result<PipelineResult> RunFromCsv(const std::string& voters_csv,
   precinct_schema.AddField("rep_votes", TypeId::kInt32);
   MLCS_ASSIGN_OR_RETURN(TablePtr precincts,
                         io::ReadCsv(precincts_csv, precinct_schema));
-  double load_seconds = load_timer.ElapsedSeconds();
-  return RunExternal(dataframe::DataFrame(voters),
-                     dataframe::DataFrame(precincts), config, "csv",
-                     load_seconds);
+  MLCS_ASSIGN_OR_RETURN(TablePtr wrangled,
+                        WrangleFrames(voters, precincts, config));
+  return FinishFromWrangled(std::move(wrangled), config, "csv",
+                            load_timer.ElapsedSeconds());
 }
 
 Result<PipelineResult> RunFromNpyDir(const std::string& voters_dir,
@@ -594,10 +438,10 @@ Result<PipelineResult> RunFromNpyDir(const std::string& voters_dir,
                         io::LoadTableFromNpyDir(voters_dir));
   MLCS_ASSIGN_OR_RETURN(TablePtr precincts,
                         io::LoadTableFromNpyDir(precincts_dir));
-  double load_seconds = load_timer.ElapsedSeconds();
-  return RunExternal(dataframe::DataFrame(voters),
-                     dataframe::DataFrame(precincts), config, "numpy-binary",
-                     load_seconds);
+  MLCS_ASSIGN_OR_RETURN(TablePtr wrangled,
+                        WrangleFrames(voters, precincts, config));
+  return FinishFromWrangled(std::move(wrangled), config, "numpy-binary",
+                            load_timer.ElapsedSeconds());
 }
 
 Result<PipelineResult> RunFromH5b(const std::string& voters_file,
@@ -606,10 +450,10 @@ Result<PipelineResult> RunFromH5b(const std::string& voters_file,
   WallTimer load_timer;
   MLCS_ASSIGN_OR_RETURN(TablePtr voters, io::ReadH5b(voters_file));
   MLCS_ASSIGN_OR_RETURN(TablePtr precincts, io::ReadH5b(precincts_file));
-  double load_seconds = load_timer.ElapsedSeconds();
-  return RunExternal(dataframe::DataFrame(voters),
-                     dataframe::DataFrame(precincts), config, "hdf5-like",
-                     load_seconds);
+  MLCS_ASSIGN_OR_RETURN(TablePtr wrangled,
+                        WrangleFrames(voters, precincts, config));
+  return FinishFromWrangled(std::move(wrangled), config, "hdf5-like",
+                            load_timer.ElapsedSeconds());
 }
 
 Result<PipelineResult> RunFromSocket(const std::string& host, uint16_t port,

@@ -53,16 +53,6 @@ struct PipelineResult {
 [[nodiscard]] ColumnPtr SplitMaskColumn(const Column& voter_id, uint64_t seed,
                                         double train_fraction);
 
-/// Factorized form of GenerateLabelColumn: the per-precinct dem share is a
-/// K-entry LUT (`share[k]` for precinct k) gathered through each voter's
-/// `precinct` code instead of joining the vote columns onto every voter.
-/// Bit-identical to GenerateLabelColumn when `share[k]` holds the same
-/// double the joined path computes per row (dem/(dem+rep), 0.5 when no
-/// votes). Precondition: every precinct code indexes into `share`.
-[[nodiscard]] ColumnPtr GenerateLabelColumnFactorized(
-    const Column& voter_id, const Column& precinct,
-    const std::vector<double>& share, uint64_t seed);
-
 /// Registers the pipeline's native vectorized UDFs on a database:
 ///   gen_label(voter_id, dem, rep, seed)              → INTEGER
 ///   split_mask(voter_id, seed, fraction_permille)    → BOOLEAN

@@ -1,7 +1,6 @@
 #include "sql/database.h"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <optional>
 
@@ -14,7 +13,6 @@
 #include "obs/trace.h"
 #include "sql/parser.h"
 #include "storage/encoding.h"
-#include "storage/table_io.h"
 
 namespace mlcs {
 
@@ -308,47 +306,26 @@ Status Database::SaveTo(const std::string& dir) const {
 }
 
 Status Database::LoadFrom(const std::string& dir) {
-  if (FileExists(dir + "/catalog.manifest")) {
-    MLCS_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                          ReadFileBytes(dir + "/catalog.manifest"));
-    std::string manifest(reinterpret_cast<const char*>(bytes.data()),
-                         bytes.size());
-    std::vector<std::string> lines = SplitString(manifest, '\n');
-    if (lines.empty() || Trim(lines[0]) != "mlcs-catalog-v2") {
-      return Status::ParseError("'" + dir +
-                                "' has an unrecognized catalog.manifest");
-    }
-    for (size_t i = 1; i < lines.size(); ++i) {
-      std::string name = Trim(lines[i]);
-      if (name.empty()) continue;
-      // Blocks are opened lazily: attaching validates headers and zone
-      // maps but materializes no payloads until a query needs them.
-      MLCS_ASSIGN_OR_RETURN(std::shared_ptr<bufpool::StoredTable> stored,
-                            bufpool::StoredTable::Open(dir + "/" + name));
-      MLCS_RETURN_IF_ERROR(
-          catalog_.AttachStoredTable(name, std::move(stored)));
-    }
-    return Status::OK();
-  }
-  // Legacy v1 layout: tables.txt + one monolithic .mlt file per table.
-  std::FILE* f = std::fopen((dir + "/tables.txt").c_str(), "rb");
-  if (f == nullptr) {
+  if (!FileExists(dir + "/catalog.manifest")) {
     return Status::IoError("'" + dir + "' has no catalog.manifest");
   }
-  std::string manifest;
-  char buf[4096];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    manifest.append(buf, got);
+  MLCS_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+                        ReadFileBytes(dir + "/catalog.manifest"));
+  std::string manifest(reinterpret_cast<const char*>(bytes.data()),
+                       bytes.size());
+  std::vector<std::string> lines = SplitString(manifest, '\n');
+  if (lines.empty() || Trim(lines[0]) != "mlcs-catalog-v2") {
+    return Status::ParseError("'" + dir +
+                              "' has an unrecognized catalog.manifest");
   }
-  std::fclose(f);
-  for (const std::string& line : SplitString(manifest, '\n')) {
-    std::string name = Trim(line);
+  for (size_t i = 1; i < lines.size(); ++i) {
+    std::string name = Trim(lines[i]);
     if (name.empty()) continue;
-    MLCS_ASSIGN_OR_RETURN(TablePtr table,
-                          LoadTable(dir + "/" + name + ".mlt"));
-    MLCS_RETURN_IF_ERROR(
-        catalog_.CreateTable(name, table, /*or_replace=*/true));
+    // Blocks are opened lazily: attaching validates headers and zone maps
+    // but materializes no payloads until a query needs them.
+    MLCS_ASSIGN_OR_RETURN(std::shared_ptr<bufpool::StoredTable> stored,
+                          bufpool::StoredTable::Open(dir + "/" + name));
+    MLCS_RETURN_IF_ERROR(catalog_.AttachStoredTable(name, std::move(stored)));
   }
   return Status::OK();
 }

@@ -89,8 +89,8 @@ class Database {
   Status SaveTo(const std::string& dir) const;
   /// Attaches all tables a previous SaveTo wrote (replacing same-named
   /// ones) as disk-backed entries: block payloads load lazily through the
-  /// buffer pool on first scan. Also reads the legacy v1 layout
-  /// (tables.txt + monolithic .mlt files), eagerly.
+  /// buffer pool on first scan. A directory without `catalog.manifest`
+  /// is an IoError.
   Status LoadFrom(const std::string& dir);
 
   class Connection Connect();

@@ -8,7 +8,6 @@
 
 #include "common/string_util.h"
 #include "exec/aggregate.h"
-#include "ml/training_source.h"
 #include "obs/metrics.h"
 
 namespace mlcs::sql {
@@ -577,9 +576,7 @@ void OptimizePlan(BoundPlan* plan, const OptimizerContext& ctx) {
   }
   PushDownPredicates(&plan->root);
   if (ctx.catalog != nullptr) {
-    if (ml::FactorizedEnabled()) {
-      PushAggregateBelowJoin(plan->root.get(), plan, ctx.catalog);
-    }
+    PushAggregateBelowJoin(plan->root.get(), plan, ctx.catalog);
     PruneScope(plan->root.get(), ctx.catalog);
   }
 }

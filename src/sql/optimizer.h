@@ -16,7 +16,9 @@ struct OptimizerContext {
   std::function<Result<Value>(const SqlExpr&)> eval_constant;
 };
 
-/// Rewrites a bound logical plan in place. Rules run in a fixed order:
+/// Rewrites a bound logical plan in place; the executor's optimizer switch
+/// (Database::set_optimizer_enabled) turns all four rules on or off
+/// together. Rules run in a fixed order:
 ///
 ///   1. Constant folding — literal-only filter conjuncts collapse to
 ///      literals via `eval_constant`; filters reduced to TRUE disappear.
@@ -30,9 +32,8 @@ struct OptimizerContext {
 ///      statistics query over a single-key inner fact⋈dim join is rewritten
 ///      so the fact side collapses to per-(group keys, join key) partial
 ///      aggregates before the join, and the aggregate above it folds the
-///      partials with SUM. Gated by ml::FactorizedEnabled()
-///      (MLCS_DISABLE_FACTORIZED) — the relational half of factorized ML
-///      training (DESIGN.md §14).
+///      partials with SUM — the relational half of factorized ML training
+///      (DESIGN.md §14).
 ///   4. Projection pruning — each scan is narrowed to the columns its
 ///      SELECT scope references (select list, WHERE/HAVING, GROUP BY,
 ///      ORDER BY, join keys). `SELECT *` anywhere in the scope disables

@@ -54,10 +54,13 @@ TEST(HashJoinTest, InnerJoinMatchesAndDropsUnmatched) {
 }
 
 TEST(HashJoinTest, LeftJoinPadsWithNulls) {
-  auto out = HashJoin(*VotersTable(), *PrecinctsTable(), {"precinct"},
+  auto voters = VotersTable();
+  auto out = HashJoin(*voters, *PrecinctsTable(), {"precinct"},
                       {"precinct"}, JoinType::kLeft)
                  .ValueOrDie();
   EXPECT_EQ(out->num_rows(), 4u);
+  // Each left row appears once, in order: the left columns are shared.
+  EXPECT_EQ(out->column(0).get(), voters->column(0).get());
   auto vid = out->ColumnByName("voter_id").ValueOrDie();
   auto dem = out->ColumnByName("dem_votes").ValueOrDie();
   for (size_t i = 0; i < out->num_rows(); ++i) {
@@ -65,6 +68,27 @@ TEST(HashJoinTest, LeftJoinPadsWithNulls) {
       EXPECT_TRUE(dem->IsNull(i));
     }
   }
+}
+
+TEST(HashJoinTest, IdentityProbeSharesLeftColumns) {
+  // Every probe row matches exactly one build row, in order: the left
+  // columns pass through shared instead of being copied.
+  Schema s;
+  s.AddField("voter_id", TypeId::kInt32);
+  s.AddField("precinct", TypeId::kInt32);
+  auto voters = Table::Make(std::move(s));
+  for (int32_t v : {1, 2, 3}) {
+    ASSERT_TRUE(
+        voters->AppendRow({Value::Int32(v), Value::Int32(v == 2 ? 20 : 10)})
+            .ok());
+  }
+  auto out = HashJoin(*voters, *PrecinctsTable(), {"precinct"}, {"precinct"})
+                 .ValueOrDie();
+  ASSERT_EQ(out->num_rows(), 3u);
+  EXPECT_EQ(out->column(0).get(), voters->column(0).get());
+  EXPECT_EQ(out->column(1).get(), voters->column(1).get());
+  auto dem = out->ColumnByName("dem_votes").ValueOrDie();
+  EXPECT_EQ(dem->i32_data(), (std::vector<int32_t>{100, 200, 100}));
 }
 
 TEST(HashJoinTest, DuplicateBuildKeysFanOut) {
@@ -80,6 +104,13 @@ TEST(HashJoinTest, DuplicateBuildKeysFanOut) {
   ASSERT_TRUE(left->AppendRow({Value::Int32(10)}).ok());
   auto out = HashJoin(*left, *right, {"k"}, {"k"}).ValueOrDie();
   EXPECT_EQ(out->num_rows(), 2u);
+
+  // As many output rows as probe rows, yet not an identity probe: voters
+  // 1 and 3 fan out, 2 and 4 drop. The left columns must be gathered.
+  auto voters = VotersTable();
+  auto fan = HashJoin(*voters, *right, {"precinct"}, {"k"}).ValueOrDie();
+  ASSERT_EQ(fan->num_rows(), voters->num_rows());
+  EXPECT_EQ(fan->column(0)->i32_data(), (std::vector<int32_t>{1, 1, 3, 3}));
 }
 
 TEST(HashJoinTest, NullKeysNeverMatch) {

@@ -112,9 +112,11 @@ TablePtr MakeFacts(size_t n) {
   return t;
 }
 
-/// (key i32, attr i32) with two rows per even key — duplicate build keys
-/// exercise the join's deterministic chain order.
-TablePtr MakeDimension() {
+/// (key i32, attr i32) over keys 0..49. With `duplicate_even_keys`, two
+/// rows per even key exercise the join's deterministic chain order;
+/// without, every non-NULL fact key matches once, so LEFT joins (and inner
+/// joins over NULL-free inputs) take the identity-probe pass-through.
+TablePtr MakeDimension(bool duplicate_even_keys) {
   Schema s;
   s.AddField("key", TypeId::kInt32);
   s.AddField("attr", TypeId::kInt32);
@@ -122,7 +124,7 @@ TablePtr MakeDimension() {
   for (int32_t k = 0; k < 50; ++k) {
     EXPECT_TRUE(
         t->AppendRow({Value::Int32(k), Value::Int32(k * 10)}).ok());
-    if (k % 2 == 0) {
+    if (duplicate_even_keys && k % 2 == 0) {
       EXPECT_TRUE(
           t->AppendRow({Value::Int32(k), Value::Int32(k * 10 + 1)}).ok());
     }
@@ -207,20 +209,23 @@ TEST(ParallelExecTest, FilterParity) {
 }
 
 TEST(ParallelExecTest, HashJoinParity) {
-  auto dim = MakeDimension();
-  for (size_t n : TestSizes()) {
-    auto t = MakeFacts(n);
-    for (JoinType type : {JoinType::kInner, JoinType::kLeft}) {
-      auto serial =
-          HashJoin(*t, *dim, {"key"}, {"key"}, type, SerialPolicy());
-      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-      for (size_t threads : ThreadGrid()) {
-        auto par =
-            HashJoin(*t, *dim, {"key"}, {"key"}, type, ParallelPolicy(threads));
-        ASSERT_TRUE(par.ok()) << par.status().ToString();
-        EXPECT_TRUE(serial.ValueOrDie()->Equals(*par.ValueOrDie()))
-            << "n=" << n << " threads=" << threads
-            << " type=" << (type == JoinType::kInner ? "inner" : "left");
+  for (bool duplicates : {true, false}) {
+    auto dim = MakeDimension(duplicates);
+    for (size_t n : TestSizes()) {
+      auto t = MakeFacts(n);
+      for (JoinType type : {JoinType::kInner, JoinType::kLeft}) {
+        auto serial =
+            HashJoin(*t, *dim, {"key"}, {"key"}, type, SerialPolicy());
+        ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+        for (size_t threads : ThreadGrid()) {
+          auto par = HashJoin(*t, *dim, {"key"}, {"key"}, type,
+                              ParallelPolicy(threads));
+          ASSERT_TRUE(par.ok()) << par.status().ToString();
+          EXPECT_TRUE(serial.ValueOrDie()->Equals(*par.ValueOrDie()))
+              << "n=" << n << " threads=" << threads
+              << " type=" << (type == JoinType::kInner ? "inner" : "left")
+              << " duplicates=" << duplicates;
+        }
       }
     }
   }

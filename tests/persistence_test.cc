@@ -12,7 +12,6 @@
 #include "ml/pickle.h"
 #include "modelstore/model_store.h"
 #include "sql/database.h"
-#include "storage/table_io.h"
 
 namespace mlcs {
 namespace {
@@ -204,15 +203,10 @@ TEST(PersistenceTest, ResaveInOneProcessIsNotServedStaleFromThePool) {
   unsetenv("MLCS_BLOCK_ROWS");
 }
 
-/// Pre-block-storage layouts (tables.txt + monolithic .mlt files) still
-/// load.
-TEST(PersistenceTest, LegacyV1LayoutStillLoads) {
-  std::string dir = TempDirFor("db_legacy");
-  Schema schema;
-  schema.AddField("x", TypeId::kInt32);
-  auto t = Table::Make(std::move(schema));
-  ASSERT_TRUE(t->AppendRow({Value::Int32(5)}).ok());
-  ASSERT_TRUE(SaveTable(*t, dir + "/old.mlt").ok());
+/// Only the manifest-led block layout loads: a directory holding anything
+/// else (here the retired v1 `tables.txt` listing) is an IoError.
+TEST(PersistenceTest, DirectoryWithoutManifestIsIoError) {
+  std::string dir = TempDirFor("db_no_manifest");
   {
     std::FILE* f = std::fopen((dir + "/tables.txt").c_str(), "wb");
     ASSERT_NE(f, nullptr);
@@ -220,12 +214,9 @@ TEST(PersistenceTest, LegacyV1LayoutStillLoads) {
     std::fclose(f);
   }
   Database db;
-  ASSERT_TRUE(db.LoadFrom(dir).ok());
-  EXPECT_EQ(db.Query("SELECT x FROM old")
-                .ValueOrDie()
-                ->GetValue(0, 0)
-                .ValueOrDie(),
-            Value::Int32(5));
+  Status st = db.LoadFrom(dir);
+  EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
+  EXPECT_TRUE(db.catalog().ListTables().empty());
 }
 
 }  // namespace

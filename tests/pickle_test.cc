@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+#include <utility>
+
 #include "common/random.h"
 #include "ml/decision_tree.h"
 #include "ml/knn.h"
@@ -96,6 +100,88 @@ TEST(PickleTest, RejectsTruncatedPayload) {
   std::string blob = pickle::Dumps(tree);
   std::string truncated = blob.substr(0, blob.size() / 2);
   EXPECT_FALSE(pickle::Loads(truncated).ok());
+}
+
+/// Hand-encoded DecisionTree BLOB in DecisionTree::Serialize order. The
+/// defaults form a valid one-split stump over two features; each corrupt
+/// case below breaks one field. A `*_count` override writes that count
+/// without changing the elements that follow it.
+struct RawNode {
+  int32_t feature = -1;
+  double threshold = 0;
+  uint32_t left = 0;
+  uint32_t right = 0;
+  std::vector<double> probs;
+  std::optional<uint64_t> probs_count;
+};
+
+struct RawTree {
+  std::vector<int32_t> classes = {0, 1};
+  uint64_t num_features = 2;
+  std::vector<RawNode> nodes = {{0, 2.0, 1, 2, {}, {}},
+                                {-1, 0, 0, 0, {1.0, 0.0}, {}},
+                                {-1, 0, 0, 0, {0.0, 1.0}, {}}};
+  std::optional<uint64_t> class_count;
+  std::optional<uint64_t> importance_count;
+  std::optional<uint64_t> node_count;
+
+  std::string Blob() const {
+    ByteWriter w;
+    w.WriteU32(0x4D4C504B);
+    w.WriteU8(static_cast<uint8_t>(ModelType::kDecisionTree));
+    w.WriteI32(10);    // max_depth
+    w.WriteVarint(2);  // min_samples_split
+    w.WriteVarint(1);  // min_samples_leaf
+    w.WriteVarint(0);  // max_features
+    w.WriteI32(32);    // num_bins
+    w.WriteBool(false);
+    w.WriteU64(42);
+    w.WriteVarint(class_count.value_or(classes.size()));
+    for (int32_t c : classes) w.WriteI32(c);
+    w.WriteVarint(num_features);
+    w.WriteVarint(importance_count.value_or(num_features));
+    for (uint64_t f = 0; f < num_features; ++f) w.WriteDouble(0.5);
+    w.WriteVarint(node_count.value_or(nodes.size()));
+    for (const RawNode& n : nodes) {
+      w.WriteI32(n.feature);
+      w.WriteDouble(n.threshold);
+      w.WriteU32(n.left);
+      w.WriteU32(n.right);
+      w.WriteVarint(n.probs_count.value_or(n.probs.size()));
+      for (double p : n.probs) w.WriteDouble(p);
+    }
+    return w.TakeString();
+  }
+};
+
+TEST(PickleTest, HandEncodedTreeLoads) {
+  ModelPtr model = pickle::Loads(RawTree().Blob()).ValueOrDie();
+  Matrix x(2, 2);
+  x.Set(0, 0, 1.0);
+  x.Set(1, 0, 3.0);
+  EXPECT_EQ(model->Predict(x).ValueOrDie(), (Labels{0, 1}));
+}
+
+TEST(PickleTest, RejectsCorruptTreeFields) {
+  static constexpr uint64_t kHuge = uint64_t{1} << 40;
+  const std::vector<std::pair<const char*, std::function<void(RawTree&)>>>
+      cases = {
+          {"class count", [](RawTree& t) { t.class_count = kHuge; }},
+          {"importance count", [](RawTree& t) { t.importance_count = kHuge; }},
+          {"node count", [](RawTree& t) { t.node_count = kHuge; }},
+          {"probs count", [](RawTree& t) { t.nodes[1].probs_count = kHuge; }},
+          {"no nodes", [](RawTree& t) { t.nodes.clear(); }},
+          // A self-referencing child would spin WalkToLeaf forever.
+          {"child == parent", [](RawTree& t) { t.nodes[0].left = 0; }},
+          {"child past end", [](RawTree& t) { t.nodes[0].right = 3; }},
+          {"split feature", [](RawTree& t) { t.nodes[0].feature = 2; }},
+          {"leaf probs", [](RawTree& t) { t.nodes[2].probs = {1.0}; }},
+      };
+  for (const auto& [name, corrupt] : cases) {
+    RawTree raw;
+    corrupt(raw);
+    EXPECT_FALSE(pickle::Loads(raw.Blob()).ok()) << name;
+  }
 }
 
 TEST(PickleTest, DoubleRoundTripIsStable) {

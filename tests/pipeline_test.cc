@@ -13,7 +13,6 @@
 #include "io/csv.h"
 #include "io/h5b.h"
 #include "io/npy.h"
-#include "ml/training_source.h"
 
 namespace mlcs::pipeline {
 namespace {
@@ -193,51 +192,20 @@ TEST_F(PipelineTest, AllChannelsAgreeOnPredictions) {
   }
 }
 
-TEST_F(PipelineTest, FactorizedLabelsMatchJoinedLabels) {
-  // Share LUT gathered through precinct codes vs per-row vote columns.
-  auto ids = Column::FromInt32({7, 8, 9, 10, 11, 12});
-  auto precinct = Column::FromInt32({0, 1, 2, 0, 1, 2});
-  auto dem = Column::FromInt32({80, 0, 33, 80, 0, 33});
-  auto rep = Column::FromInt32({20, 0, 67, 20, 0, 67});
-  std::vector<double> share = {80.0 / (80.0 + 20.0), 0.5,
-                               33.0 / (33.0 + 67.0)};
-  auto joined = GenerateLabelColumn(*ids, *dem, *rep, 42);
-  auto factorized = GenerateLabelColumnFactorized(*ids, *precinct, share, 42);
-  EXPECT_TRUE(joined->Equals(*factorized));
-}
-
-TEST_F(PipelineTest, FactorizedWrangleMatchesJoinedWrangle) {
-  // The in-database channel must produce bit-identical aggregated
-  // predictions (and the same registered voter_joined content) whether the
-  // wrangle runs factorized (label-share LUT, no join materialization) or
-  // through the SQL join.
-  auto run = [&](bool factorized) {
-    bool prev = ml::SetFactorizedEnabled(factorized);
-    Database db;
-    EXPECT_TRUE(LoadVoterData(&db, config_).ok());
-    auto r = RunInDatabase(&db, config_);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    PipelineResult result = std::move(r).ValueOrDie();
-    auto joined = db.catalog().GetTable("voter_joined");
-    EXPECT_TRUE(joined.ok());
-    ml::SetFactorizedEnabled(prev);
-    return std::make_pair(std::move(result),
-                          joined.ok() ? joined.ValueOrDie() : nullptr);
-  };
-  auto [fac, fac_joined] = run(true);
-  auto [mat, mat_joined] = run(false);
-  CheckResult(fac);
-  CheckResult(mat);
-  ASSERT_NE(fac_joined, nullptr);
-  ASSERT_NE(mat_joined, nullptr);
-  EXPECT_TRUE(fac_joined->Equals(*mat_joined));
-  EXPECT_EQ(fac.test_rows, mat.test_rows);
-  EXPECT_EQ(fac.precinct_share_mae, mat.precinct_share_mae);
-  auto normalize = [](const PipelineResult& r) {
-    return exec::SortTable(*r.precinct_predictions, {{"precinct_id", false}})
-        .ValueOrDie();
-  };
-  EXPECT_TRUE(normalize(fac)->Equals(*normalize(mat)));
+TEST_F(PipelineTest, InDatabaseWrangleSharesVoterColumns) {
+  // Every voter matches exactly one precinct, so the SQL join passes the
+  // voter columns through: voter_joined holds the catalog's own column
+  // buffers, not per-query copies of all of them.
+  Database db;
+  ASSERT_TRUE(LoadVoterData(&db, config_).ok());
+  ASSERT_TRUE(RunInDatabase(&db, config_).ok());
+  TablePtr voters = db.catalog().GetTable("voters").ValueOrDie();
+  TablePtr joined = db.catalog().GetTable("voter_joined").ValueOrDie();
+  for (size_t c = 0; c < voters->num_columns(); ++c) {
+    const std::string& name = voters->schema().field(c).name;
+    ColumnPtr wrangled = joined->ColumnByName(name).ValueOrDie();
+    EXPECT_EQ(wrangled.get(), voters->column(c).get()) << name;
+  }
 }
 
 TEST_F(PipelineTest, WranglingSqlIsValid) {

@@ -19,7 +19,6 @@
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "ml/training_source.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -406,17 +405,7 @@ TEST_F(SqlIntrospectionTest, SelectStarDisablesPruning) {
 
 /// -- Aggregate pushdown below a join (sql/optimizer.cc rule 3) ------------
 
-/// Restores the factorized knob even when an ASSERT unwinds early.
-struct FactorizedToggleGuard {
-  bool saved = ml::FactorizedEnabled();
-  ~FactorizedToggleGuard() { ml::SetFactorizedEnabled(saved); }
-};
-
 TEST_F(SqlIntrospectionTest, GoldenPlanAggregatePushdownBelowJoin) {
-  // Pin the rule on so the golden plan holds under MLCS_DISABLE_FACTORIZED=1
-  // (the disabled shape has its own test below).
-  FactorizedToggleGuard restore;
-  ml::SetFactorizedEnabled(true);
   uint64_t before = obs::MetricsRegistry::Global()
                         .GetCounter("mlcs.factorized.agg_pushdowns")
                         ->Value();
@@ -472,20 +461,6 @@ TEST_F(SqlIntrospectionTest, AggregatePushdownFailsOpenOnAvg) {
       "SELECT precinct, AVG(age) AS a FROM voters JOIN precincts "
       "ON precinct = precinct GROUP BY precinct");
   EXPECT_EQ(plan.find("__pagg"), std::string::npos) << plan;
-}
-
-TEST_F(SqlIntrospectionTest, AggregatePushdownDisabledByFactorizedKnob) {
-  FactorizedToggleGuard restore;
-  ml::SetFactorizedEnabled(false);
-  std::string plan = PlanOf(
-      "SELECT precinct, COUNT(*) AS n FROM voters JOIN precincts "
-      "ON precinct = precinct GROUP BY precinct");
-  EXPECT_EQ(plan.find("__pagg"), std::string::npos) << plan;
-  ml::SetFactorizedEnabled(true);
-  plan = PlanOf(
-      "SELECT precinct, COUNT(*) AS n FROM voters JOIN precincts "
-      "ON precinct = precinct GROUP BY precinct");
-  EXPECT_NE(plan.find("__pagg"), std::string::npos) << plan;
 }
 
 TEST_F(SqlIntrospectionTest, StdDevAggregate) {
