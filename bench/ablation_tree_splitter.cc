@@ -1,8 +1,9 @@
-/// Ablation abl-split: histogram vs exact CART splitter — the substrate
-/// design choice DESIGN.md §4 calls out. The histogram splitter is
-/// O(n·d·bins) per node; the exact splitter sorts candidates
-/// (O(n log n · d) per node). Counters report training accuracy so the
-/// speed/quality trade is visible in one table.
+/// Ablation abl-split: value codes per feature — the substrate design
+/// choice DESIGN.md §4 calls out. Each fit codes every feature once
+/// (ml/training_codes.h): at most `bins` equal-frequency ranges, or every
+/// distinct value with exact splits; nodes then count classes per code,
+/// O(rows + codes) per candidate feature. Counters report training
+/// accuracy so the speed/quality trade is visible in one table.
 #include <benchmark/benchmark.h>
 
 #include "bench_main.h"
@@ -71,7 +72,7 @@ void BM_ExactSplitter(benchmark::State& state) {
   RunSplitter(state, /*exact=*/true, 32);
 }
 
-BENCHMARK(BM_HistogramSplitter)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_HistogramSplitter)->Arg(8)->Arg(32)->Arg(128)->Arg(255);
 BENCHMARK(BM_ExactSplitter);
 
 }  // namespace

@@ -5,6 +5,7 @@
 /// aggregation incrementally.
 ///
 /// Usage: ./build/examples/out_of_core_prediction [num_voters]
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>

@@ -1,5 +1,6 @@
 #include "common/byte_buffer.h"
 
+#include <algorithm>
 #include <bit>
 
 namespace mlcs {
@@ -79,6 +80,16 @@ Result<uint64_t> ByteReader::ReadVarint() {
     shift += 7;
   }
   return v;
+}
+
+Result<uint64_t> ByteReader::ReadCount(size_t min_element_bytes,
+                                       const char* what) {
+  MLCS_ASSIGN_OR_RETURN(uint64_t count, ReadVarint());
+  if (count > remaining() / std::max<size_t>(min_element_bytes, 1)) {
+    return Status::ParseError(std::string(what) +
+                              " count exceeds the remaining input");
+  }
+  return count;
 }
 
 Status ByteReader::ReadRaw(void* out, size_t size) {

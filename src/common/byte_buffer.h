@@ -101,6 +101,12 @@ class ByteReader {
   Result<bool> ReadBool();
   Result<std::string> ReadString();
   Result<uint64_t> ReadVarint();
+  /// Reads a varint element count that sizes an allocation. A ParseError
+  /// when `count` elements of at least `min_element_bytes` each (0 counts
+  /// as 1) cannot fit in the remaining input, so a corrupt count never
+  /// sizes an allocation beyond the input itself. `what` names the
+  /// elements in the error.
+  Result<uint64_t> ReadCount(size_t min_element_bytes, const char* what);
 
   /// Copies `size` bytes into `out`.
   Status ReadRaw(void* out, size_t size);

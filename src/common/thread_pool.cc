@@ -5,7 +5,37 @@
 #include <chrono>
 #include <cstdlib>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace mlcs {
+
+namespace {
+
+/// Pins glibc malloc's policy before main() in every process that links
+/// the thread pool. Column buffers are allocated by pool workers, each in
+/// its own arena, and freed by the query thread in bulk. With glibc's
+/// dynamic thresholds, whether that freed memory is kept or handed back
+/// to the kernel (and faulted in again by the next query) depends on heap
+/// layout: identical fig1 runs took 15k–27k page faults per bar, and the
+/// bar time followed. With the thresholds fixed, allocations under 2 MB
+/// come from the arenas and an arena hands back its free top only past
+/// 32 MB: ~3k faults per bar, the same every run. Since each arena may
+/// now keep that much, arenas are capped at two per core.
+const bool g_malloc_policy_set = [] {
+#if defined(__GLIBC__)
+  int arenas = static_cast<int>(
+      2 * std::max(1u, std::thread::hardware_concurrency()));
+  return mallopt(M_MMAP_THRESHOLD, 2 << 20) == 1 &&
+         mallopt(M_TRIM_THRESHOLD, 32 << 20) == 1 &&
+         mallopt(M_ARENA_MAX, arenas) == 1;
+#else
+  return false;
+#endif
+}();
+
+}  // namespace
 
 size_t ThreadPool::DefaultThreadCount() {
   const char* env = std::getenv("MLCS_THREADS");

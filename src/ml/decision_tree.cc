@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
+
+#include "common/parallel_for.h"
+#include "common/random.h"
 
 namespace mlcs::ml {
 
@@ -17,7 +19,37 @@ double Gini(const std::vector<double>& counts, double total) {
   return 1.0 - sum_sq / (total * total);
 }
 
+/// Below this many count increments (node rows × candidate features) a
+/// node's split search stays on the thread growing the tree.
+constexpr size_t kParallelSplitWork = size_t{1} << 16;
+
+/// Smallest serialized node: feature + threshold + left + right + a
+/// one-byte probs count.
+constexpr size_t kMinNodeBytes = 4 + 8 + 4 + 4 + 1;
+
+/// A candidate's [code × class] table is zeroed and scanned whole; past
+/// this many table entries per node row, sorting the node's codes is
+/// cheaper.
+constexpr size_t kSortFactor = 16;
+
 }  // namespace
+
+size_t DecisionTreeOptions::max_codes() const {
+  return exact_splits ? TrainingCodes::kMaxValueCodes
+                      : static_cast<size_t>(std::max(num_bins, 1));
+}
+
+struct DecisionTree::Grower {
+  const TrainingCodes& codes;
+  bool parallel;
+  Rng rng;
+  /// Scratch the serial split search reuses from node to node.
+  CodeCounts counts;
+  /// Per-node [key × class] counts, shared by every factorized candidate.
+  std::vector<uint32_t> key_counts;
+  /// The node's class indices in row order, shared by every dense one.
+  std::vector<uint32_t> node_labels;
+};
 
 DecisionTree::DecisionTree(DecisionTreeOptions options)
     : options_(options) {}
@@ -27,38 +59,36 @@ Status DecisionTree::Fit(const Matrix& x, const Labels& y) {
   return FitSource(TrainingSource::FromMatrix(x), y);
 }
 
-Status DecisionTree::FitOnRows(const Matrix& x, const Labels& y,
-                               const std::vector<uint32_t>& rows,
-                               const std::vector<int32_t>& class_set) {
-  return FitSourceOnRows(TrainingSource::FromMatrix(x), y, rows, class_set);
-}
-
 Status DecisionTree::FitSource(const TrainingSource& x, const Labels& y) {
   MLCS_RETURN_IF_ERROR(internal::CheckFitInputs(x, y));
+  MLCS_ASSIGN_OR_RETURN(
+      TrainingCodes codes,
+      TrainingCodes::Build(x, y, internal::DistinctClasses(y),
+                           options_.max_codes(), /*parallel=*/true));
   std::vector<uint32_t> rows(x.rows());
   std::iota(rows.begin(), rows.end(), 0);
-  MLCS_RETURN_IF_ERROR(
-      FitSourceOnRows(x, y, rows, internal::DistinctClasses(y)));
+  MLCS_RETURN_IF_ERROR(FitCoded(codes, std::move(rows), /*parallel=*/true));
   CountTrainingSourceFit(x);
   return Status::OK();
 }
 
-Status DecisionTree::FitSourceOnRows(const TrainingSource& x, const Labels& y,
-                                     const std::vector<uint32_t>& rows,
-                                     const std::vector<int32_t>& class_set) {
+Status DecisionTree::FitCoded(const TrainingCodes& codes,
+                              std::vector<uint32_t> rows, bool parallel) {
   if (rows.empty()) {
     return Status::InvalidArgument("cannot fit a tree on zero rows");
   }
-  if (class_set.empty()) {
+  if (codes.classes().empty()) {
     return Status::InvalidArgument("empty class set");
   }
-  classes_ = class_set;
-  num_features_ = x.cols();
+  classes_ = codes.classes();
+  num_features_ = codes.cols();
   nodes_.clear();
   feature_importances_.assign(num_features_, 0.0);
-  std::vector<uint32_t> work(rows);
-  Rng rng(options_.seed);
-  BuildNode(x, y, work, /*depth=*/0, rng);
+  // Counts ignore row order; ascending rows turn every code and label read
+  // into a forward scan.
+  std::sort(rows.begin(), rows.end());
+  Grower grower{codes, parallel, Rng(options_.seed), {}, {}, {}};
+  BuildNode(grower, rows, /*depth=*/0);
   double total = 0;
   for (double v : feature_importances_) total += v;
   if (total > 0) {
@@ -67,14 +97,9 @@ Status DecisionTree::FitSourceOnRows(const TrainingSource& x, const Labels& y,
   return Status::OK();
 }
 
-uint32_t DecisionTree::MakeLeaf(const Labels& y,
-                                const std::vector<uint32_t>& rows) {
+uint32_t DecisionTree::MakeLeaf(const std::vector<uint32_t>& class_counts) {
   Node node;
-  node.probs.assign(classes_.size(), 0.0f);
-  for (uint32_t r : rows) {
-    auto idx = internal::ClassIndex(classes_, y[r]);
-    if (idx.ok()) node.probs[idx.ValueOrDie()] += 1.0f;
-  }
+  node.probs.assign(class_counts.begin(), class_counts.end());
   float total = 0;
   for (float p : node.probs) total += p;
   if (total > 0) {
@@ -84,20 +109,17 @@ uint32_t DecisionTree::MakeLeaf(const Labels& y,
   return static_cast<uint32_t>(nodes_.size() - 1);
 }
 
-uint32_t DecisionTree::BuildNode(const TrainingSource& x, const Labels& y,
-                                 std::vector<uint32_t>& rows, int depth,
-                                 Rng& rng) {
+uint32_t DecisionTree::BuildNode(Grower& g, std::vector<uint32_t>& rows,
+                                 int depth) {
+  const std::vector<uint32_t>& labels = g.codes.labels();
+  std::vector<uint32_t> class_counts(classes_.size(), 0);
+  for (uint32_t r : rows) ++class_counts[labels[r]];
   // Stopping conditions → leaf.
-  bool pure = true;
-  for (size_t i = 1; i < rows.size(); ++i) {
-    if (y[rows[i]] != y[rows[0]]) {
-      pure = false;
-      break;
-    }
-  }
+  bool pure = *std::max_element(class_counts.begin(), class_counts.end()) ==
+              rows.size();
   if (pure || depth >= options_.max_depth ||
       rows.size() < options_.min_samples_split) {
-    return MakeLeaf(y, rows);
+    return MakeLeaf(class_counts);
   }
 
   // Candidate features (random subset for forests).
@@ -109,29 +131,28 @@ uint32_t DecisionTree::BuildNode(const TrainingSource& x, const Labels& y,
   if (k < num_features_) {
     // Partial Fisher-Yates: the first k entries become the sample.
     for (size_t i = 0; i < k; ++i) {
-      size_t j = i + rng.NextBounded(num_features_ - i);
+      size_t j = i + g.rng.NextBounded(num_features_ - i);
       std::swap(features[i], features[j]);
     }
     features.resize(k);
   }
 
-  SplitResult best = FindBestSplit(x, y, rows, features);
-  if (!best.found) return MakeLeaf(y, rows);
+  SplitResult best = FindBestSplit(g, rows, class_counts, features);
+  if (!best.found) return MakeLeaf(class_counts);
 
-  // Partition rows (NaN → left).
+  // Partition rows by the codes the split was counted on (NaN, code 0,
+  // goes left); stable, so both children stay ascending.
   std::vector<uint32_t> left_rows, right_rows;
-  FeatureView col = x.view(best.feature);
+  const std::vector<uint16_t>& codes = g.codes.codes(best.feature);
+  const uint32_t* keys = g.codes.factorized(best.feature) ? g.codes.keys()
+                                                         : nullptr;
   for (uint32_t r : rows) {
-    double v = col[r];
-    if (std::isnan(v) || v <= best.threshold) {
-      left_rows.push_back(r);
-    } else {
-      right_rows.push_back(r);
-    }
+    uint16_t code = keys != nullptr ? codes[keys[r]] : codes[r];
+    (code <= best.left_code ? left_rows : right_rows).push_back(r);
   }
   if (left_rows.size() < options_.min_samples_leaf ||
       right_rows.size() < options_.min_samples_leaf) {
-    return MakeLeaf(y, rows);
+    return MakeLeaf(class_counts);
   }
   feature_importances_[best.feature] +=
       best.impurity_decrease * static_cast<double>(rows.size());
@@ -143,45 +164,90 @@ uint32_t DecisionTree::BuildNode(const TrainingSource& x, const Labels& y,
   node.threshold = best.threshold;
   nodes_.push_back(node);
   uint32_t self = static_cast<uint32_t>(nodes_.size() - 1);
-  uint32_t left = BuildNode(x, y, left_rows, depth + 1, rng);
-  uint32_t right = BuildNode(x, y, right_rows, depth + 1, rng);
+  uint32_t left = BuildNode(g, left_rows, depth + 1);
+  uint32_t right = BuildNode(g, right_rows, depth + 1);
   nodes_[self].left = left;
   nodes_[self].right = right;
   return self;
 }
 
 DecisionTree::SplitResult DecisionTree::FindBestSplit(
-    const TrainingSource& x, const Labels& y,
-    const std::vector<uint32_t>& rows,
+    Grower& g, const std::vector<uint32_t>& rows,
+    const std::vector<uint32_t>& class_counts,
     const std::vector<size_t>& features) const {
-  SplitResult best;
+  const TrainingCodes& codes = g.codes;
+  const std::vector<uint32_t>& labels = codes.labels();
+  size_t num_classes = classes_.size();
   // One group-by below the join per node: the per-key class counts feed
-  // every factorized candidate's splitter, so d dimension features cost
-  // one O(rows) counting pass plus d × O(keys) statistic scans instead of
-  // d × O(rows) value scans.
-  std::vector<int64_t> key_counts;
+  // every factorized candidate, so d dimension features cost one O(rows)
+  // counting pass plus d × O(keys) folds instead of d × O(rows) scans.
   bool any_factorized = false;
-  for (size_t f : features) any_factorized |= x.factorized(f);
+  for (size_t f : features) any_factorized |= codes.factorized(f);
   if (any_factorized) {
-    const uint32_t* keys = x.keys();
-    size_t num_classes = classes_.size();
-    key_counts.assign(x.num_keys() * num_classes, 0);
-    for (uint32_t r : rows) {
-      size_t cls = internal::ClassIndex(classes_, y[r]).ValueOr(0);
-      key_counts[keys[r] * num_classes + cls] += 1;
+    const uint32_t* keys = codes.keys();
+    g.key_counts.assign(codes.num_keys() * num_classes, 0);
+    for (uint32_t r : rows) ++g.key_counts[keys[r] * num_classes + labels[r]];
+  }
+  g.node_labels.resize(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) g.node_labels[i] = labels[rows[i]];
+
+  // [code × class] counts of one candidate, then its best boundary.
+  auto split_on = [&](size_t f, CodeCounts& counts) {
+    const std::vector<uint16_t>& fc = codes.codes(f);
+    size_t num_codes = codes.num_codes(f);
+    counts.present.clear();
+    if (!codes.factorized(f) &&
+        num_codes * num_classes > kSortFactor * rows.size()) {
+      // Far more codes than rows (exact splits on a small node): sort the
+      // node's (code, class) pairs instead of zeroing a sparse table.
+      counts.pairs.resize(rows.size());
+      for (size_t i = 0; i < rows.size(); ++i) {
+        counts.pairs[i] = uint64_t{fc[rows[i]]} << 32 | g.node_labels[i];
+      }
+      std::sort(counts.pairs.begin(), counts.pairs.end());
+      counts.table.clear();
+      for (uint64_t p : counts.pairs) {
+        auto code = static_cast<uint16_t>(p >> 32);
+        if (counts.present.empty() || counts.present.back() != code) {
+          counts.present.push_back(code);
+          counts.table.resize(counts.table.size() + num_classes, 0);
+        }
+        ++counts.table[counts.table.size() - num_classes + (p & 0xFFFFFFFF)];
+      }
+      return ScanCodes(codes, f, counts, class_counts);
+    }
+    counts.table.assign(num_codes * num_classes, 0);
+    if (codes.factorized(f)) {
+      for (size_t key = 0; key < fc.size(); ++key) {
+        for (size_t c = 0; c < num_classes; ++c) {
+          counts.table[fc[key] * num_classes + c] +=
+              g.key_counts[key * num_classes + c];
+        }
+      }
+    } else {
+      for (size_t i = 0; i < rows.size(); ++i) {
+        ++counts.table[fc[rows[i]] * num_classes + g.node_labels[i]];
+      }
+    }
+    return ScanCodes(codes, f, counts, class_counts);
+  };
+  std::vector<SplitResult> candidates(features.size());
+  if (g.parallel && rows.size() * features.size() >= kParallelSplitWork) {
+    // Each candidate is a pure function of the node, so the tree is the
+    // same at any thread count.
+    Status st = ParallelItems(MorselPolicy{}, features.size(), [&](size_t i) {
+      CodeCounts counts;
+      candidates[i] = split_on(features[i], counts);
+      return Status::OK();
+    });
+    (void)st;  // the items never fail
+  } else {
+    for (size_t i = 0; i < features.size(); ++i) {
+      candidates[i] = split_on(features[i], g.counts);
     }
   }
-  for (size_t f : features) {
-    SplitResult cand;
-    if (x.factorized(f)) {
-      cand = options_.exact_splits
-                 ? BestSplitExactAgg(x.lut(f), key_counts, f)
-                 : BestSplitHistogramAgg(x.lut(f), key_counts, f);
-    } else {
-      FeatureView col = x.view(f);
-      cand = options_.exact_splits ? BestSplitExact(col, y, rows, f)
-                                   : BestSplitHistogram(col, y, rows, f);
-    }
+  SplitResult best;
+  for (const SplitResult& cand : candidates) {
     if (cand.found &&
         (!best.found || cand.impurity_decrease > best.impurity_decrease)) {
       best = cand;
@@ -190,267 +256,65 @@ DecisionTree::SplitResult DecisionTree::FindBestSplit(
   return best;
 }
 
-DecisionTree::SplitResult DecisionTree::ScanHistogram(
-    const std::vector<double>& counts, size_t bins, double lo, double hi,
-    size_t feature) const {
+DecisionTree::SplitResult DecisionTree::ScanCodes(
+    const TrainingCodes& codes, size_t feature, const CodeCounts& counts,
+    const std::vector<uint32_t>& class_counts) const {
   SplitResult out;
   size_t num_classes = classes_.size();
-  // Scan split boundaries between bins with prefix sums.
-  std::vector<double> left_counts(num_classes, 0.0);
-  std::vector<double> total_counts(num_classes, 0.0);
+  std::vector<double> total_counts(class_counts.begin(), class_counts.end());
   double total = 0;
-  for (size_t b = 0; b < bins; ++b) {
-    for (size_t c = 0; c < num_classes; ++c) {
-      total_counts[c] += counts[b * num_classes + c];
-    }
-  }
   for (double c : total_counts) total += c;
   double parent_impurity = Gini(total_counts, total);
 
-  double left_total = 0;
-  for (size_t b = 0; b + 1 < bins; ++b) {
-    for (size_t c = 0; c < num_classes; ++c) {
-      left_counts[c] += counts[b * num_classes + c];
-      left_total += counts[b * num_classes + c];
-    }
-    if (left_total == 0 || left_total == total) continue;
-    std::vector<double> right_counts(num_classes);
-    for (size_t c = 0; c < num_classes; ++c) {
-      right_counts[c] = total_counts[c] - left_counts[c];
-    }
-    double right_total = total - left_total;
-    double weighted = (left_total / total) * Gini(left_counts, left_total) +
-                      (right_total / total) * Gini(right_counts, right_total);
-    double decrease = parent_impurity - weighted;
-    if (decrease > 1e-12 && (!out.found || decrease > out.impurity_decrease)) {
-      out.found = true;
-      out.feature = feature;
-      out.threshold = lo + (static_cast<double>(b + 1) / bins) * (hi - lo);
-      out.impurity_decrease = decrease;
-    }
-  }
-  return out;
-}
-
-DecisionTree::SplitResult DecisionTree::BestSplitHistogram(
-    const FeatureView& col, const Labels& y,
-    const std::vector<uint32_t>& rows, size_t feature) const {
-  SplitResult out;
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (uint32_t r : rows) {
-    double v = col[r];
-    if (std::isnan(v)) continue;
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  if (!(hi > lo)) return out;  // constant (or all-NaN) feature
-
-  size_t bins = static_cast<size_t>(options_.num_bins);
-  size_t num_classes = classes_.size();
-  // counts[bin * num_classes + class]
-  std::vector<double> counts(bins * num_classes, 0.0);
-  double scale = static_cast<double>(bins) / (hi - lo);
-  for (uint32_t r : rows) {
-    double v = col[r];
-    size_t bin;
-    if (std::isnan(v)) {
-      bin = 0;  // NaN routes left, i.e. lowest bin
-    } else {
-      bin = std::min(bins - 1, static_cast<size_t>((v - lo) * scale));
-    }
-    size_t cls = static_cast<size_t>(
-        internal::ClassIndex(classes_, y[r]).ValueOr(0));
-    counts[bin * num_classes + cls] += 1.0;
-  }
-  return ScanHistogram(counts, bins, lo, hi, feature);
-}
-
-DecisionTree::SplitResult DecisionTree::BestSplitHistogramAgg(
-    const std::vector<double>& lut, const std::vector<int64_t>& key_counts,
-    size_t feature) const {
-  SplitResult out;
-  size_t num_classes = classes_.size();
-  size_t num_keys = lut.size();
-  // Per-key totals: keys absent from this node contribute nothing (they
-  // would not appear in a per-row scan either).
-  std::vector<int64_t> key_totals(num_keys, 0);
-  for (size_t k = 0; k < num_keys; ++k) {
-    for (size_t c = 0; c < num_classes; ++c) {
-      key_totals[k] += key_counts[k * num_classes + c];
-    }
-  }
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (size_t k = 0; k < num_keys; ++k) {
-    double v = lut[k];
-    if (key_totals[k] == 0 || std::isnan(v)) continue;
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  if (!(hi > lo)) return out;
-
-  size_t bins = static_cast<size_t>(options_.num_bins);
-  std::vector<double> counts(bins * num_classes, 0.0);
-  double scale = static_cast<double>(bins) / (hi - lo);
-  for (size_t k = 0; k < num_keys; ++k) {
-    if (key_totals[k] == 0) continue;
-    double v = lut[k];
-    size_t bin;
-    if (std::isnan(v)) {
-      bin = 0;
-    } else {
-      bin = std::min(bins - 1, static_cast<size_t>((v - lo) * scale));
-    }
-    // Integer-valued doubles: adding the key's count at once lands on the
-    // same histogram the per-row loop builds by repeated += 1.0.
-    for (size_t c = 0; c < num_classes; ++c) {
-      counts[bin * num_classes + c] +=
-          static_cast<double>(key_counts[k * num_classes + c]);
-    }
-  }
-  return ScanHistogram(counts, bins, lo, hi, feature);
-}
-
-DecisionTree::SplitResult DecisionTree::BestSplitExactAgg(
-    const std::vector<double>& lut, const std::vector<int64_t>& key_counts,
-    size_t feature) const {
-  SplitResult out;
-  size_t num_classes = classes_.size();
-  size_t num_keys = lut.size();
-  // Present keys sorted by LUT value, NaN first — the key-level image of
-  // the per-row sort; equal values merge into one group below, exactly
-  // the spans the row scan never splits.
-  std::vector<uint32_t> order;
-  for (size_t k = 0; k < num_keys; ++k) {
-    int64_t present = 0;
-    for (size_t c = 0; c < num_classes; ++c) {
-      present += key_counts[k * num_classes + c];
-    }
-    if (present > 0) order.push_back(static_cast<uint32_t>(k));
-  }
-  if (order.empty()) return out;
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    double va = lut[a], vb = lut[b];
-    bool na = std::isnan(va), nb = std::isnan(vb);
-    if (na != nb) return na;
-    return va < vb;
-  });
-
-  std::vector<double> values;           // one entry per distinct-value group
-  std::vector<double> counts;           // [group * num_classes + class]
-  std::vector<double> group_totals;
-  for (uint32_t k : order) {
-    double v = lut[k];
-    bool merge = !values.empty() &&
-                 ((std::isnan(v) && std::isnan(values.back())) ||
-                  v == values.back());
-    if (!merge) {
-      values.push_back(v);
-      counts.resize(values.size() * num_classes, 0.0);
-      group_totals.push_back(0.0);
-    }
-    size_t g = values.size() - 1;
-    for (size_t c = 0; c < num_classes; ++c) {
-      double n = static_cast<double>(key_counts[k * num_classes + c]);
-      counts[g * num_classes + c] += n;
-      group_totals[g] += n;
-    }
-  }
-
-  std::vector<double> total_counts(num_classes, 0.0);
-  double total = 0;
-  for (size_t g = 0; g < values.size(); ++g) {
-    for (size_t c = 0; c < num_classes; ++c) {
-      total_counts[c] += counts[g * num_classes + c];
-    }
-    total += group_totals[g];
-  }
-  double parent_impurity = Gini(total_counts, total);
-
+  // Every boundary between two adjacent present codes is a candidate;
+  // empty codes are skipped, so each side always holds rows.
   std::vector<double> left_counts(num_classes, 0.0);
+  std::vector<double> right_counts(num_classes);
   double left_total = 0;
-  for (size_t g = 0; g + 1 < values.size(); ++g) {
-    for (size_t c = 0; c < num_classes; ++c) {
-      left_counts[c] += counts[g * num_classes + c];
+  size_t num_codes = codes.num_codes(feature);
+  size_t num_groups = counts.table.size() / num_classes;
+  size_t prev = num_codes;  // no present code yet
+  size_t right_code = 0;
+  for (size_t i = 0; i < num_groups; ++i) {
+    size_t code = counts.present.empty() ? i : counts.present[i];
+    const uint32_t* code_counts = &counts.table[i * num_classes];
+    uint64_t present = 0;
+    for (size_t c = 0; c < num_classes; ++c) present += code_counts[c];
+    if (present == 0) continue;
+    if (prev != num_codes) {
+      double right_total = total - left_total;
+      for (size_t c = 0; c < num_classes; ++c) {
+        right_counts[c] = total_counts[c] - left_counts[c];
+      }
+      double weighted =
+          (left_total / total) * Gini(left_counts, left_total) +
+          (right_total / total) * Gini(right_counts, right_total);
+      double decrease = parent_impurity - weighted;
+      if (decrease > 1e-12 &&
+          (!out.found || decrease > out.impurity_decrease)) {
+        out.found = true;
+        out.feature = feature;
+        out.left_code = static_cast<uint16_t>(prev);
+        out.impurity_decrease = decrease;
+        right_code = code;
+      }
     }
-    left_total += group_totals[g];
-    double v = values[g];
-    double next = values[g + 1];
-    double right_total = total - left_total;
-    std::vector<double> right_counts(num_classes);
-    for (size_t c = 0; c < num_classes; ++c) {
-      right_counts[c] = total_counts[c] - left_counts[c];
-    }
-    double weighted = (left_total / total) * Gini(left_counts, left_total) +
-                      (right_total / total) * Gini(right_counts, right_total);
-    double decrease = parent_impurity - weighted;
-    if (decrease > 1e-12 && (!out.found || decrease > out.impurity_decrease)) {
-      out.found = true;
-      out.feature = feature;
-      out.threshold = std::isnan(v) ? next - 1.0 : (v + next) / 2.0;
-      out.impurity_decrease = decrease;
-    }
+    for (size_t c = 0; c < num_classes; ++c) left_counts[c] += code_counts[c];
+    left_total += static_cast<double>(present);
+    prev = code;
+  }
+  if (out.found) {
+    out.threshold = codes.Threshold(feature, out.left_code,
+                                    static_cast<uint16_t>(right_code));
   }
   return out;
 }
 
-DecisionTree::SplitResult DecisionTree::BestSplitExact(
-    const FeatureView& col, const Labels& y,
-    const std::vector<uint32_t>& rows, size_t feature) const {
-  SplitResult out;
-  // Sort rows by feature value; NaN first (they route left).
-  std::vector<uint32_t> sorted(rows);
-  std::sort(sorted.begin(), sorted.end(), [&](uint32_t a, uint32_t b) {
-    double va = col[a], vb = col[b];
-    bool na = std::isnan(va), nb = std::isnan(vb);
-    if (na != nb) return na;
-    return va < vb;
-  });
-
-  size_t num_classes = classes_.size();
-  std::vector<double> total_counts(num_classes, 0.0);
-  for (uint32_t r : sorted) {
-    total_counts[internal::ClassIndex(classes_, y[r]).ValueOr(0)] += 1.0;
-  }
-  double total = static_cast<double>(sorted.size());
-  double parent_impurity = Gini(total_counts, total);
-
-  std::vector<double> left_counts(num_classes, 0.0);
-  for (size_t i = 0; i + 1 < sorted.size(); ++i) {
-    left_counts[internal::ClassIndex(classes_, y[sorted[i]]).ValueOr(0)] +=
-        1.0;
-    double v = col[sorted[i]];
-    double next = col[sorted[i + 1]];
-    // A valid boundary needs distinct adjacent values (NaNs sit at the
-    // front and never end a boundary themselves).
-    if (std::isnan(next) || v == next ||
-        (std::isnan(v) && i + 1 < sorted.size() && std::isnan(next))) {
-      continue;
-    }
-    double left_total = static_cast<double>(i + 1);
-    double right_total = total - left_total;
-    std::vector<double> right_counts(num_classes);
-    for (size_t c = 0; c < num_classes; ++c) {
-      right_counts[c] = total_counts[c] - left_counts[c];
-    }
-    double weighted = (left_total / total) * Gini(left_counts, left_total) +
-                      (right_total / total) * Gini(right_counts, right_total);
-    double decrease = parent_impurity - weighted;
-    if (decrease > 1e-12 && (!out.found || decrease > out.impurity_decrease)) {
-      out.found = true;
-      out.feature = feature;
-      out.threshold = std::isnan(v) ? next - 1.0 : (v + next) / 2.0;
-      out.impurity_decrease = decrease;
-    }
-  }
-  return out;
-}
-
-size_t DecisionTree::WalkToLeaf(const Matrix& x, size_t row) const {
+size_t DecisionTree::WalkToLeaf(const FeatureView* features,
+                                size_t row) const {
   size_t node = 0;
   while (nodes_[node].feature >= 0) {
-    double v = x.At(row, static_cast<size_t>(nodes_[node].feature));
+    double v = features[nodes_[node].feature][row];
     node = (std::isnan(v) || v <= nodes_[node].threshold)
                ? nodes_[node].left
                : nodes_[node].right;
@@ -459,11 +323,16 @@ size_t DecisionTree::WalkToLeaf(const Matrix& x, size_t row) const {
 }
 
 Result<Labels> DecisionTree::Predict(const Matrix& x) const {
+  return PredictSource(TrainingSource::FromMatrix(x));
+}
+
+Result<Labels> DecisionTree::PredictSource(const TrainingSource& x) const {
   MLCS_RETURN_IF_ERROR(
       internal::CheckPredictInputs(x, num_features_, fitted()));
+  std::vector<FeatureView> features = x.views();
   Labels out(x.rows());
   for (size_t r = 0; r < x.rows(); ++r) {
-    const auto& probs = nodes_[WalkToLeaf(x, r)].probs;
+    const auto& probs = nodes_[WalkToLeaf(features.data(), r)].probs;
     size_t best = 0;
     for (size_t c = 1; c < probs.size(); ++c) {
       if (probs[c] > probs[best]) best = c;
@@ -473,16 +342,13 @@ Result<Labels> DecisionTree::Predict(const Matrix& x) const {
   return out;
 }
 
-Result<std::vector<std::vector<double>>> DecisionTree::PredictDistribution(
-    const Matrix& x) const {
-  MLCS_RETURN_IF_ERROR(
-      internal::CheckPredictInputs(x, num_features_, fitted()));
-  std::vector<std::vector<double>> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    const auto& probs = nodes_[WalkToLeaf(x, r)].probs;
-    out[r].assign(probs.begin(), probs.end());
+void DecisionTree::AddDistribution(const FeatureView* features, size_t begin,
+                                   size_t end, double* out) const {
+  size_t num_classes = classes_.size();
+  for (size_t r = begin; r < end; ++r, out += num_classes) {
+    const auto& probs = nodes_[WalkToLeaf(features, r)].probs;
+    for (size_t c = 0; c < num_classes; ++c) out[c] += probs[c];
   }
-  return out;
 }
 
 Result<std::vector<double>> DecisionTree::PredictProba(const Matrix& x,
@@ -490,9 +356,11 @@ Result<std::vector<double>> DecisionTree::PredictProba(const Matrix& x,
   MLCS_RETURN_IF_ERROR(
       internal::CheckPredictInputs(x, num_features_, fitted()));
   MLCS_ASSIGN_OR_RETURN(size_t cls_idx, internal::ClassIndex(classes_, cls));
+  TrainingSource source = TrainingSource::FromMatrix(x);
+  std::vector<FeatureView> features = source.views();
   std::vector<double> out(x.rows());
   for (size_t r = 0; r < x.rows(); ++r) {
-    out[r] = nodes_[WalkToLeaf(x, r)].probs[cls_idx];
+    out[r] = nodes_[WalkToLeaf(features.data(), r)].probs[cls_idx];
   }
   return out;
 }
@@ -501,9 +369,11 @@ Result<std::vector<double>> DecisionTree::PredictConfidence(
     const Matrix& x) const {
   MLCS_RETURN_IF_ERROR(
       internal::CheckPredictInputs(x, num_features_, fitted()));
+  TrainingSource source = TrainingSource::FromMatrix(x);
+  std::vector<FeatureView> features = source.views();
   std::vector<double> out(x.rows());
   for (size_t r = 0; r < x.rows(); ++r) {
-    const auto& probs = nodes_[WalkToLeaf(x, r)].probs;
+    const auto& probs = nodes_[WalkToLeaf(features.data(), r)].probs;
     float best = 0;
     for (float p : probs) best = std::max(best, p);
     out[r] = best;
@@ -558,35 +428,23 @@ Result<std::unique_ptr<DecisionTree>> DecisionTree::DeserializeBody(
   auto tree = std::make_unique<DecisionTree>(options);
   // Model BLOBs live in ordinary UPDATE-able tables, so every count and
   // index is checked before it sizes an allocation or steers a tree walk.
-  // `min_bytes` is the smallest encoding of one counted element.
-  auto check_count = [reader](uint64_t count, size_t min_bytes,
-                              const char* what) -> Status {
-    if (count > reader->remaining() / min_bytes) {
-      return Status::ParseError(std::string("corrupt tree: ") + what +
-                                " count exceeds the payload");
-    }
-    return Status::OK();
-  };
-  MLCS_ASSIGN_OR_RETURN(uint64_t num_classes, reader->ReadVarint());
-  MLCS_RETURN_IF_ERROR(check_count(num_classes, sizeof(int32_t), "class"));
+  MLCS_ASSIGN_OR_RETURN(uint64_t num_classes,
+                        reader->ReadCount(sizeof(int32_t), "tree class"));
   tree->classes_.resize(num_classes);
   for (auto& c : tree->classes_) {
     MLCS_ASSIGN_OR_RETURN(c, reader->ReadI32());
   }
   MLCS_ASSIGN_OR_RETURN(uint64_t nf, reader->ReadVarint());
   tree->num_features_ = nf;
-  MLCS_ASSIGN_OR_RETURN(uint64_t num_importances, reader->ReadVarint());
-  MLCS_RETURN_IF_ERROR(
-      check_count(num_importances, sizeof(double), "importance"));
+  MLCS_ASSIGN_OR_RETURN(uint64_t num_importances,
+                        reader->ReadCount(sizeof(double), "tree importance"));
   tree->feature_importances_.resize(num_importances);
   for (auto& v : tree->feature_importances_) {
     MLCS_ASSIGN_OR_RETURN(v, reader->ReadDouble());
   }
-  MLCS_ASSIGN_OR_RETURN(uint64_t num_nodes, reader->ReadVarint());
+  MLCS_ASSIGN_OR_RETURN(uint64_t num_nodes,
+                        reader->ReadCount(kMinNodeBytes, "tree node"));
   if (num_nodes == 0) return Status::ParseError("corrupt tree: no nodes");
-  // feature + threshold + left + right + a one-byte probs count.
-  constexpr size_t kMinNodeBytes = 4 + 8 + 4 + 4 + 1;
-  MLCS_RETURN_IF_ERROR(check_count(num_nodes, kMinNodeBytes, "node"));
   tree->nodes_.resize(num_nodes);
   for (size_t i = 0; i < num_nodes; ++i) {
     Node& node = tree->nodes_[i];
@@ -594,8 +452,8 @@ Result<std::unique_ptr<DecisionTree>> DecisionTree::DeserializeBody(
     MLCS_ASSIGN_OR_RETURN(node.threshold, reader->ReadDouble());
     MLCS_ASSIGN_OR_RETURN(node.left, reader->ReadU32());
     MLCS_ASSIGN_OR_RETURN(node.right, reader->ReadU32());
-    MLCS_ASSIGN_OR_RETURN(uint64_t np, reader->ReadVarint());
-    MLCS_RETURN_IF_ERROR(check_count(np, sizeof(double), "probability"));
+    MLCS_ASSIGN_OR_RETURN(
+        uint64_t np, reader->ReadCount(sizeof(double), "leaf probability"));
     node.probs.resize(np);
     for (auto& p : node.probs) {
       MLCS_ASSIGN_OR_RETURN(double d, reader->ReadDouble());

@@ -4,8 +4,8 @@
 #include <memory>
 #include <vector>
 
-#include "common/random.h"
 #include "ml/model.h"
+#include "ml/training_codes.h"
 #include "ml/training_source.h"
 
 namespace mlcs::ml {
@@ -17,13 +17,17 @@ struct DecisionTreeOptions {
   /// Features considered per split; 0 = all (plain CART). Random forests
   /// set this to ~sqrt(d).
   size_t max_features = 0;
-  /// Histogram splitter granularity (bins per feature per node). The
-  /// histogram splitter is O(n·d) per node — the right trade for the
-  /// paper-scale datasets; `exact_splits` switches to the O(n log n · d)
-  /// sort-based CART splitter for small data / tests.
-  int num_bins = 32;
+  /// Value codes per feature (TrainingCodes): a feature with at most this
+  /// many distinct values splits exactly, one with more is cut into this
+  /// many equal-frequency ranges once per fit. `exact_splits` lifts the
+  /// bound to TrainingCodes::kMaxValueCodes, so every distinct value up
+  /// to that count is a candidate boundary (CART's exact splitter).
+  int num_bins = 255;
   bool exact_splits = false;
   uint64_t seed = 42;
+
+  /// Value codes per feature the fit's coding pass may use.
+  size_t max_codes() const;
 };
 
 /// CART decision-tree classifier (gini impurity). NaN feature values are
@@ -35,6 +39,7 @@ class DecisionTree : public Model {
   ModelType type() const override { return ModelType::kDecisionTree; }
   Status Fit(const Matrix& x, const Labels& y) override;
   Result<Labels> Predict(const Matrix& x) const override;
+  Result<Labels> PredictSource(const TrainingSource& x) const override;
   Result<std::vector<double>> PredictProba(const Matrix& x,
                                            int32_t cls) const override;
   Result<std::vector<double>> PredictConfidence(
@@ -43,27 +48,29 @@ class DecisionTree : public Model {
   std::string ParamsString() const override;
   void Serialize(ByteWriter* writer) const override;
 
-  /// Fits on a row subset with a pre-agreed class set — lets a random
-  /// forest bootstrap without copying the matrix and keeps every tree's
-  /// class-index space aligned.
-  Status FitOnRows(const Matrix& x, const Labels& y,
-                   const std::vector<uint32_t>& rows,
-                   const std::vector<int32_t>& class_set);
-
-  /// Statistics-provider path (DESIGN.md §14): trains through a
-  /// TrainingSource. Dimension features compute their split statistics as
-  /// per-key class-count aggregates (one group-by below the join per node,
-  /// shared across all factorized features) instead of per-row scans;
-  /// results are bit-identical to Fit on the equivalent dense matrix.
+  /// Statistics-provider path (DESIGN.md §14): codes the TrainingSource
+  /// once (TrainingCodes) and grows the tree from per-code class counts.
+  /// A factorized feature's counts come from one per-key class count per
+  /// node, shared by every factorized candidate. Bit-identical to Fit on
+  /// the equivalent dense matrix.
   Status FitSource(const TrainingSource& x, const Labels& y);
-  Status FitSourceOnRows(const TrainingSource& x, const Labels& y,
-                         const std::vector<uint32_t>& rows,
-                         const std::vector<int32_t>& class_set);
 
-  /// Class-index probability distribution for each row (num_classes per
-  /// row); the forest averages these across trees.
-  Result<std::vector<std::vector<double>>> PredictDistribution(
-      const Matrix& x) const;
+  /// Grows the tree on `rows` of an already-coded training set (repeats
+  /// allowed: a bootstrap sample), adopting its class set — how a random
+  /// forest codes once and grows every tree from the same codes.
+  /// `parallel` fans the split search of large nodes out over the global
+  /// pool, one candidate feature per task; the tree does not depend on it.
+  Status FitCoded(const TrainingCodes& codes, std::vector<uint32_t> rows,
+                  bool parallel);
+
+  /// Adds the leaf class distribution (class-index space) of rows
+  /// [begin, end) into `out`, num_classes doubles per row; the forest sums
+  /// these across trees. `features` holds num_features views
+  /// (TrainingSource::views).
+  void AddDistribution(const FeatureView* features, size_t begin, size_t end,
+                       double* out) const;
+
+  size_t num_features() const { return num_features_; }
 
   size_t num_nodes() const { return nodes_.size(); }
 
@@ -91,38 +98,32 @@ class DecisionTree : public Model {
   struct SplitResult {
     bool found = false;
     size_t feature = 0;
+    /// Codes <= left_code go left.
+    uint16_t left_code = 0;
     double threshold = 0;
     double impurity_decrease = 0;
   };
+  /// One candidate feature's class counts at a node: a [code × class]
+  /// table, or, when `present` is non-empty, one row per listed code
+  /// (ascending) — the sparse form a node with more codes than rows uses.
+  struct CodeCounts {
+    std::vector<uint32_t> table;
+    std::vector<uint16_t> present;
+    std::vector<uint64_t> pairs;  // sparse-form scratch: code << 32 | class
+  };
+  /// Per-fit state BuildNode threads through the recursion.
+  struct Grower;
 
-  uint32_t BuildNode(const TrainingSource& x, const Labels& y,
-                     std::vector<uint32_t>& rows, int depth, Rng& rng);
-  SplitResult FindBestSplit(const TrainingSource& x, const Labels& y,
-                            const std::vector<uint32_t>& rows,
+  uint32_t BuildNode(Grower& g, std::vector<uint32_t>& rows, int depth);
+  SplitResult FindBestSplit(Grower& g, const std::vector<uint32_t>& rows,
+                            const std::vector<uint32_t>& class_counts,
                             const std::vector<size_t>& features) const;
-  SplitResult BestSplitHistogram(const FeatureView& col, const Labels& y,
-                                 const std::vector<uint32_t>& rows,
-                                 size_t feature) const;
-  SplitResult BestSplitExact(const FeatureView& col, const Labels& y,
-                             const std::vector<uint32_t>& rows,
-                             size_t feature) const;
-  /// Aggregate-statistics splitters for factorized features: derive the
-  /// split from the node's per-key class counts (`key_counts`, flattened
-  /// [key × class]) and the feature's K-entry LUT — O(K) per feature
-  /// instead of O(rows), bit-identical because every accumulated quantity
-  /// is an integer-valued double.
-  SplitResult BestSplitHistogramAgg(const std::vector<double>& lut,
-                                    const std::vector<int64_t>& key_counts,
-                                    size_t feature) const;
-  SplitResult BestSplitExactAgg(const std::vector<double>& lut,
-                                const std::vector<int64_t>& key_counts,
-                                size_t feature) const;
-  /// Boundary scan shared by the per-row and aggregate histogram
-  /// splitters (`counts` is the [bin × class] histogram).
-  SplitResult ScanHistogram(const std::vector<double>& counts, size_t bins,
-                            double lo, double hi, size_t feature) const;
-  uint32_t MakeLeaf(const Labels& y, const std::vector<uint32_t>& rows);
-  size_t WalkToLeaf(const Matrix& x, size_t row) const;
+  /// Best boundary between the present codes of one feature's counts.
+  SplitResult ScanCodes(const TrainingCodes& codes, size_t feature,
+                        const CodeCounts& counts,
+                        const std::vector<uint32_t>& class_counts) const;
+  uint32_t MakeLeaf(const std::vector<uint32_t>& class_counts);
+  size_t WalkToLeaf(const FeatureView* features, size_t row) const;
 
   DecisionTreeOptions options_;
   std::vector<int32_t> classes_;

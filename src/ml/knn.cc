@@ -133,12 +133,14 @@ Result<std::unique_ptr<Knn>> Knn::DeserializeBody(ByteReader* reader) {
   MLCS_ASSIGN_OR_RETURN(uint64_t k, reader->ReadVarint());
   options.k = k;
   auto model = std::make_unique<Knn>(options);
-  MLCS_ASSIGN_OR_RETURN(uint64_t num_classes, reader->ReadVarint());
+  MLCS_ASSIGN_OR_RETURN(uint64_t num_classes,
+                        reader->ReadCount(sizeof(int32_t), "class"));
   model->classes_.resize(num_classes);
   for (auto& c : model->classes_) {
     MLCS_ASSIGN_OR_RETURN(c, reader->ReadI32());
   }
-  MLCS_ASSIGN_OR_RETURN(uint64_t d, reader->ReadVarint());
+  // Per feature: mean and std; per training row: d values and a label.
+  MLCS_ASSIGN_OR_RETURN(uint64_t d, reader->ReadCount(16, "feature"));
   model->num_features_ = d;
   model->mean_.resize(d);
   model->std_.resize(d);
@@ -148,7 +150,8 @@ Result<std::unique_ptr<Knn>> Knn::DeserializeBody(ByteReader* reader) {
   for (auto& v : model->std_) {
     MLCS_ASSIGN_OR_RETURN(v, reader->ReadDouble());
   }
-  MLCS_ASSIGN_OR_RETURN(uint64_t rows, reader->ReadVarint());
+  MLCS_ASSIGN_OR_RETURN(uint64_t rows,
+                        reader->ReadCount(8 * d + 4, "training row"));
   model->train_ = Matrix(rows, d);
   for (size_t c = 0; c < d; ++c) {
     for (auto& v : model->train_.column(c)) {

@@ -220,12 +220,13 @@ LogisticRegression::DeserializeBody(ByteReader* reader) {
   MLCS_ASSIGN_OR_RETURN(options.l2, reader->ReadDouble());
   MLCS_ASSIGN_OR_RETURN(options.seed, reader->ReadU64());
   auto model = std::make_unique<LogisticRegression>(options);
-  MLCS_ASSIGN_OR_RETURN(uint64_t k, reader->ReadVarint());
+  // Per class: its label and bias; per feature: mean, std and k weights.
+  MLCS_ASSIGN_OR_RETURN(uint64_t k, reader->ReadCount(4 + 8, "class"));
   model->classes_.resize(k);
   for (auto& c : model->classes_) {
     MLCS_ASSIGN_OR_RETURN(c, reader->ReadI32());
   }
-  MLCS_ASSIGN_OR_RETURN(uint64_t d, reader->ReadVarint());
+  MLCS_ASSIGN_OR_RETURN(uint64_t d, reader->ReadCount(16 + 8 * k, "feature"));
   model->num_features_ = d;
   model->mean_.resize(d);
   model->std_.resize(d);

@@ -22,6 +22,8 @@ enum class ModelType : uint8_t {
 
 const char* ModelTypeToString(ModelType type);
 
+class TrainingSource;
+
 /// Abstract classifier, the scikit-learn-estimator analogue: Fit on a
 /// feature matrix plus labels, Predict labels, and report per-row
 /// confidences for ensemble selection (paper §3.3). All models support
@@ -38,6 +40,11 @@ class Model {
 
   /// Predicted label per row. Requires a fitted model.
   virtual Result<Labels> Predict(const Matrix& x) const = 0;
+
+  /// Predict over a feature source (training_source.h), e.g. table columns
+  /// read in place. The default copies the source into a Matrix; the tree
+  /// models walk it directly. Same labels as Predict on that Matrix.
+  virtual Result<Labels> PredictSource(const TrainingSource& x) const;
 
   /// P(class = `cls`) per row. `cls` must be one of classes().
   virtual Result<std::vector<double>> PredictProba(const Matrix& x,
@@ -63,8 +70,6 @@ class Model {
 
 using ModelPtr = std::shared_ptr<Model>;
 
-class TrainingSource;
-
 namespace internal {
 
 /// Sorted distinct values of y.
@@ -79,6 +84,8 @@ Status CheckFitInputs(const Matrix& x, const Labels& y);
 Status CheckFitInputs(const TrainingSource& x, const Labels& y);
 /// Shared validation for Predict inputs against the fitted feature count.
 Status CheckPredictInputs(const Matrix& x, size_t expected_features,
+                          bool fitted);
+Status CheckPredictInputs(const TrainingSource& x, size_t expected_features,
                           bool fitted);
 
 }  // namespace internal

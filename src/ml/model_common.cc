@@ -21,7 +21,29 @@ const char* ModelTypeToString(ModelType type) {
   return "unknown";
 }
 
+Result<Labels> Model::PredictSource(const TrainingSource& x) const {
+  // Models without a source walk predict from one dense copy.
+  return Predict(x.ToMatrix());  // lint:allow(matrix-materialize)
+}
+
 namespace internal {
+
+namespace {
+
+Status CheckFeatureCount(size_t cols, size_t expected_features, bool fitted) {
+  if (!fitted) {
+    return Status::InvalidArgument("model is not fitted");
+  }
+  if (cols != expected_features) {
+    return Status::InvalidArgument(
+        "feature count " + std::to_string(cols) +
+        " does not match fit-time count " +
+        std::to_string(expected_features));
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 std::vector<int32_t> DistinctClasses(const Labels& y) {
   std::vector<int32_t> classes(y);
@@ -65,16 +87,12 @@ Status CheckFitInputs(const TrainingSource& x, const Labels& y) {
 
 Status CheckPredictInputs(const Matrix& x, size_t expected_features,
                           bool fitted) {
-  if (!fitted) {
-    return Status::InvalidArgument("model is not fitted");
-  }
-  if (x.cols() != expected_features) {
-    return Status::InvalidArgument(
-        "feature count " + std::to_string(x.cols()) +
-        " does not match fit-time count " +
-        std::to_string(expected_features));
-  }
-  return Status::OK();
+  return CheckFeatureCount(x.cols(), expected_features, fitted);
+}
+
+Status CheckPredictInputs(const TrainingSource& x, size_t expected_features,
+                          bool fitted) {
+  return CheckFeatureCount(x.cols(), expected_features, fitted);
 }
 
 }  // namespace internal

@@ -152,12 +152,13 @@ Result<std::unique_ptr<NaiveBayes>> NaiveBayes::DeserializeBody(
   NaiveBayesOptions options;
   MLCS_ASSIGN_OR_RETURN(options.var_smoothing, reader->ReadDouble());
   auto model = std::make_unique<NaiveBayes>(options);
-  MLCS_ASSIGN_OR_RETURN(uint64_t k, reader->ReadVarint());
+  // Per class: its label and log prior; per feature: k means, k variances.
+  MLCS_ASSIGN_OR_RETURN(uint64_t k, reader->ReadCount(4 + 8, "class"));
   model->classes_.resize(k);
   for (auto& c : model->classes_) {
     MLCS_ASSIGN_OR_RETURN(c, reader->ReadI32());
   }
-  MLCS_ASSIGN_OR_RETURN(uint64_t d, reader->ReadVarint());
+  MLCS_ASSIGN_OR_RETURN(uint64_t d, reader->ReadCount(16 * k, "feature"));
   model->num_features_ = d;
   model->log_prior_.resize(k);
   for (auto& v : model->log_prior_) {

@@ -2,11 +2,18 @@
 
 #include <cmath>
 
-#include "common/mutex.h"
+#include "common/parallel_for.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 
 namespace mlcs::ml {
+
+namespace {
+
+/// Rows one predict task walks through every tree: their feature values
+/// stay in cache from the first tree to the last.
+constexpr size_t kPredictBlockRows = 2048;
+
+}  // namespace
 
 RandomForest::RandomForest(RandomForestOptions options) : options_(options) {}
 
@@ -30,6 +37,20 @@ Status RandomForest::FitSource(const TrainingSource& x, const Labels& y) {
                 1, static_cast<size_t>(std::sqrt(
                        static_cast<double>(x.cols()))));
 
+  DecisionTreeOptions tree_options;
+  tree_options.max_depth = options_.max_depth;
+  tree_options.min_samples_split = options_.min_samples_split;
+  tree_options.min_samples_leaf = options_.min_samples_leaf;
+  tree_options.max_features = max_features;
+  tree_options.num_bins = options_.num_bins;
+  tree_options.exact_splits = options_.exact_splits;
+
+  // Coded once; every tree grows from the same codes.
+  MLCS_ASSIGN_OR_RETURN(
+      TrainingCodes codes,
+      TrainingCodes::Build(x, y, classes_, tree_options.max_codes(),
+                           options_.parallel_fit));
+
   size_t n = x.rows();
   size_t num_trees = static_cast<size_t>(options_.n_estimators);
   trees_.clear();
@@ -41,16 +62,12 @@ Status RandomForest::FitSource(const TrainingSource& x, const Labels& y) {
   std::vector<uint64_t> tree_seeds(num_trees);
   for (auto& s : tree_seeds) s = seeder.NextU64();
 
-  Mutex error_mutex{"RandomForest::Fit error_mutex"};
-  Status first_error = Status::OK();
+  // Trees fan out over the pool. With fewer trees than threads, large
+  // nodes also fan their split search out over the candidate features.
+  MorselPolicy pool;
+  bool split_parallel = options_.parallel_fit && num_trees < pool.threads();
   auto fit_one = [&](size_t t) {
-    DecisionTreeOptions topt;
-    topt.max_depth = options_.max_depth;
-    topt.min_samples_split = options_.min_samples_split;
-    topt.min_samples_leaf = options_.min_samples_leaf;
-    topt.max_features = max_features;
-    topt.num_bins = options_.num_bins;
-    topt.exact_splits = options_.exact_splits;
+    DecisionTreeOptions topt = tree_options;
     topt.seed = tree_seeds[t];
     auto tree = std::make_unique<DecisionTree>(topt);
 
@@ -63,57 +80,68 @@ Status RandomForest::FitSource(const TrainingSource& x, const Labels& y) {
     } else {
       for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(i);
     }
-    Status st = tree->FitSourceOnRows(x, y, rows, classes_);
-    if (!st.ok()) {
-      MutexLock lock(&error_mutex);
-      if (first_error.ok()) first_error = st;
-      return;
-    }
+    MLCS_RETURN_IF_ERROR(
+        tree->FitCoded(codes, std::move(rows), split_parallel));
     trees_[t] = std::move(tree);
+    return Status::OK();
   };
 
+  Status st = Status::OK();
   if (options_.parallel_fit && num_trees > 1) {
-    ThreadPool::Global().ParallelFor(num_trees, fit_one);
+    st = ParallelItems(pool, num_trees, fit_one);
   } else {
-    for (size_t t = 0; t < num_trees; ++t) fit_one(t);
+    for (size_t t = 0; t < num_trees && st.ok(); ++t) st = fit_one(t);
   }
-  if (!first_error.ok()) {
+  if (!st.ok()) {
     trees_.clear();
     classes_.clear();
-    return first_error;
+    return st;
   }
   CountTrainingSourceFit(x);
   return Status::OK();
 }
 
-Result<std::vector<std::vector<double>>> RandomForest::AverageDistribution(
-    const Matrix& x) const {
+Result<std::vector<double>> RandomForest::AverageDistribution(
+    const TrainingSource& x) const {
   MLCS_RETURN_IF_ERROR(
       internal::CheckPredictInputs(x, num_features_, fitted()));
-  std::vector<std::vector<double>> avg(
-      x.rows(), std::vector<double>(classes_.size(), 0.0));
-  for (const auto& tree : trees_) {
-    MLCS_ASSIGN_OR_RETURN(auto dist, tree->PredictDistribution(x));
-    for (size_t r = 0; r < x.rows(); ++r) {
-      for (size_t c = 0; c < classes_.size(); ++c) {
-        avg[r][c] += dist[r][c];
-      }
-    }
-  }
+  std::vector<FeatureView> features = x.views();
+  size_t num_classes = classes_.size();
+  std::vector<double> avg(x.rows() * num_classes, 0.0);
   double inv = 1.0 / static_cast<double>(trees_.size());
-  for (auto& row : avg) {
-    for (auto& v : row) v *= inv;
-  }
+  // Rows are independent and each sums its trees in forest order, so the
+  // result is the same at any thread count. A small block of rows runs
+  // through every tree while its feature values are still in cache.
+  MorselPolicy policy;
+  policy.morsel_rows = kPredictBlockRows;
+  Status st = ParallelMorsels(
+      policy, x.rows(), [&](size_t, size_t begin, size_t end) {
+        double* block = avg.data() + begin * num_classes;
+        for (const auto& tree : trees_) {
+          tree->AddDistribution(features.data(), begin, end, block);
+        }
+        for (double* v = block; v != avg.data() + end * num_classes; ++v) {
+          *v *= inv;
+        }
+        return Status::OK();
+      });
+  MLCS_RETURN_IF_ERROR(st);
   return avg;
 }
 
 Result<Labels> RandomForest::Predict(const Matrix& x) const {
+  return PredictSource(TrainingSource::FromMatrix(x));
+}
+
+Result<Labels> RandomForest::PredictSource(const TrainingSource& x) const {
   MLCS_ASSIGN_OR_RETURN(auto avg, AverageDistribution(x));
+  size_t num_classes = classes_.size();
   Labels out(x.rows());
   for (size_t r = 0; r < x.rows(); ++r) {
+    const double* row = &avg[r * num_classes];
     size_t best = 0;
-    for (size_t c = 1; c < classes_.size(); ++c) {
-      if (avg[r][c] > avg[r][best]) best = c;
+    for (size_t c = 1; c < num_classes; ++c) {
+      if (row[c] > row[best]) best = c;
     }
     out[r] = classes_[best];
   }
@@ -123,19 +151,26 @@ Result<Labels> RandomForest::Predict(const Matrix& x) const {
 Result<std::vector<double>> RandomForest::PredictProba(const Matrix& x,
                                                        int32_t cls) const {
   MLCS_ASSIGN_OR_RETURN(size_t cls_idx, internal::ClassIndex(classes_, cls));
-  MLCS_ASSIGN_OR_RETURN(auto avg, AverageDistribution(x));
+  MLCS_ASSIGN_OR_RETURN(auto avg,
+                        AverageDistribution(TrainingSource::FromMatrix(x)));
   std::vector<double> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) out[r] = avg[r][cls_idx];
+  for (size_t r = 0; r < x.rows(); ++r) {
+    out[r] = avg[r * classes_.size() + cls_idx];
+  }
   return out;
 }
 
 Result<std::vector<double>> RandomForest::PredictConfidence(
     const Matrix& x) const {
-  MLCS_ASSIGN_OR_RETURN(auto avg, AverageDistribution(x));
+  MLCS_ASSIGN_OR_RETURN(auto avg,
+                        AverageDistribution(TrainingSource::FromMatrix(x)));
+  size_t num_classes = classes_.size();
   std::vector<double> out(x.rows());
   for (size_t r = 0; r < x.rows(); ++r) {
     double best = 0;
-    for (double v : avg[r]) best = std::max(best, v);
+    for (size_t c = 0; c < num_classes; ++c) {
+      best = std::max(best, avg[r * num_classes + c]);
+    }
     out[r] = best;
   }
   return out;
@@ -200,17 +235,29 @@ Result<std::unique_ptr<RandomForest>> RandomForest::DeserializeBody(
   MLCS_ASSIGN_OR_RETURN(options.parallel_fit, reader->ReadBool());
   MLCS_ASSIGN_OR_RETURN(options.seed, reader->ReadU64());
   auto forest = std::make_unique<RandomForest>(options);
-  MLCS_ASSIGN_OR_RETURN(uint64_t num_classes, reader->ReadVarint());
+  MLCS_ASSIGN_OR_RETURN(uint64_t num_classes,
+                        reader->ReadCount(sizeof(int32_t), "forest class"));
   forest->classes_.resize(num_classes);
   for (auto& c : forest->classes_) {
     MLCS_ASSIGN_OR_RETURN(c, reader->ReadI32());
   }
   MLCS_ASSIGN_OR_RETURN(uint64_t nf, reader->ReadVarint());
   forest->num_features_ = nf;
-  MLCS_ASSIGN_OR_RETURN(uint64_t num_trees, reader->ReadVarint());
+  MLCS_ASSIGN_OR_RETURN(uint64_t num_trees,
+                        reader->ReadCount(1, "forest tree"));
+  if (num_trees == 0 && num_classes > 0) {
+    return Status::ParseError("corrupt forest: fitted but no trees");
+  }
   forest->trees_.reserve(num_trees);
   for (uint64_t t = 0; t < num_trees; ++t) {
     MLCS_ASSIGN_OR_RETURN(auto tree, DecisionTree::DeserializeBody(reader));
+    // Predict walks every tree over the forest's features and sums its
+    // leaves in the forest's class-index space.
+    if (tree->classes() != forest->classes_ || tree->num_features() != nf) {
+      return Status::ParseError(
+          "corrupt forest: a tree's classes or features differ from the "
+          "forest's");
+    }
     forest->trees_.push_back(std::move(tree));
   }
   return forest;

@@ -19,9 +19,11 @@ struct RandomForestOptions {
   /// Features per split; 0 = floor(sqrt(d)), scikit-learn's default.
   size_t max_features = 0;
   bool bootstrap = true;
-  int num_bins = 32;
+  /// Value codes per feature (DecisionTreeOptions::num_bins); the forest
+  /// codes its training set once and every tree grows from those codes.
+  int num_bins = 255;
   bool exact_splits = false;
-  /// Fit trees on the global thread pool.
+  /// Fit trees (and code features) on the global thread pool.
   bool parallel_fit = true;
   uint64_t seed = 42;
 };
@@ -34,12 +36,14 @@ class RandomForest : public Model {
 
   ModelType type() const override { return ModelType::kRandomForest; }
   Status Fit(const Matrix& x, const Labels& y) override;
-  /// Statistics-provider path: every tree bootstraps and fits against the
-  /// TrainingSource (per-key aggregate split statistics for factorized
-  /// features). Bit-identical to Fit on the equivalent dense matrix;
-  /// Fit funnels through here via TrainingSource::FromMatrix.
+  /// Statistics-provider path: codes the TrainingSource once
+  /// (TrainingCodes), then every tree bootstraps and grows from those
+  /// codes (per-key aggregate counts for factorized features).
+  /// Bit-identical to Fit on the equivalent dense matrix; Fit funnels
+  /// through here via TrainingSource::FromMatrix.
   Status FitSource(const TrainingSource& x, const Labels& y);
   Result<Labels> Predict(const Matrix& x) const override;
+  Result<Labels> PredictSource(const TrainingSource& x) const override;
   Result<std::vector<double>> PredictProba(const Matrix& x,
                                            int32_t cls) const override;
   Result<std::vector<double>> PredictConfidence(
@@ -59,9 +63,10 @@ class RandomForest : public Model {
   const RandomForestOptions& options() const { return options_; }
 
  private:
-  /// Tree-distribution average per row (class-index space).
-  Result<std::vector<std::vector<double>>> AverageDistribution(
-      const Matrix& x) const;
+  /// Tree-distribution average per row (class-index space), flattened
+  /// [row × class].
+  Result<std::vector<double>> AverageDistribution(
+      const TrainingSource& x) const;
 
   RandomForestOptions options_;
   std::vector<int32_t> classes_;

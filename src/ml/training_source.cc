@@ -17,6 +17,27 @@ TrainingSource TrainingSource::FromMatrix(const Matrix& x) {
   return source;
 }
 
+Result<TrainingSource> TrainingSource::FromColumns(
+    const std::vector<ColumnPtr>& columns) {
+  TrainingSource source;
+  source.features_.reserve(columns.size());
+  for (const ColumnPtr& col : columns) {
+    if (col == nullptr) return Status::InvalidArgument("null column");
+    MLCS_RETURN_IF_ERROR(source.CheckRows(col->size()));
+    Feature f;
+    bool in_place = !col->is_encoded() && !col->has_nulls() &&
+                    (col->type() == TypeId::kInt32 ||
+                     col->type() == TypeId::kDouble);
+    if (in_place) {
+      f.column = col;
+    } else {
+      MLCS_ASSIGN_OR_RETURN(f.owned, col->ToDoubleVector());
+    }
+    source.features_.push_back(std::move(f));
+  }
+  return source;
+}
+
 Status TrainingSource::CheckRows(size_t n) {
   if (!rows_set_) {
     rows_ = n;
@@ -87,11 +108,37 @@ Status TrainingSource::AddFactorizedFeature(std::vector<double> lut) {
 FeatureView TrainingSource::view(size_t f) const {
   const Feature& feature = features_[f];
   if (feature.is_factorized) {
-    return FeatureView(nullptr, feature.lut.data(), keys_.data(), true);
+    return FeatureView(nullptr, nullptr, feature.lut.data(), keys_.data(),
+                       true);
+  }
+  if (feature.column != nullptr) {
+    if (feature.column->type() == TypeId::kInt32) {
+      return FeatureView(nullptr, feature.column->i32_data().data(), nullptr,
+                         nullptr, false);
+    }
+    return FeatureView(feature.column->f64_data().data(), nullptr, nullptr,
+                       nullptr, false);
   }
   const std::vector<double>& dense =
       feature.dense != nullptr ? *feature.dense : feature.owned;
-  return FeatureView(dense.data(), nullptr, nullptr, false);
+  return FeatureView(dense.data(), nullptr, nullptr, nullptr, false);
+}
+
+std::vector<FeatureView> TrainingSource::views() const {
+  std::vector<FeatureView> out;
+  out.reserve(features_.size());
+  for (size_t f = 0; f < features_.size(); ++f) out.push_back(view(f));
+  return out;
+}
+
+Matrix TrainingSource::ToMatrix() const {
+  Matrix m(rows_, features_.size());
+  for (size_t f = 0; f < features_.size(); ++f) {
+    FeatureView v = view(f);
+    std::vector<double>& dst = m.column(f);
+    for (size_t r = 0; r < rows_; ++r) dst[r] = v[r];
+  }
+  return m;
 }
 
 size_t TrainingSource::num_factorized() const {
@@ -103,6 +150,10 @@ size_t TrainingSource::num_factorized() const {
 size_t TrainingSource::FactorizedBytes() const {
   size_t bytes = keys_.size() * sizeof(uint32_t);
   for (const Feature& f : features_) {
+    if (f.column != nullptr && f.column->type() == TypeId::kInt32) {
+      bytes += rows_ * sizeof(int32_t);
+      continue;
+    }
     bytes += (f.is_factorized ? num_keys_ : rows_) * sizeof(double);
   }
   return bytes;

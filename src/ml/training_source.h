@@ -10,7 +10,8 @@
 namespace mlcs::ml {
 
 /// Read access to one feature of a TrainingSource. Either a dense per-row
-/// array (fact-table feature) or a per-key lookup table addressed through
+/// array of doubles or of int32 (fact-table feature; an INTEGER table
+/// column is read in place), or a per-key lookup table addressed through
 /// the source's shared key column (dimension-table feature reached through
 /// a join key — the factorized representation that never materializes the
 /// join). `view[r]` returns the exact double the dense path would hold at
@@ -21,17 +22,20 @@ class FeatureView {
   FeatureView() = default;
 
   double operator[](size_t r) const {
-    return factorized_ ? lut_[keys_[r]] : dense_[r];
+    if (factorized_) return lut_[keys_[r]];
+    return dense_ != nullptr ? dense_[r] : static_cast<double>(i32_[r]);
   }
   bool factorized() const { return factorized_; }
 
  private:
   friend class TrainingSource;
-  FeatureView(const double* dense, const double* lut, const uint32_t* keys,
-              bool factorized)
-      : dense_(dense), lut_(lut), keys_(keys), factorized_(factorized) {}
+  FeatureView(const double* dense, const int32_t* i32, const double* lut,
+              const uint32_t* keys, bool factorized)
+      : dense_(dense), i32_(i32), lut_(lut), keys_(keys),
+        factorized_(factorized) {}
 
   const double* dense_ = nullptr;
+  const int32_t* i32_ = nullptr;
   const double* lut_ = nullptr;
   const uint32_t* keys_ = nullptr;
   bool factorized_ = false;
@@ -48,9 +52,11 @@ class FeatureView {
 /// the K-sized table).
 ///
 /// Build either by borrowing a fitted Matrix (FromMatrix — the dense
-/// fallback funnels through the same trainer code) or feature by feature:
-/// dense features via AddDenseFeature, then SetKeys once, then factorized
-/// features via AddFactorizedFeature.
+/// fallback funnels through the same trainer code), by borrowing table
+/// columns (FromColumns — the in-database UDFs, which never build a
+/// Matrix), or feature by feature: dense features via AddDenseFeature,
+/// then SetKeys once, then factorized features via AddFactorizedFeature.
+/// The tree models also predict through a source (Model::PredictSource).
 class TrainingSource {
  public:
   TrainingSource() = default;
@@ -62,6 +68,12 @@ class TrainingSource {
   /// Dense view over an existing matrix. Borrows the columns — `x` must
   /// outlive the source.
   static TrainingSource FromMatrix(const Matrix& x);
+  /// Dense view over numeric table columns of equal length. A plain,
+  /// null-free INTEGER or DOUBLE column is read in place (the source keeps
+  /// a reference to it); any other numeric column is converted to doubles
+  /// once (NULL → NaN), as Matrix::FromColumns would.
+  static Result<TrainingSource> FromColumns(
+      const std::vector<ColumnPtr>& columns);
 
   /// Borrows `column` (caller keeps it alive) as a dense feature.
   Status AddDenseFeature(const std::vector<double>* column);
@@ -77,6 +89,10 @@ class TrainingSource {
   size_t rows() const { return rows_; }
   size_t cols() const { return features_.size(); }
   FeatureView view(size_t f) const;
+  /// view(f) for every feature, in order.
+  std::vector<FeatureView> views() const;
+  /// Dense copy, for models that only predict from a Matrix.
+  Matrix ToMatrix() const;
   bool factorized(size_t f) const { return features_[f].is_factorized; }
   /// Per-key values of a factorized feature (undefined for dense ones).
   const std::vector<double>& lut(size_t f) const { return features_[f].lut; }
@@ -99,6 +115,7 @@ class TrainingSource {
  private:
   struct Feature {
     const std::vector<double>* dense = nullptr;  // borrowed when set
+    ColumnPtr column;  // borrowed plain INTEGER or DOUBLE column when set
     std::vector<double> owned;                   // owns dense storage
     std::vector<double> lut;                     // factorized storage
     bool is_factorized = false;

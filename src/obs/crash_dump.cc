@@ -80,15 +80,17 @@ void WriteU64(int fd, uint64_t v) {
 /// Returns the stable length, or 0 when the buffer is empty or a writer
 /// kept it unstable across the retry budget.
 template <typename Buf>
-uint32_t ReadSeqBuf(const Buf& buf, char* dst, size_t cap) {
+uint32_t ReadSeqBuf(Buf& buf, char* dst, size_t cap) {
   for (int attempt = 0; attempt < 3; ++attempt) {
     uint32_t seq1 = buf.seq.load(std::memory_order_acquire);
     if (seq1 == 0 || (seq1 & 1u) != 0) continue;
     uint32_t len = buf.len.load(std::memory_order_acquire);
     if (len == 0 || len > cap) continue;
     ByteCopy(dst, buf.data, len);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (buf.seq.load(std::memory_order_acquire) == seq1) return len;
+    // The re-check must not move above the copy. A release RMW that adds
+    // nothing orders the copy's loads before it without a standalone fence
+    // (which g++ rejects under -fsanitize=thread).
+    if (buf.seq.fetch_add(0, std::memory_order_acq_rel) == seq1) return len;
   }
   return 0;
 }

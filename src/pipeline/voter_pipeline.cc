@@ -12,6 +12,7 @@
 #include "io/npy.h"
 #include "ml/pickle.h"
 #include "ml/random_forest.h"
+#include "ml/training_source.h"
 #include "modelstore/model_cache.h"
 
 namespace mlcs::pipeline {
@@ -253,12 +254,14 @@ Status RegisterVoterUdfs(Database* db) {
     opt.n_estimators = static_cast<int>(n_est_v);
     opt.max_depth = static_cast<int>(depth_v);
     opt.seed = static_cast<uint64_t>(seed_v);
+    // The forest reads the feature columns in place; no Matrix copy.
     std::vector<ColumnPtr> features(args.begin() + 3, args.end() - 1);
-    MLCS_ASSIGN_OR_RETURN(ml::Matrix x, ml::Matrix::FromColumns(features));
+    MLCS_ASSIGN_OR_RETURN(ml::TrainingSource x,
+                          ml::TrainingSource::FromColumns(features));
     MLCS_ASSIGN_OR_RETURN(ColumnPtr labels,
                           args.back()->CastTo(TypeId::kInt32));
     ml::RandomForest forest(opt);
-    MLCS_RETURN_IF_ERROR(forest.Fit(x, labels->i32_data()));
+    MLCS_RETURN_IF_ERROR(forest.FitSource(x, labels->i32_data()));
     Schema schema;
     schema.AddField("classifier", TypeId::kBlob);
     schema.AddField("n_estimators", TypeId::kInt32);
@@ -290,8 +293,9 @@ Status RegisterVoterUdfs(Database* db) {
     MLCS_ASSIGN_OR_RETURN(ml::ModelPtr model,
                           ml::pickle::Loads(blob.blob_value()));
     std::vector<ColumnPtr> features(args.begin() + 1, args.end());
-    MLCS_ASSIGN_OR_RETURN(ml::Matrix x, ml::Matrix::FromColumns(features));
-    MLCS_ASSIGN_OR_RETURN(ml::Labels pred, model->Predict(x));
+    MLCS_ASSIGN_OR_RETURN(ml::TrainingSource x,
+                          ml::TrainingSource::FromColumns(features));
+    MLCS_ASSIGN_OR_RETURN(ml::Labels pred, model->PredictSource(x));
     return Column::FromInt32(std::move(pred));
   };
   MLCS_RETURN_IF_ERROR(
@@ -318,8 +322,9 @@ Status RegisterVoterUdfs(Database* db) {
         ml::ModelPtr model,
         modelstore::ModelCache::Global().Get(blob.blob_value()));
     std::vector<ColumnPtr> features(args.begin() + 1, args.end());
-    MLCS_ASSIGN_OR_RETURN(ml::Matrix x, ml::Matrix::FromColumns(features));
-    MLCS_ASSIGN_OR_RETURN(ml::Labels pred, model->Predict(x));
+    MLCS_ASSIGN_OR_RETURN(ml::TrainingSource x,
+                          ml::TrainingSource::FromColumns(features));
+    MLCS_ASSIGN_OR_RETURN(ml::Labels pred, model->PredictSource(x));
     return Column::FromInt32(std::move(pred));
   };
   return registry.RegisterScalar(std::move(predict_cached),

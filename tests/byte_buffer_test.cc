@@ -105,6 +105,27 @@ TEST(ByteBufferTest, TakeStringMovesAndClears) {
   EXPECT_EQ(w.size(), 0u);
 }
 
+TEST(ByteBufferTest, ReadCountBoundsTheCountByTheRemainingInput) {
+  ByteWriter w;
+  w.WriteVarint(3);
+  for (int i = 0; i < 3; ++i) w.WriteI32(i);
+  w.WriteVarint(4);  // claims one more element than follows
+  for (int i = 0; i < 3; ++i) w.WriteI32(i);
+  std::string bytes = w.TakeString();
+  ByteReader r(bytes);
+  EXPECT_EQ(r.ReadCount(4, "value").ValueOrDie(), 3u);
+  ASSERT_TRUE(r.Skip(12).ok());
+  auto over = r.ReadCount(4, "value");
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kParseError);
+  // Zero-byte elements count as one byte each.
+  ByteWriter z;
+  z.WriteVarint(2);
+  std::string two = z.TakeString();
+  ByteReader zr(two);
+  EXPECT_FALSE(zr.ReadCount(0, "flag").ok());
+}
+
 TEST(RngTest, Deterministic) {
   Rng a(7), b(7);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.NextU64(), b.NextU64());

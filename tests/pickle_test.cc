@@ -129,6 +129,12 @@ struct RawTree {
     ByteWriter w;
     w.WriteU32(0x4D4C504B);
     w.WriteU8(static_cast<uint8_t>(ModelType::kDecisionTree));
+    WriteBody(&w);
+    return w.TakeString();
+  }
+
+  void WriteBody(ByteWriter* out) const {
+    ByteWriter& w = *out;
     w.WriteI32(10);    // max_depth
     w.WriteVarint(2);  // min_samples_split
     w.WriteVarint(1);  // min_samples_leaf
@@ -150,6 +156,36 @@ struct RawTree {
       w.WriteVarint(n.probs_count.value_or(n.probs.size()));
       for (double p : n.probs) w.WriteDouble(p);
     }
+  }
+};
+
+/// Hand-encoded RandomForest BLOB in RandomForest::Serialize order: two
+/// copies of the RawTree stump by default.
+struct RawForest {
+  std::vector<int32_t> classes = {0, 1};
+  uint64_t num_features = 2;
+  std::vector<RawTree> trees = {RawTree(), RawTree()};
+  std::optional<uint64_t> tree_count;
+
+  std::string Blob() const {
+    ByteWriter w;
+    w.WriteU32(0x4D4C504B);
+    w.WriteU8(static_cast<uint8_t>(ModelType::kRandomForest));
+    w.WriteI32(static_cast<int32_t>(trees.size()));  // n_estimators
+    w.WriteI32(10);                                  // max_depth
+    w.WriteVarint(2);                                // min_samples_split
+    w.WriteVarint(1);                                // min_samples_leaf
+    w.WriteVarint(0);                                // max_features
+    w.WriteBool(true);                               // bootstrap
+    w.WriteI32(255);                                 // num_bins
+    w.WriteBool(false);                              // exact_splits
+    w.WriteBool(true);                               // parallel_fit
+    w.WriteU64(42);
+    w.WriteVarint(classes.size());
+    for (int32_t c : classes) w.WriteI32(c);
+    w.WriteVarint(num_features);
+    w.WriteVarint(tree_count.value_or(trees.size()));
+    for (const RawTree& t : trees) t.WriteBody(&w);
     return w.TakeString();
   }
 };
@@ -181,6 +217,115 @@ TEST(PickleTest, RejectsCorruptTreeFields) {
     RawTree raw;
     corrupt(raw);
     EXPECT_FALSE(pickle::Loads(raw.Blob()).ok()) << name;
+  }
+}
+
+TEST(PickleTest, HandEncodedForestLoads) {
+  ModelPtr model = pickle::Loads(RawForest().Blob()).ValueOrDie();
+  Matrix x(2, 2);
+  x.Set(0, 0, 1.0);
+  x.Set(1, 0, 3.0);
+  EXPECT_EQ(model->Predict(x).ValueOrDie(), (Labels{0, 1}));
+}
+
+TEST(PickleTest, RejectsCorruptForestFields) {
+  static constexpr uint64_t kHuge = uint64_t{1} << 40;
+  const std::vector<std::pair<const char*, std::function<void(RawForest&)>>>
+      cases = {
+          {"tree count", [](RawForest& f) { f.tree_count = kHuge; }},
+          {"no trees", [](RawForest& f) { f.trees.clear(); }},
+          // Predict sums every tree's leaves in the forest's class space
+          // and walks them over the forest's features.
+          {"tree classes", [](RawForest& f) { f.trees[1].classes = {0, 2}; }},
+          {"tree class count",
+           [](RawForest& f) {
+             f.trees[1].classes = {0};
+             for (RawNode& n : f.trees[1].nodes) {
+               if (!n.probs.empty()) n.probs = {1.0};
+             }
+           }},
+          {"tree features",
+           [](RawForest& f) { f.trees[0].num_features = 3; }},
+          {"corrupt tree", [](RawForest& f) { f.trees[1].node_count = kHuge; }},
+      };
+  for (const auto& [name, corrupt] : cases) {
+    RawForest raw;
+    corrupt(raw);
+    EXPECT_FALSE(pickle::Loads(raw.Blob()).ok()) << name;
+  }
+}
+
+/// A huge element count right after each other model's fixed header must
+/// fail before it sizes an allocation.
+TEST(PickleTest, RejectsHugeCountsInEveryModel) {
+  static constexpr uint64_t kHuge = uint64_t{1} << 40;
+  auto header = [](ModelType type) {
+    ByteWriter w;
+    w.WriteU32(0x4D4C504B);
+    w.WriteU8(static_cast<uint8_t>(type));
+    return w;
+  };
+  std::vector<std::pair<const char*, std::string>> blobs;
+  {
+    ByteWriter w = header(ModelType::kLogisticRegression);
+    w.WriteDouble(0.1);  // learning_rate
+    w.WriteI32(10);      // epochs
+    w.WriteDouble(0.0);  // l2
+    w.WriteU64(42);      // seed
+    w.WriteVarint(kHuge);
+    blobs.emplace_back("logistic classes", w.TakeString());
+  }
+  {
+    ByteWriter w = header(ModelType::kLogisticRegression);
+    w.WriteDouble(0.1);
+    w.WriteI32(10);
+    w.WriteDouble(0.0);
+    w.WriteU64(42);
+    w.WriteVarint(1);
+    w.WriteI32(0);
+    w.WriteVarint(kHuge);  // features: k × d weights
+    blobs.emplace_back("logistic features", w.TakeString());
+  }
+  {
+    ByteWriter w = header(ModelType::kNaiveBayes);
+    w.WriteDouble(1e-9);  // var_smoothing
+    w.WriteVarint(kHuge);
+    blobs.emplace_back("naive bayes classes", w.TakeString());
+  }
+  {
+    ByteWriter w = header(ModelType::kNaiveBayes);
+    w.WriteDouble(1e-9);
+    w.WriteVarint(2);
+    w.WriteI32(0);
+    w.WriteI32(1);
+    w.WriteVarint(kHuge);  // features: 2 × k doubles each
+    blobs.emplace_back("naive bayes features", w.TakeString());
+  }
+  {
+    ByteWriter w = header(ModelType::kKnn);
+    w.WriteVarint(3);  // k
+    w.WriteVarint(kHuge);
+    blobs.emplace_back("knn classes", w.TakeString());
+  }
+  {
+    ByteWriter w = header(ModelType::kKnn);
+    w.WriteVarint(3);
+    w.WriteVarint(0);
+    w.WriteVarint(kHuge);
+    blobs.emplace_back("knn features", w.TakeString());
+  }
+  {
+    ByteWriter w = header(ModelType::kKnn);
+    w.WriteVarint(3);
+    w.WriteVarint(0);
+    w.WriteVarint(1);
+    w.WriteDouble(0.0);  // mean
+    w.WriteDouble(1.0);  // std
+    w.WriteVarint(kHuge);
+    blobs.emplace_back("knn rows", w.TakeString());
+  }
+  for (const auto& [name, blob] : blobs) {
+    EXPECT_FALSE(pickle::Loads(blob).ok()) << name;
   }
 }
 

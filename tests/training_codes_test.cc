@@ -1,0 +1,290 @@
+#include "ml/training_codes.h"
+
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
+
+#include "common/random.h"
+#include "ml/decision_tree.h"
+#include "ml/logistic_regression.h"
+#include "ml/metrics.h"
+#include "ml/pickle.h"
+#include "ml/random_forest.h"
+#include "storage/column.h"
+
+namespace mlcs::ml {
+namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TrainingCodes Code(const Matrix& x, size_t max_codes, bool parallel = false) {
+  Labels y(x.rows(), 0);
+  auto codes = TrainingCodes::Build(TrainingSource::FromMatrix(x), y, {0},
+                                    max_codes, parallel);
+  EXPECT_TRUE(codes.ok()) << codes.status().ToString();
+  return std::move(codes).ValueOrDie();
+}
+
+Matrix Column(const std::vector<double>& values) {
+  Matrix x(values.size(), 1);
+  for (size_t r = 0; r < values.size(); ++r) x.Set(r, 0, values[r]);
+  return x;
+}
+
+TEST(TrainingCodesTest, FewValuesGetOneCodeEachInValueOrder) {
+  TrainingCodes codes =
+      Code(Column({3.0, kNaN, -1.0, 3.0, 0.0, -0.0, 7.5}), 255);
+  // NaN is code 0; -0.0 and 0.0 share a code.
+  EXPECT_EQ(codes.codes(0),
+            (std::vector<uint16_t>{3, 0, 1, 3, 2, 2, 4}));
+  EXPECT_EQ(codes.num_codes(0), 5u);
+}
+
+TEST(TrainingCodesTest, ManyValuesAreCutIntoEqualFrequencyRanges) {
+  Rng rng(5);
+  std::vector<double> values(4000);
+  for (double& v : values) v = rng.NextGaussian();
+  values[17] = kNaN;
+  TrainingCodes codes = Code(Column(values), 16);
+  ASSERT_EQ(codes.num_codes(0), 17u);  // 16 ranges + the NaN code
+  std::vector<size_t> per_code(codes.num_codes(0), 0);
+  for (size_t a = 0; a < values.size(); ++a) {
+    uint16_t ca = codes.codes(0)[a];
+    ++per_code[ca];
+    EXPECT_EQ(ca == 0, std::isnan(values[a]));
+    // Order-preserving: a smaller value never gets a larger code.
+    for (size_t b = 0; b < values.size(); b += 97) {
+      if (values[a] < values[b]) {
+        EXPECT_LE(ca, codes.codes(0)[b]);
+      }
+    }
+  }
+  for (size_t c = 1; c < per_code.size(); ++c) {
+    EXPECT_NEAR(static_cast<double>(per_code[c]), 4000.0 / 16, 2.0) << c;
+  }
+}
+
+TEST(TrainingCodesTest, HeavyValueKeepsItsOwnRange) {
+  // Half the rows hold one value: it fills ranges on its own, and the
+  // values around it still split off.
+  std::vector<double> values;
+  for (int i = 0; i < 100; ++i) values.push_back(i < 50 ? 5.0 : i);
+  TrainingCodes codes = Code(Column(values), 4);
+  uint16_t heavy = codes.codes(0)[0];
+  for (size_t r = 0; r < values.size(); ++r) {
+    EXPECT_EQ(codes.codes(0)[r] == heavy, values[r] == 5.0) << r;
+  }
+}
+
+TEST(TrainingCodesTest, ThresholdSeparatesAdjacentCodes) {
+  double a = 1.0;
+  double b = std::nextafter(a, 2.0);  // no double lies between a and b
+  TrainingCodes codes = Code(Column({kNaN, -3.0, a, b, 1e300}), 255);
+  ASSERT_EQ(codes.num_codes(0), 5u);
+  for (uint16_t left = 0; left + 1 < 5; ++left) {
+    double t = codes.Threshold(0, left, left + 1);
+    for (size_t r = 1; r < 5; ++r) {
+      double v = Column({kNaN, -3.0, a, b, 1e300}).At(r, 0);
+      EXPECT_EQ(v <= t, codes.codes(0)[r] <= left) << "left=" << left;
+    }
+  }
+}
+
+TEST(TrainingCodesTest, FactorizedFeatureCodesLikeItsDenseEquivalent) {
+  Rng rng(8);
+  const size_t kKeys = 40, kRows = 900;
+  std::vector<double> lut(kKeys);
+  for (double& v : lut) v = std::floor(rng.NextGaussian() * 10) / 4;
+  lut[3] = kNaN;
+  std::vector<uint32_t> keys(kRows);
+  for (uint32_t& k : keys) k = static_cast<uint32_t>(rng.NextBounded(kKeys));
+  Matrix dense(kRows, 1);
+  for (size_t r = 0; r < kRows; ++r) dense.Set(r, 0, lut[keys[r]]);
+
+  TrainingSource source;
+  ASSERT_TRUE(source.SetKeys(keys, kKeys).ok());
+  ASSERT_TRUE(source.AddFactorizedFeature(lut).ok());
+  Labels y(kRows, 0);
+  for (size_t max_codes : {size_t{6}, size_t{255}}) {
+    auto fact = TrainingCodes::Build(source, y, {0}, max_codes, false);
+    ASSERT_TRUE(fact.ok());
+    TrainingCodes flat = Code(dense, max_codes);
+    ASSERT_TRUE(fact.ValueOrDie().factorized(0));
+    for (size_t r = 0; r < kRows; ++r) {
+      EXPECT_EQ(fact.ValueOrDie().codes(0)[keys[r]], flat.codes(0)[r]);
+    }
+  }
+}
+
+TEST(TrainingCodesTest, CodingIgnoresThePool) {
+  Rng rng(2);
+  Matrix x(3000, 30);
+  for (size_t c = 0; c < x.cols(); ++c) {
+    for (size_t r = 0; r < x.rows(); ++r) {
+      x.Set(r, c, c % 3 == 0 ? rng.NextBounded(5) : rng.NextGaussian());
+    }
+  }
+  TrainingCodes serial = Code(x, 32, false);
+  TrainingCodes pooled = Code(x, 32, true);
+  for (size_t c = 0; c < x.cols(); ++c) {
+    EXPECT_EQ(serial.codes(c), pooled.codes(c)) << c;
+  }
+}
+
+TEST(TrainingCodesTest, LabelsBecomeClassIndices) {
+  Matrix x = Column({1, 2, 3});
+  TrainingSource source = TrainingSource::FromMatrix(x);
+  auto codes = TrainingCodes::Build(source, {7, -2, 7}, {-2, 7}, 255, false);
+  ASSERT_TRUE(codes.ok());
+  EXPECT_EQ(codes.ValueOrDie().labels(), (std::vector<uint32_t>{1, 0, 1}));
+  EXPECT_FALSE(
+      TrainingCodes::Build(source, {7, 5, 7}, {-2, 7}, 255, false).ok());
+  EXPECT_FALSE(TrainingCodes::Build(source, {7}, {7}, 255, false).ok());
+}
+
+TEST(TrainingCodesTest, ExactTreeSplitsEveryDistinctValue) {
+  // 3000 distinct values; the positives are six runs of 5 values. Only
+  // splits between single values isolate them, which 255 equal-frequency
+  // ranges (about 12 values each) cannot express but exact splits can —
+  // on small nodes through the sparse per-node counts.
+  const size_t n = 3000;
+  Matrix x(n, 1);
+  Labels y(n);
+  for (size_t r = 0; r < n; ++r) {
+    size_t v = (r * 7919) % n;
+    x.Set(r, 0, static_cast<double>(v));
+    y[r] = v % 500 >= 200 && v % 500 < 205;
+  }
+  DecisionTreeOptions opt;
+  opt.max_depth = 30;
+  opt.exact_splits = true;
+  DecisionTree exact(opt);
+  ASSERT_TRUE(exact.Fit(x, y).ok());
+  EXPECT_DOUBLE_EQ(Accuracy(y, exact.Predict(x).ValueOrDie()).ValueOrDie(),
+                   1.0);
+  opt.exact_splits = false;
+  DecisionTree binned(opt);
+  ASSERT_TRUE(binned.Fit(x, y).ok());
+  EXPECT_LT(Accuracy(y, binned.Predict(x).ValueOrDie()).ValueOrDie(), 1.0);
+}
+
+TEST(TrainingCodesTest, SplitSearchOnThePoolGrowsTheSameTree) {
+  // One tree on enough rows × features that each upper node fans its
+  // candidate features out over the pool.
+  Rng rng(4);
+  Matrix x(30000, 6);
+  Labels y(x.rows());
+  for (size_t r = 0; r < x.rows(); ++r) {
+    for (size_t c = 0; c < x.cols(); ++c) x.Set(r, c, rng.NextGaussian());
+    y[r] = x.At(r, 0) + x.At(r, 3) * 0.5 + rng.NextGaussian() * 0.3 > 0;
+  }
+  RandomForestOptions opt;
+  opt.n_estimators = 1;
+  opt.max_depth = 8;
+  opt.parallel_fit = false;
+  RandomForest serial(opt);
+  opt.parallel_fit = true;
+  RandomForest pooled(opt);
+  ASSERT_TRUE(serial.Fit(x, y).ok());
+  ASSERT_TRUE(pooled.Fit(x, y).ok());
+  auto ps = serial.PredictProba(x, 1).ValueOrDie();
+  auto pp = pooled.PredictProba(x, 1).ValueOrDie();
+  for (size_t r = 0; r < ps.size(); ++r) ASSERT_EQ(ps[r], pp[r]) << r;
+}
+
+TEST(TrainingCodesTest, BatchPredictMatchesRowByRow) {
+  // A batch larger than one predict block fans out over the pool; each row
+  // must come out as it does alone.
+  Rng rng(6);
+  Matrix x(5000, 3);
+  Labels y(x.rows());
+  for (size_t r = 0; r < x.rows(); ++r) {
+    for (size_t c = 0; c < x.cols(); ++c) x.Set(r, c, rng.NextGaussian());
+    y[r] = static_cast<int32_t>(rng.NextBounded(3));
+  }
+  RandomForestOptions opt;
+  opt.n_estimators = 5;
+  opt.max_depth = 6;
+  RandomForest forest(opt);
+  ASSERT_TRUE(forest.Fit(x, y).ok());
+  auto batch = forest.PredictProba(x, 2).ValueOrDie();
+  for (size_t r = 0; r < x.rows(); r += 37) {
+    Matrix one = x.SelectRows({static_cast<uint32_t>(r)});
+    ASSERT_EQ(forest.PredictProba(one, 2).ValueOrDie()[0], batch[r]) << r;
+  }
+}
+
+/// Six INTEGER feature columns of small domains, as the voter table holds.
+std::vector<ColumnPtr> IntColumns(size_t rows, Labels* y) {
+  Rng rng(9);
+  std::vector<ColumnPtr> cols;
+  for (size_t c = 0; c < 6; ++c) {
+    std::vector<int32_t> v(rows);
+    for (int32_t& x : v) x = static_cast<int32_t>(rng.NextBounded(3 + 7 * c));
+    cols.push_back(mlcs::Column::FromInt32(std::move(v)));
+  }
+  y->resize(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    (*y)[r] = cols[1]->i32_data()[r] + cols[4]->i32_data()[r] +
+                      static_cast<int32_t>(rng.NextBounded(6)) >
+              12;
+  }
+  return cols;
+}
+
+TEST(TrainingSourceTest, FromColumnsReadsLikeTheMatrix) {
+  ColumnPtr ints = mlcs::Column::FromInt32({4, -1, 7});
+  ColumnPtr doubles = mlcs::Column::FromDouble({0.5, -2.0, 1e300});
+  ColumnPtr with_null = mlcs::Column::FromInt32({1, 2, 3});
+  with_null->SetNull(1);
+  std::vector<ColumnPtr> cols{ints, doubles, with_null};
+  auto source = TrainingSource::FromColumns(cols);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  Matrix m = Matrix::FromColumns(cols).ValueOrDie();
+  ASSERT_EQ(source.ValueOrDie().rows(), 3u);
+  ASSERT_EQ(source.ValueOrDie().cols(), 3u);
+  for (size_t c = 0; c < 3; ++c) {
+    FeatureView view = source.ValueOrDie().view(c);
+    for (size_t r = 0; r < 3; ++r) {
+      if (std::isnan(m.At(r, c))) {
+        EXPECT_TRUE(std::isnan(view[r])) << r << "," << c;
+      } else {
+        EXPECT_EQ(view[r], m.At(r, c)) << r << "," << c;
+      }
+    }
+  }
+  EXPECT_FALSE(
+      TrainingSource::FromColumns({ints, mlcs::Column::FromInt32({1})}).ok());
+}
+
+TEST(TrainingSourceTest, ForestOnColumnsMatchesTheMatrixPath) {
+  Labels y;
+  std::vector<ColumnPtr> cols = IntColumns(4000, &y);
+  Matrix x = Matrix::FromColumns(cols).ValueOrDie();
+  TrainingSource source = TrainingSource::FromColumns(cols).ValueOrDie();
+  RandomForestOptions opt;
+  opt.n_estimators = 4;
+  opt.max_depth = 6;
+  RandomForest on_matrix(opt);
+  RandomForest on_columns(opt);
+  ASSERT_TRUE(on_matrix.Fit(x, y).ok());
+  ASSERT_TRUE(on_columns.FitSource(source, y).ok());
+  EXPECT_EQ(pickle::Dumps(on_matrix), pickle::Dumps(on_columns));
+  EXPECT_EQ(on_columns.PredictSource(source).ValueOrDie(),
+            on_matrix.Predict(x).ValueOrDie());
+
+  // A model without a source walk predicts through a Matrix copy.
+  LogisticRegression lr;
+  ASSERT_TRUE(lr.Fit(x, y).ok());
+  EXPECT_EQ(lr.PredictSource(source).ValueOrDie(),
+            lr.Predict(x).ValueOrDie());
+
+  std::vector<ColumnPtr> fewer(cols.begin(), cols.end() - 1);
+  TrainingSource narrow = TrainingSource::FromColumns(fewer).ValueOrDie();
+  EXPECT_FALSE(on_columns.PredictSource(narrow).ok());
+  EXPECT_FALSE(lr.PredictSource(narrow).ok());
+}
+
+}  // namespace
+}  // namespace mlcs::ml
