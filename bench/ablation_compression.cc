@@ -3,8 +3,8 @@
 /// with the encoding policy on (dictionary/RLE blocks) and once forced
 /// plain — then reopened stored-backed and queried through the buffer
 /// pool. One grid axis everywhere: `encoding:0` scans the plain copy with
-/// the knob off (the MLCS_DISABLE_ENCODING baseline), `encoding:1` scans
-/// the encoded copy operating on codes end-to-end. Expectations
+/// the knob off (SetEncodingEnabled(false)), `encoding:1` scans the
+/// encoded copy operating on codes end-to-end. Expectations
 /// (EXPERIMENTS.md, abl-compress):
 ///
 ///   scan bytes touched     — encoded full scans must move ≥5x fewer bytes

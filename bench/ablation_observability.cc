@@ -369,8 +369,6 @@ int main() {
   json.Field("benchmark", "ablation_observability");
   json.Field("mlcs_threads",
              static_cast<uint64_t>(ThreadPool::DefaultThreadCount()));
-  json.Field("plan_optimizer",
-             bench::PlanOptimizerEnabledByEnv() ? "on" : "off");
   bench::WriteMetricsBlock(&json);
   json.Key("workload");
   json.BeginObject();

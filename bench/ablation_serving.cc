@@ -361,8 +361,6 @@ int main() {
   json.Field("benchmark", "ablation_serving");
   json.Field("mlcs_threads",
              static_cast<uint64_t>(ThreadPool::DefaultThreadCount()));
-  json.Field("plan_optimizer",
-             bench::PlanOptimizerEnabledByEnv() ? "on" : "off");
   bench::WriteMetricsBlock(&json);
   json.Key("workload");
   json.BeginObject();

@@ -13,10 +13,7 @@
 //  - records the effective thread-pool size ("mlcs_threads" in the JSON
 //    context block), so a result file always says what parallelism it was
 //    measured at (MLCS_THREADS env or hardware_concurrency), and
-//  - records the planner configuration ("plan_optimizer" on/off, from
-//    MLCS_DISABLE_OPTIMIZER) and the compressed-execution knob
-//    ("mlcs_encoding" on/off, from MLCS_DISABLE_ENCODING) plus an
-//    "mlcs_metrics" block with the full metrics-registry snapshot (plan
+//  - records an "mlcs_metrics" block with the full metrics-registry snapshot (plan
 //    cache, thread pool, serving, scan bytes, encode counters), so
 //    results carry the counters behind their timings.
 //
@@ -35,7 +32,6 @@
 #include "common/thread_pool.h"
 #include "json_util.h"
 #include "sql/database.h"
-#include "storage/encoding.h"
 
 namespace mlcs::bench {
 
@@ -93,12 +89,6 @@ inline int RunBenchmarks(const char* bench_name, int argc, char** argv) {
   benchmark::Initialize(&args_count, args.data());
   benchmark::AddCustomContext("mlcs_threads",
                               std::to_string(ThreadPool::DefaultThreadCount()));
-  benchmark::AddCustomContext(
-      "plan_optimizer", PlanOptimizerEnabledByEnv() ? "on" : "off");
-  // Reflects MLCS_DISABLE_ENCODING at startup — a result file always says
-  // whether it measured compressed or plain execution.
-  benchmark::AddCustomContext("mlcs_encoding",
-                              EncodingEnabled() ? "on" : "off");
   size_t ran = benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   if (!has_out) {

@@ -76,8 +76,6 @@ bool WriteJson(const mlcs::pipeline::PipelineConfig& config) {
   json.Field("benchmark", "fig1_voter_classification");
   json.Field("mlcs_threads",
              static_cast<uint64_t>(mlcs::ThreadPool::DefaultThreadCount()));
-  json.Field("plan_optimizer",
-             mlcs::bench::PlanOptimizerEnabledByEnv() ? "on" : "off");
   mlcs::bench::WriteMetricsBlock(&json);
   json.Key("workload");
   json.BeginObject();

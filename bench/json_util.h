@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -17,14 +16,6 @@
 #include "obs/metrics.h"
 
 namespace mlcs::bench {
-
-/// Whether the plan rewrite rules are active for Databases created in this
-/// process (MLCS_DISABLE_OPTIMIZER, see sql/database.h). Every bench JSON
-/// records this so a result file says which planner produced it.
-inline bool PlanOptimizerEnabledByEnv() {
-  const char* disable = std::getenv("MLCS_DISABLE_OPTIMIZER");
-  return disable == nullptr || disable[0] == '\0';
-}
 
 class JsonWriter {
  public:

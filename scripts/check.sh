@@ -125,10 +125,14 @@ bench_smoke() {
   scratch="$(mktemp -d /tmp/mlcs-bench-smoke.XXXXXX)"
   trap 'rm -rf "$scratch"' RETURN
   pushd "$scratch" >/dev/null
-  local b
-  for b in "$root"/build/bench/ablation_*; do
-    [[ -x "$b" ]] || continue
-    echo "-- $(basename "$b")"
+  # The ablations declared in bench/CMakeLists.txt, not whatever a build
+  # tree still holds: a deleted bench's stale binary must not run.
+  local name b
+  for name in $(sed -nE 's/^(mlcs_add_bench|add_executable)\((ablation_[a-z_]+).*/\2/p' \
+                  "$root"/bench/CMakeLists.txt); do
+    b="$root/build/bench/$name"
+    [[ -x "$b" ]] || { echo "missing bench binary: $b" >&2; return 1; }
+    echo "-- $name"
     MLCS_BENCH_MIN_TIME=0.01 \
     MLCS_SERVE_BENCH_REQUESTS=400 MLCS_SERVE_BENCH_CLIENTS=2 \
     MLCS_SERVE_BENCH_STRICT=0 \

@@ -66,10 +66,11 @@ Result<BlockMeta> ReadBlockMeta(const std::string& path) {
   BlockMeta meta;
   meta.path = path;
   MLCS_ASSIGN_OR_RETURN(meta.rows, header.ReadVarint());
-  MLCS_ASSIGN_OR_RETURN(uint64_t num_cols, header.ReadVarint());
-  if (num_cols > (1u << 20)) {
-    return Status::ParseError("'" + path + "': implausible column count");
-  }
+  // Smallest column entry: one-byte name length, type tag, null count and
+  // min/max flag, plus the two u64 payload extents.
+  constexpr size_t kMinColumnEntryBytes = 1 + 1 + 1 + 1 + 8 + 8;
+  MLCS_ASSIGN_OR_RETURN(uint64_t num_cols,
+                        header.ReadCount(kMinColumnEntryBytes, "block column"));
   uint64_t payload_base = kBlockFixedHeaderBytes + header_len;
   meta.columns.reserve(num_cols);
   for (uint64_t c = 0; c < num_cols; ++c) {

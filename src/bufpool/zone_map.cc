@@ -55,10 +55,7 @@ double DoubleOf(const Value& v) {
 }
 
 std::atomic<int>& SkipState() {
-  static std::atomic<int> state([] {
-    const char* env = std::getenv("MLCS_DISABLE_ZONEMAPS");
-    return (env != nullptr && env[0] != '\0') ? 0 : 1;
-  }());
+  static std::atomic<int> state(1);
   return state;
 }
 

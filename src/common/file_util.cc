@@ -117,6 +117,20 @@ Result<std::vector<uint8_t>> ReadFileRegion(const std::string& path,
   return bytes;
 }
 
+Result<uint64_t> BytesLeft(std::FILE* f) {
+  off_t pos = ftello(f);
+  if (pos < 0 || fseeko(f, 0, SEEK_END) != 0) {
+    return Status::IoError(std::string("cannot size file: ") +
+                           std::strerror(errno));
+  }
+  off_t end = ftello(f);
+  if (end < pos || fseeko(f, pos, SEEK_SET) != 0) {
+    return Status::IoError(std::string("cannot size file: ") +
+                           std::strerror(errno));
+  }
+  return static_cast<uint64_t>(end - pos);
+}
+
 Status MakeDirs(const std::string& path) {
   if (path.empty()) return Status::InvalidArgument("MakeDirs: empty path");
   std::string partial;

@@ -2,6 +2,7 @@
 #define MLCS_COMMON_FILE_UTIL_H_
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,11 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
 Result<std::vector<uint8_t>> ReadFileRegion(const std::string& path,
                                             uint64_t offset,
                                             uint64_t length);
+
+/// Bytes between `f`'s read position and its end (the position is kept).
+/// Readers bound a length field read from the file by this before it
+/// sizes an allocation.
+Result<uint64_t> BytesLeft(std::FILE* f);
 
 /// mkdir -p: creates `path` and any missing parents; existing directories
 /// are success.

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "common/byte_buffer.h"
+#include "common/file_util.h"
 
 namespace mlcs::io {
 
@@ -102,8 +103,11 @@ Result<TablePtr> H5bChunkReader::NextChunk() {
   if (std::fread(&chunk_len, sizeof(chunk_len), 1, file_) != 1) {
     return Status::IoError("truncated chunk header in '" + path_ + "'");
   }
-  if (chunk_len > (1ull << 34)) {
-    return Status::ParseError("implausible chunk size in '" + path_ + "'");
+  MLCS_ASSIGN_OR_RETURN(uint64_t left, BytesLeft(file_));
+  if (chunk_len > left) {
+    return Status::ParseError("chunk of " + std::to_string(chunk_len) +
+                              " bytes exceeds the " + std::to_string(left) +
+                              " left in '" + path_ + "'");
   }
   std::vector<uint8_t> bytes(chunk_len);
   if (std::fread(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {

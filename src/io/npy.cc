@@ -4,6 +4,7 @@
 #include <cstring>
 #include <memory>
 
+#include "common/file_util.h"
 #include "common/string_util.h"
 
 namespace mlcs::io {
@@ -42,6 +43,10 @@ Result<TypeId> TypeForDescr(const std::string& descr) {
   if (descr == "<i8") return TypeId::kInt64;
   if (descr == "<f8") return TypeId::kDouble;
   return Status::NotImplemented("unsupported .npy dtype '" + descr + "'");
+}
+
+size_t ElementBytes(TypeId type) {
+  return type == TypeId::kBool ? 1 : type == TypeId::kInt32 ? 4 : 8;
 }
 
 /// Pulls the value of a quoted or bare key out of the header dict text.
@@ -168,6 +173,14 @@ Result<ColumnPtr> ReadNpy(const std::string& path) {
   }
   MLCS_ASSIGN_OR_RETURN(int64_t n, ParseInt64(inner));
   if (n < 0) return Status::ParseError("negative .npy shape");
+  // The shape comes from the file: check it against the bytes that follow
+  // before it sizes an allocation.
+  MLCS_ASSIGN_OR_RETURN(uint64_t left, BytesLeft(f.get()));
+  if (static_cast<uint64_t>(n) > left / ElementBytes(type)) {
+    return Status::ParseError(".npy shape (" + inner + ",) exceeds the " +
+                              std::to_string(left) + " data bytes in '" +
+                              path + "'");
+  }
 
   ColumnPtr col = Column::Make(type);
   size_t count = static_cast<size_t>(n);

@@ -45,9 +45,7 @@ struct DecisionTree::Grower {
   Rng rng;
   /// Scratch the serial split search reuses from node to node.
   CodeCounts counts;
-  /// Per-node [key × class] counts, shared by every factorized candidate.
-  std::vector<uint32_t> key_counts;
-  /// The node's class indices in row order, shared by every dense one.
+  /// The node's class indices in row order, shared by every candidate.
   std::vector<uint32_t> node_labels;
 };
 
@@ -67,9 +65,7 @@ Status DecisionTree::FitSource(const TrainingSource& x, const Labels& y) {
                            options_.max_codes(), /*parallel=*/true));
   std::vector<uint32_t> rows(x.rows());
   std::iota(rows.begin(), rows.end(), 0);
-  MLCS_RETURN_IF_ERROR(FitCoded(codes, std::move(rows), /*parallel=*/true));
-  CountTrainingSourceFit(x);
-  return Status::OK();
+  return FitCoded(codes, std::move(rows), /*parallel=*/true);
 }
 
 Status DecisionTree::FitCoded(const TrainingCodes& codes,
@@ -87,7 +83,7 @@ Status DecisionTree::FitCoded(const TrainingCodes& codes,
   // Counts ignore row order; ascending rows turn every code and label read
   // into a forward scan.
   std::sort(rows.begin(), rows.end());
-  Grower grower{codes, parallel, Rng(options_.seed), {}, {}, {}};
+  Grower grower{codes, parallel, Rng(options_.seed), {}, {}};
   BuildNode(grower, rows, /*depth=*/0);
   double total = 0;
   for (double v : feature_importances_) total += v;
@@ -144,11 +140,8 @@ uint32_t DecisionTree::BuildNode(Grower& g, std::vector<uint32_t>& rows,
   // goes left); stable, so both children stay ascending.
   std::vector<uint32_t> left_rows, right_rows;
   const std::vector<uint16_t>& codes = g.codes.codes(best.feature);
-  const uint32_t* keys = g.codes.factorized(best.feature) ? g.codes.keys()
-                                                         : nullptr;
   for (uint32_t r : rows) {
-    uint16_t code = keys != nullptr ? codes[keys[r]] : codes[r];
-    (code <= best.left_code ? left_rows : right_rows).push_back(r);
+    (codes[r] <= best.left_code ? left_rows : right_rows).push_back(r);
   }
   if (left_rows.size() < options_.min_samples_leaf ||
       right_rows.size() < options_.min_samples_leaf) {
@@ -178,16 +171,6 @@ DecisionTree::SplitResult DecisionTree::FindBestSplit(
   const TrainingCodes& codes = g.codes;
   const std::vector<uint32_t>& labels = codes.labels();
   size_t num_classes = classes_.size();
-  // One group-by below the join per node: the per-key class counts feed
-  // every factorized candidate, so d dimension features cost one O(rows)
-  // counting pass plus d × O(keys) folds instead of d × O(rows) scans.
-  bool any_factorized = false;
-  for (size_t f : features) any_factorized |= codes.factorized(f);
-  if (any_factorized) {
-    const uint32_t* keys = codes.keys();
-    g.key_counts.assign(codes.num_keys() * num_classes, 0);
-    for (uint32_t r : rows) ++g.key_counts[keys[r] * num_classes + labels[r]];
-  }
   g.node_labels.resize(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) g.node_labels[i] = labels[rows[i]];
 
@@ -196,8 +179,7 @@ DecisionTree::SplitResult DecisionTree::FindBestSplit(
     const std::vector<uint16_t>& fc = codes.codes(f);
     size_t num_codes = codes.num_codes(f);
     counts.present.clear();
-    if (!codes.factorized(f) &&
-        num_codes * num_classes > kSortFactor * rows.size()) {
+    if (num_codes * num_classes > kSortFactor * rows.size()) {
       // Far more codes than rows (exact splits on a small node): sort the
       // node's (code, class) pairs instead of zeroing a sparse table.
       counts.pairs.resize(rows.size());
@@ -217,17 +199,8 @@ DecisionTree::SplitResult DecisionTree::FindBestSplit(
       return ScanCodes(codes, f, counts, class_counts);
     }
     counts.table.assign(num_codes * num_classes, 0);
-    if (codes.factorized(f)) {
-      for (size_t key = 0; key < fc.size(); ++key) {
-        for (size_t c = 0; c < num_classes; ++c) {
-          counts.table[fc[key] * num_classes + c] +=
-              g.key_counts[key * num_classes + c];
-        }
-      }
-    } else {
-      for (size_t i = 0; i < rows.size(); ++i) {
-        ++counts.table[fc[rows[i]] * num_classes + g.node_labels[i]];
-      }
+    for (size_t i = 0; i < rows.size(); ++i) {
+      ++counts.table[fc[rows[i]] * num_classes + g.node_labels[i]];
     }
     return ScanCodes(codes, f, counts, class_counts);
   };

@@ -48,11 +48,9 @@ class DecisionTree : public Model {
   std::string ParamsString() const override;
   void Serialize(ByteWriter* writer) const override;
 
-  /// Statistics-provider path (DESIGN.md §14): codes the TrainingSource
-  /// once (TrainingCodes) and grows the tree from per-code class counts.
-  /// A factorized feature's counts come from one per-key class count per
-  /// node, shared by every factorized candidate. Bit-identical to Fit on
-  /// the equivalent dense matrix.
+  /// Codes the TrainingSource once (TrainingCodes, DESIGN.md §14) and
+  /// grows the tree from per-code class counts. Fit funnels through here
+  /// via TrainingSource::FromMatrix.
   Status FitSource(const TrainingSource& x, const Labels& y);
 
   /// Grows the tree on `rows` of an already-coded training set (repeats

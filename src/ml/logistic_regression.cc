@@ -26,11 +26,11 @@ Status LogisticRegression::FitSource(const TrainingSource& x,
   size_t n = x.rows(), d = x.cols(), k = classes_.size();
 
   // Standardize (constant features get std 1 so they contribute nothing).
-  // Per-row accumulation in row order through the views: a view returns
-  // the exact double the joined matrix would hold at that row, so the
-  // statistics match the dense path bit for bit.
+  // Per-row accumulation in row order through the views, so the
+  // statistics do not depend on how the source was built.
   mean_.assign(d, 0.0);
   std_.assign(d, 1.0);
+  Matrix xs(n, d);  // standardized copy, NaN read as 0
   for (size_t c = 0; c < d; ++c) {
     FeatureView col = x.view(c);
     double sum = 0;
@@ -46,35 +46,10 @@ Status LogisticRegression::FitSource(const TrainingSource& x,
     }
     var /= static_cast<double>(n);
     std_[c] = var > 1e-12 ? std::sqrt(var) : 1.0;
-  }
-
-  // Standardized copy. Dense features standardize per row; factorized
-  // features standardize their K-entry LUT once — row r then reads
-  // slut[key[r]], the same double the dense path would store at row r,
-  // so the epoch loops below see identical operands in identical order
-  // while the copy stays O(|fact| + |dim|) bytes.
-  TrainingSource xs;
-  if (x.num_keys() > 0) {
-    std::vector<uint32_t> keys(x.keys(), x.keys() + n);
-    MLCS_RETURN_IF_ERROR(xs.SetKeys(std::move(keys), x.num_keys()));
-  }
-  for (size_t c = 0; c < d; ++c) {
-    if (x.factorized(c)) {
-      const std::vector<double>& lut = x.lut(c);
-      std::vector<double> slut(lut.size());
-      for (size_t i = 0; i < lut.size(); ++i) {
-        double v = std::isnan(lut[i]) ? 0.0 : lut[i];
-        slut[i] = (v - mean_[c]) / std_[c];
-      }
-      MLCS_RETURN_IF_ERROR(xs.AddFactorizedFeature(std::move(slut)));
-    } else {
-      FeatureView src = x.view(c);
-      std::vector<double> dst(n);
-      for (size_t r = 0; r < n; ++r) {
-        double v = std::isnan(src[r]) ? 0.0 : src[r];
-        dst[r] = (v - mean_[c]) / std_[c];
-      }
-      MLCS_RETURN_IF_ERROR(xs.AddOwnedDenseFeature(std::move(dst)));
+    std::vector<double>& dst = xs.column(c);
+    for (size_t r = 0; r < n; ++r) {
+      double v = std::isnan(col[r]) ? 0.0 : col[r];
+      dst[r] = (v - mean_[c]) / std_[c];
     }
   }
 
@@ -82,9 +57,7 @@ Status LogisticRegression::FitSource(const TrainingSource& x,
   bias_.assign(k, 0.0);
   Rng rng(options_.seed);
 
-  // One-vs-rest full-batch gradient descent per class. Gradient sums stay
-  // in row order (not grouped by key) on purpose: per-key regrouping would
-  // reorder double addition and break bit-identity with the dense path.
+  // One-vs-rest full-batch gradient descent per class.
   for (size_t cls = 0; cls < k; ++cls) {
     auto& w = weights_[cls];
     double& b = bias_[cls];
@@ -97,7 +70,7 @@ Status LogisticRegression::FitSource(const TrainingSource& x,
       // margin = Xw + b, column-major accumulation.
       std::fill(margin.begin(), margin.end(), b);
       for (size_t c = 0; c < d; ++c) {
-        FeatureView col = xs.view(c);
+        const std::vector<double>& col = xs.column(c);
         double wc = w[c];
         if (wc == 0.0) continue;
         for (size_t r = 0; r < n; ++r) margin[r] += wc * col[r];
@@ -109,7 +82,7 @@ Status LogisticRegression::FitSource(const TrainingSource& x,
       for (size_t r = 0; r < n; ++r) grad_b += margin[r];
       grad_b *= inv_n;
       for (size_t c = 0; c < d; ++c) {
-        FeatureView col = xs.view(c);
+        const std::vector<double>& col = xs.column(c);
         double g = 0;
         for (size_t r = 0; r < n; ++r) g += margin[r] * col[r];
         grad_w[c] = g * inv_n + options_.l2 * w[c];
@@ -118,7 +91,6 @@ Status LogisticRegression::FitSource(const TrainingSource& x,
       b -= options_.learning_rate * grad_b;
     }
   }
-  CountTrainingSourceFit(x);
   return Status::OK();
 }
 

@@ -25,11 +25,9 @@ class LogisticRegression : public Model {
 
   ModelType type() const override { return ModelType::kLogisticRegression; }
   Status Fit(const Matrix& x, const Labels& y) override;
-  /// Statistics-provider path: gradient-descent sums read dimension
-  /// features through standardized per-key LUTs (K doubles per feature
-  /// instead of an n-row standardized copy). Row order and operands match
-  /// the dense path exactly, so the fitted weights are bit-identical; Fit
-  /// funnels through here via TrainingSource::FromMatrix.
+  /// Fits from a TrainingSource (table columns read in place); Fit
+  /// funnels through here via TrainingSource::FromMatrix, so both give
+  /// bit-identical weights for the same values.
   Status FitSource(const TrainingSource& x, const Labels& y);
   Result<Labels> Predict(const Matrix& x) const override;
   Result<std::vector<double>> PredictProba(const Matrix& x,

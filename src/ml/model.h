@@ -80,7 +80,7 @@ Result<size_t> ClassIndex(const std::vector<int32_t>& classes, int32_t cls);
 
 /// Shared validation for Fit inputs.
 Status CheckFitInputs(const Matrix& x, const Labels& y);
-/// Same checks against a statistics-provider source (training_source.h).
+/// Same checks against a TrainingSource (training_source.h).
 Status CheckFitInputs(const TrainingSource& x, const Labels& y);
 /// Shared validation for Predict inputs against the fitted feature count.
 Status CheckPredictInputs(const Matrix& x, size_t expected_features,

@@ -97,7 +97,6 @@ Status RandomForest::FitSource(const TrainingSource& x, const Labels& y) {
     classes_.clear();
     return st;
   }
-  CountTrainingSourceFit(x);
   return Status::OK();
 }
 

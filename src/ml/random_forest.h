@@ -36,11 +36,9 @@ class RandomForest : public Model {
 
   ModelType type() const override { return ModelType::kRandomForest; }
   Status Fit(const Matrix& x, const Labels& y) override;
-  /// Statistics-provider path: codes the TrainingSource once
-  /// (TrainingCodes), then every tree bootstraps and grows from those
-  /// codes (per-key aggregate counts for factorized features).
-  /// Bit-identical to Fit on the equivalent dense matrix; Fit funnels
-  /// through here via TrainingSource::FromMatrix.
+  /// Codes the TrainingSource once (TrainingCodes), then every tree
+  /// bootstraps and grows from those codes. Fit funnels through here via
+  /// TrainingSource::FromMatrix.
   Status FitSource(const TrainingSource& x, const Labels& y);
   Result<Labels> Predict(const Matrix& x) const override;
   Result<Labels> PredictSource(const TrainingSource& x) const override;

@@ -56,49 +56,4 @@ Result<std::vector<TrainTestIndices>> KFold(size_t n, size_t k,
   return folds;
 }
 
-Result<TrainTestIndices> GroupedTrainTestSplit(
-    const std::vector<uint32_t>& keys, size_t num_keys, double test_fraction,
-    uint64_t seed) {
-  if (keys.empty()) return Status::InvalidArgument("cannot split zero rows");
-  if (num_keys < 2) {
-    return Status::InvalidArgument(
-        "grouped split needs at least two distinct keys");
-  }
-  if (test_fraction <= 0.0 || test_fraction >= 1.0) {
-    return Status::InvalidArgument("test_fraction must be in (0, 1)");
-  }
-  std::vector<size_t> group_sizes(num_keys, 0);
-  for (uint32_t k : keys) {
-    if (k >= num_keys) {
-      return Status::InvalidArgument("key out of range in grouped split");
-    }
-    ++group_sizes[k];
-  }
-  std::vector<uint32_t> order = ShuffledIndices(num_keys, seed);
-  size_t target = static_cast<size_t>(
-      static_cast<double>(keys.size()) * test_fraction);
-  target = std::min(std::max<size_t>(1, target), keys.size() - 1);
-  std::vector<uint8_t> is_test(num_keys, 0);
-  size_t test_rows = 0;
-  for (uint32_t k : order) {
-    if (test_rows >= target) break;
-    // Never drain the train side: leave at least one populated key out.
-    if (test_rows + group_sizes[k] >= keys.size()) continue;
-    is_test[k] = 1;
-    test_rows += group_sizes[k];
-  }
-  TrainTestIndices out;
-  out.test.reserve(test_rows);
-  out.train.reserve(keys.size() - test_rows);
-  for (size_t r = 0; r < keys.size(); ++r) {
-    (is_test[keys[r]] ? out.test : out.train)
-        .push_back(static_cast<uint32_t>(r));
-  }
-  if (out.test.empty() || out.train.empty()) {
-    return Status::InvalidArgument(
-        "grouped split could not populate both sides");
-  }
-  return out;
-}
-
 }  // namespace mlcs::ml

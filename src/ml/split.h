@@ -25,18 +25,6 @@ Result<TrainTestIndices> TrainTestSplit(size_t n, double test_fraction,
 Result<std::vector<TrainTestIndices>> KFold(size_t n, size_t k,
                                             uint64_t seed = 42);
 
-/// Group-aware split for factorized training sources (DESIGN.md §14):
-/// every row of `keys` whose join key lands test goes to the test side,
-/// so no dimension row feeds both sides — the leakage a row-level split
-/// invites when the same dimension features back train and test rows.
-/// Keys are shuffled by `seed`, then whole key-groups fill the test side
-/// until it holds at least `test_fraction` of the rows. Within each side,
-/// rows keep their original (fact-table) order. `keys[r]` must be in
-/// [0, num_keys); both sides are guaranteed non-empty.
-Result<TrainTestIndices> GroupedTrainTestSplit(
-    const std::vector<uint32_t>& keys, size_t num_keys, double test_fraction,
-    uint64_t seed = 42);
-
 }  // namespace mlcs::ml
 
 #endif  // MLCS_ML_SPLIT_H_

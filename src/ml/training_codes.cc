@@ -59,7 +59,7 @@ std::vector<uint16_t> AssignCodes(const ValueCounts& vc, size_t max_codes,
   return code_of;
 }
 
-/// Fallback for a dense feature with more than kMaxValueCodes distinct
+/// Fallback for a feature with more than kMaxValueCodes distinct
 /// values: sort a copy, then binary-search each row's value.
 void CodeBySorting(const FeatureView& col, size_t n, size_t max_codes,
                    std::vector<uint16_t>* codes, std::vector<double>* lo,
@@ -89,13 +89,13 @@ void CodeBySorting(const FeatureView& col, size_t n, size_t max_codes,
   }
 }
 
-/// Codes a dense feature. One pass over the rows finds the distinct values
+/// Codes one feature. One pass over the rows finds the distinct values
 /// with an open-addressing table on their bits and numbers them in
 /// first-seen order; sorting just the distinct values then maps those
 /// numbers to codes in place.
-void CodeDense(const FeatureView& col, size_t n, size_t max_codes,
-               std::vector<uint16_t>* codes, std::vector<double>* lo,
-               std::vector<double>* hi) {
+void CodeFeature(const FeatureView& col, size_t n, size_t max_codes,
+                 std::vector<uint16_t>* codes, std::vector<double>* lo,
+                 std::vector<double>* hi) {
   codes->assign(n, 0);  // NaN rows keep code 0
   int log_slots = 8;
   std::vector<uint64_t> slot_bits(size_t{1} << log_slots);
@@ -158,39 +158,6 @@ void CodeDense(const FeatureView& col, size_t n, size_t max_codes,
   for (uint16_t& c : *codes) c = code_of_id[c];
 }
 
-/// Codes a factorized feature per key: its values weighted by the rows
-/// that reach each key, which is the multiset its dense equivalent holds,
-/// so both code alike. Keys no row reaches keep code 0; no count sees them.
-void CodeFactorized(const std::vector<double>& lut,
-                    const std::vector<uint64_t>& key_rows, size_t max_codes,
-                    std::vector<uint16_t>* codes, std::vector<double>* lo,
-                    std::vector<double>* hi) {
-  std::vector<uint32_t> present;
-  for (size_t k = 0; k < lut.size(); ++k) {
-    if (key_rows[k] > 0 && !std::isnan(lut[k])) {
-      present.push_back(static_cast<uint32_t>(k));
-    }
-  }
-  std::sort(present.begin(), present.end(),
-            [&](uint32_t a, uint32_t b) { return lut[a] < lut[b]; });
-  ValueCounts vc;
-  std::vector<uint32_t> value_of(present.size());
-  for (size_t i = 0; i < present.size(); ++i) {
-    double v = Canonical(lut[present[i]]);
-    if (vc.values.empty() || v != vc.values.back()) {
-      vc.values.push_back(v);
-      vc.counts.push_back(0);
-    }
-    vc.counts.back() += key_rows[present[i]];
-    value_of[i] = static_cast<uint32_t>(vc.values.size() - 1);
-  }
-  std::vector<uint16_t> code_of = AssignCodes(vc, max_codes, lo, hi);
-  codes->assign(lut.size(), 0);
-  for (size_t i = 0; i < present.size(); ++i) {
-    (*codes)[present[i]] = code_of[value_of[i]];
-  }
-}
-
 }  // namespace
 
 Result<TrainingCodes> TrainingCodes::Build(const TrainingSource& x,
@@ -214,25 +181,12 @@ Result<TrainingCodes> TrainingCodes::Build(const TrainingSource& x,
     out.labels_[r] = static_cast<uint32_t>(it - classes.begin());
   }
   out.classes_ = std::move(classes);
-  out.keys_ = x.keys();
-  out.num_keys_ = x.num_keys();
-  std::vector<uint64_t> key_rows;
-  if (x.num_factorized() > 0) {
-    key_rows.assign(x.num_keys(), 0);
-    for (size_t r = 0; r < x.rows(); ++r) ++key_rows[x.keys()[r]];
-  }
 
   out.features_.resize(x.cols());
   auto code_one = [&](size_t f) {
     Feature& feature = out.features_[f];
-    feature.factorized = x.factorized(f);
-    if (feature.factorized) {
-      CodeFactorized(x.lut(f), key_rows, max_codes, &feature.codes,
-                     &feature.lo, &feature.hi);
-    } else {
-      CodeDense(x.view(f), x.rows(), max_codes, &feature.codes, &feature.lo,
+    CodeFeature(x.view(f), x.rows(), max_codes, &feature.codes, &feature.lo,
                 &feature.hi);
-    }
     return Status::OK();
   };
   if (parallel && x.rows() * x.cols() >= kParallelCodingValues) {

@@ -15,14 +15,11 @@ namespace mlcs::ml {
 /// codes: code 0 holds NaN, codes 1..K hold ascending value ranges. A
 /// feature with at most `max_codes` distinct values gets one code per
 /// value, so splits on it are exact; a feature with more is cut into at
-/// most `max_codes` equal-frequency ranges. A dense feature keeps one code
-/// per row. A factorized feature keeps one code per join key, so a tree
-/// counts classes per key and folds the key counts into per-code counts
-/// without touching its rows again. Labels become class indices here too.
+/// most `max_codes` equal-frequency ranges. Each feature keeps one code
+/// per row. Labels become class indices here too.
 ///
 /// Coding depends only on the values (never on a row order, a bootstrap
-/// sample or the thread count), and a factorized feature codes exactly
-/// like its materialized dense equivalent.
+/// sample or the thread count).
 class TrainingCodes {
  public:
   /// Most value codes one feature can hold (uint16 codes, 0 is NaN).
@@ -30,8 +27,7 @@ class TrainingCodes {
 
   /// Codes every feature of `x` with at most `max_codes` value codes each
   /// (clamped to [1, kMaxValueCodes]) and every label of `y` as an index
-  /// into `classes`, which must be sorted and hold every label. `x` must
-  /// outlive the result (factorized features borrow its key column).
+  /// into `classes`, which must be sorted and hold every label.
   /// `parallel` codes large inputs' features on the global pool.
   static Result<TrainingCodes> Build(const TrainingSource& x, const Labels& y,
                                      std::vector<int32_t> classes,
@@ -43,16 +39,12 @@ class TrainingCodes {
   /// Class index of every row.
   const std::vector<uint32_t>& labels() const { return labels_; }
 
-  bool factorized(size_t f) const { return features_[f].factorized; }
-  /// Per-row codes of a dense feature; per-key codes of a factorized one.
+  /// Per-row codes of feature `f`.
   const std::vector<uint16_t>& codes(size_t f) const {
     return features_[f].codes;
   }
   /// Codes of feature `f`, the NaN code included.
   size_t num_codes(size_t f) const { return features_[f].lo.size(); }
-  /// Shared join-key column of the factorized features.
-  const uint32_t* keys() const { return keys_; }
-  size_t num_keys() const { return num_keys_; }
 
   /// The value threshold of a split that sends codes <= `left` left and
   /// codes >= `right` right (left < right, no code between them present):
@@ -64,7 +56,6 @@ class TrainingCodes {
 
  private:
   struct Feature {
-    bool factorized = false;
     std::vector<uint16_t> codes;
     /// Smallest and largest value of each code ([0], NaN, holds NaN).
     std::vector<double> lo;
@@ -74,8 +65,6 @@ class TrainingCodes {
   std::vector<int32_t> classes_;
   std::vector<uint32_t> labels_;
   std::vector<Feature> features_;
-  const uint32_t* keys_ = nullptr;
-  size_t num_keys_ = 0;
 };
 
 }  // namespace mlcs::ml

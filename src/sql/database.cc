@@ -103,10 +103,6 @@ Database::Database() {
   cache_evictions_ = registry.GetCounter("mlcs.plan_cache.evictions");
   cache_entries_ = registry.GetGauge("mlcs.plan_cache.entries");
   executor_ = std::make_unique<sql::Executor>(&catalog_, &udfs_);
-  const char* disable = std::getenv("MLCS_DISABLE_OPTIMIZER");
-  if (disable != nullptr && disable[0] != '\0') {
-    executor_->set_optimizer_enabled(false);
-  }
   RegisterBuiltinFunctions();
 }
 

@@ -33,7 +33,7 @@ class Executor {
   /// projection pruning). Off still goes through the plan stack, just
   /// without rewrites — the shape the interpreted executor ran. Results
   /// are bit-identical either way (the optimizer-parity suite enforces
-  /// it); the MLCS_DISABLE_OPTIMIZER env var flips the Database default.
+  /// it).
   bool optimizer_enabled() const { return optimizer_enabled_; }
   void set_optimizer_enabled(bool enabled) { optimizer_enabled_ = enabled; }
 

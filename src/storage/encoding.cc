@@ -14,13 +14,10 @@ namespace mlcs {
 
 namespace {
 
-/// Default-on toggle, started off by MLCS_DISABLE_ENCODING (same pattern
-/// as zone-map skipping — bufpool/zone_map.cc).
+/// Default-on toggle (same pattern as zone-map skipping —
+/// bufpool/zone_map.cc).
 std::atomic<int>& EncodingState() {
-  static std::atomic<int> state([] {
-    const char* env = std::getenv("MLCS_DISABLE_ENCODING");
-    return (env != nullptr && env[0] != '\0') ? 0 : 1;
-  }());
+  static std::atomic<int> state(1);
   return state;
 }
 

@@ -12,6 +12,7 @@
 #include "bufpool/buffer_pool.h"
 #include "bufpool/stored_table.h"
 #include "bufpool/zone_map.h"
+#include "common/byte_buffer.h"
 #include "common/file_util.h"
 #include "storage/table.h"
 
@@ -141,6 +142,24 @@ TEST(BlockFormatTest, RejectsWrongMagicAndTruncation) {
   const char junk[] = "definitely not a block";
   ASSERT_TRUE(AtomicWriteFile(path, junk, sizeof(junk)).ok());
   EXPECT_FALSE(ReadBlockMeta(path).ok());
+}
+
+TEST(BlockFormatTest, RejectsAColumnCountBeyondTheHeader) {
+  // A 12-byte header that claims 2^20 columns: the count must be checked
+  // against the header bytes before it sizes the column list.
+  ByteWriter header;
+  header.WriteVarint(0);        // rows
+  header.WriteVarint(1u << 20);  // columns
+  header.WriteU64(0);
+  ByteWriter file;
+  file.WriteU32(kBlockMagic);
+  file.WriteU16(kBlockFormatVersion);
+  file.WriteU32(static_cast<uint32_t>(header.size()));
+  file.WriteRaw(header.data().data(), header.size());
+  std::string path = TempDirFor("blk_count") + "/block_0000.blk";
+  ASSERT_TRUE(AtomicWriteFile(path, file.data().data(), file.size()).ok());
+  Result<BlockMeta> meta = ReadBlockMeta(path);
+  EXPECT_FALSE(meta.ok());
 }
 
 /// -- Zone maps --------------------------------------------------------------

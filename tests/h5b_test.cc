@@ -91,6 +91,36 @@ TEST(H5bTest, TruncatedFileRejected) {
   std::remove(path.c_str());
 }
 
+TEST(H5bTest, ChunkLengthBeyondTheFileRejected) {
+  auto t = RandomTable(20, 5);
+  std::string path = TempPath("huge_chunk.h5b");
+  ASSERT_TRUE(WriteH5b(*t, path).ok());
+  // One chunk: the file ends with its u64 length prefix and body. Find the
+  // prefix and inflate it to 16 GiB; the reader must refuse before sizing
+  // a buffer from it.
+  FILE* f = fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  fseek(f, 0, SEEK_END);
+  long size = ftell(f);
+  long prefix_at = -1;
+  for (long p = 0; p + 8 <= size; ++p) {
+    uint64_t len = 0;
+    fseek(f, p, SEEK_SET);
+    ASSERT_EQ(fread(&len, sizeof(len), 1, f), 1u);
+    if (len == static_cast<uint64_t>(size - p - 8)) {
+      prefix_at = p;
+      break;
+    }
+  }
+  ASSERT_GE(prefix_at, 0);
+  uint64_t huge = uint64_t{1} << 34;
+  fseek(f, prefix_at, SEEK_SET);
+  fwrite(&huge, sizeof(huge), 1, f);
+  fclose(f);
+  EXPECT_FALSE(ReadH5b(path).ok());
+  std::remove(path.c_str());
+}
+
 TEST(H5bTest, ZeroChunkRowsRejected) {
   auto t = RandomTable(10, 4);
   H5bOptions opt;

@@ -92,6 +92,28 @@ TEST(NpyTest, GarbageRejected) {
   std::remove(path.c_str());
 }
 
+TEST(NpyTest, ShapeBeyondTheFileRejected) {
+  // A 144-byte file whose header claims 4e12 doubles (32 TB): the reader
+  // must refuse before sizing a buffer from the shape.
+  std::string header =
+      "{'descr': '<f8', 'fortran_order': False, 'shape': (4000000000000,), }";
+  header.append(128 - 10 - 1 - header.size(), ' ');
+  header.push_back('\n');
+  std::string path = testing::TempDir() + "/huge_shape.npy";
+  FILE* f = fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  fwrite("\x93NUMPY\x01\x00", 1, 8, f);
+  uint16_t hlen = static_cast<uint16_t>(header.size());
+  fwrite(&hlen, 2, 1, f);
+  fwrite(header.data(), 1, header.size(), f);
+  const double data[2] = {1.0, 2.0};
+  fwrite(data, sizeof(double), 2, f);
+  fclose(f);
+  auto col = ReadNpy(path);
+  EXPECT_FALSE(col.ok());
+  std::remove(path.c_str());
+}
+
 TEST(NpyTest, TableDirRoundTrip) {
   std::string dir = TempDirFor("npy_table");
   Schema s;

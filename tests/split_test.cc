@@ -69,40 +69,5 @@ TEST(SplitTest, KFoldValidation) {
   EXPECT_FALSE(KFold(3, 5, 1).ok());
 }
 
-TEST(SplitTest, GroupedSplitKeepsKeysTogether) {
-  // 20 keys, ragged group sizes (key k appears k+1 times).
-  std::vector<uint32_t> keys;
-  for (uint32_t k = 0; k < 20; ++k) {
-    for (uint32_t c = 0; c <= k; ++c) keys.push_back(k);
-  }
-  auto split = GroupedTrainTestSplit(keys, 20, 0.3, 9).ValueOrDie();
-  EXPECT_EQ(split.train.size() + split.test.size(), keys.size());
-  EXPECT_FALSE(split.train.empty());
-  EXPECT_FALSE(split.test.empty());
-  // No key straddles the sides.
-  std::set<uint32_t> test_keys;
-  for (uint32_t r : split.test) test_keys.insert(keys[r]);
-  for (uint32_t r : split.train) EXPECT_EQ(test_keys.count(keys[r]), 0u);
-  // Row order is preserved within each side.
-  EXPECT_TRUE(std::is_sorted(split.train.begin(), split.train.end()));
-  EXPECT_TRUE(std::is_sorted(split.test.begin(), split.test.end()));
-  // The test side lands near the requested fraction (group granularity).
-  double frac =
-      static_cast<double>(split.test.size()) / static_cast<double>(keys.size());
-  EXPECT_GT(frac, 0.15);
-  EXPECT_LT(frac, 0.45);
-  // Deterministic in the seed.
-  auto again = GroupedTrainTestSplit(keys, 20, 0.3, 9).ValueOrDie();
-  EXPECT_EQ(split.test, again.test);
-}
-
-TEST(SplitTest, GroupedSplitValidation) {
-  std::vector<uint32_t> keys = {0, 1, 0, 1};
-  EXPECT_FALSE(GroupedTrainTestSplit({}, 4, 0.5, 1).ok());
-  EXPECT_FALSE(GroupedTrainTestSplit(keys, 1, 0.5, 1).ok());
-  EXPECT_FALSE(GroupedTrainTestSplit(keys, 2, 0.0, 1).ok());
-  EXPECT_FALSE(GroupedTrainTestSplit({0, 5}, 2, 0.5, 1).ok());  // key range
-}
-
 }  // namespace
 }  // namespace mlcs::ml

@@ -8,6 +8,7 @@
 
 #include "common/random.h"
 #include "ml/logistic_regression.h"
+#include "ml/pickle.h"
 #include "ml/random_forest.h"
 #include "ml/training_source.h"
 #include "sql/database.h"
@@ -290,8 +291,8 @@ TEST(SqlPropertyTest, OptimizerParityOnRandomQueries) {
 ///
 /// The same random queries over stored (block-file) tables must return
 /// bit-identical tables with encoding on and off — the contract
-/// storage/encoding.h promises and the MLCS_DISABLE_ENCODING ablation
-/// relies on. Runs at one worker thread and several.
+/// storage/encoding.h promises and the abl-compress encoding axis relies
+/// on. Runs at one worker thread and several.
 
 /// Restores the global encoding knob even when an ASSERT unwinds early
 /// (later tests in this process assume the default).
@@ -410,145 +411,123 @@ TEST(SqlPropertyTest, EncodingParityOnRandomQueries) {
   }
 }
 
-/// -- Factorized-training parity ---------------------------------------------
+/// -- Column-ingestion parity -----------------------------------------------
 ///
-/// Models trained through the factorized statistics provider (dimension
-/// features as per-key LUTs addressed through a shared join-key column)
-/// must predict bit-identically to the same models trained on the
-/// materialized join output — across dimension fan-out, NULL feature
-/// values, serial vs thread-pool tree fitting, and encoded vs plain source
-/// columns. This is the contract ml/training_source.h promises.
-TEST(SqlPropertyTest, FactorizedTrainingParitySweep) {
-  for (size_t fan_out : {size_t{1}, size_t{10}, size_t{100}}) {
-    for (bool parallel : {false, true}) {
-      for (bool encoded : {false, true}) {
-        SCOPED_TRACE("fan_out=" + std::to_string(fan_out) +
-                     " parallel=" + std::to_string(parallel) +
-                     " encoded=" + std::to_string(encoded));
-        const size_t kDimRows = 12;
-        // Ragged: the last key gets the leftover rows, so per-key counts
-        // are not uniform.
-        const size_t n = kDimRows * fan_out + 7;
-        Rng rng(9100 + fan_out * 10 + (parallel ? 2 : 0) + (encoded ? 1 : 0));
+/// The in-database UDFs train and predict from table columns through
+/// TrainingSource::FromColumns (plain null-free INTEGER/DOUBLE columns read
+/// in place, anything else converted once); the external channels build a
+/// Matrix with Matrix::FromColumns. Both must yield byte-identical models
+/// and predictions — over plain vs dict/RLE-encoded columns, NULL feature
+/// values, and serial vs pooled fits. This is the contract
+/// ml/training_source.h promises.
+TEST(SqlPropertyTest, ColumnIngestionParitySweep) {
+  for (bool encoded : {false, true}) {
+    for (bool nulls : {false, true}) {
+      SCOPED_TRACE("encoded=" + std::to_string(encoded) +
+                   " nulls=" + std::to_string(nulls));
+      const size_t n = 700;
+      Rng rng(9100 + (encoded ? 2 : 0) + (nulls ? 1 : 0));
 
-        // Dimension table: two per-key features, one with NULL entries.
-        Schema dim_schema;
-        dim_schema.AddField("g1", TypeId::kInt32);
-        dim_schema.AddField("g2", TypeId::kInt32);
-        auto dim = Table::Make(std::move(dim_schema));
-        for (size_t k = 0; k < kDimRows; ++k) {
-          Value g2 = k % 5 == 3
-                         ? Value::MakeNull(TypeId::kInt32)
-                         : Value::Int32(static_cast<int32_t>(
-                               rng.NextBounded(6)));
-          ASSERT_TRUE(dim->AppendRow({Value::Int32(static_cast<int32_t>(
-                                          rng.NextInt(-20, 20))),
-                                      g2})
-                          .ok());
-        }
-
-        // Fact table: sorted key runs (RLE-shaped), one dense feature with
-        // NULLs, one low-cardinality feature (dictionary-shaped), and a
-        // label that depends on both sides.
-        Schema fact_schema;
-        fact_schema.AddField("f1", TypeId::kInt32);
-        fact_schema.AddField("f2", TypeId::kInt32);
-        auto fact = Table::Make(std::move(fact_schema));
-        std::vector<uint32_t> keys(n);
-        ml::Labels y(n);
-        for (size_t r = 0; r < n; ++r) {
-          keys[r] = static_cast<uint32_t>(
-              std::min(r / (fan_out + 1), kDimRows - 1));
-          bool f1_null = rng.NextDouble() < 0.05;
-          int32_t f1 = static_cast<int32_t>(rng.NextInt(-50, 50));
-          int32_t f2 = static_cast<int32_t>(rng.NextBounded(4));
-          ASSERT_TRUE(fact->AppendRow({f1_null
-                                           ? Value::MakeNull(TypeId::kInt32)
-                                           : Value::Int32(f1),
-                                       Value::Int32(f2)})
-                          .ok());
-          y[r] = static_cast<int32_t>((keys[r] * 7 + (f1_null ? 3 : f1) +
-                                       static_cast<size_t>(f2 + 50)) %
-                                      3);
-        }
-
-        // Materialized join output: dimension features gathered per fact
-        // row. The encoded axis compresses the very columns the matrix is
-        // built from, exercising the decode boundary into ML ingestion.
-        TablePtr gathered = dim->TakeRows(keys);
-        std::vector<ColumnPtr> mat_cols = {
-            fact->column(0), fact->column(1), gathered->column(0),
-            gathered->column(1)};
-        if (encoded) {
-          EncodingPolicy aggressive;
-          aggressive.min_rows = 1;
-          aggressive.max_dict_fraction = 1.0;
-          aggressive.max_run_fraction = 1.0;
-          size_t n_encoded = 0;
-          for (auto& col : mat_cols) {
-            col = EncodeColumn(col, aggressive);
-            n_encoded += col->is_encoded() ? 1 : 0;
-          }
-          EXPECT_GT(n_encoded, 0u);
-        }
-        auto xm = ml::Matrix::FromColumns(mat_cols);
-        ASSERT_TRUE(xm.ok()) << xm.status().ToString();
-
-        // Factorized source: the same features, never gathered — dense
-        // fact columns plus K-entry dimension LUTs behind the key column.
-        std::vector<double> f1d =
-            fact->column(0)->ToDoubleVector().ValueOrDie();
-        std::vector<double> f2d =
-            fact->column(1)->ToDoubleVector().ValueOrDie();
-        ml::TrainingSource src;
-        ASSERT_TRUE(src.AddDenseFeature(&f1d).ok());
-        ASSERT_TRUE(src.AddDenseFeature(&f2d).ok());
-        ASSERT_TRUE(src.SetKeys(keys, kDimRows).ok());
+      // A wide INTEGER feature and a DOUBLE one (NULL entries on the nulls
+      // axis), a low-cardinality INTEGER (dictionary-shaped), sorted runs
+      // (RLE-shaped), and a BIGINT that is always converted.
+      Schema schema;
+      schema.AddField("wide", TypeId::kInt32);
+      schema.AddField("low", TypeId::kInt32);
+      schema.AddField("runs", TypeId::kInt32);
+      schema.AddField("real", TypeId::kDouble);
+      schema.AddField("big", TypeId::kInt64);
+      auto table = Table::Make(std::move(schema));
+      ml::Labels y(n);
+      for (size_t r = 0; r < n; ++r) {
+        bool wide_null = nulls && rng.NextDouble() < 0.05;
+        bool real_null = nulls && rng.NextDouble() < 0.05;
+        auto wide = static_cast<int32_t>(rng.NextInt(-50, 50));
+        auto low = static_cast<int32_t>(rng.NextBounded(4));
+        auto runs = static_cast<int32_t>(r / 25);
+        double real = rng.NextGaussian();
+        int64_t big = rng.NextInt(-1000000, 1000000) * 1000003;
         ASSERT_TRUE(
-            src.AddFactorizedFeature(
-                   dim->column(0)->ToDoubleVector().ValueOrDie())
+            table
+                ->AppendRow({wide_null ? Value::MakeNull(TypeId::kInt32)
+                                       : Value::Int32(wide),
+                             Value::Int32(low), Value::Int32(runs),
+                             real_null ? Value::MakeNull(TypeId::kDouble)
+                                       : Value::Double(real),
+                             Value::Int64(big)})
                 .ok());
-        ASSERT_TRUE(
-            src.AddFactorizedFeature(
-                   dim->column(1)->ToDoubleVector().ValueOrDie())
-                .ok());
-        EXPECT_EQ(src.num_factorized(), 2u);
+        y[r] = static_cast<int32_t>(
+            ((wide_null ? 3 : wide + 50) + low * 7 + runs +
+             (real > 0.5 ? 1 : 0)) %
+            3);
+      }
+      std::vector<ColumnPtr> cols;
+      for (size_t c = 0; c < table->num_columns(); ++c) {
+        cols.push_back(table->column(c));
+      }
+      if (encoded) {
+        size_t dict = 0, rle = 0;
+        for (auto& col : cols) {
+          col = EncodeColumn(col, EncodingPolicy());
+          dict += col->encoding() == ColumnEncoding::kDict ? 1 : 0;
+          rle += col->encoding() == ColumnEncoding::kRle ? 1 : 0;
+        }
+        EXPECT_GT(dict, 0u);
+        EXPECT_GT(rle, 0u);
+      }
+      auto xm_or = ml::Matrix::FromColumns(cols);
+      ASSERT_TRUE(xm_or.ok()) << xm_or.status().ToString();
+      const ml::Matrix& xm = xm_or.ValueOrDie();
+      auto src_or = ml::TrainingSource::FromColumns(cols);
+      ASSERT_TRUE(src_or.ok()) << src_or.status().ToString();
+      const ml::TrainingSource& src = src_or.ValueOrDie();
 
-        // Random forest: same options + seed, both representations.
-        ml::RandomForestOptions opt;
-        opt.n_estimators = 5;
-        opt.max_depth = 6;
-        opt.seed = 11;
+      // Random forest: both ingestion paths give the same bytes; serial
+      // and pooled fits (whose options, and so bytes, differ) predict the
+      // same as the serial matrix-fit reference.
+      ml::RandomForestOptions opt;
+      opt.n_estimators = 5;
+      opt.max_depth = 6;
+      opt.seed = 11;
+      opt.parallel_fit = false;
+      ml::RandomForest reference(opt);
+      ASSERT_TRUE(reference.Fit(xm, y).ok());
+      auto ref_pred = reference.Predict(xm);
+      auto ref_conf = reference.PredictConfidence(xm);
+      ASSERT_TRUE(ref_pred.ok() && ref_conf.ok());
+      for (bool parallel : {false, true}) {
+        SCOPED_TRACE("parallel=" + std::to_string(parallel));
         opt.parallel_fit = parallel;
         ml::RandomForest rf_mat(opt);
-        ml::RandomForest rf_fac(opt);
-        ASSERT_TRUE(rf_mat.Fit(xm.ValueOrDie(), y).ok());
-        ASSERT_TRUE(rf_fac.FitSource(src, y).ok());
-        auto rf_pm = rf_mat.Predict(xm.ValueOrDie());
-        auto rf_pf = rf_fac.Predict(xm.ValueOrDie());
-        ASSERT_TRUE(rf_pm.ok() && rf_pf.ok());
-        EXPECT_EQ(rf_pm.ValueOrDie(), rf_pf.ValueOrDie());
-        auto rf_cm = rf_mat.PredictConfidence(xm.ValueOrDie());
-        auto rf_cf = rf_fac.PredictConfidence(xm.ValueOrDie());
-        ASSERT_TRUE(rf_cm.ok() && rf_cf.ok());
-        EXPECT_EQ(rf_cm.ValueOrDie(), rf_cf.ValueOrDie());
-
-        // Logistic regression: gradient sums must stay bit-identical too.
-        ml::LogisticRegressionOptions lr_opt;
-        lr_opt.epochs = 12;
-        ml::LogisticRegression lr_mat(lr_opt);
-        ml::LogisticRegression lr_fac(lr_opt);
-        ASSERT_TRUE(lr_mat.Fit(xm.ValueOrDie(), y).ok());
-        ASSERT_TRUE(lr_fac.FitSource(src, y).ok());
-        auto lr_pm = lr_mat.Predict(xm.ValueOrDie());
-        auto lr_pf = lr_fac.Predict(xm.ValueOrDie());
-        ASSERT_TRUE(lr_pm.ok() && lr_pf.ok());
-        EXPECT_EQ(lr_pm.ValueOrDie(), lr_pf.ValueOrDie());
-        auto lr_cm = lr_mat.PredictProba(xm.ValueOrDie(), 1);
-        auto lr_cf = lr_fac.PredictProba(xm.ValueOrDie(), 1);
-        ASSERT_TRUE(lr_cm.ok() && lr_cf.ok());
-        EXPECT_EQ(lr_cm.ValueOrDie(), lr_cf.ValueOrDie());
+        ml::RandomForest rf_src(opt);
+        ASSERT_TRUE(rf_mat.Fit(xm, y).ok());
+        ASSERT_TRUE(rf_src.FitSource(src, y).ok());
+        EXPECT_EQ(ml::pickle::Dumps(rf_mat), ml::pickle::Dumps(rf_src));
+        auto pred = rf_src.PredictSource(src);
+        ASSERT_TRUE(pred.ok());
+        EXPECT_EQ(pred.ValueOrDie(), ref_pred.ValueOrDie());
+        auto conf = rf_src.PredictConfidence(xm);
+        ASSERT_TRUE(conf.ok());
+        EXPECT_EQ(conf.ValueOrDie(), ref_conf.ValueOrDie());
       }
+
+      // Logistic regression: standardization and gradient sums read the
+      // same doubles in the same order either way.
+      ml::LogisticRegressionOptions lr_opt;
+      lr_opt.epochs = 12;
+      ml::LogisticRegression lr_mat(lr_opt);
+      ml::LogisticRegression lr_src(lr_opt);
+      ASSERT_TRUE(lr_mat.Fit(xm, y).ok());
+      ASSERT_TRUE(lr_src.FitSource(src, y).ok());
+      EXPECT_EQ(ml::pickle::Dumps(lr_mat), ml::pickle::Dumps(lr_src));
+      auto lr_pm = lr_mat.Predict(xm);
+      auto lr_ps = lr_src.Predict(xm);
+      ASSERT_TRUE(lr_pm.ok() && lr_ps.ok());
+      EXPECT_EQ(lr_pm.ValueOrDie(), lr_ps.ValueOrDie());
+      auto lr_cm = lr_mat.PredictProba(xm, 1);
+      auto lr_cs = lr_src.PredictProba(xm, 1);
+      ASSERT_TRUE(lr_cm.ok() && lr_cs.ok());
+      EXPECT_EQ(lr_cm.ValueOrDie(), lr_cs.ValueOrDie());
     }
   }
 }

@@ -91,32 +91,6 @@ TEST(TrainingCodesTest, ThresholdSeparatesAdjacentCodes) {
   }
 }
 
-TEST(TrainingCodesTest, FactorizedFeatureCodesLikeItsDenseEquivalent) {
-  Rng rng(8);
-  const size_t kKeys = 40, kRows = 900;
-  std::vector<double> lut(kKeys);
-  for (double& v : lut) v = std::floor(rng.NextGaussian() * 10) / 4;
-  lut[3] = kNaN;
-  std::vector<uint32_t> keys(kRows);
-  for (uint32_t& k : keys) k = static_cast<uint32_t>(rng.NextBounded(kKeys));
-  Matrix dense(kRows, 1);
-  for (size_t r = 0; r < kRows; ++r) dense.Set(r, 0, lut[keys[r]]);
-
-  TrainingSource source;
-  ASSERT_TRUE(source.SetKeys(keys, kKeys).ok());
-  ASSERT_TRUE(source.AddFactorizedFeature(lut).ok());
-  Labels y(kRows, 0);
-  for (size_t max_codes : {size_t{6}, size_t{255}}) {
-    auto fact = TrainingCodes::Build(source, y, {0}, max_codes, false);
-    ASSERT_TRUE(fact.ok());
-    TrainingCodes flat = Code(dense, max_codes);
-    ASSERT_TRUE(fact.ValueOrDie().factorized(0));
-    for (size_t r = 0; r < kRows; ++r) {
-      EXPECT_EQ(fact.ValueOrDie().codes(0)[keys[r]], flat.codes(0)[r]);
-    }
-  }
-}
-
 TEST(TrainingCodesTest, CodingIgnoresThePool) {
   Rng rng(2);
   Matrix x(3000, 30);

@@ -78,13 +78,13 @@ Rules
   matrix-materialize    Dense-matrix materialization (`Matrix::FromColumns`
                         / `Matrix::FromTable`, `DecodeTable`, `.ToMatrix(`)
                         inside src/ml/ outside matrix.{h,cc} — trainers
-                        consume `ml::TrainingSource` (per-key LUTs behind a
-                        shared key column, DESIGN.md §14) so dimension
-                        features are never gathered per fact row. The dense
-                        fallback funnels through TrainingSource::FromMatrix,
-                        which borrows an already-built matrix. Deliberate
-                        conversions (e.g. a UDF boundary that receives
-                        columns) opt out with
+                        consume `ml::TrainingSource` (DESIGN.md §14), which
+                        reads plain table columns in place
+                        (TrainingSource::FromColumns) or borrows an
+                        already-built matrix (TrainingSource::FromMatrix),
+                        so a fit never copies its input into a second
+                        matrix. Deliberate conversions (e.g. a model that
+                        only predicts from a Matrix) opt out with
                         `// lint:allow(matrix-materialize)` plus a reason.
   signal-unsafe         Async-signal-unsafe construct in the crash-handler
                         translation unit (src/obs/crash_dump.cc): heap
@@ -603,8 +603,8 @@ def check_matrix_materialize(path, relpath, lines):
             continue
         report(path, i + 1, "matrix-materialize",
                "dense-matrix materialization in ML training code; consume "
-               "an ml::TrainingSource (DESIGN.md §14) instead of gathering "
-               "the join output, or justify with "
+               "an ml::TrainingSource (DESIGN.md §14) instead of copying "
+               "the columns, or justify with "
                "`// lint:allow(matrix-materialize)`")
 
 
