@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "common/string_util.h"
-#include "storage/encoding.h"
 
 namespace mlcs::io {
 
@@ -226,7 +225,6 @@ Result<TablePtr> ReadCsv(const std::string& path, const Schema& schema,
       MLCS_RETURN_IF_ERROR(AppendField(table->column(c).get(), fields[c]));
     }
   }
-  if (options.auto_encode) return EncodeTable(table);
   return table;
 }
 

@@ -11,10 +11,6 @@ namespace mlcs::io {
 struct CsvOptions {
   char delimiter = ',';
   bool has_header = true;
-  /// Run EncodeTable over the loaded table (dictionary/RLE auto-detect,
-  /// storage/encoding.h). Off by default: callers that read payload
-  /// vectors straight off the result must opt in deliberately.
-  bool auto_encode = false;
 };
 
 /// Writes a table as delimited text. VARCHAR fields containing the

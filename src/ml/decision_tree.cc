@@ -52,11 +52,6 @@ struct DecisionTree::Grower {
 DecisionTree::DecisionTree(DecisionTreeOptions options)
     : options_(options) {}
 
-Status DecisionTree::Fit(const Matrix& x, const Labels& y) {
-  MLCS_RETURN_IF_ERROR(internal::CheckFitInputs(x, y));
-  return FitSource(TrainingSource::FromMatrix(x), y);
-}
-
 Status DecisionTree::FitSource(const TrainingSource& x, const Labels& y) {
   MLCS_RETURN_IF_ERROR(internal::CheckFitInputs(x, y));
   MLCS_ASSIGN_OR_RETURN(
@@ -295,26 +290,6 @@ size_t DecisionTree::WalkToLeaf(const FeatureView* features,
   return node;
 }
 
-Result<Labels> DecisionTree::Predict(const Matrix& x) const {
-  return PredictSource(TrainingSource::FromMatrix(x));
-}
-
-Result<Labels> DecisionTree::PredictSource(const TrainingSource& x) const {
-  MLCS_RETURN_IF_ERROR(
-      internal::CheckPredictInputs(x, num_features_, fitted()));
-  std::vector<FeatureView> features = x.views();
-  Labels out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    const auto& probs = nodes_[WalkToLeaf(features.data(), r)].probs;
-    size_t best = 0;
-    for (size_t c = 1; c < probs.size(); ++c) {
-      if (probs[c] > probs[best]) best = c;
-    }
-    out[r] = classes_[best];
-  }
-  return out;
-}
-
 void DecisionTree::AddDistribution(const FeatureView* features, size_t begin,
                                    size_t end, double* out) const {
   size_t num_classes = classes_.size();
@@ -324,33 +299,13 @@ void DecisionTree::AddDistribution(const FeatureView* features, size_t begin,
   }
 }
 
-Result<std::vector<double>> DecisionTree::PredictProba(const Matrix& x,
-                                                       int32_t cls) const {
+Result<std::vector<double>> DecisionTree::PredictDistribution(
+    const TrainingSource& x) const {
   MLCS_RETURN_IF_ERROR(
       internal::CheckPredictInputs(x, num_features_, fitted()));
-  MLCS_ASSIGN_OR_RETURN(size_t cls_idx, internal::ClassIndex(classes_, cls));
-  TrainingSource source = TrainingSource::FromMatrix(x);
-  std::vector<FeatureView> features = source.views();
-  std::vector<double> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    out[r] = nodes_[WalkToLeaf(features.data(), r)].probs[cls_idx];
-  }
-  return out;
-}
-
-Result<std::vector<double>> DecisionTree::PredictConfidence(
-    const Matrix& x) const {
-  MLCS_RETURN_IF_ERROR(
-      internal::CheckPredictInputs(x, num_features_, fitted()));
-  TrainingSource source = TrainingSource::FromMatrix(x);
-  std::vector<FeatureView> features = source.views();
-  std::vector<double> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    const auto& probs = nodes_[WalkToLeaf(features.data(), r)].probs;
-    float best = 0;
-    for (float p : probs) best = std::max(best, p);
-    out[r] = best;
-  }
+  std::vector<FeatureView> features = x.views();
+  std::vector<double> out(x.rows() * classes_.size(), 0.0);
+  AddDistribution(features.data(), 0, x.rows(), out.data());
   return out;
 }
 

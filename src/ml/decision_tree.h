@@ -37,21 +37,15 @@ class DecisionTree : public Model {
   explicit DecisionTree(DecisionTreeOptions options = {});
 
   ModelType type() const override { return ModelType::kDecisionTree; }
-  Status Fit(const Matrix& x, const Labels& y) override;
-  Result<Labels> Predict(const Matrix& x) const override;
-  Result<Labels> PredictSource(const TrainingSource& x) const override;
-  Result<std::vector<double>> PredictProba(const Matrix& x,
-                                           int32_t cls) const override;
-  Result<std::vector<double>> PredictConfidence(
-      const Matrix& x) const override;
+  /// Codes the TrainingSource once (TrainingCodes, DESIGN.md §14) and
+  /// grows the tree from per-code class counts.
+  Status FitSource(const TrainingSource& x, const Labels& y) override;
+  /// Each row's leaf distribution (AddDistribution).
+  Result<std::vector<double>> PredictDistribution(
+      const TrainingSource& x) const override;
   const std::vector<int32_t>& classes() const override { return classes_; }
   std::string ParamsString() const override;
   void Serialize(ByteWriter* writer) const override;
-
-  /// Codes the TrainingSource once (TrainingCodes, DESIGN.md §14) and
-  /// grows the tree from per-code class counts. Fit funnels through here
-  /// via TrainingSource::FromMatrix.
-  Status FitSource(const TrainingSource& x, const Labels& y);
 
   /// Grows the tree on `rows` of an already-coded training set (repeats
   /// allowed: a bootstrap sample), adopting its class set — how a random

@@ -7,7 +7,7 @@ namespace mlcs::ml {
 
 Knn::Knn(KnnOptions options) : options_(options) {}
 
-Status Knn::Fit(const Matrix& x, const Labels& y) {
+Status Knn::FitSource(const TrainingSource& x, const Labels& y) {
   MLCS_RETURN_IF_ERROR(internal::CheckFitInputs(x, y));
   if (options_.k == 0) return Status::InvalidArgument("k must be positive");
   classes_ = internal::DistinctClasses(y);
@@ -17,13 +17,13 @@ Status Knn::Fit(const Matrix& x, const Labels& y) {
   mean_.assign(d, 0.0);
   std_.assign(d, 1.0);
   for (size_t c = 0; c < d; ++c) {
-    const auto& col = x.column(c);
+    FeatureView col = x.view(c);
     double sum = 0;
-    for (double v : col) sum += std::isnan(v) ? 0.0 : v;
+    for (size_t r = 0; r < n; ++r) sum += std::isnan(col[r]) ? 0.0 : col[r];
     mean_[c] = sum / static_cast<double>(n);
     double var = 0;
-    for (double v : col) {
-      double e = (std::isnan(v) ? 0.0 : v) - mean_[c];
+    for (size_t r = 0; r < n; ++r) {
+      double e = (std::isnan(col[r]) ? 0.0 : col[r]) - mean_[c];
       var += e * e;
     }
     var /= static_cast<double>(n);
@@ -31,7 +31,7 @@ Status Knn::Fit(const Matrix& x, const Labels& y) {
   }
   train_ = Matrix(n, d);
   for (size_t c = 0; c < d; ++c) {
-    const auto& src = x.column(c);
+    FeatureView src = x.view(c);
     auto& dst = train_.column(c);
     for (size_t r = 0; r < n; ++r) {
       double v = std::isnan(src[r]) ? 0.0 : src[r];
@@ -42,19 +42,20 @@ Status Knn::Fit(const Matrix& x, const Labels& y) {
   return Status::OK();
 }
 
-Result<std::vector<std::vector<double>>> Knn::VoteDistribution(
-    const Matrix& x) const {
+Result<std::vector<double>> Knn::PredictDistribution(
+    const TrainingSource& x) const {
   MLCS_RETURN_IF_ERROR(
       internal::CheckPredictInputs(x, num_features_, fitted()));
   size_t n = x.rows(), d = x.cols(), m = train_.rows();
   size_t k = std::min(options_.k, m);
-  std::vector<std::vector<double>> votes(
-      n, std::vector<double>(classes_.size(), 0.0));
+  size_t num_classes = classes_.size();
+  std::vector<double> votes(n * num_classes, 0.0);
+  std::vector<FeatureView> features = x.views();
   std::vector<std::pair<double, size_t>> distances(m);
   std::vector<double> probe(d);
   for (size_t r = 0; r < n; ++r) {
     for (size_t c = 0; c < d; ++c) {
-      double v = x.At(r, c);
+      double v = features[c][r];
       probe[c] = ((std::isnan(v) ? 0.0 : v) - mean_[c]) / std_[c];
     }
     for (size_t t = 0; t < m; ++t) {
@@ -67,47 +68,17 @@ Result<std::vector<std::vector<double>>> Knn::VoteDistribution(
     }
     std::partial_sort(distances.begin(), distances.begin() + k,
                       distances.end());
+    double* row = &votes[r * num_classes];
     for (size_t i = 0; i < k; ++i) {
       size_t t = distances[i].second;
       auto idx = internal::ClassIndex(classes_, train_labels_[t]);
-      votes[r][idx.ValueOr(0)] += 1.0;
+      row[idx.ValueOr(0)] += 1.0;
     }
-    for (auto& v : votes[r]) v /= static_cast<double>(k);
+    for (size_t c = 0; c < num_classes; ++c) {
+      row[c] /= static_cast<double>(k);
+    }
   }
   return votes;
-}
-
-Result<Labels> Knn::Predict(const Matrix& x) const {
-  MLCS_ASSIGN_OR_RETURN(auto votes, VoteDistribution(x));
-  Labels out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    size_t best = 0;
-    for (size_t c = 1; c < classes_.size(); ++c) {
-      if (votes[r][c] > votes[r][best]) best = c;
-    }
-    out[r] = classes_[best];
-  }
-  return out;
-}
-
-Result<std::vector<double>> Knn::PredictProba(const Matrix& x,
-                                              int32_t cls) const {
-  MLCS_ASSIGN_OR_RETURN(size_t idx, internal::ClassIndex(classes_, cls));
-  MLCS_ASSIGN_OR_RETURN(auto votes, VoteDistribution(x));
-  std::vector<double> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) out[r] = votes[r][idx];
-  return out;
-}
-
-Result<std::vector<double>> Knn::PredictConfidence(const Matrix& x) const {
-  MLCS_ASSIGN_OR_RETURN(auto votes, VoteDistribution(x));
-  std::vector<double> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    double best = 0;
-    for (double v : votes[r]) best = std::max(best, v);
-    out[r] = best;
-  }
-  return out;
 }
 
 std::string Knn::ParamsString() const {

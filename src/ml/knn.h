@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "ml/model.h"
+#include "ml/training_source.h"
 
 namespace mlcs::ml {
 
@@ -22,12 +23,10 @@ class Knn : public Model {
   explicit Knn(KnnOptions options = {});
 
   ModelType type() const override { return ModelType::kKnn; }
-  Status Fit(const Matrix& x, const Labels& y) override;
-  Result<Labels> Predict(const Matrix& x) const override;
-  Result<std::vector<double>> PredictProba(const Matrix& x,
-                                           int32_t cls) const override;
-  Result<std::vector<double>> PredictConfidence(
-      const Matrix& x) const override;
+  Status FitSource(const TrainingSource& x, const Labels& y) override;
+  /// Share of each class among a row's k nearest training rows.
+  Result<std::vector<double>> PredictDistribution(
+      const TrainingSource& x) const override;
   const std::vector<int32_t>& classes() const override { return classes_; }
   std::string ParamsString() const override;
   void Serialize(ByteWriter* writer) const override;
@@ -35,10 +34,6 @@ class Knn : public Model {
   static Result<std::unique_ptr<Knn>> DeserializeBody(ByteReader* reader);
 
  private:
-  /// Vote distribution per row over class indices.
-  Result<std::vector<std::vector<double>>> VoteDistribution(
-      const Matrix& x) const;
-
   KnnOptions options_;
   std::vector<int32_t> classes_;
   size_t num_features_ = 0;

@@ -13,11 +13,6 @@ double Sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
 LogisticRegression::LogisticRegression(LogisticRegressionOptions options)
     : options_(options) {}
 
-Status LogisticRegression::Fit(const Matrix& x, const Labels& y) {
-  MLCS_RETURN_IF_ERROR(internal::CheckFitInputs(x, y));
-  return FitSource(TrainingSource::FromMatrix(x), y);
-}
-
 Status LogisticRegression::FitSource(const TrainingSource& x,
                                      const Labels& y) {
   MLCS_RETURN_IF_ERROR(internal::CheckFitInputs(x, y));
@@ -94,17 +89,17 @@ Status LogisticRegression::FitSource(const TrainingSource& x,
   return Status::OK();
 }
 
-Result<std::vector<std::vector<double>>> LogisticRegression::Scores(
-    const Matrix& x) const {
+Result<std::vector<double>> LogisticRegression::PredictDistribution(
+    const TrainingSource& x) const {
   MLCS_RETURN_IF_ERROR(
       internal::CheckPredictInputs(x, num_features_, fitted()));
   size_t n = x.rows(), d = x.cols(), k = classes_.size();
-  std::vector<std::vector<double>> scores(n, std::vector<double>(k, 0.0));
+  std::vector<double> scores(n * k, 0.0);
   std::vector<double> margin(n);
   for (size_t cls = 0; cls < k; ++cls) {
     std::fill(margin.begin(), margin.end(), bias_[cls]);
     for (size_t c = 0; c < d; ++c) {
-      const auto& col = x.column(c);
+      FeatureView col = x.view(c);
       double wc = weights_[cls][c];
       if (wc == 0.0) continue;
       double inv_std = 1.0 / std_[c];
@@ -113,53 +108,19 @@ Result<std::vector<std::vector<double>>> LogisticRegression::Scores(
         margin[r] += wc * (v - mean_[c]) * inv_std;
       }
     }
-    for (size_t r = 0; r < n; ++r) scores[r][cls] = Sigmoid(margin[r]);
+    for (size_t r = 0; r < n; ++r) scores[r * k + cls] = Sigmoid(margin[r]);
   }
   // Normalize across classes so rows form a distribution.
-  for (auto& row : scores) {
+  for (double* row = scores.data(); row != scores.data() + n * k; row += k) {
     double sum = 0;
-    for (double v : row) sum += v;
+    for (size_t c = 0; c < k; ++c) sum += row[c];
     if (sum > 0) {
-      for (double& v : row) v /= sum;
+      for (size_t c = 0; c < k; ++c) row[c] /= sum;
     } else {
-      for (double& v : row) v = 1.0 / static_cast<double>(k);
+      for (size_t c = 0; c < k; ++c) row[c] = 1.0 / static_cast<double>(k);
     }
   }
   return scores;
-}
-
-Result<Labels> LogisticRegression::Predict(const Matrix& x) const {
-  MLCS_ASSIGN_OR_RETURN(auto scores, Scores(x));
-  Labels out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    size_t best = 0;
-    for (size_t c = 1; c < classes_.size(); ++c) {
-      if (scores[r][c] > scores[r][best]) best = c;
-    }
-    out[r] = classes_[best];
-  }
-  return out;
-}
-
-Result<std::vector<double>> LogisticRegression::PredictProba(
-    const Matrix& x, int32_t cls) const {
-  MLCS_ASSIGN_OR_RETURN(size_t idx, internal::ClassIndex(classes_, cls));
-  MLCS_ASSIGN_OR_RETURN(auto scores, Scores(x));
-  std::vector<double> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) out[r] = scores[r][idx];
-  return out;
-}
-
-Result<std::vector<double>> LogisticRegression::PredictConfidence(
-    const Matrix& x) const {
-  MLCS_ASSIGN_OR_RETURN(auto scores, Scores(x));
-  std::vector<double> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    double best = 0;
-    for (double v : scores[r]) best = std::max(best, v);
-    out[r] = best;
-  }
-  return out;
 }
 
 std::string LogisticRegression::ParamsString() const {

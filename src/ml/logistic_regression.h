@@ -24,16 +24,10 @@ class LogisticRegression : public Model {
   explicit LogisticRegression(LogisticRegressionOptions options = {});
 
   ModelType type() const override { return ModelType::kLogisticRegression; }
-  Status Fit(const Matrix& x, const Labels& y) override;
-  /// Fits from a TrainingSource (table columns read in place); Fit
-  /// funnels through here via TrainingSource::FromMatrix, so both give
-  /// bit-identical weights for the same values.
-  Status FitSource(const TrainingSource& x, const Labels& y);
-  Result<Labels> Predict(const Matrix& x) const override;
-  Result<std::vector<double>> PredictProba(const Matrix& x,
-                                           int32_t cls) const override;
-  Result<std::vector<double>> PredictConfidence(
-      const Matrix& x) const override;
+  Status FitSource(const TrainingSource& x, const Labels& y) override;
+  /// Per-class sigmoid scores, normalized across classes per row.
+  Result<std::vector<double>> PredictDistribution(
+      const TrainingSource& x) const override;
   const std::vector<int32_t>& classes() const override { return classes_; }
   std::string ParamsString() const override;
   void Serialize(ByteWriter* writer) const override;
@@ -42,9 +36,6 @@ class LogisticRegression : public Model {
       ByteReader* reader);
 
  private:
-  /// Per-class scores normalized across classes: out[r][c].
-  Result<std::vector<std::vector<double>>> Scores(const Matrix& x) const;
-
   LogisticRegressionOptions options_;
   std::vector<int32_t> classes_;
   size_t num_features_ = 0;

@@ -6,7 +6,7 @@ namespace mlcs::ml {
 
 NaiveBayes::NaiveBayes(NaiveBayesOptions options) : options_(options) {}
 
-Status NaiveBayes::Fit(const Matrix& x, const Labels& y) {
+Status NaiveBayes::FitSource(const TrainingSource& x, const Labels& y) {
   MLCS_RETURN_IF_ERROR(internal::CheckFitInputs(x, y));
   classes_ = internal::DistinctClasses(y);
   num_features_ = x.cols();
@@ -22,7 +22,7 @@ Status NaiveBayes::Fit(const Matrix& x, const Labels& y) {
     counts[c] += 1.0;
   }
   for (size_t f = 0; f < d; ++f) {
-    const auto& col = x.column(f);
+    FeatureView col = x.view(f);
     for (size_t r = 0; r < n; ++r) {
       double v = std::isnan(col[r]) ? 0.0 : col[r];
       mean_[cls_of_row[r]][f] += v;
@@ -33,7 +33,7 @@ Status NaiveBayes::Fit(const Matrix& x, const Labels& y) {
   }
   double max_var = 0;
   for (size_t f = 0; f < d; ++f) {
-    const auto& col = x.column(f);
+    FeatureView col = x.view(f);
     for (size_t r = 0; r < n; ++r) {
       double v = std::isnan(col[r]) ? 0.0 : col[r];
       double e = v - mean_[cls_of_row[r]][f];
@@ -57,19 +57,18 @@ Status NaiveBayes::Fit(const Matrix& x, const Labels& y) {
   return Status::OK();
 }
 
-Result<std::vector<std::vector<double>>> NaiveBayes::Posteriors(
-    const Matrix& x) const {
+Result<std::vector<double>> NaiveBayes::PredictDistribution(
+    const TrainingSource& x) const {
   MLCS_RETURN_IF_ERROR(
       internal::CheckPredictInputs(x, num_features_, fitted()));
   size_t n = x.rows(), d = x.cols(), k = classes_.size();
-  std::vector<std::vector<double>> log_post(n,
-                                            std::vector<double>(k, 0.0));
+  std::vector<double> log_post(n * k, 0.0);
   constexpr double kLog2Pi = 1.8378770664093453;
   for (size_t c = 0; c < k; ++c) {
     double base = log_prior_[c];
-    for (size_t r = 0; r < n; ++r) log_post[r][c] = base;
+    for (size_t r = 0; r < n; ++r) log_post[r * k + c] = base;
     for (size_t f = 0; f < d; ++f) {
-      const auto& col = x.column(f);
+      FeatureView col = x.view(f);
       double m = mean_[c][f];
       double v = var_[c][f];
       double inv2v = 0.5 / v;
@@ -77,56 +76,23 @@ Result<std::vector<std::vector<double>>> NaiveBayes::Posteriors(
       for (size_t r = 0; r < n; ++r) {
         double value = std::isnan(col[r]) ? 0.0 : col[r];
         double e = value - m;
-        log_post[r][c] += log_norm - e * e * inv2v;
+        log_post[r * k + c] += log_norm - e * e * inv2v;
       }
     }
   }
   // Softmax per row (log-sum-exp stabilized).
-  for (auto& row : log_post) {
+  for (double* row = log_post.data(); row != log_post.data() + n * k;
+       row += k) {
     double mx = row[0];
-    for (double v : row) mx = std::max(mx, v);
+    for (size_t c = 0; c < k; ++c) mx = std::max(mx, row[c]);
     double sum = 0;
-    for (double& v : row) {
-      v = std::exp(v - mx);
-      sum += v;
+    for (size_t c = 0; c < k; ++c) {
+      row[c] = std::exp(row[c] - mx);
+      sum += row[c];
     }
-    for (double& v : row) v /= sum;
+    for (size_t c = 0; c < k; ++c) row[c] /= sum;
   }
   return log_post;
-}
-
-Result<Labels> NaiveBayes::Predict(const Matrix& x) const {
-  MLCS_ASSIGN_OR_RETURN(auto post, Posteriors(x));
-  Labels out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    size_t best = 0;
-    for (size_t c = 1; c < classes_.size(); ++c) {
-      if (post[r][c] > post[r][best]) best = c;
-    }
-    out[r] = classes_[best];
-  }
-  return out;
-}
-
-Result<std::vector<double>> NaiveBayes::PredictProba(const Matrix& x,
-                                                     int32_t cls) const {
-  MLCS_ASSIGN_OR_RETURN(size_t idx, internal::ClassIndex(classes_, cls));
-  MLCS_ASSIGN_OR_RETURN(auto post, Posteriors(x));
-  std::vector<double> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) out[r] = post[r][idx];
-  return out;
-}
-
-Result<std::vector<double>> NaiveBayes::PredictConfidence(
-    const Matrix& x) const {
-  MLCS_ASSIGN_OR_RETURN(auto post, Posteriors(x));
-  std::vector<double> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    double best = 0;
-    for (double v : post[r]) best = std::max(best, v);
-    out[r] = best;
-  }
-  return out;
 }
 
 std::string NaiveBayes::ParamsString() const {

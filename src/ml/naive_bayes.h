@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "ml/model.h"
+#include "ml/training_source.h"
 
 namespace mlcs::ml {
 
@@ -21,12 +22,10 @@ class NaiveBayes : public Model {
   explicit NaiveBayes(NaiveBayesOptions options = {});
 
   ModelType type() const override { return ModelType::kNaiveBayes; }
-  Status Fit(const Matrix& x, const Labels& y) override;
-  Result<Labels> Predict(const Matrix& x) const override;
-  Result<std::vector<double>> PredictProba(const Matrix& x,
-                                           int32_t cls) const override;
-  Result<std::vector<double>> PredictConfidence(
-      const Matrix& x) const override;
+  Status FitSource(const TrainingSource& x, const Labels& y) override;
+  /// Row-normalized posterior per class.
+  Result<std::vector<double>> PredictDistribution(
+      const TrainingSource& x) const override;
   const std::vector<int32_t>& classes() const override { return classes_; }
   std::string ParamsString() const override;
   void Serialize(ByteWriter* writer) const override;
@@ -35,9 +34,6 @@ class NaiveBayes : public Model {
       ByteReader* reader);
 
  private:
-  /// Row-normalized posterior per class.
-  Result<std::vector<std::vector<double>>> Posteriors(const Matrix& x) const;
-
   NaiveBayesOptions options_;
   std::vector<int32_t> classes_;
   size_t num_features_ = 0;

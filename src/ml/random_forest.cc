@@ -17,11 +17,6 @@ constexpr size_t kPredictBlockRows = 2048;
 
 RandomForest::RandomForest(RandomForestOptions options) : options_(options) {}
 
-Status RandomForest::Fit(const Matrix& x, const Labels& y) {
-  MLCS_RETURN_IF_ERROR(internal::CheckFitInputs(x, y));
-  return FitSource(TrainingSource::FromMatrix(x), y);
-}
-
 Status RandomForest::FitSource(const TrainingSource& x, const Labels& y) {
   MLCS_RETURN_IF_ERROR(internal::CheckFitInputs(x, y));
   if (options_.n_estimators <= 0) {
@@ -100,7 +95,7 @@ Status RandomForest::FitSource(const TrainingSource& x, const Labels& y) {
   return Status::OK();
 }
 
-Result<std::vector<double>> RandomForest::AverageDistribution(
+Result<std::vector<double>> RandomForest::PredictDistribution(
     const TrainingSource& x) const {
   MLCS_RETURN_IF_ERROR(
       internal::CheckPredictInputs(x, num_features_, fitted()));
@@ -126,53 +121,6 @@ Result<std::vector<double>> RandomForest::AverageDistribution(
       });
   MLCS_RETURN_IF_ERROR(st);
   return avg;
-}
-
-Result<Labels> RandomForest::Predict(const Matrix& x) const {
-  return PredictSource(TrainingSource::FromMatrix(x));
-}
-
-Result<Labels> RandomForest::PredictSource(const TrainingSource& x) const {
-  MLCS_ASSIGN_OR_RETURN(auto avg, AverageDistribution(x));
-  size_t num_classes = classes_.size();
-  Labels out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    const double* row = &avg[r * num_classes];
-    size_t best = 0;
-    for (size_t c = 1; c < num_classes; ++c) {
-      if (row[c] > row[best]) best = c;
-    }
-    out[r] = classes_[best];
-  }
-  return out;
-}
-
-Result<std::vector<double>> RandomForest::PredictProba(const Matrix& x,
-                                                       int32_t cls) const {
-  MLCS_ASSIGN_OR_RETURN(size_t cls_idx, internal::ClassIndex(classes_, cls));
-  MLCS_ASSIGN_OR_RETURN(auto avg,
-                        AverageDistribution(TrainingSource::FromMatrix(x)));
-  std::vector<double> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    out[r] = avg[r * classes_.size() + cls_idx];
-  }
-  return out;
-}
-
-Result<std::vector<double>> RandomForest::PredictConfidence(
-    const Matrix& x) const {
-  MLCS_ASSIGN_OR_RETURN(auto avg,
-                        AverageDistribution(TrainingSource::FromMatrix(x)));
-  size_t num_classes = classes_.size();
-  std::vector<double> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    double best = 0;
-    for (size_t c = 0; c < num_classes; ++c) {
-      best = std::max(best, avg[r * num_classes + c]);
-    }
-    out[r] = best;
-  }
-  return out;
 }
 
 Result<std::vector<double>> RandomForest::FeatureImportances() const {

@@ -35,17 +35,12 @@ class RandomForest : public Model {
   explicit RandomForest(RandomForestOptions options = {});
 
   ModelType type() const override { return ModelType::kRandomForest; }
-  Status Fit(const Matrix& x, const Labels& y) override;
   /// Codes the TrainingSource once (TrainingCodes), then every tree
-  /// bootstraps and grows from those codes. Fit funnels through here via
-  /// TrainingSource::FromMatrix.
-  Status FitSource(const TrainingSource& x, const Labels& y);
-  Result<Labels> Predict(const Matrix& x) const override;
-  Result<Labels> PredictSource(const TrainingSource& x) const override;
-  Result<std::vector<double>> PredictProba(const Matrix& x,
-                                           int32_t cls) const override;
-  Result<std::vector<double>> PredictConfidence(
-      const Matrix& x) const override;
+  /// bootstraps and grows from those codes.
+  Status FitSource(const TrainingSource& x, const Labels& y) override;
+  /// The trees' leaf distributions averaged per row.
+  Result<std::vector<double>> PredictDistribution(
+      const TrainingSource& x) const override;
   const std::vector<int32_t>& classes() const override { return classes_; }
   std::string ParamsString() const override;
   void Serialize(ByteWriter* writer) const override;
@@ -61,11 +56,6 @@ class RandomForest : public Model {
   const RandomForestOptions& options() const { return options_; }
 
  private:
-  /// Tree-distribution average per row (class-index space), flattened
-  /// [row × class].
-  Result<std::vector<double>> AverageDistribution(
-      const TrainingSource& x) const;
-
   RandomForestOptions options_;
   std::vector<int32_t> classes_;
   size_t num_features_ = 0;

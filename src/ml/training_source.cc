@@ -61,14 +61,4 @@ std::vector<FeatureView> TrainingSource::views() const {
   return out;
 }
 
-Matrix TrainingSource::ToMatrix() const {
-  Matrix m(rows_, features_.size());
-  for (size_t f = 0; f < features_.size(); ++f) {
-    FeatureView v = view(f);
-    std::vector<double>& dst = m.column(f);
-    for (size_t r = 0; r < rows_; ++r) dst[r] = v[r];
-  }
-  return m;
-}
-
 }  // namespace mlcs::ml

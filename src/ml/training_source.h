@@ -30,13 +30,13 @@ class FeatureView {
   const int32_t* i32_ = nullptr;
 };
 
-/// The dense feature input every tree, forest and logistic-regression fit
-/// reads (DESIGN.md §14): n rows × d features, like a Matrix, but able to
-/// borrow table columns without copying them. Build it by borrowing a
-/// fitted Matrix (FromMatrix — the external channels' path) or table
-/// columns (FromColumns — the in-database UDFs, which never build a
-/// Matrix). Trainers read it through FeatureView; the tree models also
-/// predict through one (Model::PredictSource).
+/// The dense feature input every model fits and predicts from (DESIGN.md
+/// §14): n rows × d features, like a Matrix, but able to borrow table
+/// columns without copying them. Build it by borrowing a Matrix
+/// (FromMatrix — Model::Fit/Predict and the external channels' path) or
+/// table columns (FromColumns — the in-database UDFs, which never build a
+/// Matrix). Models read it through FeatureView (Model::FitSource,
+/// Model::PredictDistribution).
 class TrainingSource {
  public:
   TrainingSource() = default;
@@ -60,8 +60,6 @@ class TrainingSource {
   FeatureView view(size_t f) const;
   /// view(f) for every feature, in order.
   std::vector<FeatureView> views() const;
-  /// Dense copy, for models that only predict from a Matrix.
-  Matrix ToMatrix() const;
 
  private:
   struct Feature {

@@ -2,6 +2,8 @@
 
 #include <map>
 
+#include "ml/training_source.h"
+
 namespace mlcs::modelstore {
 
 namespace {
@@ -16,14 +18,21 @@ Status CheckModels(const std::vector<ml::ModelPtr>& models) {
   }
   return Status::OK();
 }
-}  // namespace
 
-Result<std::vector<size_t>> WinningModelPerRow(
-    const std::vector<ml::ModelPtr>& models, const ml::Matrix& x) {
+/// The highest-confidence model per row, from one distribution per model;
+/// also keeps every model's labels when `labels` is set.
+Result<std::vector<size_t>> Winners(const std::vector<ml::ModelPtr>& models,
+                                    const ml::Matrix& x,
+                                    std::vector<ml::Labels>* labels) {
   MLCS_RETURN_IF_ERROR(CheckModels(models));
+  ml::TrainingSource source = ml::TrainingSource::FromMatrix(x);
   std::vector<std::vector<double>> confidences(models.size());
+  if (labels != nullptr) labels->resize(models.size());
   for (size_t m = 0; m < models.size(); ++m) {
-    MLCS_ASSIGN_OR_RETURN(confidences[m], models[m]->PredictConfidence(x));
+    MLCS_ASSIGN_OR_RETURN(std::vector<double> dist,
+                          models[m]->PredictDistribution(source));
+    confidences[m] = models[m]->ConfidencesOf(dist);
+    if (labels != nullptr) (*labels)[m] = models[m]->LabelsOf(dist);
   }
   std::vector<size_t> winner(x.rows(), 0);
   for (size_t r = 0; r < x.rows(); ++r) {
@@ -34,14 +43,18 @@ Result<std::vector<size_t>> WinningModelPerRow(
   return winner;
 }
 
+}  // namespace
+
+Result<std::vector<size_t>> WinningModelPerRow(
+    const std::vector<ml::ModelPtr>& models, const ml::Matrix& x) {
+  return Winners(models, x, nullptr);
+}
+
 Result<ml::Labels> PredictHighestConfidence(
     const std::vector<ml::ModelPtr>& models, const ml::Matrix& x) {
+  std::vector<ml::Labels> predictions;
   MLCS_ASSIGN_OR_RETURN(std::vector<size_t> winner,
-                        WinningModelPerRow(models, x));
-  std::vector<ml::Labels> predictions(models.size());
-  for (size_t m = 0; m < models.size(); ++m) {
-    MLCS_ASSIGN_OR_RETURN(predictions[m], models[m]->Predict(x));
-  }
+                        Winners(models, x, &predictions));
   ml::Labels out(x.rows());
   for (size_t r = 0; r < x.rows(); ++r) out[r] = predictions[winner[r]][r];
   return out;

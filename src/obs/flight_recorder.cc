@@ -121,7 +121,15 @@ void FlightRecorder::PublishCrashSlot(const RecordedTrace& trace) {
   crash::TraceSlot& slot = state.trace_slots[idx];
   char name[160];
   CopySanitized(name, sizeof(name), trace.root_name);
-  slot.seq.fetch_add(1, std::memory_order_acq_rel);  // odd: mid-write
+  // One writer per slot, which it claims by making seq odd. The ring
+  // wraps, so a writer stalled mid-write can meet the next writer of its
+  // slot; the later one leaves its trace out.
+  uint32_t seq = slot.seq.load(std::memory_order_relaxed);
+  if ((seq & 1) != 0 ||
+      !slot.seq.compare_exchange_strong(seq, seq + 1,
+                                        std::memory_order_acq_rel)) {
+    return;
+  }
   int n = std::snprintf(
       slot.data, crash::kTraceSlotBytes,
       "{\"trace_id\":%llu,\"name\":\"%s\",\"duration_ms\":%.3f,"

@@ -195,6 +195,38 @@ ColumnPtr SplitMaskColumn(const Column& voter_id, uint64_t seed,
   return Column::FromBool(std::move(mask));
 }
 
+namespace {
+
+/// The UDF `name(classifier, features...)`: `load` turns the model BLOB
+/// into a model, which predicts from the feature columns in place.
+udf::ScalarUdfEntry PredictUdf(
+    const std::string& name,
+    Result<ml::ModelPtr> (*load)(const std::string& blob)) {
+  udf::ScalarUdfEntry entry;
+  entry.name = name;
+  entry.return_type = TypeId::kInt32;
+  entry.has_return_type = true;
+  entry.fn = [name, load](const std::vector<ColumnPtr>& args,
+                          size_t /*num_rows*/) -> Result<ColumnPtr> {
+    if (args.size() < 2) {
+      return Status::InvalidArgument(name + "(classifier, features...)");
+    }
+    MLCS_ASSIGN_OR_RETURN(Value blob, args[0]->GetValue(0));
+    if (blob.type() != TypeId::kBlob) {
+      return Status::TypeMismatch("first argument must be the model BLOB");
+    }
+    MLCS_ASSIGN_OR_RETURN(ml::ModelPtr model, load(blob.blob_value()));
+    std::vector<ColumnPtr> features(args.begin() + 1, args.end());
+    MLCS_ASSIGN_OR_RETURN(ml::TrainingSource x,
+                          ml::TrainingSource::FromColumns(features));
+    MLCS_ASSIGN_OR_RETURN(ml::Labels pred, model->PredictSource(x));
+    return Column::FromInt32(std::move(pred));
+  };
+  return entry;
+}
+
+}  // namespace
+
 Status RegisterVoterUdfs(Database* db) {
   udf::UdfRegistry& registry = db->udfs();
 
@@ -274,61 +306,19 @@ Status RegisterVoterUdfs(Database* db) {
   MLCS_RETURN_IF_ERROR(
       registry.RegisterTable(std::move(train), /*or_replace=*/true));
 
-  udf::ScalarUdfEntry predict;
-  predict.name = "predict_voter_rf";
-  predict.return_type = TypeId::kInt32;
-  predict.has_return_type = true;
-  predict.fn = [](const std::vector<ColumnPtr>& args,
-                  size_t /*num_rows*/) -> Result<ColumnPtr> {
-    if (args.size() < 2) {
-      return Status::InvalidArgument(
-          "predict_voter_rf(classifier, features...)");
-    }
-    MLCS_ASSIGN_OR_RETURN(Value blob, args[0]->GetValue(0));
-    if (blob.type() != TypeId::kBlob) {
-      return Status::TypeMismatch("first argument must be the model BLOB");
-    }
-    // Deserialization per call — the §5.1 overhead the abl-ser benchmark
-    // quantifies.
-    MLCS_ASSIGN_OR_RETURN(ml::ModelPtr model,
-                          ml::pickle::Loads(blob.blob_value()));
-    std::vector<ColumnPtr> features(args.begin() + 1, args.end());
-    MLCS_ASSIGN_OR_RETURN(ml::TrainingSource x,
-                          ml::TrainingSource::FromColumns(features));
-    MLCS_ASSIGN_OR_RETURN(ml::Labels pred, model->PredictSource(x));
-    return Column::FromInt32(std::move(pred));
-  };
-  MLCS_RETURN_IF_ERROR(
-      registry.RegisterScalar(std::move(predict), /*or_replace=*/true));
-
+  // Deserialization per call — the §5.1 overhead the abl-ser benchmark
+  // quantifies.
+  MLCS_RETURN_IF_ERROR(registry.RegisterScalar(
+      PredictUdf("predict_voter_rf", ml::pickle::Loads), /*or_replace=*/true));
   // The §5.1 optimization: same signature, but the deserialized model is
   // snapshotted in the global content-addressed cache, so repeated
   // predict calls skip the BLOB round-trip.
-  udf::ScalarUdfEntry predict_cached;
-  predict_cached.name = "predict_voter_rf_cached";
-  predict_cached.return_type = TypeId::kInt32;
-  predict_cached.has_return_type = true;
-  predict_cached.fn = [](const std::vector<ColumnPtr>& args,
-                         size_t /*num_rows*/) -> Result<ColumnPtr> {
-    if (args.size() < 2) {
-      return Status::InvalidArgument(
-          "predict_voter_rf_cached(classifier, features...)");
-    }
-    MLCS_ASSIGN_OR_RETURN(Value blob, args[0]->GetValue(0));
-    if (blob.type() != TypeId::kBlob) {
-      return Status::TypeMismatch("first argument must be the model BLOB");
-    }
-    MLCS_ASSIGN_OR_RETURN(
-        ml::ModelPtr model,
-        modelstore::ModelCache::Global().Get(blob.blob_value()));
-    std::vector<ColumnPtr> features(args.begin() + 1, args.end());
-    MLCS_ASSIGN_OR_RETURN(ml::TrainingSource x,
-                          ml::TrainingSource::FromColumns(features));
-    MLCS_ASSIGN_OR_RETURN(ml::Labels pred, model->PredictSource(x));
-    return Column::FromInt32(std::move(pred));
-  };
-  return registry.RegisterScalar(std::move(predict_cached),
-                                 /*or_replace=*/true);
+  return registry.RegisterScalar(
+      PredictUdf("predict_voter_rf_cached",
+                 [](const std::string& blob) {
+                   return modelstore::ModelCache::Global().Get(blob);
+                 }),
+      /*or_replace=*/true);
 }
 
 Status LoadVoterData(Database* db, const PipelineConfig& config) {

@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include "common/nesting.h"
 #include "common/string_util.h"
 #include "sql/lexer.h"
 
@@ -27,6 +28,8 @@ class Parser {
   }
 
   Result<Statement> ParseOne() {
+    NestingLevel level(&depth_);
+    MLCS_RETURN_IF_ERROR(level.Check(Peek().line));
     if (CheckKw("SELECT")) {
       MLCS_ASSIGN_OR_RETURN(SelectStatement select, ParseSelect());
       return Statement(std::move(select));
@@ -293,6 +296,8 @@ class Parser {
 
   // -- SELECT ---------------------------------------------------------------
   Result<SelectStatement> ParseSelect() {
+    NestingLevel level(&depth_);
+    MLCS_RETURN_IF_ERROR(level.Check(Peek().line));
     MLCS_RETURN_IF_ERROR(ExpectKw("SELECT"));
     SelectStatement select;
     select.distinct = MatchKw("DISTINCT");
@@ -442,7 +447,11 @@ class Parser {
   }
 
   // -- Expressions ----------------------------------------------------------
-  Result<SqlExprPtr> ParseExpr() { return ParseOr(); }
+  Result<SqlExprPtr> ParseExpr() {
+    NestingLevel level(&depth_);
+    MLCS_RETURN_IF_ERROR(level.Check(Peek().line));
+    return ParseOr();
+  }
 
   Result<SqlExprPtr> ParseOr() {
     MLCS_ASSIGN_OR_RETURN(SqlExprPtr left, ParseAnd());
@@ -468,6 +477,8 @@ class Parser {
 
   Result<SqlExprPtr> ParseNot() {
     if (CheckKw("NOT")) {
+      NestingLevel level(&depth_);
+      MLCS_RETURN_IF_ERROR(level.Check(Peek().line));
       int line = Advance().line;
       MLCS_ASSIGN_OR_RETURN(SqlExprPtr operand, ParseNot());
       auto e = std::make_unique<SqlExpr>();
@@ -629,6 +640,8 @@ class Parser {
 
   Result<SqlExprPtr> ParseUnary() {
     if (CheckOp("-")) {
+      NestingLevel level(&depth_);
+      MLCS_RETURN_IF_ERROR(level.Check(Peek().line));
       int line = Advance().line;
       MLCS_ASSIGN_OR_RETURN(SqlExprPtr operand, ParseUnary());
       auto e = std::make_unique<SqlExpr>();
@@ -775,6 +788,7 @@ class Parser {
 
   std::vector<SqlToken> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // current nesting (NestingLevel)
 };
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -47,14 +49,28 @@ obs::Counter* CodePathHitsCounter() {
   return counter;
 }
 
-/// Profiles and encodes one typed payload. Returns nullptr when neither
-/// encoding clears the policy thresholds — the caller keeps the plain
-/// column. `make_col` turns a std::vector<T> back into a plain column of
-/// the right type.
+/// Columns with fewer rows stay plain.
+constexpr size_t kMinRows = 64;
+/// More distinct values than this and a column gets no dictionary: its
+/// codes would need 4 bytes and the profiling pass stops counting.
+constexpr size_t kMaxDictSize = 1u << 16;
+
+/// Bytes one stored value adds to Column::ByteSize: its width, or a
+/// string's length.
+template <typename T>
+size_t ValueBytes(const T& /*value*/) {
+  return sizeof(T);
+}
+size_t ValueBytes(const std::string& value) { return value.size(); }
+
+/// Profiles one typed payload and encodes it as whichever of plain,
+/// dictionary and RLE takes the fewest bytes (Column::ByteSize, without
+/// the validity bytes all three share). Returns nullptr when plain is
+/// smallest — the caller keeps the column. `make_col` turns a
+/// std::vector<T> back into a plain column of the right type.
 template <typename T, typename MakeCol>
 ColumnPtr EncodeTypedImpl(const Column& column, const std::vector<T>& v,
-                          const EncodingPolicy& policy, bool dict_eligible,
-                          const MakeCol& make_col) {
+                          bool dict_eligible, const MakeCol& make_col) {
   size_t n = v.size();
   const uint8_t* valid = column.validity_data();
   auto row_null = [&](size_t i) { return valid != nullptr && valid[i] == 0; };
@@ -66,24 +82,56 @@ ColumnPtr EncodeTypedImpl(const Column& column, const std::vector<T>& v,
     if (a_null || b_null) return a_null && b_null;
     return v[a] == v[b];
   };
-  // One profiling pass: run count plus distinct non-null values, aborting
-  // the distinct set once it is provably over the dictionary cap.
-  size_t runs = 1;
-  bool too_many_distinct = false;
+  // One profiling pass: the bytes of each candidate. Runs keep one value
+  // slot each (a null run a default one); the distinct set is dropped once
+  // it is over the dictionary cap.
+  size_t plain_bytes = 0;
+  size_t runs = 0;
+  size_t run_value_bytes = 0;
+  size_t dict_value_bytes = 0;
+  bool too_many_distinct = !dict_eligible;
   std::unordered_set<T> seen;
-  if (dict_eligible && !row_null(0)) seen.insert(v[0]);
-  for (size_t i = 1; i < n; ++i) {
-    if (!rows_equal(i - 1, i)) ++runs;
-    if (dict_eligible && !too_many_distinct && !row_null(i)) {
-      seen.insert(v[i]);
-      if (seen.size() > policy.max_dict_size) {
-        too_many_distinct = true;  // spill to plain; stop paying for the set
+  for (size_t i = 0; i < n; ++i) {
+    plain_bytes += ValueBytes(v[i]);
+    if (i == 0 || !rows_equal(i - 1, i)) {
+      ++runs;
+      run_value_bytes += row_null(i) ? ValueBytes(T{}) : ValueBytes(v[i]);
+    }
+    if (!too_many_distinct && !row_null(i) && seen.insert(v[i]).second) {
+      dict_value_bytes += ValueBytes(v[i]);
+      if (seen.size() > kMaxDictSize) {
+        too_many_distinct = true;  // no dictionary; stop paying for the set
         seen.clear();
       }
     }
   }
-  if (runs <= static_cast<size_t>(static_cast<double>(n) *
-                                  policy.max_run_fraction)) {
+  size_t rle_bytes = runs * sizeof(uint32_t) + run_value_bytes;
+  // Column::CodeWidth: one code byte up to 256 entries, else two.
+  size_t dict_bytes = too_many_distinct
+                          ? SIZE_MAX
+                          : n * (seen.size() <= (1u << 8) ? 1 : 2) +
+                                dict_value_bytes;
+  if (dict_bytes < plain_bytes && dict_bytes <= rle_bytes) {
+    // Dictionary: sorted unique values, dense codes per row.
+    std::vector<T> uniq(seen.begin(), seen.end());
+    std::sort(uniq.begin(), uniq.end());
+    std::unordered_map<T, uint32_t> code_of;
+    code_of.reserve(uniq.size());
+    for (size_t i = 0; i < uniq.size(); ++i) {
+      code_of.emplace(uniq[i], static_cast<uint32_t>(i));
+    }
+    std::vector<uint32_t> codes(n, 0);
+    for (size_t i = 0; i < n; ++i) {
+      if (!row_null(i)) codes[i] = code_of.find(v[i])->second;
+    }
+    std::vector<uint8_t> validity;
+    if (valid != nullptr) validity.assign(valid, valid + n);
+    Result<ColumnPtr> dict = Column::MakeDictionary(
+        column.type(), std::move(codes), make_col(std::move(uniq)),
+        std::move(validity));
+    return dict.ok() ? dict.ValueOrDie() : nullptr;
+  }
+  if (rle_bytes < plain_bytes) {
     // RLE: one value slot per run (null runs keep a default slot; the
     // per-row validity is authoritative).
     std::vector<T> run_vals;
@@ -104,61 +152,37 @@ ColumnPtr EncodeTypedImpl(const Column& column, const std::vector<T>& v,
                         std::move(run_lens), std::move(validity));
     return rle.ok() ? rle.ValueOrDie() : nullptr;
   }
-  size_t non_null = n - column.null_count();
-  if (dict_eligible && !too_many_distinct &&
-      seen.size() <= static_cast<size_t>(static_cast<double>(non_null) *
-                                         policy.max_dict_fraction)) {
-    // Dictionary: sorted unique values, dense codes per row.
-    std::vector<T> uniq(seen.begin(), seen.end());
-    std::sort(uniq.begin(), uniq.end());
-    std::unordered_map<T, uint32_t> code_of;
-    code_of.reserve(uniq.size());
-    for (size_t i = 0; i < uniq.size(); ++i) {
-      code_of.emplace(uniq[i], static_cast<uint32_t>(i));
-    }
-    std::vector<uint32_t> codes(n, 0);
-    for (size_t i = 0; i < n; ++i) {
-      if (!row_null(i)) codes[i] = code_of.find(v[i])->second;
-    }
-    std::vector<uint8_t> validity;
-    if (valid != nullptr) validity.assign(valid, valid + n);
-    Result<ColumnPtr> dict = Column::MakeDictionary(
-        column.type(), std::move(codes), make_col(std::move(uniq)),
-        std::move(validity));
-    return dict.ok() ? dict.ValueOrDie() : nullptr;
-  }
   return nullptr;
 }
 
 }  // namespace
 
-ColumnPtr EncodeColumn(const ColumnPtr& column, const EncodingPolicy& policy) {
+ColumnPtr EncodeColumn(const ColumnPtr& column) {
   if (column == nullptr || column->is_encoded()) return column;
-  size_t n = column->size();
-  if (n < policy.min_rows) return column;
+  if (column->size() < kMinRows) return column;
   ColumnPtr encoded;
   switch (column->type()) {
     case TypeId::kBool:
       encoded = EncodeTypedImpl(
-          *column, column->bool_data(), policy, /*dict_eligible=*/false,
+          *column, column->bool_data(), /*dict_eligible=*/false,
           [](std::vector<uint8_t> v) { return Column::FromBool(std::move(v)); });
       break;
     case TypeId::kInt32:
       encoded = EncodeTypedImpl(
-          *column, column->i32_data(), policy, /*dict_eligible=*/true,
+          *column, column->i32_data(), /*dict_eligible=*/true,
           [](std::vector<int32_t> v) {
             return Column::FromInt32(std::move(v));
           });
       break;
     case TypeId::kInt64:
       encoded = EncodeTypedImpl(
-          *column, column->i64_data(), policy, /*dict_eligible=*/true,
+          *column, column->i64_data(), /*dict_eligible=*/true,
           [](std::vector<int64_t> v) {
             return Column::FromInt64(std::move(v));
           });
       break;
     case TypeId::kVarchar:
-      encoded = EncodeTypedImpl(*column, column->str_data(), policy,
+      encoded = EncodeTypedImpl(*column, column->str_data(),
                                 /*dict_eligible=*/true,
                                 [](std::vector<std::string> v) {
                                   return Column::FromStrings(std::move(v));
@@ -174,13 +198,13 @@ ColumnPtr EncodeColumn(const ColumnPtr& column, const EncodingPolicy& policy) {
   return encoded;
 }
 
-TablePtr EncodeTable(const TablePtr& table, const EncodingPolicy& policy) {
+TablePtr EncodeTable(const TablePtr& table) {
   if (table == nullptr || !EncodingEnabled()) return table;
   bool changed = false;
   std::vector<ColumnPtr> columns;
   columns.reserve(table->num_columns());
   for (size_t c = 0; c < table->num_columns(); ++c) {
-    ColumnPtr encoded = EncodeColumn(table->column(c), policy);
+    ColumnPtr encoded = EncodeColumn(table->column(c));
     changed = changed || encoded != table->column(c);
     columns.push_back(std::move(encoded));
   }

@@ -9,35 +9,19 @@
 
 namespace mlcs {
 
-/// Auto-detect thresholds for EncodeColumn/EncodeTable (DESIGN.md §13).
-/// A column is considered, in order: RLE when its run count is a small
-/// fraction of its rows (sorted / precinct-like data); dictionary when a
-/// low-cardinality INT32/INT64/VARCHAR column's distinct count is both
-/// under the hard cap and a small fraction of its rows (voter-shaped
-/// categorical data); plain otherwise. Tiny columns are never encoded.
-struct EncodingPolicy {
-  /// Hard dictionary cap — more distinct values spill to plain (codes
-  /// would need >2 bytes and the dictionary stops paying for itself).
-  size_t max_dict_size = 1u << 16;
-  /// distinct / non-null rows must be ≤ this for dictionary encoding.
-  double max_dict_fraction = 0.5;
-  /// runs / rows must be ≤ this for RLE.
-  double max_run_fraction = 0.5;
-  /// Columns with fewer rows than this stay plain.
-  size_t min_rows = 64;
-};
-
-/// Encodes one column per `policy`. Returns the input pointer unchanged
-/// when no encoding is profitable (or the column is already encoded);
+/// Encodes one column as whichever of plain, dictionary and RLE takes the
+/// fewest bytes (DESIGN.md §13). Columns under 64 rows, DOUBLE and BLOB
+/// stay plain, BOOL is never dictionary-encoded, and more than 2^16
+/// distinct values rule a dictionary out. Returns the input pointer
+/// unchanged when plain is smallest (or the column is already encoded);
 /// otherwise a freshly built encoded column with identical logical
 /// contents. Never fails — an unencodable column is simply returned as-is.
-ColumnPtr EncodeColumn(const ColumnPtr& column, const EncodingPolicy& policy);
+ColumnPtr EncodeColumn(const ColumnPtr& column);
 
 /// Applies EncodeColumn to every column. Returns the input table pointer
 /// when nothing changed (also when encoding is disabled, see
 /// EncodingEnabled()); otherwise a new Table sharing the untouched columns.
-TablePtr EncodeTable(const TablePtr& table,
-                     const EncodingPolicy& policy = EncodingPolicy());
+TablePtr EncodeTable(const TablePtr& table);
 
 /// Decodes every encoded column. Returns the input pointer when all
 /// columns are already plain. This is the decode boundary queries pass

@@ -1,5 +1,6 @@
 #include "vscript/vs_parser.h"
 
+#include "common/nesting.h"
 #include "common/string_util.h"
 #include "vscript/vs_lexer.h"
 
@@ -44,6 +45,8 @@ class Parser {
   }
 
   Result<StmtPtr> ParseStatement() {
+    NestingLevel level(&depth_);
+    MLCS_RETURN_IF_ERROR(level.Check(Peek().line));
     int line = Peek().line;
     if (Match(TokenType::kReturn)) {
       auto stmt = std::make_unique<Stmt>();
@@ -115,7 +118,11 @@ class Parser {
     return body;
   }
 
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  Result<ExprPtr> ParseExpr() {
+    NestingLevel level(&depth_);
+    MLCS_RETURN_IF_ERROR(level.Check(Peek().line));
+    return ParseOr();
+  }
 
   Result<ExprPtr> ParseOr() {
     MLCS_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
@@ -141,6 +148,8 @@ class Parser {
 
   Result<ExprPtr> ParseNot() {
     if (Check(TokenType::kNot)) {
+      NestingLevel level(&depth_);
+      MLCS_RETURN_IF_ERROR(level.Check(Peek().line));
       int line = Advance().line;
       MLCS_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
       auto e = std::make_unique<Expr>();
@@ -212,6 +221,8 @@ class Parser {
 
   Result<ExprPtr> ParseUnary() {
     if (Check(TokenType::kMinus)) {
+      NestingLevel level(&depth_);
+      MLCS_RETURN_IF_ERROR(level.Check(Peek().line));
       int line = Advance().line;
       MLCS_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
       auto e = std::make_unique<Expr>();
@@ -337,6 +348,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // current nesting (NestingLevel)
 };
 
 }  // namespace

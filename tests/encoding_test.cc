@@ -14,6 +14,7 @@
 #include "bufpool/zone_map.h"
 #include "common/byte_buffer.h"
 #include "common/file_util.h"
+#include "common/random.h"
 #include "exec/filter.h"
 #include "exec/kernels.h"
 #include "obs/metrics.h"
@@ -54,7 +55,7 @@ ColumnPtr MakeRunHeavy(size_t rows) {
 
 TEST(EncodingTest, DictionaryRoundTrip) {
   ColumnPtr plain = MakeCategorical(512);
-  ColumnPtr encoded = EncodeColumn(plain, EncodingPolicy());
+  ColumnPtr encoded = EncodeColumn(plain);
   ASSERT_EQ(encoded->encoding(), ColumnEncoding::kDict);
   EXPECT_TRUE(encoded->dict_sorted());
   EXPECT_EQ(encoded->size(), plain->size());
@@ -68,7 +69,7 @@ TEST(EncodingTest, DictionaryRoundTrip) {
 
 TEST(EncodingTest, RleRoundTrip) {
   ColumnPtr plain = MakeRunHeavy(512);
-  ColumnPtr encoded = EncodeColumn(plain, EncodingPolicy());
+  ColumnPtr encoded = EncodeColumn(plain);
   ASSERT_EQ(encoded->encoding(), ColumnEncoding::kRle);
   EXPECT_EQ(encoded->run_lengths().size(), 512u / 32u);
   EXPECT_TRUE(encoded->Equals(*plain));
@@ -80,15 +81,49 @@ TEST(EncodingTest, PolicyLeavesSmallAndHighCardinalityAlone) {
   // Below min_rows: untouched even though perfectly encodable.
   auto tiny = Column::Make(TypeId::kInt32);
   for (int i = 0; i < 8; ++i) tiny->AppendInt32(1);
-  EXPECT_EQ(EncodeColumn(tiny, EncodingPolicy()).get(), tiny.get());
+  EXPECT_EQ(EncodeColumn(tiny).get(), tiny.get());
   // All-distinct: no dictionary, no runs.
   auto distinct = Column::Make(TypeId::kInt32);
   for (int i = 0; i < 512; ++i) distinct->AppendInt32(i);
-  EXPECT_EQ(EncodeColumn(distinct, EncodingPolicy()).get(), distinct.get());
+  EXPECT_EQ(EncodeColumn(distinct).get(), distinct.get());
   // DOUBLE never encodes.
   auto dbl = Column::Make(TypeId::kDouble);
   for (int i = 0; i < 512; ++i) dbl->AppendDouble(1.0);
-  EXPECT_FALSE(EncodeColumn(dbl, EncodingPolicy())->is_encoded());
+  EXPECT_FALSE(EncodeColumn(dbl)->is_encoded());
+}
+
+TEST(EncodingTest, RandomTwoValuedColumnsPickTheSmallestEncoding) {
+  // About half the rows start a run, so RLE would take as many bytes as
+  // plain: an INT32 column codes in one byte a row, a BOOL column (no
+  // dictionary) stays plain.
+  for (uint64_t seed : {1u, 2u, 42u}) {
+    for (size_t rows : {64u, 1000u, 100000u}) {
+      Rng rng(seed);
+      std::vector<int32_t> ints(rows);
+      std::vector<uint8_t> bools(rows);
+      for (size_t i = 0; i < rows; ++i) {
+        ints[i] = static_cast<int32_t>(rng.NextBounded(2));
+        bools[i] = static_cast<uint8_t>(rng.NextBounded(2));
+      }
+      ColumnPtr plain_ints = Column::FromInt32(ints);
+      ColumnPtr encoded = EncodeColumn(plain_ints);
+      EXPECT_EQ(encoded->encoding(), ColumnEncoding::kDict)
+          << "seed " << seed << " rows " << rows;
+      EXPECT_LT(encoded->ByteSize(), plain_ints->ByteSize());
+      ColumnPtr plain_bools = Column::FromBool(bools);
+      EXPECT_EQ(EncodeColumn(plain_bools).get(), plain_bools.get())
+          << "seed " << seed << " rows " << rows;
+    }
+  }
+  // A precinct-sorted column (abl-compress: 2751 runs in 50000 rows)
+  // stays RLE: 8 bytes a run beat 1 byte a row.
+  std::vector<int32_t> sorted(50000);
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    sorted[i] = static_cast<int32_t>(i * 2751 / sorted.size());
+  }
+  ColumnPtr rle = EncodeColumn(Column::FromInt32(sorted));
+  ASSERT_EQ(rle->encoding(), ColumnEncoding::kRle);
+  EXPECT_EQ(rle->run_lengths().size(), 2751u);
 }
 
 TEST(EncodingTest, Over64kDistinctSpillsToPlain) {
@@ -101,21 +136,21 @@ TEST(EncodingTest, Over64kDistinctSpillsToPlain) {
       col->AppendInt32(static_cast<int32_t>((i * 2654435761u) % kDistinct));
     }
   }
-  ColumnPtr out = EncodeColumn(col, EncodingPolicy());
+  ColumnPtr out = EncodeColumn(col);
   EXPECT_FALSE(out->is_encoded());
 }
 
 TEST(EncodingTest, AllNullAndSingleValueColumns) {
   auto all_null = Column::Make(TypeId::kVarchar);
   for (int i = 0; i < 256; ++i) all_null->AppendNull();
-  ColumnPtr enc_null = EncodeColumn(all_null, EncodingPolicy());
+  ColumnPtr enc_null = EncodeColumn(all_null);
   EXPECT_TRUE(enc_null->Equals(*all_null));
   EXPECT_TRUE(enc_null->Decode()->Equals(*all_null));
   EXPECT_EQ(enc_null->Decode()->null_count(), 256u);
 
   auto single = Column::Make(TypeId::kVarchar);
   for (int i = 0; i < 256; ++i) single->AppendString("only");
-  ColumnPtr enc_single = EncodeColumn(single, EncodingPolicy());
+  ColumnPtr enc_single = EncodeColumn(single);
   ASSERT_TRUE(enc_single->is_encoded());
   EXPECT_TRUE(enc_single->Equals(*single));
   EXPECT_TRUE(enc_single->Decode()->Equals(*single));
@@ -136,8 +171,8 @@ TEST(EncodingTest, MakeRleRejectsBadRuns) {
 
 TEST(EncodingTest, SerializeRoundTripsBothEncodings) {
   std::vector<ColumnPtr> inputs = {
-      EncodeColumn(MakeCategorical(300), EncodingPolicy()),
-      EncodeColumn(MakeRunHeavy(300), EncodingPolicy()),
+      EncodeColumn(MakeCategorical(300)),
+      EncodeColumn(MakeRunHeavy(300)),
   };
   ASSERT_EQ(inputs[0]->encoding(), ColumnEncoding::kDict);
   ASSERT_EQ(inputs[1]->encoding(), ColumnEncoding::kRle);
@@ -153,7 +188,7 @@ TEST(EncodingTest, SerializeRoundTripsBothEncodings) {
 }
 
 TEST(EncodingTest, AppendColumnMergesCompatibleEncodings) {
-  ColumnPtr a = EncodeColumn(MakeCategorical(256), EncodingPolicy());
+  ColumnPtr a = EncodeColumn(MakeCategorical(256));
   ASSERT_EQ(a->encoding(), ColumnEncoding::kDict);
   // Accumulator pattern used by block scans: empty plain adopts, equal
   // dictionaries merge codes.
@@ -166,7 +201,7 @@ TEST(EncodingTest, AppendColumnMergesCompatibleEncodings) {
   MLCS_CHECK_OK(twice->AppendColumn(*a->Decode()));
   EXPECT_TRUE(acc->Equals(*twice));
 
-  ColumnPtr r = EncodeColumn(MakeRunHeavy(256), EncodingPolicy());
+  ColumnPtr r = EncodeColumn(MakeRunHeavy(256));
   auto racc = Column::Make(TypeId::kInt64);
   MLCS_CHECK_OK(racc->AppendColumn(*r));
   MLCS_CHECK_OK(racc->AppendColumn(*r));
@@ -178,8 +213,8 @@ TEST(EncodingTest, AppendColumnMergesCompatibleEncodings) {
 }
 
 TEST(EncodingTest, TakeAndSlicePreserveLogicalContents) {
-  ColumnPtr dict = EncodeColumn(MakeCategorical(256), EncodingPolicy());
-  ColumnPtr rle = EncodeColumn(MakeRunHeavy(256), EncodingPolicy());
+  ColumnPtr dict = EncodeColumn(MakeCategorical(256));
+  ColumnPtr rle = EncodeColumn(MakeRunHeavy(256));
   std::vector<uint32_t> idx = {0, 255, 17, 17, 100};
   for (const ColumnPtr& col : {dict, rle}) {
     ColumnPtr taken = col->Take(idx);
@@ -193,8 +228,8 @@ TEST(EncodingTest, TakeAndSlicePreserveLogicalContents) {
 /// -- Operate-on-code kernel parity ----------------------------------------
 
 TEST(EncodingTest, KernelsMatchPlainOnEncodedInputs) {
-  ColumnPtr dict = EncodeColumn(MakeCategorical(400), EncodingPolicy());
-  ColumnPtr rle = EncodeColumn(MakeRunHeavy(400), EncodingPolicy());
+  ColumnPtr dict = EncodeColumn(MakeCategorical(400));
+  ColumnPtr rle = EncodeColumn(MakeRunHeavy(400));
   ASSERT_TRUE(dict->is_encoded());
   ASSERT_TRUE(rle->is_encoded());
   for (const ColumnPtr& col : {dict, rle}) {
@@ -223,7 +258,7 @@ TEST(EncodingTest, KernelsMatchPlainOnEncodedInputs) {
 }
 
 TEST(EncodingTest, RleFilterSelectsPerRun) {
-  ColumnPtr rle = EncodeColumn(MakeRunHeavy(400), EncodingPolicy());
+  ColumnPtr rle = EncodeColumn(MakeRunHeavy(400));
   ColumnPtr lit = Column::Constant(Value::Int64(5), 1);
   auto mask = exec::BinaryKernel(exec::BinOpKind::kEq, *rle, *lit);
   ASSERT_TRUE(mask.ok());
@@ -364,7 +399,7 @@ TEST(EncodingTest, StreamingScanBoundsPinnedBytes) {
 TEST(EncodingTest, MetricsCountEncodedColumnsAndDecodes) {
   uint64_t cols_before = EncodeColumnsEncoded();
   uint64_t bytes_before = EncodeEncodedBytes();
-  ColumnPtr enc = EncodeColumn(MakeCategorical(256), EncodingPolicy());
+  ColumnPtr enc = EncodeColumn(MakeCategorical(256));
   ASSERT_TRUE(enc->is_encoded());
   EXPECT_EQ(EncodeColumnsEncoded(), cols_before + 1);
   EXPECT_GT(EncodeEncodedBytes(), bytes_before);

@@ -210,6 +210,44 @@ TEST_F(SqlExecutorTest, ConnectionWrapper) {
 
 /// DML status tables report the affected-row count: column 0 keeps the
 /// classic "VERB n" message, column 1 carries the count as BIGINT.
+std::string Repeat(const std::string& piece, size_t times) {
+  std::string out;
+  for (size_t i = 0; i < times; ++i) out += piece;
+  return out;
+}
+
+TEST_F(SqlExecutorTest, DeepNestingIsAParseErrorNotACrash) {
+  constexpr size_t kDepth = 100000;
+  std::vector<std::string> queries = {
+      "SELECT " + Repeat("(", kDepth) + "1" + Repeat(")", kDepth),
+      "SELECT " + Repeat("NOT ", kDepth) + "TRUE",
+      "SELECT " + Repeat("- ", kDepth) + "1",
+      "SELECT * FROM " + Repeat("(SELECT * FROM ", kDepth) + "voters" +
+          Repeat(")", kDepth),
+      Repeat("EXPLAIN ", kDepth) + "SELECT 1"};
+  for (const std::string& sql : queries) {
+    auto r = db_.Query(sql);
+    ASSERT_FALSE(r.ok()) << sql.substr(0, 40);
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+    EXPECT_NE(r.status().message().find("nesting deeper than"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+TEST_F(SqlExecutorTest, NestingJustUnderTheCapRuns) {
+  // The statement, its SELECT and the select item take 3 of the 256 levels.
+  constexpr size_t kDepth = 253;
+  auto parens = Q("SELECT " + Repeat("(", kDepth) + "1" +
+                  Repeat(")", kDepth) + " AS v");
+  ASSERT_NE(parens, nullptr);
+  EXPECT_EQ(parens->GetValue(0, 0).ValueOrDie(), Value::Int32(1));
+  auto negations = Q("SELECT " + Repeat("- ", kDepth) + "7 AS v");
+  ASSERT_NE(negations, nullptr);
+  EXPECT_EQ(negations->GetValue(0, 0).ValueOrDie().AsInt64().ValueOrDie(),
+            -7);
+}
+
 TEST_F(SqlExecutorTest, DmlStatusReportsAffectedRows) {
   auto ins = Q("INSERT INTO voters VALUES (6, 30, 75), (7, 30, 85)");
   ASSERT_EQ(ins->num_columns(), 2u);

@@ -7,7 +7,10 @@
 #include <thread>
 
 #include "common/random.h"
+#include "ml/decision_tree.h"
+#include "ml/knn.h"
 #include "ml/logistic_regression.h"
+#include "ml/naive_bayes.h"
 #include "ml/pickle.h"
 #include "ml/random_forest.h"
 #include "ml/training_source.h"
@@ -417,8 +420,8 @@ TEST(SqlPropertyTest, EncodingParityOnRandomQueries) {
 /// TrainingSource::FromColumns (plain null-free INTEGER/DOUBLE columns read
 /// in place, anything else converted once); the external channels build a
 /// Matrix with Matrix::FromColumns. Both must yield byte-identical models
-/// and predictions — over plain vs dict/RLE-encoded columns, NULL feature
-/// values, and serial vs pooled fits. This is the contract
+/// and predictions for every model type — over plain vs dict/RLE-encoded
+/// columns, NULL feature values, and serial vs pooled forest fits. This is the contract
 /// ml/training_source.h promises.
 TEST(SqlPropertyTest, ColumnIngestionParitySweep) {
   for (bool encoded : {false, true}) {
@@ -468,7 +471,7 @@ TEST(SqlPropertyTest, ColumnIngestionParitySweep) {
       if (encoded) {
         size_t dict = 0, rle = 0;
         for (auto& col : cols) {
-          col = EncodeColumn(col, EncodingPolicy());
+          col = EncodeColumn(col);
           dict += col->encoding() == ColumnEncoding::kDict ? 1 : 0;
           rle += col->encoding() == ColumnEncoding::kRle ? 1 : 0;
         }
@@ -528,6 +531,37 @@ TEST(SqlPropertyTest, ColumnIngestionParitySweep) {
       auto lr_cs = lr_src.PredictProba(xm, 1);
       ASSERT_TRUE(lr_cm.ok() && lr_cs.ok());
       EXPECT_EQ(lr_cm.ValueOrDie(), lr_cs.ValueOrDie());
+
+      // Tree, naive Bayes and kNN: one model fit from the Matrix, one from
+      // the columns; the same bytes, labels, probabilities and confidences.
+      std::vector<std::pair<ml::ModelPtr, ml::ModelPtr>> pairs;
+      pairs.emplace_back(std::make_shared<ml::DecisionTree>(),
+                         std::make_shared<ml::DecisionTree>());
+      pairs.emplace_back(std::make_shared<ml::NaiveBayes>(),
+                         std::make_shared<ml::NaiveBayes>());
+      pairs.emplace_back(std::make_shared<ml::Knn>(),
+                         std::make_shared<ml::Knn>());
+      for (auto& [on_matrix, on_columns] : pairs) {
+        SCOPED_TRACE(ml::ModelTypeToString(on_matrix->type()));
+        ASSERT_TRUE(on_matrix->Fit(xm, y).ok());
+        ASSERT_TRUE(on_columns->FitSource(src, y).ok());
+        EXPECT_EQ(ml::pickle::Dumps(*on_matrix),
+                  ml::pickle::Dumps(*on_columns));
+        auto from_matrix = on_matrix->Predict(xm);
+        auto from_columns = on_columns->PredictSource(src);
+        ASSERT_TRUE(from_matrix.ok() && from_columns.ok());
+        EXPECT_EQ(from_matrix.ValueOrDie(), from_columns.ValueOrDie());
+        for (int32_t cls : on_matrix->classes()) {
+          auto pm = on_matrix->PredictProba(xm, cls);
+          auto pc = on_columns->PredictProba(xm, cls);
+          ASSERT_TRUE(pm.ok() && pc.ok());
+          EXPECT_EQ(pm.ValueOrDie(), pc.ValueOrDie());
+        }
+        auto cm = on_matrix->PredictConfidence(xm);
+        auto cc = on_columns->PredictConfidence(xm);
+        ASSERT_TRUE(cm.ok() && cc.ok());
+        EXPECT_EQ(cm.ValueOrDie(), cc.ValueOrDie());
+      }
     }
   }
 }

@@ -165,6 +165,38 @@ TEST(VsInterpreterTest, VecBuiltins) {
   EXPECT_EQ(rnd.column()->size(), 5u);
 }
 
+std::string Repeat(const std::string& piece, size_t times) {
+  std::string out;
+  for (size_t i = 0; i < times; ++i) out += piece;
+  return out;
+}
+
+TEST(VsParserTest, DeepNestingIsAParseErrorNotACrash) {
+  constexpr size_t kDepth = 100000;
+  std::vector<std::string> programs = {
+      "return " + Repeat("(", kDepth) + "1" + Repeat(")", kDepth) + ";",
+      "return " + Repeat("!", kDepth) + "true;",
+      "return " + Repeat("-", kDepth) + "1;",
+      Repeat("if (true) {", kDepth) + "return 1;" + Repeat("}", kDepth)};
+  for (const std::string& source : programs) {
+    auto program = Parse(source);
+    ASSERT_FALSE(program.ok()) << source.substr(0, 40);
+    EXPECT_EQ(program.status().code(), StatusCode::kParseError);
+    EXPECT_NE(program.status().message().find("nesting deeper than"),
+              std::string::npos)
+        << program.status().ToString();
+  }
+}
+
+TEST(VsParserTest, NestingJustUnderTheCapParses) {
+  // The return statement and its expression take 2 of the 256 levels.
+  constexpr size_t kDepth = 254;
+  EXPECT_TRUE(
+      Parse("return " + Repeat("(", kDepth) + "1" + Repeat(")", kDepth) + ";")
+          .ok());
+  EXPECT_TRUE(Parse("return " + Repeat("-", kDepth) + "1;").ok());
+}
+
 TEST(VsInterpreterTest, UnknownFunctionReportsLine) {
   auto r = ExecuteSource("x = 1;\nreturn nope.nothing(x);", {});
   ASSERT_FALSE(r.ok());

@@ -77,14 +77,16 @@ Rules
                         `// lint:allow(row-decode)` plus a reason.
   matrix-materialize    Dense-matrix materialization (`Matrix::FromColumns`
                         / `Matrix::FromTable`, `DecodeTable`, `.ToMatrix(`)
-                        inside src/ml/ outside matrix.{h,cc} — trainers
-                        consume `ml::TrainingSource` (DESIGN.md §14), which
-                        reads plain table columns in place
+                        inside src/ml/ outside matrix.{h,cc} — every
+                        model fits and predicts from an
+                        `ml::TrainingSource` (DESIGN.md §14), which reads
+                        plain table columns in place
                         (TrainingSource::FromColumns) or borrows an
                         already-built matrix (TrainingSource::FromMatrix),
-                        so a fit never copies its input into a second
-                        matrix. Deliberate conversions (e.g. a model that
-                        only predicts from a Matrix) opt out with
+                        so neither a fit nor a predict copies its input
+                        into a second matrix. No model is exempt and
+                        src/ml/ carries no opt-out; a new deliberate
+                        conversion would need
                         `// lint:allow(matrix-materialize)` plus a reason.
   signal-unsafe         Async-signal-unsafe construct in the crash-handler
                         translation unit (src/obs/crash_dump.cc): heap
@@ -602,9 +604,9 @@ def check_matrix_materialize(path, relpath, lines):
         if allowed(raw, "matrix-materialize"):
             continue
         report(path, i + 1, "matrix-materialize",
-               "dense-matrix materialization in ML training code; consume "
-               "an ml::TrainingSource (DESIGN.md §14) instead of copying "
-               "the columns, or justify with "
+               "dense-matrix materialization in ML code; fit and predict "
+               "from an ml::TrainingSource (DESIGN.md §14) instead of "
+               "copying the columns, or justify with "
                "`// lint:allow(matrix-materialize)`")
 
 
