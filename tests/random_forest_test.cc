@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
+
 #include "common/random.h"
 #include "ml/metrics.h"
+#include "ml/pickle.h"
 #include "ml/split.h"
+#include "storage/column.h"
 
 namespace mlcs::ml {
 namespace {
@@ -129,6 +136,162 @@ TEST(RandomForestTest, SerializationRoundTripPreservesEverything) {
   auto pa = forest.PredictConfidence(x).ValueOrDie();
   auto pb = back->PredictConfidence(x).ValueOrDie();
   for (size_t i = 0; i < pa.size(); ++i) EXPECT_NEAR(pa[i], pb[i], 1e-12);
+}
+
+/// FNV-1a 64 of a model's pickle bytes.
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Four Gaussian features; the label is a noisy function of three of
+/// them, so trees grow deep and leaves stay impure.
+void MakeNoisy(size_t n, int32_t num_classes, Matrix* x, Labels* y) {
+  Rng rng(17);
+  *x = Matrix(n, 4);
+  y->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t c = 0; c < 4; ++c) x->Set(i, c, rng.NextGaussian());
+    double s = x->At(i, 0) + 0.5 * x->At(i, 1) * x->At(i, 2) +
+               0.7 * rng.NextGaussian();
+    int32_t cls = static_cast<int32_t>(std::floor(s + num_classes / 2.0));
+    (*y)[i] = std::clamp(cls, 0, num_classes - 1);
+  }
+}
+
+struct GoldenCase {
+  const char* name;
+  std::function<std::string()> fit;  // pickle bytes of the fitted model
+  uint64_t hash;
+};
+
+std::string FitForest(const Matrix& x, const Labels& y,
+                      RandomForestOptions opt) {
+  RandomForest forest(opt);
+  Status st = forest.Fit(x, y);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return pickle::Dumps(forest);
+}
+
+/// Pins the exact bytes of fitted models: any change to coding, bootstrap
+/// sampling or split search that alters a tree changes a hash.
+TEST(RandomForestTest, GoldenModelBytes) {
+  const std::vector<GoldenCase> cases = {
+      {"default_bootstrap",
+       [] {
+         Matrix x;
+         Labels y;
+         MakeNoisy(1500, 2, &x, &y);
+         return FitForest(x, y, {});
+       },
+       0x79378f991912a02eULL},
+      {"min_leaf_5_min_split_20",
+       [] {
+         Matrix x;
+         Labels y;
+         MakeNoisy(1500, 2, &x, &y);
+         RandomForestOptions opt;
+         opt.n_estimators = 6;
+         opt.min_samples_leaf = 5;
+         opt.min_samples_split = 20;
+         return FitForest(x, y, opt);
+       },
+       0xde3e25bb16e471f3ULL},
+      {"no_bootstrap",
+       [] {
+         Matrix x;
+         Labels y;
+         MakeNoisy(1500, 2, &x, &y);
+         RandomForestOptions opt;
+         opt.n_estimators = 4;
+         opt.bootstrap = false;
+         return FitForest(x, y, opt);
+       },
+       0x32d252c2f4bf34dbULL},
+      {"three_classes",
+       [] {
+         Matrix x;
+         Labels y;
+         MakeNoisy(1500, 3, &x, &y);
+         RandomForestOptions opt;
+         opt.n_estimators = 6;
+         return FitForest(x, y, opt);
+       },
+       0x1df3904b70f07d1bULL},
+      {"exact_tree_with_nans",
+       [] {
+         Matrix x;
+         Labels y;
+         MakeNoisy(1200, 2, &x, &y);
+         for (size_t i = 0; i < x.rows(); i += 7) {
+           x.Set(i, i % 4, std::numeric_limits<double>::quiet_NaN());
+         }
+         DecisionTreeOptions opt;
+         opt.max_depth = 20;
+         opt.exact_splits = true;
+         DecisionTree tree(opt);
+         EXPECT_TRUE(tree.Fit(x, y).ok());
+         return pickle::Dumps(tree);
+       },
+       0x7120a8e32d642690ULL},
+      {"exact_bootstrap_forest_with_nans",
+       [] {
+         Matrix x;
+         Labels y;
+         MakeNoisy(1200, 2, &x, &y);
+         for (size_t i = 0; i < x.rows(); i += 5) {
+           x.Set(i, (i / 5) % 4, std::numeric_limits<double>::quiet_NaN());
+         }
+         RandomForestOptions opt;
+         opt.n_estimators = 3;
+         opt.max_depth = 20;
+         opt.exact_splits = true;
+         return FitForest(x, y, opt);
+       },
+       0x8c2dd051ada509d2ULL},
+      {"integer_columns",
+       [] {
+         // Small, negative, wide (past 255 values) and very wide ranges.
+         Rng rng(23);
+         const size_t n = 3000;
+         const int32_t spans[] = {3, 40, 1000, 2000000};
+         std::vector<ColumnPtr> cols;
+         for (int32_t span : spans) {
+           std::vector<int32_t> v(n);
+           for (int32_t& e : v) {
+             e = static_cast<int32_t>(rng.NextBounded(span)) - span / 2;
+           }
+           cols.push_back(mlcs::Column::FromInt32(std::move(v)));
+         }
+         Labels y(n);
+         for (size_t r = 0; r < n; ++r) {
+           int64_t s = int64_t{cols[0]->i32_data()[r]} * 300 +
+                       cols[1]->i32_data()[r] * 10 +
+                       cols[2]->i32_data()[r] / 2 +
+                       cols[3]->i32_data()[r] / 4000 +
+                       static_cast<int64_t>(rng.NextBounded(400));
+           y[r] = s > 200;
+         }
+         TrainingSource source =
+             TrainingSource::FromColumns(cols).ValueOrDie();
+         RandomForestOptions opt;
+         opt.n_estimators = 6;
+         RandomForest forest(opt);
+         EXPECT_TRUE(forest.FitSource(source, y).ok());
+         return pickle::Dumps(forest);
+       },
+       0x54177a94fe14e5daULL},
+  };
+  for (const GoldenCase& c : cases) {
+    std::string bytes = c.fit();
+    EXPECT_EQ(Fnv1a64(bytes), c.hash)
+        << c.name << ": 0x" << std::hex << Fnv1a64(bytes) << std::dec
+        << " over " << bytes.size() << " bytes";
+  }
 }
 
 /// n_estimators sweep: more trees should not reduce training accuracy
