@@ -10,13 +10,17 @@
 ///   MLCS_FIG1_COLS       voter columns     (default 96, as in the paper)
 ///   MLCS_FIG1_PRECINCTS  precincts         (default 2751, as in the paper)
 ///   MLCS_FIG1_TREES      n_estimators      (default 8)
-///   MLCS_FIG1_REPS       repetitions; the min-total run is reported
-///                        (default 3)
+///   MLCS_FIG1_REPS       repetitions; the table shows the min-total
+///                        run, the BENCH json every rep with its
+///                        quartiles (default 3)
 ///
 /// Expected shape (paper §4): the in-database channel is fastest with an
 /// order-of-magnitude lower wrangling share; binary files (npy, h5b) load
 /// fast but stay slower overall; CSV is comparable to socket transfer;
 /// the socket channels are the slowest.
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -42,22 +46,33 @@ size_t EnvSize(const char* name, size_t fallback) {
 }
 
 size_t g_reps = 1;
-std::vector<mlcs::pipeline::PipelineResult> g_results;
 
-/// Runs a channel g_reps times and keeps the fastest run (min total) —
-/// standard practice to suppress scheduler noise on a busy host.
+/// Every rep of one channel, in run order; `best` is the min-total one,
+/// the row the table prints.
+struct Channel {
+  std::vector<mlcs::pipeline::PipelineResult> reps;
+  size_t best = 0;
+};
+std::vector<Channel> g_channels;
+
+/// Runs a channel g_reps times and keeps every rep. The table shows the
+/// fastest (min total), standard practice against scheduler noise on a
+/// busy host; the BENCH json also records the spread, so a slow rep is
+/// visible rather than hidden.
 template <typename Fn>
 mlcs::Result<mlcs::pipeline::PipelineResult> Repeated(Fn&& run) {
-  mlcs::Result<mlcs::pipeline::PipelineResult> best = run();
-  if (!best.ok()) return best;
-  for (size_t i = 1; i < g_reps; ++i) {
-    auto next = run();
+  Channel channel;
+  for (size_t i = 0; i < std::max<size_t>(g_reps, 1); ++i) {
+    mlcs::Result<mlcs::pipeline::PipelineResult> next = run();
     if (!next.ok()) return next;
-    if (next.ValueOrDie().total_seconds < best.ValueOrDie().total_seconds) {
-      best = std::move(next);
+    channel.reps.push_back(std::move(next).ValueOrDie());
+    if (channel.reps.back().total_seconds <
+        channel.reps[channel.best].total_seconds) {
+      channel.best = channel.reps.size() - 1;
     }
   }
-  return best;
+  g_channels.push_back(channel);
+  return channel.reps[channel.best];
 }
 
 void PrintRow(const mlcs::pipeline::PipelineResult& r) {
@@ -65,15 +80,71 @@ void PrintRow(const mlcs::pipeline::PipelineResult& r) {
               r.method.c_str(), r.load_wrangle_seconds, r.train_seconds,
               r.predict_seconds, r.total_seconds, r.precinct_share_mae);
   std::fflush(stdout);
-  g_results.push_back(r);
+}
+
+/// Linear-interpolation quantile of unsorted samples.
+double Quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  double pos = q * static_cast<double>(v.size() - 1);
+  size_t lo = static_cast<size_t>(pos);
+  size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+/// First line a shell command prints ("" when none).
+std::string FirstLine(const char* command) {
+  FILE* pipe = popen(command, "r");
+  if (pipe == nullptr) return "";
+  char buf[256];
+  std::string line = fgets(buf, sizeof(buf), pipe) != nullptr ? buf : "";
+  pclose(pipe);
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
+    line.pop_back();
+  }
+  return line;
+}
+
+/// The checkout the run measured: HEAD's hash, "-dirty" when tracked
+/// files differ from it.
+std::string CommitOfWorkingDirectory() {
+  std::string commit = FirstLine("git rev-parse --short=12 HEAD 2>/dev/null");
+  if (commit.empty()) return "unknown";
+  if (!FirstLine("git status --porcelain --untracked-files=no 2>/dev/null")
+           .empty()) {
+    commit += "-dirty";
+  }
+  return commit;
+}
+
+/// One stage's seconds over every rep: min, quartiles and max.
+void WriteStage(mlcs::bench::JsonWriter* json, const char* name,
+                const std::vector<double>& reps) {
+  json->Key(name);
+  json->BeginObject();
+  json->Field("min", Quantile(reps, 0.0));
+  json->Field("q1", Quantile(reps, 0.25));
+  json->Field("median", Quantile(reps, 0.5));
+  json->Field("q3", Quantile(reps, 0.75));
+  json->Field("max", Quantile(reps, 1.0));
+  json->Key("reps");
+  json->BeginArray();
+  for (double v : reps) json->Value(v);
+  json->EndArray();
+  json->EndObject();
 }
 
 /// Machine-readable twin of the printed table, same schema for every
-/// bench binary: BENCH_<name>.json in the working directory.
+/// bench binary: BENCH_<name>.json in the working directory. Each
+/// channel's top-level stage fields are its table row (the min-total
+/// rep); `stages` holds every rep's stage times with their quartiles.
 bool WriteJson(const mlcs::pipeline::PipelineConfig& config) {
   mlcs::bench::JsonWriter json;
   json.BeginObject();
   json.Field("benchmark", "fig1_voter_classification");
+  json.Field("commit", CommitOfWorkingDirectory());
+  char host[256] = {};
+  json.Field("host",
+             gethostname(host, sizeof(host) - 1) == 0 ? host : "unknown");
   json.Field("mlcs_threads",
              static_cast<uint64_t>(mlcs::ThreadPool::DefaultThreadCount()));
   mlcs::bench::WriteMetricsBlock(&json);
@@ -87,7 +158,8 @@ bool WriteJson(const mlcs::pipeline::PipelineConfig& config) {
   json.EndObject();
   json.Key("channels");
   json.BeginArray();
-  for (const auto& r : g_results) {
+  for (const Channel& channel : g_channels) {
+    const mlcs::pipeline::PipelineResult& r = channel.reps[channel.best];
     json.BeginObject();
     json.Field("method", r.method);
     json.Field("load_wrangle_seconds", r.load_wrangle_seconds);
@@ -95,6 +167,20 @@ bool WriteJson(const mlcs::pipeline::PipelineConfig& config) {
     json.Field("predict_seconds", r.predict_seconds);
     json.Field("total_seconds", r.total_seconds);
     json.Field("precinct_share_mae", r.precinct_share_mae);
+    std::vector<double> wrangle, train, predict, total;
+    for (const auto& rep : channel.reps) {
+      wrangle.push_back(rep.load_wrangle_seconds);
+      train.push_back(rep.train_seconds);
+      predict.push_back(rep.predict_seconds);
+      total.push_back(rep.total_seconds);
+    }
+    json.Key("stages");
+    json.BeginObject();
+    WriteStage(&json, "load_wrangle_seconds", wrangle);
+    WriteStage(&json, "train_seconds", train);
+    WriteStage(&json, "predict_seconds", predict);
+    WriteStage(&json, "total_seconds", total);
+    json.EndObject();
     json.EndObject();
   }
   json.EndArray();

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "common/parallel_for.h"
 #include "common/random.h"
@@ -40,13 +42,36 @@ size_t DecisionTreeOptions::max_codes() const {
 }
 
 struct DecisionTree::Grower {
+  Grower(const TrainingCodes& codes, bool parallel, uint64_t seed,
+         std::vector<uint32_t> sample_rows,
+         std::vector<uint32_t> sample_weights)
+      : codes(codes),
+        parallel(parallel),
+        rng(seed),
+        rows(std::move(sample_rows)),
+        weights(std::move(sample_weights)),
+        spill_rows(rows.size()),
+        spill_weights(rows.size()) {}
+
   const TrainingCodes& codes;
   bool parallel;
   Rng rng;
+  /// The sample, grown in place: a node owns a [begin, end) range of
+  /// rows (ascending) and their weights, and its split partitions that
+  /// range stably into the children's two ranges.
+  std::vector<uint32_t> rows;
+  std::vector<uint32_t> weights;
+  /// Where a partition parks the right child's rows meanwhile.
+  std::vector<uint32_t> spill_rows;
+  std::vector<uint32_t> spill_weights;
+  /// The candidate features of the node being split.
+  std::vector<size_t> features;
   /// Scratch the serial split search reuses from node to node.
   CodeCounts counts;
   /// The node's class indices in row order, shared by every candidate.
   std::vector<uint32_t> node_labels;
+  /// Left class counts of the last FindBestSplit's winner.
+  std::vector<uint32_t> best_left;
 };
 
 DecisionTree::DecisionTree(DecisionTreeOptions options)
@@ -60,26 +85,56 @@ Status DecisionTree::FitSource(const TrainingSource& x, const Labels& y) {
                            options_.max_codes(), /*parallel=*/true));
   std::vector<uint32_t> rows(x.rows());
   std::iota(rows.begin(), rows.end(), 0);
-  return FitCoded(codes, std::move(rows), /*parallel=*/true);
+  return FitCoded(codes, std::move(rows), std::vector<uint32_t>(x.rows(), 1),
+                  /*parallel=*/true);
 }
 
 Status DecisionTree::FitCoded(const TrainingCodes& codes,
-                              std::vector<uint32_t> rows, bool parallel) {
+                              std::vector<uint32_t> rows,
+                              std::vector<uint32_t> weights, bool parallel) {
   if (rows.empty()) {
     return Status::InvalidArgument("cannot fit a tree on zero rows");
   }
+  if (rows.size() != weights.size()) {
+    return Status::InvalidArgument(
+        std::to_string(rows.size()) + " rows but " +
+        std::to_string(weights.size()) + " row weights");
+  }
   if (codes.classes().empty()) {
     return Status::InvalidArgument("empty class set");
+  }
+  // Class counts are uint32 sums of weights, so the sample's total must
+  // fit one.
+  uint64_t total_weight = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i] >= codes.rows()) {
+      return Status::InvalidArgument("row id " + std::to_string(rows[i]) +
+                                     " is out of range");
+    }
+    if (i > 0 && rows[i] <= rows[i - 1]) {
+      return Status::InvalidArgument("rows must be strictly ascending");
+    }
+    if (weights[i] == 0) {
+      return Status::InvalidArgument("row weights must be positive");
+    }
+    total_weight += weights[i];
+  }
+  if (total_weight > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("row weights sum past 2^32 - 1");
   }
   classes_ = codes.classes();
   num_features_ = codes.cols();
   nodes_.clear();
   feature_importances_.assign(num_features_, 0.0);
-  // Counts ignore row order; ascending rows turn every code and label read
-  // into a forward scan.
-  std::sort(rows.begin(), rows.end());
-  Grower grower{codes, parallel, Rng(options_.seed), {}, {}};
-  BuildNode(grower, rows, /*depth=*/0);
+  const std::vector<uint32_t>& labels = codes.labels();
+  std::vector<uint32_t> class_counts(classes_.size(), 0);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    class_counts[labels[rows[i]]] += weights[i];
+  }
+  size_t n = rows.size();
+  Grower grower(codes, parallel, options_.seed, std::move(rows),
+                std::move(weights));
+  BuildNode(grower, 0, n, std::move(class_counts), /*depth=*/0);
   double total = 0;
   for (double v : feature_importances_) total += v;
   if (total > 0) {
@@ -100,22 +155,23 @@ uint32_t DecisionTree::MakeLeaf(const std::vector<uint32_t>& class_counts) {
   return static_cast<uint32_t>(nodes_.size() - 1);
 }
 
-uint32_t DecisionTree::BuildNode(Grower& g, std::vector<uint32_t>& rows,
+uint32_t DecisionTree::BuildNode(Grower& g, size_t begin, size_t end,
+                                 std::vector<uint32_t> class_counts,
                                  int depth) {
-  const std::vector<uint32_t>& labels = g.codes.labels();
-  std::vector<uint32_t> class_counts(classes_.size(), 0);
-  for (uint32_t r : rows) ++class_counts[labels[r]];
+  // Weighted totals: a row drawn w times counts w times everywhere.
+  uint64_t total = std::accumulate(class_counts.begin(), class_counts.end(),
+                                   uint64_t{0});
   // Stopping conditions → leaf.
-  bool pure = *std::max_element(class_counts.begin(), class_counts.end()) ==
-              rows.size();
+  bool pure =
+      *std::max_element(class_counts.begin(), class_counts.end()) == total;
   if (pure || depth >= options_.max_depth ||
-      rows.size() < options_.min_samples_split) {
+      total < options_.min_samples_split) {
     return MakeLeaf(class_counts);
   }
 
   // Candidate features (random subset for forests).
-  std::vector<size_t> features(num_features_);
-  std::iota(features.begin(), features.end(), 0);
+  g.features.resize(num_features_);
+  std::iota(g.features.begin(), g.features.end(), 0);
   size_t k = options_.max_features == 0
                  ? num_features_
                  : std::min(options_.max_features, num_features_);
@@ -123,121 +179,160 @@ uint32_t DecisionTree::BuildNode(Grower& g, std::vector<uint32_t>& rows,
     // Partial Fisher-Yates: the first k entries become the sample.
     for (size_t i = 0; i < k; ++i) {
       size_t j = i + g.rng.NextBounded(num_features_ - i);
-      std::swap(features[i], features[j]);
+      std::swap(g.features[i], g.features[j]);
     }
-    features.resize(k);
+    g.features.resize(k);
   }
 
-  SplitResult best = FindBestSplit(g, rows, class_counts, features);
+  SplitResult best = FindBestSplit(g, begin, end, class_counts);
   if (!best.found) return MakeLeaf(class_counts);
 
-  // Partition rows by the codes the split was counted on (NaN, code 0,
-  // goes left); stable, so both children stay ascending.
-  std::vector<uint32_t> left_rows, right_rows;
-  const std::vector<uint16_t>& codes = g.codes.codes(best.feature);
-  for (uint32_t r : rows) {
-    (codes[r] <= best.left_code ? left_rows : right_rows).push_back(r);
+  // The children's class counts come from the winning split's table:
+  // left of its boundary, and the rest.
+  std::vector<uint32_t> left_counts = g.best_left;
+  std::vector<uint32_t> right_counts(class_counts.size());
+  uint64_t left_total = 0;
+  for (size_t c = 0; c < class_counts.size(); ++c) {
+    right_counts[c] = class_counts[c] - left_counts[c];
+    left_total += left_counts[c];
   }
-  if (left_rows.size() < options_.min_samples_leaf ||
-      right_rows.size() < options_.min_samples_leaf) {
+  if (left_total < options_.min_samples_leaf ||
+      total - left_total < options_.min_samples_leaf) {
     return MakeLeaf(class_counts);
   }
   feature_importances_[best.feature] +=
-      best.impurity_decrease * static_cast<double>(rows.size());
-  rows.clear();
-  rows.shrink_to_fit();  // free before recursing
+      best.impurity_decrease * static_cast<double>(total);
+
+  // Partition the range by the codes the split was counted on (NaN, code
+  // 0, goes left). Stable: left rows compact forward, right rows wait in
+  // the spill buffer and follow them, so both children stay ascending.
+  const std::vector<uint16_t>& codes = g.codes.codes(best.feature);
+  size_t mid = begin;
+  size_t spilled = 0;
+  for (size_t i = begin; i < end; ++i) {
+    uint32_t r = g.rows[i];
+    uint32_t w = g.weights[i];
+    if (codes[r] <= best.left_code) {
+      g.rows[mid] = r;
+      g.weights[mid] = w;
+      ++mid;
+    } else {
+      g.spill_rows[spilled] = r;
+      g.spill_weights[spilled] = w;
+      ++spilled;
+    }
+  }
+  std::copy_n(g.spill_rows.begin(), spilled, g.rows.begin() + mid);
+  std::copy_n(g.spill_weights.begin(), spilled, g.weights.begin() + mid);
 
   Node node;
   node.feature = static_cast<int32_t>(best.feature);
   node.threshold = best.threshold;
   nodes_.push_back(node);
   uint32_t self = static_cast<uint32_t>(nodes_.size() - 1);
-  uint32_t left = BuildNode(g, left_rows, depth + 1);
-  uint32_t right = BuildNode(g, right_rows, depth + 1);
+  uint32_t left = BuildNode(g, begin, mid, std::move(left_counts), depth + 1);
+  uint32_t right = BuildNode(g, mid, end, std::move(right_counts), depth + 1);
   nodes_[self].left = left;
   nodes_[self].right = right;
   return self;
 }
 
 DecisionTree::SplitResult DecisionTree::FindBestSplit(
-    Grower& g, const std::vector<uint32_t>& rows,
-    const std::vector<uint32_t>& class_counts,
-    const std::vector<size_t>& features) const {
+    Grower& g, size_t begin, size_t end,
+    const std::vector<uint32_t>& class_counts) const {
   const TrainingCodes& codes = g.codes;
   const std::vector<uint32_t>& labels = codes.labels();
   size_t num_classes = classes_.size();
-  g.node_labels.resize(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) g.node_labels[i] = labels[rows[i]];
+  size_t n = end - begin;
+  const uint32_t* rows = g.rows.data() + begin;
+  const uint32_t* weights = g.weights.data() + begin;
+  g.node_labels.resize(n);
+  for (size_t i = 0; i < n; ++i) g.node_labels[i] = labels[rows[i]];
 
   // [code × class] counts of one candidate, then its best boundary.
   auto split_on = [&](size_t f, CodeCounts& counts) {
     const std::vector<uint16_t>& fc = codes.codes(f);
     size_t num_codes = codes.num_codes(f);
     counts.present.clear();
-    if (num_codes * num_classes > kSortFactor * rows.size()) {
+    if (num_codes * num_classes > kSortFactor * n) {
       // Far more codes than rows (exact splits on a small node): sort the
       // node's (code, class) pairs instead of zeroing a sparse table.
-      counts.pairs.resize(rows.size());
-      for (size_t i = 0; i < rows.size(); ++i) {
-        counts.pairs[i] = uint64_t{fc[rows[i]]} << 32 | g.node_labels[i];
+      counts.pairs.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        counts.pairs[i] = {uint64_t{fc[rows[i]]} << 32 | g.node_labels[i],
+                           weights[i]};
       }
       std::sort(counts.pairs.begin(), counts.pairs.end());
       counts.table.clear();
-      for (uint64_t p : counts.pairs) {
-        auto code = static_cast<uint16_t>(p >> 32);
+      for (const auto& [key, weight] : counts.pairs) {
+        auto code = static_cast<uint16_t>(key >> 32);
         if (counts.present.empty() || counts.present.back() != code) {
           counts.present.push_back(code);
           counts.table.resize(counts.table.size() + num_classes, 0);
         }
-        ++counts.table[counts.table.size() - num_classes + (p & 0xFFFFFFFF)];
+        counts.table[counts.table.size() - num_classes + (key & 0xFFFFFFFF)] +=
+            weight;
       }
       return ScanCodes(codes, f, counts, class_counts);
     }
     counts.table.assign(num_codes * num_classes, 0);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      ++counts.table[fc[rows[i]] * num_classes + g.node_labels[i]];
+    for (size_t i = 0; i < n; ++i) {
+      counts.table[fc[rows[i]] * num_classes + g.node_labels[i]] +=
+          weights[i];
     }
     return ScanCodes(codes, f, counts, class_counts);
   };
-  std::vector<SplitResult> candidates(features.size());
-  if (g.parallel && rows.size() * features.size() >= kParallelSplitWork) {
+  auto better = [](const SplitResult& cand, const SplitResult& best) {
+    return cand.found &&
+           (!best.found || cand.impurity_decrease > best.impurity_decrease);
+  };
+  const std::vector<size_t>& features = g.features;
+  SplitResult best;
+  if (g.parallel && n * features.size() >= kParallelSplitWork) {
     // Each candidate is a pure function of the node, so the tree is the
     // same at any thread count.
+    std::vector<CodeCounts> counts(features.size());
+    std::vector<SplitResult> candidates(features.size());
     Status st = ParallelItems(MorselPolicy{}, features.size(), [&](size_t i) {
-      CodeCounts counts;
-      candidates[i] = split_on(features[i], counts);
+      candidates[i] = split_on(features[i], counts[i]);
       return Status::OK();
     });
     (void)st;  // the items never fail
-  } else {
     for (size_t i = 0; i < features.size(); ++i) {
-      candidates[i] = split_on(features[i], g.counts);
+      if (better(candidates[i], best)) {
+        best = candidates[i];
+        g.best_left.swap(counts[i].best_left);
+      }
     }
-  }
-  SplitResult best;
-  for (const SplitResult& cand : candidates) {
-    if (cand.found &&
-        (!best.found || cand.impurity_decrease > best.impurity_decrease)) {
-      best = cand;
+  } else {
+    for (size_t f : features) {
+      SplitResult cand = split_on(f, g.counts);
+      if (better(cand, best)) {
+        best = cand;
+        g.best_left.swap(g.counts.best_left);
+      }
     }
   }
   return best;
 }
 
 DecisionTree::SplitResult DecisionTree::ScanCodes(
-    const TrainingCodes& codes, size_t feature, const CodeCounts& counts,
+    const TrainingCodes& codes, size_t feature, CodeCounts& counts,
     const std::vector<uint32_t>& class_counts) const {
   SplitResult out;
   size_t num_classes = classes_.size();
-  std::vector<double> total_counts(class_counts.begin(), class_counts.end());
+  std::vector<double>& parent = counts.parent;
+  std::vector<double>& left = counts.left;
+  std::vector<double>& right = counts.right;
+  parent.assign(class_counts.begin(), class_counts.end());
   double total = 0;
-  for (double c : total_counts) total += c;
-  double parent_impurity = Gini(total_counts, total);
+  for (double c : parent) total += c;
+  double parent_impurity = Gini(parent, total);
 
   // Every boundary between two adjacent present codes is a candidate;
   // empty codes are skipped, so each side always holds rows.
-  std::vector<double> left_counts(num_classes, 0.0);
-  std::vector<double> right_counts(num_classes);
+  left.assign(num_classes, 0.0);
+  right.resize(num_classes);
   double left_total = 0;
   size_t num_codes = codes.num_codes(feature);
   size_t num_groups = counts.table.size() / num_classes;
@@ -251,12 +346,9 @@ DecisionTree::SplitResult DecisionTree::ScanCodes(
     if (present == 0) continue;
     if (prev != num_codes) {
       double right_total = total - left_total;
-      for (size_t c = 0; c < num_classes; ++c) {
-        right_counts[c] = total_counts[c] - left_counts[c];
-      }
-      double weighted =
-          (left_total / total) * Gini(left_counts, left_total) +
-          (right_total / total) * Gini(right_counts, right_total);
+      for (size_t c = 0; c < num_classes; ++c) right[c] = parent[c] - left[c];
+      double weighted = (left_total / total) * Gini(left, left_total) +
+                        (right_total / total) * Gini(right, right_total);
       double decrease = parent_impurity - weighted;
       if (decrease > 1e-12 &&
           (!out.found || decrease > out.impurity_decrease)) {
@@ -265,9 +357,13 @@ DecisionTree::SplitResult DecisionTree::ScanCodes(
         out.left_code = static_cast<uint16_t>(prev);
         out.impurity_decrease = decrease;
         right_code = code;
+        counts.best_left.resize(num_classes);
+        for (size_t c = 0; c < num_classes; ++c) {
+          counts.best_left[c] = static_cast<uint32_t>(left[c]);
+        }
       }
     }
-    for (size_t c = 0; c < num_classes; ++c) left_counts[c] += code_counts[c];
+    for (size_t c = 0; c < num_classes; ++c) left[c] += code_counts[c];
     left_total += static_cast<double>(present);
     prev = code;
   }

@@ -2,6 +2,7 @@
 #define MLCS_ML_DECISION_TREE_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "ml/model.h"
@@ -47,13 +48,15 @@ class DecisionTree : public Model {
   std::string ParamsString() const override;
   void Serialize(ByteWriter* writer) const override;
 
-  /// Grows the tree on `rows` of an already-coded training set (repeats
-  /// allowed: a bootstrap sample), adopting its class set — how a random
-  /// forest codes once and grows every tree from the same codes.
-  /// `parallel` fans the split search of large nodes out over the global
-  /// pool, one candidate feature per task; the tree does not depend on it.
+  /// Grows the tree on `rows` of an already-coded training set, each row
+  /// counted `weights[i]` times (a bootstrap sample as per-row draw
+  /// counts), adopting its class set — how a random forest codes once and
+  /// grows every tree from the same codes. `rows` must be strictly
+  /// ascending row ids of `codes` and every weight positive. `parallel`
+  /// fans the split search of large nodes out over the global pool, one
+  /// candidate feature per task; the tree does not depend on it.
   Status FitCoded(const TrainingCodes& codes, std::vector<uint32_t> rows,
-                  bool parallel);
+                  std::vector<uint32_t> weights, bool parallel);
 
   /// Adds the leaf class distribution (class-index space) of rows
   /// [begin, end) into `out`, num_classes doubles per row; the forest sums
@@ -98,21 +101,34 @@ class DecisionTree : public Model {
   /// One candidate feature's class counts at a node: a [code × class]
   /// table, or, when `present` is non-empty, one row per listed code
   /// (ascending) — the sparse form a node with more codes than rows uses.
+  /// The rest is scratch one split search reuses from candidate to
+  /// candidate.
   struct CodeCounts {
     std::vector<uint32_t> table;
     std::vector<uint16_t> present;
-    std::vector<uint64_t> pairs;  // sparse-form scratch: code << 32 | class
+    /// Sparse-form input: (code << 32 | class, row weight) per node row.
+    std::vector<std::pair<uint64_t, uint32_t>> pairs;
+    std::vector<double> parent;  // the node's class counts
+    std::vector<double> left;    // left of the boundary being scanned
+    std::vector<double> right;
+    /// Left class counts at the best boundary ScanCodes found.
+    std::vector<uint32_t> best_left;
   };
   /// Per-fit state BuildNode threads through the recursion.
   struct Grower;
 
-  uint32_t BuildNode(Grower& g, std::vector<uint32_t>& rows, int depth);
-  SplitResult FindBestSplit(Grower& g, const std::vector<uint32_t>& rows,
-                            const std::vector<uint32_t>& class_counts,
-                            const std::vector<size_t>& features) const;
+  /// Grows the node over rows [begin, end) of the grower's row buffer,
+  /// whose class counts (row weights summed per class) are
+  /// `class_counts`.
+  uint32_t BuildNode(Grower& g, size_t begin, size_t end,
+                     std::vector<uint32_t> class_counts, int depth);
+  /// Best split of rows [begin, end) over g.features; the winner's left
+  /// class counts land in g.best_left.
+  SplitResult FindBestSplit(Grower& g, size_t begin, size_t end,
+                            const std::vector<uint32_t>& class_counts) const;
   /// Best boundary between the present codes of one feature's counts.
   SplitResult ScanCodes(const TrainingCodes& codes, size_t feature,
-                        const CodeCounts& counts,
+                        CodeCounts& counts,
                         const std::vector<uint32_t>& class_counts) const;
   uint32_t MakeLeaf(const std::vector<uint32_t>& class_counts);
   size_t WalkToLeaf(const FeatureView* features, size_t row) const;

@@ -1,6 +1,7 @@
 #include "ml/random_forest.h"
 
 #include <cmath>
+#include <numeric>
 
 #include "common/parallel_for.h"
 #include "common/random.h"
@@ -67,16 +68,32 @@ Status RandomForest::FitSource(const TrainingSource& x, const Labels& y) {
     auto tree = std::make_unique<DecisionTree>(topt);
 
     Rng rng(tree_seeds[t] ^ 0xB0075E7ULL);
-    std::vector<uint32_t> rows(n);
+    std::vector<uint32_t> rows;
+    std::vector<uint32_t> weights;
     if (options_.bootstrap) {
+      // n draws with replacement, kept as per-row draw counts: the sample
+      // comes out as ascending distinct rows with no sort, and each row
+      // is counted, partitioned and gathered once however often drawn.
+      std::vector<uint32_t> draws(n, 0);
+      size_t distinct = 0;
       for (size_t i = 0; i < n; ++i) {
-        rows[i] = static_cast<uint32_t>(rng.NextBounded(n));
+        distinct += draws[rng.NextBounded(n)]++ == 0;
+      }
+      rows.reserve(distinct);
+      weights.reserve(distinct);
+      for (size_t r = 0; r < n; ++r) {
+        if (draws[r] != 0) {
+          rows.push_back(static_cast<uint32_t>(r));
+          weights.push_back(draws[r]);
+        }
       }
     } else {
-      for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(i);
+      rows.resize(n);
+      std::iota(rows.begin(), rows.end(), 0);
+      weights.assign(n, 1);
     }
-    MLCS_RETURN_IF_ERROR(
-        tree->FitCoded(codes, std::move(rows), split_parallel));
+    MLCS_RETURN_IF_ERROR(tree->FitCoded(codes, std::move(rows),
+                                        std::move(weights), split_parallel));
     trees_[t] = std::move(tree);
     return Status::OK();
   };

@@ -89,13 +89,60 @@ void CodeBySorting(const FeatureView& col, size_t n, size_t max_codes,
   }
 }
 
-/// Codes one feature. One pass over the rows finds the distinct values
-/// with an open-addressing table on their bits and numbers them in
-/// first-seen order; sorting just the distinct values then maps those
-/// numbers to codes in place.
+/// Codes an int32 feature whose values span `range` = max - min + 1
+/// integers: one pass counts them into a directly indexed array, whose
+/// nonzero entries are the distinct values in ascending order with their
+/// counts — what the hash pass and its sort produce — and one gather
+/// writes the codes.
+void CodeByCounting(const int32_t* values, size_t n, int32_t min,
+                    size_t range, size_t max_codes,
+                    std::vector<uint16_t>* codes, std::vector<double>* lo,
+                    std::vector<double>* hi) {
+  auto offset = [min](int32_t v) {
+    return static_cast<size_t>(int64_t{v} - min);
+  };
+  std::vector<uint32_t> counts(range, 0);
+  for (size_t r = 0; r < n; ++r) ++counts[offset(values[r])];
+  ValueCounts vc;
+  for (size_t i = 0; i < range; ++i) {
+    if (counts[i] == 0) continue;
+    vc.values.push_back(static_cast<double>(min) + static_cast<double>(i));
+    vc.counts.push_back(counts[i]);
+  }
+  std::vector<uint16_t> code_of = AssignCodes(vc, max_codes, lo, hi);
+  // The count array becomes the value → code table.
+  for (size_t i = 0, d = 0; i < range; ++i) {
+    if (counts[i] != 0) counts[i] = code_of[d++];
+  }
+  codes->resize(n);
+  for (size_t r = 0; r < n; ++r) {
+    (*codes)[r] = static_cast<uint16_t>(counts[offset(values[r])]);
+  }
+}
+
+/// Codes one feature. An int32 feature whose values span at most
+/// max(n, 65536) integers is coded by counting; any other feature takes
+/// one pass over the rows that finds the distinct values with an
+/// open-addressing table on their bits and numbers them in first-seen
+/// order; sorting just the distinct values then maps those numbers to
+/// codes in place.
 void CodeFeature(const FeatureView& col, size_t n, size_t max_codes,
                  std::vector<uint16_t>* codes, std::vector<double>* lo,
                  std::vector<double>* hi) {
+  if (const int32_t* values = col.i32(); values != nullptr && n > 0) {
+    int32_t min = values[0];
+    int32_t max = values[0];
+    for (size_t r = 1; r < n; ++r) {  // vectorizes; minmax_element does not
+      min = std::min(min, values[r]);
+      max = std::max(max, values[r]);
+    }
+    int64_t range = int64_t{max} - min + 1;
+    if (range <= static_cast<int64_t>(std::max<size_t>(n, 65536))) {
+      CodeByCounting(values, n, min, static_cast<size_t>(range), max_codes,
+                     codes, lo, hi);
+      return;
+    }
+  }
   codes->assign(n, 0);  // NaN rows keep code 0
   int log_slots = 8;
   std::vector<uint64_t> slot_bits(size_t{1} << log_slots);

@@ -20,6 +20,9 @@ class FeatureView {
   double operator[](size_t r) const {
     return dense_ != nullptr ? dense_[r] : static_cast<double>(i32_[r]);
   }
+  /// The int32 values of an INTEGER column read in place; null when the
+  /// view reads doubles.
+  const int32_t* i32() const { return i32_; }
 
  private:
   friend class TrainingSource;

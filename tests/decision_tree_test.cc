@@ -4,6 +4,7 @@
 
 #include "common/random.h"
 #include "ml/metrics.h"
+#include "ml/training_codes.h"
 
 namespace mlcs::ml {
 namespace {
@@ -119,6 +120,61 @@ TEST(DecisionTreeTest, InputValidation) {
   ASSERT_TRUE(tree.Fit(x1, y3).ok());
   Matrix x2(3, 2);
   EXPECT_FALSE(tree.Predict(x2).ok());
+}
+
+/// Five coded rows of one feature, two classes.
+TrainingCodes FiveCodedRows() {
+  Matrix x(5, 1);
+  for (size_t r = 0; r < 5; ++r) x.Set(r, 0, static_cast<double>(r));
+  auto codes = TrainingCodes::Build(TrainingSource::FromMatrix(x),
+                                    {0, 1, 0, 1, 1}, {0, 1}, 255, false);
+  EXPECT_TRUE(codes.ok());
+  return std::move(codes).ValueOrDie();
+}
+
+TEST(DecisionTreeTest, FitCodedAcceptsAscendingWeightedRows) {
+  TrainingCodes codes = FiveCodedRows();
+  DecisionTree tree;
+  EXPECT_TRUE(tree.FitCoded(codes, {0, 2, 4}, {3, 1, 2}, false).ok());
+  EXPECT_GT(tree.num_nodes(), 1u);
+}
+
+TEST(DecisionTreeTest, FitCodedRejectsWeightCountMismatch) {
+  TrainingCodes codes = FiveCodedRows();
+  DecisionTree tree;
+  EXPECT_EQ(tree.FitCoded(codes, {0, 1, 2}, {1, 1}, false).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(DecisionTreeTest, FitCodedRejectsRowsNotStrictlyAscending) {
+  TrainingCodes codes = FiveCodedRows();
+  DecisionTree tree;
+  EXPECT_EQ(tree.FitCoded(codes, {0, 2, 1}, {1, 1, 1}, false).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(tree.FitCoded(codes, {0, 2, 2}, {1, 1, 1}, false).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(DecisionTreeTest, FitCodedRejectsRowOutOfRange) {
+  TrainingCodes codes = FiveCodedRows();
+  DecisionTree tree;
+  EXPECT_EQ(tree.FitCoded(codes, {0, 5}, {1, 1}, false).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(DecisionTreeTest, FitCodedRejectsZeroWeight) {
+  TrainingCodes codes = FiveCodedRows();
+  DecisionTree tree;
+  EXPECT_EQ(tree.FitCoded(codes, {0, 1, 3}, {1, 0, 1}, false).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(DecisionTreeTest, FitCodedRejectsWeightsPastUint32) {
+  // Class counts are uint32 sums of weights.
+  TrainingCodes codes = FiveCodedRows();
+  DecisionTree tree;
+  EXPECT_EQ(tree.FitCoded(codes, {0, 1}, {UINT32_MAX, 1}, false).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(DecisionTreeTest, NaNRowsRouteLeftWithoutCrashing) {

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "ml/matrix.h"
 #include "ml/naive_bayes.h"
 #include "ml/pickle.h"
+#include "ml/random_forest.h"
 #include "modelstore/model_cache.h"
 #include "modelstore/model_store.h"
 #include "obs/flight_recorder.h"
@@ -696,6 +698,101 @@ TEST(SanitizerStressTest, BufferPoolConcurrentScansAndEviction) {
   bufpool::SetZoneMapSkippingEnabled(true);
   pool.set_byte_budget(budget_before);
   pool.Clear();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(SanitizerStressTest, ConcurrentForestFits) {
+  // Forest fits on the shared global pool: trees fan out as pool items,
+  // each growing in place over its own row buffer from codes every tree
+  // shares, and with fewer trees than threads each large node's
+  // candidate search fans out too. Two threads fit 8-tree forests while a
+  // third runs morsel-parallel queries on the same pool; then a 2-tree
+  // fit takes the parallel candidate search. Every model must equal a
+  // fit made alone byte for byte, and grow the serial fit's trees.
+  Rng rng(31);
+  ml::Matrix x(12000, 16);
+  ml::Labels y(x.rows());
+  for (size_t r = 0; r < x.rows(); ++r) {
+    for (size_t c = 0; c < x.cols(); ++c) {
+      // Half the features are small-domain integers, half continuous.
+      x.Set(r, c, c % 2 == 0 ? static_cast<double>(rng.NextBounded(40))
+                             : rng.NextGaussian());
+    }
+    y[r] = x.At(r, 0) / 20.0 + x.At(r, 1) + rng.NextGaussian() > 1.0;
+  }
+  auto fit = [&](int trees, bool parallel) {
+    ml::RandomForestOptions opt;
+    opt.n_estimators = trees;
+    opt.max_depth = 8;
+    opt.max_features = 12;  // ~7 600 distinct root rows x 12 candidates
+    opt.parallel_fit = parallel;
+    auto forest = std::make_unique<ml::RandomForest>(opt);
+    EXPECT_TRUE(forest->Fit(x, y).ok());
+    return forest;
+  };
+  // The pickle records parallel_fit, so pooled bytes are pinned by a
+  // pooled fit on the quiet pool, and that fit must grow the serial
+  // fit's trees: the same leaf distributions and importances, exactly.
+  auto same_trees = [&](const ml::RandomForest& a, const ml::RandomForest& b) {
+    auto pa = a.PredictDistribution(ml::TrainingSource::FromMatrix(x));
+    auto pb = b.PredictDistribution(ml::TrainingSource::FromMatrix(x));
+    auto ia = a.FeatureImportances();
+    auto ib = b.FeatureImportances();
+    return pa.ok() && pb.ok() && ia.ok() && ib.ok() &&
+           pa.ValueOrDie() == pb.ValueOrDie() &&
+           ia.ValueOrDie() == ib.ValueOrDie();
+  };
+  const std::string pooled8 = ml::pickle::Dumps(*fit(8, true));
+  const std::string pooled2 = ml::pickle::Dumps(*fit(2, true));
+  EXPECT_TRUE(same_trees(*fit(8, true), *fit(8, false)));
+  EXPECT_TRUE(same_trees(*fit(2, true), *fit(2, false)));
+
+  Database db;
+  ASSERT_TRUE(db.Run("CREATE TABLE facts (k INTEGER, v DOUBLE);").ok());
+  std::string insert = "INSERT INTO facts VALUES ";
+  for (int i = 0; i < 2048; ++i) {
+    if (i > 0) insert += ",";
+    insert += "(";
+    insert += std::to_string(rng.NextBounded(16));
+    insert += ",";
+    insert += std::to_string(rng.NextDouble());
+    insert += ")";
+  }
+  ASSERT_TRUE(db.Query(insert).ok());
+  MorselPolicy policy;  // the global pool the forests use
+  policy.morsel_rows = 64;
+  db.set_exec_policy(policy);
+  const std::string kQuery =
+      "SELECT k, COUNT(*) AS n, SUM(v) AS total FROM facts WHERE v > 0.25 "
+      "GROUP BY k ORDER BY k";
+  TablePtr reference = db.Query(kQuery).ValueOrDie();
+
+  std::atomic<int> failures{0};
+  std::atomic<bool> fitting{true};
+  std::thread querier([&] {
+    while (fitting.load()) {
+      auto r = db.Query(kQuery);
+      if (!r.ok() || !r.ValueOrDie()->Equals(*reference)) {
+        failures.fetch_add(1);
+      }
+    }
+  });
+  std::vector<std::thread> fitters;
+  for (int t = 0; t < 2; ++t) {
+    fitters.emplace_back([&] {
+      for (int i = 0; i < 2; ++i) {
+        if (ml::pickle::Dumps(*fit(8, true)) != pooled8) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : fitters) t.join();
+  // Fewer trees than pool threads: large nodes search their candidate
+  // features in parallel.
+  if (ml::pickle::Dumps(*fit(2, true)) != pooled2) failures.fetch_add(1);
+  fitting.store(false);
+  querier.join();
   EXPECT_EQ(failures.load(), 0);
 }
 

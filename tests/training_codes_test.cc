@@ -207,6 +207,80 @@ std::vector<ColumnPtr> IntColumns(size_t rows, Labels* y) {
   return cols;
 }
 
+/// Codes `values` as an INTEGER column read in place and as doubles
+/// through FromMatrix; both must give the same codes, code count and
+/// thresholds.
+void ExpectIntegerCodingParity(const std::vector<int32_t>& values,
+                               size_t max_codes) {
+  Matrix x(values.size(), 1);
+  for (size_t r = 0; r < values.size(); ++r) {
+    x.Set(r, 0, static_cast<double>(values[r]));
+  }
+  auto source =
+      TrainingSource::FromColumns({mlcs::Column::FromInt32(values)});
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  ASSERT_NE(source.ValueOrDie().view(0).i32(), nullptr);  // read in place
+  Labels y(values.size(), 0);
+  auto ints =
+      TrainingCodes::Build(source.ValueOrDie(), y, {0}, max_codes, false);
+  auto doubles = TrainingCodes::Build(TrainingSource::FromMatrix(x), y, {0},
+                                      max_codes, false);
+  ASSERT_TRUE(ints.ok());
+  ASSERT_TRUE(doubles.ok());
+  const TrainingCodes& a = ints.ValueOrDie();
+  const TrainingCodes& b = doubles.ValueOrDie();
+  EXPECT_EQ(a.codes(0), b.codes(0));
+  ASSERT_EQ(a.num_codes(0), b.num_codes(0));
+  for (size_t c = 0; c + 1 < a.num_codes(0); ++c) {
+    auto left = static_cast<uint16_t>(c);
+    auto right = static_cast<uint16_t>(c + 1);
+    EXPECT_EQ(a.Threshold(0, left, right), b.Threshold(0, left, right)) << c;
+  }
+}
+
+TEST(TrainingCodesTest, IntegerColumnCodesLikeDoubles) {
+  {
+    SCOPED_TRACE("negative values");
+    ExpectIntegerCodingParity({-5, -3, -3, 0, 2, -5, 7, -1000}, 255);
+  }
+  {
+    SCOPED_TRACE("one distinct value");
+    ExpectIntegerCodingParity({4, 4, 4, 4}, 255);
+  }
+  {
+    SCOPED_TRACE("300 distinct values into 255 equal-frequency ranges");
+    Rng rng(12);
+    std::vector<int32_t> values(5000);
+    for (int32_t& v : values) {
+      v = static_cast<int32_t>(rng.NextBounded(300)) - 150;
+    }
+    ExpectIntegerCodingParity(values, 255);
+  }
+  {
+    SCOPED_TRACE("range exactly at the cap");
+    ExpectIntegerCodingParity({0, 65535, 17, 40000, 17}, 255);
+  }
+  {
+    SCOPED_TRACE("range just above the cap");
+    ExpectIntegerCodingParity({0, 65536, 17, 40000, 17}, 255);
+  }
+  {
+    SCOPED_TRACE("more distinct values than a feature has codes");
+    std::vector<int32_t> values(70000);
+    for (size_t r = 0; r < values.size(); ++r) {
+      values[r] = static_cast<int32_t>((r * 7919) % values.size());
+    }
+    ExpectIntegerCodingParity(values, 255);
+  }
+  {
+    SCOPED_TRACE("the whole int32 range");
+    ExpectIntegerCodingParity({std::numeric_limits<int32_t>::max(), 0,
+                               std::numeric_limits<int32_t>::min(), -1,
+                               std::numeric_limits<int32_t>::max()},
+                              255);
+  }
+}
+
 TEST(TrainingSourceTest, FromColumnsReadsLikeTheMatrix) {
   ColumnPtr ints = mlcs::Column::FromInt32({4, -1, 7});
   ColumnPtr doubles = mlcs::Column::FromDouble({0.5, -2.0, 1e300});
