@@ -52,9 +52,10 @@ class DecisionTree : public Model {
   /// counted `weights[i]` times (a bootstrap sample as per-row draw
   /// counts), adopting its class set — how a random forest codes once and
   /// grows every tree from the same codes. `rows` must be strictly
-  /// ascending row ids of `codes` and every weight positive. `parallel`
-  /// fans the split search of large nodes out over the global pool, one
-  /// candidate feature per task; the tree does not depend on it.
+  /// ascending row ids of `codes`, every weight positive and their sum
+  /// at most 2^32 - 1 (class counts are uint32). `parallel` fans the
+  /// split search of large nodes out over the global pool, one candidate
+  /// feature per task; the tree does not depend on it.
   Status FitCoded(const TrainingCodes& codes, std::vector<uint32_t> rows,
                   std::vector<uint32_t> weights, bool parallel);
 
