@@ -7,8 +7,11 @@
 ///     the classifier BLOB on every UDF invocation, then predict.
 ///   - PredictCachedModel: the proposed optimization — keep the in-memory
 ///     model snapshot and skip the round-trip.
-/// The gap between the last two is exactly the avoidable overhead; it
-/// grows with model size and shrinks with batch size.
+///   - ModelCacheHit: what a snapshot-cache hit still pays per use — keying
+///     the BLOB and the LRU lookup — to set beside PickleLoads.
+/// The gap between PredictFreshDeserialize and PredictCachedModel is
+/// exactly the avoidable overhead; it grows with model size and shrinks
+/// with batch size.
 #include <benchmark/benchmark.h>
 
 #include "bench_main.h"
@@ -16,6 +19,7 @@
 #include "common/random.h"
 #include "ml/pickle.h"
 #include "ml/random_forest.h"
+#include "modelstore/model_cache.h"
 #include "pipeline/voter_pipeline.h"
 #include "sql/database.h"
 
@@ -117,6 +121,22 @@ void BM_PredictCachedModel(benchmark::State& state) {
                           static_cast<int64_t>(Data().probe.rows()));
 }
 
+/// A hit on an already-cached BLOB: the key over every byte plus the lookup.
+void BM_ModelCacheHit(benchmark::State& state) {
+  ml::RandomForest& forest = ForestOf(static_cast<int>(state.range(0)));
+  std::string blob = ml::pickle::Dumps(forest);
+  modelstore::ModelCache cache(4);
+  if (!cache.Get(blob).ok()) state.SkipWithError("first get failed");
+  for (auto _ : state) {
+    auto model = cache.Get(blob);
+    if (!model.ok()) state.SkipWithError("get failed");
+    benchmark::DoNotOptimize(model);
+  }
+  state.counters["blob_bytes"] = static_cast<double>(blob.size());
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(blob.size()));
+}
+
 /// End-to-end SQL comparison: Listing-2 semantics (deserialize per call)
 /// vs the cached UDF (§5.1 optimization), through the full query path.
 Database& SqlFixture() {
@@ -167,6 +187,7 @@ BENCHMARK(BM_PickleDumps)->Arg(1)->Arg(8)->Arg(32)->Arg(64);
 BENCHMARK(BM_PickleLoads)->Arg(1)->Arg(8)->Arg(32)->Arg(64);
 BENCHMARK(BM_PredictFreshDeserialize)->Arg(1)->Arg(8)->Arg(32)->Arg(64);
 BENCHMARK(BM_PredictCachedModel)->Arg(1)->Arg(8)->Arg(32)->Arg(64);
+BENCHMARK(BM_ModelCacheHit)->Arg(1)->Arg(8)->Arg(32)->Arg(64);
 BENCHMARK(BM_SqlPredictFreshDeserialize);
 BENCHMARK(BM_SqlPredictCached);
 

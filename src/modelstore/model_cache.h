@@ -17,7 +17,7 @@ namespace mlcs::modelstore {
 /// snapshots of the in-memory representation of the models to avoid this
 /// (de)serialization overhead".
 ///
-/// An LRU cache keyed by a hash of the pickled BLOB: the first Get
+/// An LRU cache keyed by a hash of the pickled BLOB (Key): the first Get
 /// deserializes and snapshots the model; subsequent predict calls with the
 /// same BLOB reuse the in-memory object. Content addressing keeps the
 /// cache correct under model replacement (a retrained model has different
@@ -40,9 +40,12 @@ class ModelCache {
   /// Process-wide cache used by the `_cached` predict UDFs.
   static ModelCache& Global();
 
- private:
-  static uint64_t HashBytes(const std::string& bytes);
+  /// The cache key of a pickled BLOB: a 64-bit xxHash64-style hash read a
+  /// word at a time. Held in memory only and never persisted, so its
+  /// values may change between builds.
+  static uint64_t Key(const std::string& pickled_bytes);
 
+ private:
   struct Entry {
     uint64_t key;
     ml::ModelPtr model;

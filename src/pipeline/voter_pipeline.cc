@@ -312,7 +312,7 @@ Status RegisterVoterUdfs(Database* db) {
       PredictUdf("predict_voter_rf", ml::pickle::Loads), /*or_replace=*/true));
   // The §5.1 optimization: same signature, but the deserialized model is
   // snapshotted in the global content-addressed cache, so repeated
-  // predict calls skip the BLOB round-trip.
+  // predict calls skip the unpickle and pay only the BLOB's key.
   return registry.RegisterScalar(
       PredictUdf("predict_voter_rf_cached",
                  [](const std::string& blob) {

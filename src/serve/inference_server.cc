@@ -391,7 +391,8 @@ void InferenceServer::RunGroup(std::vector<Pending*>& members,
     return;
   }
   // Content-addressed snapshot cache: a retrained model has different
-  // bytes, so a stale snapshot can never be served (paper §5.1).
+  // bytes, so a stale snapshot can never be served (paper §5.1). Even a
+  // hit keys the whole BLOB, once per batch (span `model_cache.get`).
   auto model = cache_->Get(blob.ValueOrDie());
   if (!model.ok()) {
     for (Pending* p : live) {

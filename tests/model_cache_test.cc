@@ -7,6 +7,8 @@
 #include "common/random.h"
 #include "ml/naive_bayes.h"
 #include "ml/pickle.h"
+#include "ml/random_forest.h"
+#include "obs/trace.h"
 #include "pipeline/voter_pipeline.h"
 #include "sql/database.h"
 
@@ -26,6 +28,87 @@ std::string FittedBlob(uint64_t seed) {
   ml::NaiveBayes nb;
   EXPECT_TRUE(nb.Fit(x, y).ok());
   return ml::pickle::Dumps(nb);
+}
+
+/// A real 8-tree forest BLOB, the shape the serving path keys.
+std::string ForestBlob() {
+  Rng rng(3);
+  ml::Matrix x(400, 4);
+  ml::Labels y(400);
+  for (size_t i = 0; i < 400; ++i) {
+    int32_t cls = static_cast<int32_t>(rng.NextBounded(2));
+    for (size_t c = 0; c < 4; ++c) x.Set(i, c, cls + rng.NextGaussian());
+    y[i] = cls;
+  }
+  ml::RandomForestOptions opt;
+  opt.n_estimators = 8;
+  ml::RandomForest forest(opt);
+  EXPECT_TRUE(forest.Fit(x, y).ok());
+  return ml::pickle::Dumps(forest);
+}
+
+TEST(ModelCacheTest, KeyChangesWithEveryBitFlip) {
+  // Lengths 0-130 cover four-plus 32-byte stripes, the 8-byte word tail
+  // and the byte tail, each at every alignment of the flipped bit.
+  Rng rng(5);
+  for (size_t len = 0; len <= 130; ++len) {
+    std::string bytes(len, '\0');
+    for (char& c : bytes) c = static_cast<char>(rng.NextBounded(256));
+    const uint64_t key = ModelCache::Key(bytes);
+    for (size_t i = 0; i < len; ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        bytes[i] = static_cast<char>(bytes[i] ^ (1 << bit));
+        ASSERT_NE(ModelCache::Key(bytes), key)
+            << "len " << len << " offset " << i << " bit " << bit;
+        bytes[i] = static_cast<char>(bytes[i] ^ (1 << bit));
+      }
+    }
+    ASSERT_EQ(ModelCache::Key(bytes), key);
+  }
+}
+
+TEST(ModelCacheTest, KeyChangesWithFlipsInAForestBlob) {
+  std::string blob = ForestBlob();
+  ASSERT_GT(blob.size(), 4096u);
+  const uint64_t key = ModelCache::Key(blob);
+  for (size_t i = 0; i < blob.size(); i += 61) {
+    const char flip = static_cast<char>(1 << (i % 8));
+    blob[i] = static_cast<char>(blob[i] ^ flip);
+    ASSERT_NE(ModelCache::Key(blob), key) << "offset " << i;
+    blob[i] = static_cast<char>(blob[i] ^ flip);
+  }
+}
+
+TEST(ModelCacheTest, KeyDependsOnBytesAndLengthOnly) {
+  const std::string blob = ForestBlob();
+  const std::string copy(blob.data(), blob.size());  // separate storage
+  ASSERT_NE(copy.data(), blob.data());
+  EXPECT_EQ(ModelCache::Key(copy), ModelCache::Key(blob));
+  EXPECT_NE(ModelCache::Key(blob + std::string(1, '\0')),
+            ModelCache::Key(blob));
+  EXPECT_NE(ModelCache::Key(std::string(1, '\0')), ModelCache::Key(""));
+}
+
+TEST(ModelCacheTest, EveryGetIsTraced) {
+  ModelCache cache(4);
+  const std::string blob = FittedBlob(1);
+  obs::TraceContext ctx("gets", /*force=*/true);
+  (void)cache.Get(blob).ValueOrDie();  // miss
+  (void)cache.Get(blob).ValueOrDie();  // hit
+  std::vector<obs::TraceSpan> spans = ctx.ConsumeSpans();
+  std::vector<const obs::TraceSpan*> gets;
+  const obs::TraceSpan* load = nullptr;
+  for (const obs::TraceSpan& s : spans) {
+    if (s.name == "model_cache.get") gets.push_back(&s);
+    if (s.name == "model_cache.load") load = &s;
+  }
+  ASSERT_EQ(gets.size(), 2u);
+  for (const obs::TraceSpan* g : gets) EXPECT_EQ(g->bytes, blob.size());
+  // Only the miss deserializes, under its own get span (spans are
+  // recorded as they end, so the miss's get comes first).
+  ASSERT_NE(load, nullptr);
+  EXPECT_EQ(load->parent_id, gets[0]->span_id);
+  EXPECT_EQ(load->bytes, blob.size());
 }
 
 TEST(ModelCacheTest, HitReturnsSameObject) {
