@@ -4,13 +4,24 @@
 /// distinct value with exact splits; nodes then count classes per code,
 /// O(rows + codes) per candidate feature. Counters report training
 /// accuracy so the speed/quality trade is visible in one table.
+///
+/// BM_ForestPredict/threads:N times the walk those trees are read back
+/// with: the Figure-1 forest shape (8 trees, depth 10) over synthetic
+/// voters' INTEGER feature columns read in place, 2 048-row blocks on a
+/// pool of N threads (DESIGN.md §4).
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <memory>
 
 #include "bench_main.h"
 
+#include "common/parallel_for.h"
 #include "common/random.h"
+#include "io/voter_gen.h"
 #include "ml/decision_tree.h"
 #include "ml/metrics.h"
+#include "ml/random_forest.h"
 
 namespace {
 
@@ -74,6 +85,93 @@ void BM_ExactSplitter(benchmark::State& state) {
 
 BENCHMARK(BM_HistogramSplitter)->Arg(8)->Arg(32)->Arg(128)->Arg(255);
 BENCHMARK(BM_ExactSplitter);
+
+/// Rows per predict block: RandomForest::PredictDistribution's morsel.
+constexpr size_t kBlockRows = 2048;
+
+ml::RandomForestOptions Figure1ForestOptions() {
+  ml::RandomForestOptions opt;
+  opt.n_estimators = 8;
+  opt.max_depth = 10;
+  return opt;
+}
+
+struct ForestFixture {
+  ml::RandomForest forest{Figure1ForestOptions()};
+  /// The input as kBlockRows-row sources over their own INTEGER columns,
+  /// so each block's PredictDistribution runs on the thread that takes it.
+  std::vector<std::vector<ColumnPtr>> block_columns;
+  std::vector<ml::TrainingSource> blocks;
+  size_t rows = 0;
+};
+
+ForestFixture& Forest() {
+  static ForestFixture* fixture = [] {
+    auto* f = new ForestFixture();
+    // Figure-1's test half: 125 000 voters, every voter column but
+    // voter_id as a feature.
+    io::VoterDataOptions data;
+    data.num_voters = 125000;
+    TablePtr voters = io::GenerateVoters(data).ValueOrDie();
+    std::vector<ColumnPtr> features;
+    for (size_t c = 1; c < voters->num_columns(); ++c) {
+      features.push_back(voters->column(c));
+    }
+    f->rows = voters->num_rows();
+    ml::Labels y(f->rows);
+    Rng rng(5);
+    const std::vector<int32_t>& precinct = features[0]->i32_data();
+    for (size_t r = 0; r < f->rows; ++r) {
+      double share = io::PrecinctDemShare(
+          data.seed, static_cast<size_t>(precinct[r]), data.num_precincts);
+      y[r] = rng.NextDouble() < share ? 1 : 0;
+    }
+    auto source = ml::TrainingSource::FromColumns(features);
+    if (!source.ok() || !f->forest.FitSource(source.ValueOrDie(), y).ok()) {
+      std::abort();
+    }
+    for (size_t begin = 0; begin < f->rows; begin += kBlockRows) {
+      size_t end = std::min(f->rows, begin + kBlockRows);
+      std::vector<ColumnPtr> cols;
+      for (const ColumnPtr& col : features) {
+        const std::vector<int32_t>& v = col->i32_data();
+        cols.push_back(Column::FromInt32(
+            std::vector<int32_t>(v.begin() + begin, v.begin() + end)));
+      }
+      f->blocks.push_back(ml::TrainingSource::FromColumns(cols).ValueOrDie());
+      f->block_columns.push_back(std::move(cols));
+    }
+    return f;
+  }();
+  return *fixture;
+}
+
+void BM_ForestPredict(benchmark::State& state) {
+  ForestFixture& f = Forest();
+  ThreadPool pool(static_cast<size_t>(state.range(0)));
+  MorselPolicy policy;
+  policy.pool = &pool;
+  for (auto _ : state) {
+    Status st = ParallelItems(policy, f.blocks.size(), [&](size_t b) {
+      auto dist = f.forest.PredictDistribution(f.blocks[b]);
+      benchmark::DoNotOptimize(dist);
+      return dist.status();
+    });
+    if (!st.ok()) {
+      state.SkipWithError("predict failed");
+      break;
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(f.rows));
+}
+
+BENCHMARK(BM_ForestPredict)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -125,6 +125,7 @@ Status DecisionTree::FitCoded(const TrainingCodes& codes,
   classes_ = codes.classes();
   num_features_ = codes.cols();
   nodes_.clear();
+  probs_.clear();
   feature_importances_.assign(num_features_, 0.0);
   const std::vector<uint32_t>& labels = codes.labels();
   std::vector<uint32_t> class_counts(classes_.size(), 0);
@@ -135,6 +136,7 @@ Status DecisionTree::FitCoded(const TrainingCodes& codes,
   Grower grower(codes, parallel, options_.seed, std::move(rows),
                 std::move(weights));
   BuildNode(grower, 0, n, std::move(class_counts), /*depth=*/0);
+  depth_ = ComputeDepth();
   double total = 0;
   for (double v : feature_importances_) total += v;
   if (total > 0) {
@@ -144,15 +146,18 @@ Status DecisionTree::FitCoded(const TrainingCodes& codes,
 }
 
 uint32_t DecisionTree::MakeLeaf(const std::vector<uint32_t>& class_counts) {
+  auto self = static_cast<uint32_t>(nodes_.size());
   Node node;
-  node.probs.assign(class_counts.begin(), class_counts.end());
+  node.children[0] = node.children[1] = self;
+  nodes_.push_back(node);
+  size_t first = probs_.size();
+  probs_.insert(probs_.end(), class_counts.begin(), class_counts.end());
   float total = 0;
-  for (float p : node.probs) total += p;
+  for (size_t i = first; i < probs_.size(); ++i) total += probs_[i];
   if (total > 0) {
-    for (float& p : node.probs) p /= total;
+    for (size_t i = first; i < probs_.size(); ++i) probs_[i] /= total;
   }
-  nodes_.push_back(std::move(node));
-  return static_cast<uint32_t>(nodes_.size() - 1);
+  return self;
 }
 
 uint32_t DecisionTree::BuildNode(Grower& g, size_t begin, size_t end,
@@ -229,11 +234,12 @@ uint32_t DecisionTree::BuildNode(Grower& g, size_t begin, size_t end,
   node.feature = static_cast<int32_t>(best.feature);
   node.threshold = best.threshold;
   nodes_.push_back(node);
-  uint32_t self = static_cast<uint32_t>(nodes_.size() - 1);
+  probs_.resize(probs_.size() + classes_.size(), 0.0f);
+  auto self = static_cast<uint32_t>(nodes_.size() - 1);
   uint32_t left = BuildNode(g, begin, mid, std::move(left_counts), depth + 1);
   uint32_t right = BuildNode(g, mid, end, std::move(right_counts), depth + 1);
-  nodes_[self].left = left;
-  nodes_[self].right = right;
+  nodes_[self].children[0] = left;
+  nodes_[self].children[1] = right;
   return self;
 }
 
@@ -374,24 +380,43 @@ DecisionTree::SplitResult DecisionTree::ScanCodes(
   return out;
 }
 
-size_t DecisionTree::WalkToLeaf(const FeatureView* features,
-                                size_t row) const {
-  size_t node = 0;
-  while (nodes_[node].feature >= 0) {
-    double v = features[nodes_[node].feature][row];
-    node = (std::isnan(v) || v <= nodes_[node].threshold)
-               ? nodes_[node].left
-               : nodes_[node].right;
+int DecisionTree::ComputeDepth() const {
+  std::vector<int> depth(nodes_.size(), 0);
+  int deepest = 0;
+  for (size_t k = 0; k < nodes_.size(); ++k) {
+    if (IsLeaf(k)) {
+      deepest = std::max(deepest, depth[k]);
+      continue;
+    }
+    for (uint32_t child : nodes_[k].children) {
+      depth[child] = std::max(depth[child], depth[k] + 1);
+    }
   }
-  return node;
+  return deepest;
 }
 
 void DecisionTree::AddDistribution(const FeatureView* features, size_t begin,
                                    size_t end, double* out) const {
   size_t num_classes = classes_.size();
-  for (size_t r = begin; r < end; ++r, out += num_classes) {
-    const auto& probs = nodes_[WalkToLeaf(features, r)].probs;
-    for (size_t c = 0; c < num_classes; ++c) out[c] += probs[c];
+  const Node* nodes = nodes_.data();
+  uint32_t at[kWalkRows] = {};
+  for (size_t first = begin; first < end; first += kWalkRows) {
+    size_t n = std::min(kWalkRows, end - first);
+    // Every row takes exactly depth_ steps, so the loops carry no
+    // data-dependent branch: a row whose leaf is shallower than the tree
+    // loops on it. !(v > t) sends NaN left, as fitting did.
+    std::fill_n(at, n, 0);
+    for (int level = 0; level < depth_; ++level) {
+      for (size_t i = 0; i < n; ++i) {
+        const Node& node = nodes[at[i]];
+        at[i] = node.children[features[node.feature][first + i] >
+                              node.threshold];
+      }
+    }
+    for (size_t i = 0; i < n; ++i, out += num_classes) {
+      const float* probs = probs_.data() + at[i] * num_classes;
+      for (size_t c = 0; c < num_classes; ++c) out[c] += probs[c];
+    }
   }
 }
 
@@ -426,13 +451,26 @@ void DecisionTree::Serialize(ByteWriter* writer) const {
   writer->WriteVarint(feature_importances_.size());
   for (double v : feature_importances_) writer->WriteDouble(v);
   writer->WriteVarint(nodes_.size());
-  for (const auto& node : nodes_) {
+  size_t num_classes = classes_.size();
+  for (size_t k = 0; k < nodes_.size(); ++k) {
+    if (IsLeaf(k)) {
+      // A leaf is stored as feature -1, threshold 0, children 0.
+      writer->WriteI32(-1);
+      writer->WriteDouble(0);
+      writer->WriteU32(0);
+      writer->WriteU32(0);
+      writer->WriteVarint(num_classes);
+      for (size_t c = 0; c < num_classes; ++c) {
+        writer->WriteDouble(probs_[k * num_classes + c]);
+      }
+      continue;
+    }
+    const Node& node = nodes_[k];
     writer->WriteI32(node.feature);
     writer->WriteDouble(node.threshold);
-    writer->WriteU32(node.left);
-    writer->WriteU32(node.right);
-    writer->WriteVarint(node.probs.size());
-    for (float p : node.probs) writer->WriteDouble(p);
+    writer->WriteU32(node.children[0]);
+    writer->WriteU32(node.children[1]);
+    writer->WriteVarint(0);
   }
 }
 
@@ -469,37 +507,66 @@ Result<std::unique_ptr<DecisionTree>> DecisionTree::DeserializeBody(
   MLCS_ASSIGN_OR_RETURN(uint64_t num_nodes,
                         reader->ReadCount(kMinNodeBytes, "tree node"));
   if (num_nodes == 0) return Status::ParseError("corrupt tree: no nodes");
+  // probs_ holds num_classes floats per node. Every leaf stores as many
+  // doubles, and a tree has more leaves than splits, so a valid tree's
+  // bytes hold at least 4 per node and class.
+  if (num_classes > 0 && num_nodes > reader->remaining() / 4 / num_classes) {
+    return Status::ParseError(
+        "corrupt tree: node count exceeds the leaf distributions' bytes");
+  }
   tree->nodes_.resize(num_nodes);
+  tree->probs_.assign(num_nodes * num_classes, 0.0f);
+  std::vector<uint8_t> parents(num_nodes, 0);
   for (size_t i = 0; i < num_nodes; ++i) {
     Node& node = tree->nodes_[i];
-    MLCS_ASSIGN_OR_RETURN(node.feature, reader->ReadI32());
+    MLCS_ASSIGN_OR_RETURN(int32_t feature, reader->ReadI32());
     MLCS_ASSIGN_OR_RETURN(node.threshold, reader->ReadDouble());
-    MLCS_ASSIGN_OR_RETURN(node.left, reader->ReadU32());
-    MLCS_ASSIGN_OR_RETURN(node.right, reader->ReadU32());
+    MLCS_ASSIGN_OR_RETURN(node.children[0], reader->ReadU32());
+    MLCS_ASSIGN_OR_RETURN(node.children[1], reader->ReadU32());
     MLCS_ASSIGN_OR_RETURN(
         uint64_t np, reader->ReadCount(sizeof(double), "leaf probability"));
-    node.probs.resize(np);
-    for (auto& p : node.probs) {
-      MLCS_ASSIGN_OR_RETURN(double d, reader->ReadDouble());
-      p = static_cast<float>(d);
-    }
-    if (node.feature < 0) {
-      // Leaf: PredictProba indexes probs by class position.
-      if (node.probs.size() != tree->classes_.size()) {
+    if (feature < 0) {
+      // Leaf: PredictProba indexes its distribution by class position.
+      if (np != num_classes) {
         return Status::ParseError(
             "corrupt tree: leaf distribution does not match the classes");
       }
+      for (uint64_t c = 0; c < num_classes; ++c) {
+        MLCS_ASSIGN_OR_RETURN(double p, reader->ReadDouble());
+        tree->probs_[i * num_classes + c] = static_cast<float>(p);
+      }
+      node = Node{};
+      node.children[0] = node.children[1] = static_cast<uint32_t>(i);
       continue;
     }
-    if (static_cast<uint64_t>(node.feature) >= nf) {
+    if (np != 0) {
+      return Status::ParseError("corrupt tree: split carries a distribution");
+    }
+    if (static_cast<uint64_t>(feature) >= nf) {
       return Status::ParseError("corrupt tree: split feature out of range");
     }
-    // Fit appends children after their parent, so parent < child holds in
-    // every valid tree — and rules out cycles in WalkToLeaf.
-    if (node.left <= i || node.right <= i || node.left >= num_nodes ||
-        node.right >= num_nodes) {
-      return Status::ParseError("corrupt tree: child index out of range");
+    // The walk's !(v > t) matches fitting's NaN-or-<= rule only for a
+    // number; fitting never makes a NaN threshold.
+    if (std::isnan(node.threshold)) {
+      return Status::ParseError("corrupt tree: split threshold is NaN");
     }
+    node.feature = feature;
+    // Fit appends children after their parent, so parent < child holds in
+    // every valid tree and rules out cycles; one parent per node rules out
+    // shared subtrees, so the tree is a tree.
+    for (uint32_t child : node.children) {
+      if (child <= i || child >= num_nodes) {
+        return Status::ParseError("corrupt tree: child index out of range");
+      }
+      if (parents[child]++ != 0) {
+        return Status::ParseError("corrupt tree: node has two parents");
+      }
+    }
+  }
+  // The walk takes depth() steps per row; fitting stops at max_depth.
+  tree->depth_ = tree->ComputeDepth();
+  if (tree->depth_ > std::max(options.max_depth, 0)) {
+    return Status::ParseError("corrupt tree: deeper than its max_depth");
   }
   return tree;
 }

@@ -62,13 +62,16 @@ class DecisionTree : public Model {
   /// Adds the leaf class distribution (class-index space) of rows
   /// [begin, end) into `out`, num_classes doubles per row; the forest sums
   /// these across trees. `features` holds num_features views
-  /// (TrainingSource::views).
+  /// (TrainingSource::views). Rows walk the tree in groups of kWalkRows,
+  /// level by level, each taking exactly depth() steps (DESIGN.md §4).
   void AddDistribution(const FeatureView* features, size_t begin, size_t end,
                        double* out) const;
 
   size_t num_features() const { return num_features_; }
 
   size_t num_nodes() const { return nodes_.size(); }
+  /// Length of the longest root-to-leaf path; 0 for a single leaf.
+  int depth() const { return depth_; }
 
   /// Per-feature importance: total gini impurity decrease weighted by node
   /// size, normalized to sum to 1 (sklearn's feature_importances_).
@@ -83,12 +86,17 @@ class DecisionTree : public Model {
   const DecisionTreeOptions& options() const { return options_; }
 
  private:
+  /// Rows one level-synchronous walk carries down a tree together.
+  static constexpr size_t kWalkRows = 32;
+
+  /// A split sends a row to children[v > threshold]: NaN and v <= threshold
+  /// go left. A leaf's children are itself and its feature is 0, so a walk
+  /// that reaches it stays there; its class distribution is the node's
+  /// row of probs_.
   struct Node {
-    int32_t feature = -1;  // -1 → leaf
+    int32_t feature = 0;
     double threshold = 0;
-    uint32_t left = 0;
-    uint32_t right = 0;
-    std::vector<float> probs;  // leaf only: class distribution
+    uint32_t children[2] = {0, 0};
   };
 
   struct SplitResult {
@@ -132,12 +140,21 @@ class DecisionTree : public Model {
                         CodeCounts& counts,
                         const std::vector<uint32_t>& class_counts) const;
   uint32_t MakeLeaf(const std::vector<uint32_t>& class_counts);
-  size_t WalkToLeaf(const FeatureView* features, size_t row) const;
+  bool IsLeaf(size_t node) const { return nodes_[node].children[0] == node; }
+  /// The longest root-to-leaf path, a max over every parent; children
+  /// follow their parents in nodes_.
+  int ComputeDepth() const;
 
   DecisionTreeOptions options_;
   std::vector<int32_t> classes_;
   size_t num_features_ = 0;
   std::vector<Node> nodes_;
+  /// num_classes floats per node, in node order: a leaf's class
+  /// distribution, zeros for a split.
+  std::vector<float> probs_;
+  /// Set once by FitCoded or DeserializeBody, so threads sharing a model
+  /// read it without synchronization.
+  int depth_ = 0;
   std::vector<double> feature_importances_;
 };
 

@@ -5,6 +5,7 @@
 
 #include "common/parallel_for.h"
 #include "common/random.h"
+#include "obs/trace.h"
 
 namespace mlcs::ml {
 
@@ -116,6 +117,10 @@ Result<std::vector<double>> RandomForest::PredictDistribution(
     const TrainingSource& x) const {
   MLCS_RETURN_IF_ERROR(
       internal::CheckPredictInputs(x, num_features_, fitted()));
+  // On the calling thread: the blocks' pool time shows as this span.
+  obs::ScopedSpan span("forest.predict");
+  span.set_rows_in(x.rows());
+  span.set_rows_out(x.rows());
   std::vector<FeatureView> features = x.views();
   size_t num_classes = classes_.size();
   std::vector<double> avg(x.rows() * num_classes, 0.0);

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "common/byte_buffer.h"
 #include "common/random.h"
 #include "ml/metrics.h"
 #include "ml/training_codes.h"
+#include "storage/column.h"
 
 namespace mlcs::ml {
 namespace {
@@ -204,6 +209,218 @@ TEST(DecisionTreeTest, SerializationRoundTripPreservesPredictions) {
   auto back = DecisionTree::DeserializeBody(&r).ValueOrDie();
   EXPECT_EQ(tree.Predict(x).ValueOrDie(), back->Predict(x).ValueOrDie());
   EXPECT_EQ(back->num_nodes(), tree.num_nodes());
+}
+
+/// One node as DecisionTree::Serialize writes it.
+struct RefNode {
+  int32_t feature = -1;  // -1: leaf
+  double threshold = 0;
+  uint32_t left = 0;
+  uint32_t right = 0;
+  std::vector<double> probs;
+};
+
+/// A tree's nodes read back from its serialized bytes, independent of the
+/// in-memory layout the walk uses.
+std::vector<RefNode> SerializedNodes(const DecisionTree& tree) {
+  ByteWriter w;
+  tree.Serialize(&w);
+  ByteReader r(w.data());
+  EXPECT_TRUE(r.ReadI32().ok());     // max_depth
+  EXPECT_TRUE(r.ReadVarint().ok());  // min_samples_split
+  EXPECT_TRUE(r.ReadVarint().ok());  // min_samples_leaf
+  EXPECT_TRUE(r.ReadVarint().ok());  // max_features
+  EXPECT_TRUE(r.ReadI32().ok());     // num_bins
+  EXPECT_TRUE(r.ReadBool().ok());    // exact_splits
+  EXPECT_TRUE(r.ReadU64().ok());     // seed
+  uint64_t num_classes = r.ReadVarint().ValueOr(0);
+  for (uint64_t c = 0; c < num_classes; ++c) EXPECT_TRUE(r.ReadI32().ok());
+  EXPECT_TRUE(r.ReadVarint().ok());  // num_features
+  uint64_t num_importances = r.ReadVarint().ValueOr(0);
+  for (uint64_t f = 0; f < num_importances; ++f) {
+    EXPECT_TRUE(r.ReadDouble().ok());
+  }
+  std::vector<RefNode> nodes(r.ReadVarint().ValueOr(0));
+  for (RefNode& node : nodes) {
+    node.feature = r.ReadI32().ValueOr(-1);
+    node.threshold = r.ReadDouble().ValueOr(0);
+    node.left = r.ReadU32().ValueOr(0);
+    node.right = r.ReadU32().ValueOr(0);
+    node.probs.resize(r.ReadVarint().ValueOr(0));
+    for (double& p : node.probs) p = r.ReadDouble().ValueOr(0);
+  }
+  EXPECT_TRUE(r.AtEnd());
+  return nodes;
+}
+
+/// The per-row recursive walk: NaN and v <= threshold go left.
+const RefNode& ReferenceLeaf(const std::vector<RefNode>& nodes, size_t at,
+                             const TrainingSource& x, size_t row) {
+  const RefNode& node = nodes[at];
+  if (node.feature < 0) return node;
+  double v = x.view(static_cast<size_t>(node.feature))[row];
+  return ReferenceLeaf(
+      nodes, std::isnan(v) || v <= node.threshold ? node.left : node.right,
+      x, row);
+}
+
+/// Depth of every leaf under `at`.
+void LeafDepths(const std::vector<RefNode>& nodes, size_t at, int depth,
+                std::vector<int>* out) {
+  if (nodes[at].feature < 0) {
+    out->push_back(depth);
+    return;
+  }
+  LeafDepths(nodes, nodes[at].left, depth + 1, out);
+  LeafDepths(nodes, nodes[at].right, depth + 1, out);
+}
+
+/// Checks PredictDistribution and AddDistribution over sub-ranges against
+/// the reference walk, exactly.
+void ExpectMatchesReference(const DecisionTree& tree,
+                            const TrainingSource& x) {
+  std::vector<RefNode> nodes = SerializedNodes(tree);
+  size_t num_classes = tree.classes().size();
+  std::vector<double> want(x.rows() * num_classes);
+  for (size_t r = 0; r < x.rows(); ++r) {
+    const RefNode& leaf = ReferenceLeaf(nodes, 0, x, r);
+    ASSERT_EQ(leaf.probs.size(), num_classes);
+    for (size_t c = 0; c < num_classes; ++c) {
+      // Leaves hold floats; Serialize widened them to double.
+      want[r * num_classes + c] = leaf.probs[c];
+    }
+  }
+  EXPECT_EQ(tree.PredictDistribution(x).ValueOrDie(), want)
+      << x.rows() << " rows";
+  // A range that starts mid-group adds onto what `out` holds.
+  size_t begin = std::min<size_t>(5, x.rows());
+  std::vector<FeatureView> views = x.views();
+  std::vector<double> out((x.rows() - begin) * num_classes, 1.0);
+  tree.AddDistribution(views.data(), begin, x.rows(), out.data());
+  for (size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], 1.0 + want[begin * num_classes + i]) << i;
+  }
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Three DOUBLE features (with NaN and ±inf) and three INTEGER features,
+/// all read in place by TrainingSource::FromColumns.
+std::vector<ColumnPtr> MixedColumns(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<ColumnPtr> cols;
+  for (int f = 0; f < 3; ++f) {
+    std::vector<double> v(n);
+    for (double& e : v) {
+      uint64_t pick = rng.NextBounded(20);
+      e = pick == 0 ? kNaN : pick == 1 ? kInf : pick == 2 ? -kInf
+                                                          : rng.NextGaussian();
+    }
+    cols.push_back(Column::FromDouble(std::move(v)));
+  }
+  for (int32_t span : {5, 60, 3000}) {
+    std::vector<int32_t> v(n);
+    for (int32_t& e : v) {
+      e = static_cast<int32_t>(rng.NextBounded(span)) - span / 2;
+    }
+    cols.push_back(Column::FromInt32(std::move(v)));
+  }
+  return cols;
+}
+
+/// `n` probe rows over MixedColumns' features: the tree's own thresholds
+/// (and their neighbours) on every split feature, NaN, ±inf and noise.
+std::vector<ColumnPtr> ProbeColumns(const std::vector<RefNode>& nodes,
+                                    size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> thresholds(6);
+  for (const RefNode& node : nodes) {
+    if (node.feature >= 0) thresholds[node.feature].push_back(node.threshold);
+  }
+  auto pick_threshold = [&](size_t f) {
+    return thresholds[f][rng.NextBounded(thresholds[f].size())];
+  };
+  std::vector<ColumnPtr> cols;
+  for (size_t f = 0; f < 3; ++f) {
+    std::vector<double> v(n);
+    for (double& e : v) {
+      uint64_t pick = rng.NextBounded(thresholds[f].empty() ? 4 : 7);
+      e = pick == 0   ? kNaN
+          : pick == 1 ? kInf
+          : pick == 2 ? -kInf
+          : pick == 3 ? rng.NextGaussian()
+          : pick == 4 ? pick_threshold(f)
+          : pick == 5 ? std::nextafter(pick_threshold(f), kInf)
+                      : std::nextafter(pick_threshold(f), -kInf);
+    }
+    cols.push_back(Column::FromDouble(std::move(v)));
+  }
+  for (size_t f = 3; f < 6; ++f) {
+    std::vector<int32_t> v(n);
+    for (int32_t& e : v) {
+      uint64_t pick = rng.NextBounded(thresholds[f].empty() ? 1 : 3);
+      double t = pick == 0 ? 0 : pick_threshold(f);
+      if (pick == 0 || !(std::fabs(t) < 1e9)) {
+        e = static_cast<int32_t>(rng.NextBounded(3000)) - 1500;
+      } else {
+        e = static_cast<int32_t>(pick == 1 ? std::floor(t) : std::ceil(t));
+      }
+    }
+    cols.push_back(Column::FromInt32(std::move(v)));
+  }
+  return cols;
+}
+
+/// The fixed-step walk against the recursive reference on a fitted tree
+/// with uneven leaf depths, at group-boundary row counts.
+TEST(DecisionTreeTest, WalkMatchesReferenceOnMixedSource) {
+  const size_t n = 3000;
+  std::vector<ColumnPtr> train = MixedColumns(n, 31);
+  TrainingSource source = TrainingSource::FromColumns(train).ValueOrDie();
+  ASSERT_EQ(source.view(0).i32(), nullptr);
+  ASSERT_NE(source.view(3).i32(), nullptr);
+  Rng rng(4);
+  Labels y(n);
+  for (size_t r = 0; r < n; ++r) {
+    double a = source.view(0)[r];
+    double s = (std::isnan(a) ? 0.0 : std::clamp(a, -2.0, 2.0)) +
+               source.view(4)[r] / 30.0 + source.view(5)[r] / 1500.0;
+    y[r] = s + rng.NextGaussian() > 0 ? 1 : 0;
+  }
+  for (bool exact : {false, true}) {
+    DecisionTreeOptions opt;
+    opt.max_depth = exact ? 20 : 8;
+    opt.exact_splits = exact;
+    DecisionTree tree(opt);
+    ASSERT_TRUE(tree.FitSource(source, y).ok());
+    std::vector<RefNode> nodes = SerializedNodes(tree);
+    std::vector<int> depths;
+    LeafDepths(nodes, 0, 0, &depths);
+    EXPECT_LT(*std::min_element(depths.begin(), depths.end()),
+              *std::max_element(depths.begin(), depths.end()));
+    EXPECT_EQ(tree.depth(), *std::max_element(depths.begin(), depths.end()));
+    for (size_t rows : {0, 1, 31, 32, 33, 2049}) {
+      std::vector<ColumnPtr> probe = ProbeColumns(nodes, rows, rows + 7);
+      ExpectMatchesReference(tree,
+                             TrainingSource::FromColumns(probe).ValueOrDie());
+    }
+    ExpectMatchesReference(tree, source);
+  }
+}
+
+TEST(DecisionTreeTest, WalkOfSingleLeafTree) {
+  std::vector<ColumnPtr> train = MixedColumns(40, 8);
+  TrainingSource source = TrainingSource::FromColumns(train).ValueOrDie();
+  DecisionTree tree;
+  ASSERT_TRUE(tree.FitSource(source, Labels(40, 3)).ok());
+  ASSERT_EQ(tree.num_nodes(), 1u);
+  EXPECT_EQ(tree.depth(), 0);
+  for (size_t rows : {0, 1, 31, 32, 33, 2049}) {
+    std::vector<ColumnPtr> probe = MixedColumns(rows, rows);
+    ExpectMatchesReference(tree,
+                           TrainingSource::FromColumns(probe).ValueOrDie());
+  }
 }
 
 /// Property sweep: accuracy floor holds across seeds and sizes.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -116,6 +117,7 @@ struct RawNode {
 };
 
 struct RawTree {
+  int32_t max_depth = 10;
   std::vector<int32_t> classes = {0, 1};
   uint64_t num_features = 2;
   std::vector<RawNode> nodes = {{0, 2.0, 1, 2, {}, {}},
@@ -135,7 +137,7 @@ struct RawTree {
 
   void WriteBody(ByteWriter* out) const {
     ByteWriter& w = *out;
-    w.WriteI32(10);    // max_depth
+    w.WriteI32(max_depth);
     w.WriteVarint(2);  // min_samples_split
     w.WriteVarint(1);  // min_samples_leaf
     w.WriteVarint(0);  // max_features
@@ -207,17 +209,48 @@ TEST(PickleTest, RejectsCorruptTreeFields) {
           {"node count", [](RawTree& t) { t.node_count = kHuge; }},
           {"probs count", [](RawTree& t) { t.nodes[1].probs_count = kHuge; }},
           {"no nodes", [](RawTree& t) { t.nodes.clear(); }},
-          // A self-referencing child would spin WalkToLeaf forever.
+          // A self-referencing child would make a cycle.
           {"child == parent", [](RawTree& t) { t.nodes[0].left = 0; }},
           {"child past end", [](RawTree& t) { t.nodes[0].right = 3; }},
           {"split feature", [](RawTree& t) { t.nodes[0].feature = 2; }},
           {"leaf probs", [](RawTree& t) { t.nodes[2].probs = {1.0}; }},
+          // Predict walks each row a fixed depth() steps, so the decoder
+          // must produce a tree whose leaves hold every distribution, no
+          // deeper than its header's max_depth.
+          {"same child twice", [](RawTree& t) { t.nodes[0].right = 1; }},
+          {"node with two parents",
+           [](RawTree& t) {
+             t.nodes = {{0, 2.0, 1, 2, {}, {}},
+                        {1, 0.0, 3, 4, {}, {}},
+                        {1, 5.0, 3, 4, {}, {}},
+                        {-1, 0, 0, 0, {1.0, 0.0}, {}},
+                        {-1, 0, 0, 0, {0.0, 1.0}, {}}};
+           }},
+          {"split with distribution",
+           [](RawTree& t) { t.nodes[0].probs = {0.5, 0.5}; }},
+          {"split threshold NaN",
+           [](RawTree& t) {
+             t.nodes[0].threshold = std::numeric_limits<double>::quiet_NaN();
+           }},
+          {"deeper than max_depth", [](RawTree& t) { t.max_depth = 0; }},
+          {"negative max_depth", [](RawTree& t) { t.max_depth = -3; }},
       };
   for (const auto& [name, corrupt] : cases) {
     RawTree raw;
     corrupt(raw);
     EXPECT_FALSE(pickle::Loads(raw.Blob()).ok()) << name;
   }
+  // The flat distribution table is sized nodes x classes before any node
+  // is read, so a node count the leaves' bytes cannot back fails first.
+  RawTree wide;
+  wide.classes.resize(1000);
+  for (RawNode& n : wide.nodes) {
+    if (!n.probs.empty()) n.probs.resize(1000);
+  }
+  wide.node_count = 100;
+  Status st = pickle::Loads(wide.Blob()).status();
+  EXPECT_NE(st.message().find("leaf distributions"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(PickleTest, HandEncodedForestLoads) {

@@ -163,24 +163,36 @@ void MakeNoisy(size_t n, int32_t num_classes, Matrix* x, Labels* y) {
   }
 }
 
-struct GoldenCase {
-  const char* name;
-  std::function<std::string()> fit;  // pickle bytes of the fitted model
-  uint64_t hash;
+/// A fitted model's pickle bytes and its PredictDistribution over the
+/// input it was fitted on.
+struct GoldenFit {
+  std::string model_bytes;
+  std::vector<double> distribution;
 };
 
-std::string FitForest(const Matrix& x, const Labels& y,
-                      RandomForestOptions opt) {
+struct GoldenCase {
+  const char* name;
+  std::function<GoldenFit()> fit;
+  uint64_t model_hash;
+  uint64_t prediction_hash;
+};
+
+GoldenFit Pin(const Model& model, const TrainingSource& x) {
+  auto dist = model.PredictDistribution(x);
+  EXPECT_TRUE(dist.ok()) << dist.status().ToString();
+  return {pickle::Dumps(model), dist.ValueOr({})};
+}
+
+GoldenFit FitForest(const Matrix& x, const Labels& y,
+                    RandomForestOptions opt) {
   RandomForest forest(opt);
   Status st = forest.Fit(x, y);
   EXPECT_TRUE(st.ok()) << st.ToString();
-  return pickle::Dumps(forest);
+  return Pin(forest, TrainingSource::FromMatrix(x));
 }
 
-/// Pins the exact bytes of fitted models: any change to coding, bootstrap
-/// sampling or split search that alters a tree changes a hash.
-TEST(RandomForestTest, GoldenModelBytes) {
-  const std::vector<GoldenCase> cases = {
+std::vector<GoldenCase> GoldenCases() {
+  return {
       {"default_bootstrap",
        [] {
          Matrix x;
@@ -188,7 +200,8 @@ TEST(RandomForestTest, GoldenModelBytes) {
          MakeNoisy(1500, 2, &x, &y);
          return FitForest(x, y, {});
        },
-       0x79378f991912a02eULL},
+       0x79378f991912a02eULL,
+       0x182041259c0a2166ULL},
       {"min_leaf_5_min_split_20",
        [] {
          Matrix x;
@@ -200,7 +213,8 @@ TEST(RandomForestTest, GoldenModelBytes) {
          opt.min_samples_split = 20;
          return FitForest(x, y, opt);
        },
-       0xde3e25bb16e471f3ULL},
+       0xde3e25bb16e471f3ULL,
+       0xeeb026ec132ba68dULL},
       {"no_bootstrap",
        [] {
          Matrix x;
@@ -211,7 +225,8 @@ TEST(RandomForestTest, GoldenModelBytes) {
          opt.bootstrap = false;
          return FitForest(x, y, opt);
        },
-       0x32d252c2f4bf34dbULL},
+       0x32d252c2f4bf34dbULL,
+       0xfee8d1b3c9062f27ULL},
       {"three_classes",
        [] {
          Matrix x;
@@ -221,7 +236,8 @@ TEST(RandomForestTest, GoldenModelBytes) {
          opt.n_estimators = 6;
          return FitForest(x, y, opt);
        },
-       0x1df3904b70f07d1bULL},
+       0x1df3904b70f07d1bULL,
+       0x0f981e3b57b52470ULL},
       {"exact_tree_with_nans",
        [] {
          Matrix x;
@@ -235,9 +251,10 @@ TEST(RandomForestTest, GoldenModelBytes) {
          opt.exact_splits = true;
          DecisionTree tree(opt);
          EXPECT_TRUE(tree.Fit(x, y).ok());
-         return pickle::Dumps(tree);
+         return Pin(tree, TrainingSource::FromMatrix(x));
        },
-       0x7120a8e32d642690ULL},
+       0x7120a8e32d642690ULL,
+       0x0fbb324122bb54a4ULL},
       {"exact_bootstrap_forest_with_nans",
        [] {
          Matrix x;
@@ -252,7 +269,8 @@ TEST(RandomForestTest, GoldenModelBytes) {
          opt.exact_splits = true;
          return FitForest(x, y, opt);
        },
-       0x8c2dd051ada509d2ULL},
+       0x8c2dd051ada509d2ULL,
+       0x4ff0a72792019c88ULL},
       {"integer_columns",
        [] {
          // Small, negative, wide (past 255 values) and very wide ranges.
@@ -282,15 +300,34 @@ TEST(RandomForestTest, GoldenModelBytes) {
          opt.n_estimators = 6;
          RandomForest forest(opt);
          EXPECT_TRUE(forest.FitSource(source, y).ok());
-         return pickle::Dumps(forest);
+         return Pin(forest, source);
        },
-       0x54177a94fe14e5daULL},
+       0x54177a94fe14e5daULL,
+       0xea59d4f31ba332baULL},
   };
-  for (const GoldenCase& c : cases) {
-    std::string bytes = c.fit();
-    EXPECT_EQ(Fnv1a64(bytes), c.hash)
+}
+
+/// Pins the exact bytes of fitted models: any change to coding, bootstrap
+/// sampling or split search that alters a tree changes a hash.
+TEST(RandomForestTest, GoldenModelBytes) {
+  for (const GoldenCase& c : GoldenCases()) {
+    std::string bytes = c.fit().model_bytes;
+    EXPECT_EQ(Fnv1a64(bytes), c.model_hash)
         << c.name << ": 0x" << std::hex << Fnv1a64(bytes) << std::dec
         << " over " << bytes.size() << " bytes";
+  }
+}
+
+/// Pins the exact bytes of the same fits' predicted distributions: any
+/// change to the tree walk or to how leaves are summed changes a hash.
+TEST(RandomForestTest, GoldenPredictionBytes) {
+  for (const GoldenCase& c : GoldenCases()) {
+    std::vector<double> dist = c.fit().distribution;
+    std::string bytes(reinterpret_cast<const char*>(dist.data()),
+                      dist.size() * sizeof(double));
+    EXPECT_EQ(Fnv1a64(bytes), c.prediction_hash)
+        << c.name << ": 0x" << std::hex << Fnv1a64(bytes) << std::dec
+        << " over " << dist.size() << " doubles";
   }
 }
 
