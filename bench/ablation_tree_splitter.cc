@@ -98,9 +98,9 @@ ml::RandomForestOptions Figure1ForestOptions() {
 
 struct ForestFixture {
   ml::RandomForest forest{Figure1ForestOptions()};
-  /// The input as kBlockRows-row sources over their own INTEGER columns,
-  /// so each block's PredictDistribution runs on the thread that takes it.
-  std::vector<std::vector<ColumnPtr>> block_columns;
+  /// The input as kBlockRows-row sources, each holding its own INTEGER
+  /// columns, so each block's PredictDistribution runs on the thread that
+  /// takes it.
   std::vector<ml::TrainingSource> blocks;
   size_t rows = 0;
 };
@@ -139,7 +139,6 @@ ForestFixture& Forest() {
             std::vector<int32_t>(v.begin() + begin, v.begin() + end)));
       }
       f->blocks.push_back(ml::TrainingSource::FromColumns(cols).ValueOrDie());
-      f->block_columns.push_back(std::move(cols));
     }
     return f;
   }();

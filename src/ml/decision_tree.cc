@@ -563,7 +563,7 @@ Result<std::unique_ptr<DecisionTree>> DecisionTree::DeserializeBody(
       }
     }
   }
-  // The walk takes depth() steps per row; fitting stops at max_depth.
+  // The walk takes depth_ steps per row; fitting stops at max_depth.
   tree->depth_ = tree->ComputeDepth();
   if (tree->depth_ > std::max(options.max_depth, 0)) {
     return Status::ParseError("corrupt tree: deeper than its max_depth");

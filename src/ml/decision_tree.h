@@ -63,15 +63,14 @@ class DecisionTree : public Model {
   /// [begin, end) into `out`, num_classes doubles per row; the forest sums
   /// these across trees. `features` holds num_features views
   /// (TrainingSource::views). Rows walk the tree in groups of kWalkRows,
-  /// level by level, each taking exactly depth() steps (DESIGN.md §4).
+  /// level by level, each taking exactly the tree's depth in steps
+  /// (DESIGN.md §4).
   void AddDistribution(const FeatureView* features, size_t begin, size_t end,
                        double* out) const;
 
   size_t num_features() const { return num_features_; }
 
   size_t num_nodes() const { return nodes_.size(); }
-  /// Length of the longest root-to-leaf path; 0 for a single leaf.
-  int depth() const { return depth_; }
 
   /// Per-feature importance: total gini impurity decrease weighted by node
   /// size, normalized to sum to 1 (sklearn's feature_importances_).
@@ -152,8 +151,9 @@ class DecisionTree : public Model {
   /// num_classes floats per node, in node order: a leaf's class
   /// distribution, zeros for a split.
   std::vector<float> probs_;
-  /// Set once by FitCoded or DeserializeBody, so threads sharing a model
-  /// read it without synchronization.
+  /// The longest root-to-leaf path (0 for a single leaf). Set once by
+  /// FitCoded or DeserializeBody, so threads sharing a model read it
+  /// without synchronization.
   int depth_ = 0;
   std::vector<double> feature_importances_;
 };

@@ -214,7 +214,7 @@ TEST(PickleTest, RejectsCorruptTreeFields) {
           {"child past end", [](RawTree& t) { t.nodes[0].right = 3; }},
           {"split feature", [](RawTree& t) { t.nodes[0].feature = 2; }},
           {"leaf probs", [](RawTree& t) { t.nodes[2].probs = {1.0}; }},
-          // Predict walks each row a fixed depth() steps, so the decoder
+          // Predict walks each row the tree's depth in steps, so the decoder
           // must produce a tree whose leaves hold every distribution, no
           // deeper than its header's max_depth.
           {"same child twice", [](RawTree& t) { t.nodes[0].right = 1; }},
