@@ -6,8 +6,9 @@
 /// InferenceServer in four configurations ({unbatched, batched} x
 /// {row-major, columnar}). Unbatched pays the full per-request toll —
 /// model lookup in the store, blob hash, dispatch — once per request;
-/// micro-batching amortizes it across every request the linger window
-/// coalesces, exactly as vectorization amortizes per-row UDF overhead.
+/// batching amortizes it across every request queued while the previous
+/// batch ran, exactly as vectorization amortizes per-row UDF overhead.
+/// Each batched scenario must average at least two requests per batch.
 /// A final scenario overloads a tiny admission queue on purpose and
 /// checks that degradation is explicit: every request is answered, the
 /// excess with `overloaded`, and the queue depth never passes its bound.
@@ -167,7 +168,6 @@ ScenarioResult RunScenario(Database* db, modelstore::ModelStore* store,
   serve::InferenceServerOptions opts;
   opts.batching_enabled = batching;
   opts.max_batch_rows = 1024;
-  opts.batch_linger = std::chrono::microseconds(200);
   opts.max_queue_requests = 1024;
   opts.model_cache = &cache;
   serve::InferenceServer server(db, store, opts);
@@ -227,7 +227,6 @@ ScenarioResult RunOverloadScenario(Database* db,
   modelstore::ModelCache cache(4);
   serve::InferenceServerOptions opts;
   opts.max_queue_requests = kQueueCap;
-  opts.batch_linger = std::chrono::microseconds(200);
   opts.model_cache = &cache;
   // Slow the batcher so admission genuinely overflows on any machine.
   opts.test_batch_hook = [] {
@@ -348,12 +347,22 @@ int main() {
   // scheduler noise; MLCS_SERVE_BENCH_STRICT=0 (check.sh --bench-smoke)
   // demotes a violation to a warning at tiny scale. The overload-contract
   // checks above are behavioral and stay fatal at any scale.
+  bool strict = EnvSize("MLCS_SERVE_BENCH_STRICT", 1) != 0;
   if (full.rows_per_sec <= baseline.rows_per_sec) {
     std::fprintf(stderr,
                  "expected shape violated: batched columnar (%.0f rows/s) "
                  "did not beat unbatched row-major (%.0f rows/s)\n",
                  full.rows_per_sec, baseline.rows_per_sec);
-    if (EnvSize("MLCS_SERVE_BENCH_STRICT", 1) != 0) return 1;
+    if (strict) return 1;
+  }
+  // Batching must not collapse into batches of one under this load.
+  for (const ScenarioResult& r : scenarios) {
+    if (!r.batching || r.avg_batch_requests >= 2.0) continue;
+    std::fprintf(stderr,
+                 "batching collapsed: %s averaged %.2f requests per batch "
+                 "(expected >= 2)\n",
+                 r.name.c_str(), r.avg_batch_requests);
+    if (strict) return 1;
   }
 
   bench::JsonWriter json;

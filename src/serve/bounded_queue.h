@@ -57,17 +57,10 @@ class BoundedQueue {
     return PopLocked();
   }
 
-  /// Like PopWait but gives up at `deadline` (nullopt on timeout too) —
-  /// the micro-batcher's linger wait.
-  std::optional<T> PopUntil(std::chrono::steady_clock::time_point deadline) {
+  /// Never blocks: the front item, or nullopt when the queue is empty
+  /// (closed or not) — how the batcher takes what is already queued.
+  std::optional<T> TryPop() {
     MutexLock lock(&mutex_);
-    if (!closed_ && items_.empty()) {
-      auto start = std::chrono::steady_clock::now();
-      while (!closed_ && items_.empty()) {
-        if (!cv_.WaitUntil(lock, deadline)) break;  // deadline passed
-      }
-      RecordBlocked(start);
-    }
     return PopLocked();
   }
 

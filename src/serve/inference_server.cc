@@ -12,6 +12,7 @@
 #include <cstring>
 #include <unordered_map>
 
+#include "client/net_util.h"
 #include "common/logging.h"
 #include "obs/export.h"
 
@@ -289,17 +290,15 @@ void InferenceServer::BatchLoop() {
     std::optional<Pending> first = queue_->PopWait();
     if (!first.has_value()) break;  // closed and fully drained
     std::vector<Pending> batch;
+    size_t rows = first->request.features.rows();
     batch.push_back(std::move(*first));
-    if (options_.batching_enabled) {
-      size_t rows = batch.back().request.features.rows();
-      auto linger_until =
-          std::chrono::steady_clock::now() + options_.batch_linger;
-      while (rows < options_.max_batch_rows) {
-        std::optional<Pending> next = queue_->PopUntil(linger_until);
-        if (!next.has_value()) break;  // linger expired (or drained)
-        rows += next->request.features.rows();
-        batch.push_back(std::move(*next));
-      }
+    // The batch is everything already queued; requests that arrive while
+    // it runs form the next one.
+    while (options_.batching_enabled && rows < options_.max_batch_rows) {
+      std::optional<Pending> next = queue_->TryPop();
+      if (!next.has_value()) break;
+      rows += next->request.features.rows();
+      batch.push_back(std::move(*next));
     }
     if (options_.test_batch_hook) options_.test_batch_hook();
     ExecuteBatch(std::move(batch));
@@ -308,8 +307,9 @@ void InferenceServer::BatchLoop() {
 
 void InferenceServer::ExecuteBatch(std::vector<Pending> batch) {
   // One trace per batch. Admission waits are recorded as synthetic spans
-  // (their start predates this context); predict spans attach from the
-  // pool workers. Futures are waited below, so `trace` outlives them.
+  // (their start predates this context); predict spans attach from
+  // whichever thread runs the group. Futures are waited below, so `trace`
+  // outlives them.
   obs::TraceContext trace("serve.batch");
   if (trace.active()) {
     auto now = std::chrono::steady_clock::now();
@@ -319,8 +319,8 @@ void InferenceServer::ExecuteBatch(std::vector<Pending> batch) {
     }
   }
   // Group by (model, feature count): each group becomes one vectorized
-  // Predict. Mixed-model batches split here, not at admission, so the
-  // linger window coalesces across models too.
+  // Predict. Mixed-model batches split here, not at admission, so one
+  // batch carries every model's queued requests.
   struct Group {
     std::vector<Pending*> members;
     size_t rows = 0;
@@ -342,15 +342,18 @@ void InferenceServer::ExecuteBatch(std::vector<Pending> batch) {
     target->members.push_back(&p);
     target->rows += p.request.features.rows();
   }
-  // Inference runs as tasks on the shared pool — the batch thread only
-  // plans; no thread is pinned to a connection or a model.
-  std::vector<std::future<void>> futures;
-  futures.reserve(groups.size());
+  // Every group but the last goes to the shared pool; the batch thread
+  // predicts the last one itself while those run, so a single-model batch
+  // never pays a pool handoff.
   obs::TraceContext* tctx = trace.active() ? &trace : nullptr;
-  for (Group& g : groups) {
-    futures.push_back(
-        pool_->Submit([this, &g, tctx] { RunGroup(g.members, g.rows, tctx); }));
+  std::vector<std::future<void>> futures;
+  futures.reserve(groups.size() - 1);
+  for (size_t i = 0; i + 1 < groups.size(); ++i) {
+    Group* g = &groups[i];
+    futures.push_back(pool_->Submit(
+        [this, g, tctx] { RunGroup(g->members, g->rows, tctx); }));
   }
+  RunGroup(groups.back().members, groups.back().rows, tctx);
   for (auto& f : futures) f.wait();
 }
 
@@ -437,32 +440,33 @@ void InferenceServer::RunGroup(std::vector<Pending*>& members,
   stats_.batched_requests.Add(live.size());
   stats_.batched_rows.Add(total_rows);
   stats_.peak_batch_requests.UpdateMax(live.size());
+  stats_.responses_ok.Add(live.size());
   span.set_rows_out(total_rows);
+  // Every OK response of a connection goes into one buffer of frames that
+  // leaves in a single write.
+  std::unordered_map<Conn*, ByteWriter> outboxes;
   const ml::Labels& all = labels.ValueOrDie();
+  PredictResponse response;
   size_t offset = 0;
   for (Pending* p : live) {
     size_t rows = p->request.features.rows();
-    PredictResponse response;
     response.request_id = p->request.request_id;
-    response.code = ServeCode::kOk;
     response.labels.assign(
         all.begin() + static_cast<std::ptrdiff_t>(offset),
         all.begin() + static_cast<std::ptrdiff_t>(offset + rows));
     offset += rows;
-    stats_.responses_ok.Add(1);
-    Respond(p->conn, response);
+    ByteWriter body;
+    EncodePredictResponse(response, &body);
+    AppendFrame(body, &outboxes[p->conn.get()]);
   }
-}
-
-void InferenceServer::Respond(const ConnPtr& conn,
-                              const PredictResponse& response) {
-  ByteWriter body;
-  EncodePredictResponse(response, &body);
-  MutexLock lock(&conn->write_mutex);
-  // A failed write means the peer vanished; the I/O thread notices the
-  // hangup independently, so the error is dropped on purpose.
-  Status ignored = WriteFrame(conn->fd, body);
-  (void)ignored;
+  for (auto& [conn, frames] : outboxes) {
+    MutexLock lock(&conn->write_mutex);
+    // A failed write means the peer vanished; the I/O thread notices the
+    // hangup independently, so the error is dropped on purpose.
+    bool ignored =
+        client::net::WriteAll(conn->fd, frames.data().data(), frames.size());
+    (void)ignored;
+  }
 }
 
 void InferenceServer::RespondError(const ConnPtr& conn, uint64_t request_id,
@@ -471,7 +475,12 @@ void InferenceServer::RespondError(const ConnPtr& conn, uint64_t request_id,
   response.request_id = request_id;
   response.code = code;
   response.message = std::move(message);
-  Respond(conn, response);
+  ByteWriter body;
+  EncodePredictResponse(response, &body);
+  MutexLock lock(&conn->write_mutex);
+  // Dropped on purpose, as in RunGroup: the I/O thread sees the hangup.
+  Status ignored = WriteFrame(conn->fd, body);
+  (void)ignored;
 }
 
 }  // namespace mlcs::serve

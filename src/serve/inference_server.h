@@ -24,17 +24,16 @@ namespace mlcs::serve {
 
 struct InferenceServerOptions {
   /// When false every request is predicted individually (the row-at-a-time
-  /// ablation baseline); when true concurrently arriving requests coalesce
-  /// into one vectorized Predict per model.
+  /// ablation baseline); when true every request queued by the time the
+  /// batcher is free joins one batch, one vectorized Predict per model.
   bool batching_enabled = true;
-  /// Flush a forming batch once it holds this many feature rows.
+  /// A batch stops taking queued requests once it holds this many rows.
   size_t max_batch_rows = 4096;
-  /// Maximum time the batcher waits for more requests after the first.
-  std::chrono::microseconds batch_linger{250};
   /// Admission bound: requests queued past this answer kOverloaded.
   size_t max_queue_requests = 256;
-  /// Inference executes as tasks on this pool (default: the process-wide
-  /// shared pool) — no thread is ever dedicated to a single connection.
+  /// A batch's extra model groups execute as tasks on this pool (default:
+  /// the process-wide shared pool) while the batcher predicts the last one
+  /// — no thread is ever dedicated to a single connection.
   ThreadPool* pool = nullptr;
   /// Model snapshot cache (default: ModelCache::Global()). Content
   /// addressing keeps it correct while models are retrained live.
@@ -64,16 +63,19 @@ struct InferenceServerStats {  // lint:allow(adhoc-stats)
 
 /// Micro-batching inference server — the serving path for the paper's
 /// in-database models (§5.1 snapshots + §2 vectorization, applied to the
-/// request path). Concurrently arriving predict requests coalesce into one
+/// request path). A batch is every request queued when the batcher is
+/// free; requests that arrive while it runs form the next batch, so batches
+/// grow with load and an idle server answers at once. Each batch runs one
 /// vectorized Predict call per model, so per-request cost amortizes
 /// exactly like per-row UDF cost amortized in abl-vec.
 ///
 /// Threading: one poll-based I/O thread owns every connection (no
-/// thread-per-connection), one batcher thread forms batches from a bounded
-/// admission queue, and inference itself runs as tasks on the shared
-/// ThreadPool. Responses may arrive out of request order; the request_id
-/// correlates them. Stop() drains: queued requests are answered, new ones
-/// get kShuttingDown, then threads join and sockets close.
+/// thread-per-connection), and one batcher thread forms batches from a
+/// bounded admission queue and predicts the last model group itself; any
+/// other groups of the batch run as tasks on the shared ThreadPool.
+/// Responses may arrive out of request order; the request_id correlates
+/// them. Stop() drains: queued requests are answered, new ones get
+/// kShuttingDown, then threads join and sockets close.
 class InferenceServer {
  public:
   InferenceServer(Database* db, modelstore::ModelStore* store,
@@ -126,13 +128,16 @@ class InferenceServer {
   /// I/O thread and answers inline — never queued behind inference.
   void HandleExportFrame(const ConnPtr& conn, const uint8_t* body,
                          size_t size);
+  /// Groups the batch by (model, feature count) and predicts each group:
+  /// the last on this thread, the others as pool tasks.
   void ExecuteBatch(std::vector<Pending> batch);
   /// `trace` is the batch's trace context (null when tracing is off); pool
-  /// workers attach to it so predict spans land in the batch's trace.
+  /// workers attach to it so predict spans land in the batch's trace. OK
+  /// responses leave in one write per connection.
   void RunGroup(std::vector<Pending*>& members, size_t total_rows,
                 obs::TraceContext* trace);
 
-  void Respond(const ConnPtr& conn, const PredictResponse& response);
+  /// One error response, written on its own.
   void RespondError(const ConnPtr& conn, uint64_t request_id, ServeCode code,
                     std::string message);
 

@@ -236,12 +236,16 @@ Result<std::string> DecodeExportResponse(ByteReader* in) {
   return text;
 }
 
+void AppendFrame(const ByteWriter& body, ByteWriter* out) {
+  out->WriteU32(static_cast<uint32_t>(body.size()));
+  out->WriteRaw(body.data().data(), body.size());
+}
+
 Status WriteFrame(int fd, const ByteWriter& body) {
   // One contiguous buffer (length prefix + body) so the frame leaves in a
   // single send — with TCP_NODELAY two writes would mean two packets.
   ByteWriter frame;
-  frame.WriteU32(static_cast<uint32_t>(body.size()));
-  frame.WriteRaw(body.data().data(), body.size());
+  AppendFrame(body, &frame);
   if (!client::net::WriteAll(fd, frame.data().data(), frame.size())) {
     return Status::NetworkError("failed to write frame");
   }

@@ -110,6 +110,9 @@ void EncodeExportResponse(bool ok, const std::string& text, ByteWriter* out);
 /// The exported text, or the server-side error as a Status.
 Result<std::string> DecodeExportResponse(ByteReader* in);
 
+/// Appends one frame, a u32 length prefix followed by `body`, to `out`.
+void AppendFrame(const ByteWriter& body, ByteWriter* out);
+
 /// Blocking frame transport: a u32 length prefix followed by the body.
 Status WriteFrame(int fd, const ByteWriter& body);
 Result<std::vector<uint8_t>> ReadFrame(int fd);

@@ -306,7 +306,6 @@ TEST(SanitizerStressTest, InferenceServerChurn) {
   modelstore::ModelCache cache(2);  // tiny: eviction churn guaranteed
   serve::InferenceServerOptions opts;
   opts.max_queue_requests = 8;  // small: overload paths exercised too
-  opts.batch_linger = std::chrono::microseconds(100);
   opts.model_cache = &cache;
   serve::InferenceServer server(&db, &store, opts);
   ASSERT_TRUE(server.Start(0).ok());
@@ -446,13 +445,15 @@ TEST(SanitizerStressTest, MorselOperatorsShareServingPool) {
 
   modelstore::ModelStore store(&db);
   ASSERT_TRUE(store.Init().ok());
-  {
-    auto seeded = ml::pickle::Loads(FittedBlob(1)).ValueOrDie();
-    ASSERT_TRUE(store.SaveModel("m", *seeded, 0.9, 64).ok());
+  // Two models, alternated by the predictors, so batches split into
+  // groups and the pool runs all but the last of them.
+  const std::string kModels[2] = {"m", "m2"};
+  for (uint64_t v = 0; v < 2; ++v) {
+    auto seeded = ml::pickle::Loads(FittedBlob(1 + v)).ValueOrDie();
+    ASSERT_TRUE(store.SaveModel(kModels[v], *seeded, 0.9, 64).ok());
   }
   serve::InferenceServerOptions opts;
   opts.pool = &pool;  // the whole point: serving shares the query pool
-  opts.batch_linger = std::chrono::microseconds(100);
   serve::InferenceServer server(&db, &store, opts);
   ASSERT_TRUE(server.Start(0).ok());
   uint16_t port = server.port();
@@ -484,7 +485,7 @@ TEST(SanitizerStressTest, MorselOperatorsShareServingPool) {
         x.Set(r, 1, rng.NextGaussian());
       }
       for (int i = 0; i < kIters; ++i) {
-        auto response = client.Call("m", x);
+        auto response = client.Call(kModels[(c + i) % 2], x);
         if (!response.ok() ||
             response.ValueOrDie().code != serve::ServeCode::kOk ||
             response.ValueOrDie().labels.size() != 4u) {

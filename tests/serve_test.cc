@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -14,9 +16,13 @@
 #include "client/inference_client.h"
 #include "client/net_util.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "ml/logistic_regression.h"
+#include "ml/pickle.h"
 #include "modelstore/model_cache.h"
 #include "modelstore/model_store.h"
+#include "obs/flight_recorder.h"
+#include "obs/trace.h"
 #include "serve/bounded_queue.h"
 #include "serve/inference_server.h"
 #include "serve/serve_protocol.h"
@@ -51,11 +57,18 @@ TEST(BoundedQueueTest, CloseRejectsPushesButDrains) {
   EXPECT_FALSE(q.PopWait().has_value());  // closed and empty
 }
 
-TEST(BoundedQueueTest, PopUntilTimesOut) {
+TEST(BoundedQueueTest, TryPopNeverBlocks) {
   BoundedQueue<int> q(4);
-  auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
-  EXPECT_FALSE(q.PopUntil(deadline).has_value());
+  EXPECT_FALSE(q.TryPop().has_value());  // empty: answers at once
+  EXPECT_TRUE(q.TryPush(1));
+  EXPECT_TRUE(q.TryPush(2));
+  EXPECT_TRUE(q.TryPush(3));
+  EXPECT_EQ(q.TryPop().value(), 1);  // FIFO
+  q.Close();
+  // Queued items survive Close, then the closed queue answers nullopt.
+  EXPECT_EQ(q.TryPop().value(), 2);
+  EXPECT_EQ(q.TryPop().value(), 3);
+  EXPECT_FALSE(q.TryPop().has_value());
 }
 
 TEST(BoundedQueueTest, CloseWakesBlockedConsumer) {
@@ -365,7 +378,6 @@ TEST_F(InferenceServerTest, MicroBatcherCoalescesConcurrentRequests) {
   std::condition_variable cv;
   bool release = false;
   InferenceServerOptions opts;
-  opts.batch_linger = std::chrono::microseconds(200000);
   opts.test_batch_hook = [&] {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return release; });
@@ -404,6 +416,204 @@ TEST_F(InferenceServerTest, MicroBatcherCoalescesConcurrentRequests) {
   // batch carried several requests.
   EXPECT_LT(stats.batches_executed, stats.batched_requests);
   EXPECT_GE(stats.peak_batch_requests, 2u);
+}
+
+/// Holds the first batch in the test hook until Release(); later batches
+/// pass straight through.
+class BatchGate {
+ public:
+  std::function<void()> Hook() {
+    return [this] {
+      std::unique_lock<std::mutex> lock(mu_);
+      held_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+    };
+  }
+  void WaitHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return held_; });
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool released_ = false;
+};
+
+void WaitAccepted(const InferenceServer& server, uint64_t n) {
+  for (int attempt = 0; attempt < 1000; ++attempt) {
+    if (server.stats().requests_accepted >= n) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+}
+
+TEST_F(InferenceServerTest, BatchTakesEverythingQueued) {
+  // The batcher holds a first request while six more are pipelined on the
+  // same connection; the next batch takes all six, and their responses
+  // leave in one write that must decode back into six frames.
+  constexpr int kQueued = 6;
+  BatchGate gate;
+  InferenceServerOptions opts;
+  opts.test_batch_hook = gate.Hook();
+  auto server = MakeServer(opts);
+  client::InferenceClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+  // Request i carries the first i + 1 query rows, so every response has
+  // its own labels: a prefix of expected_.
+  std::map<uint64_t, size_t> rows_by_id;
+  auto send = [&](size_t rows) {
+    auto id = client.Send("m", TestQueryMatrix(rows));
+    ASSERT_TRUE(id.ok());
+    rows_by_id[id.ValueOrDie()] = rows;
+  };
+  send(1);
+  gate.WaitHeld();
+  for (int i = 1; i <= kQueued; ++i) send(static_cast<size_t>(i) + 1);
+  WaitAccepted(*server, kQueued + 1);
+  gate.Release();
+  for (int i = 0; i <= kQueued; ++i) {
+    auto r = client.Receive();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const PredictResponse& response = r.ValueOrDie();
+    ASSERT_EQ(response.code, ServeCode::kOk) << response.message;
+    auto it = rows_by_id.find(response.request_id);
+    ASSERT_NE(it, rows_by_id.end()) << response.request_id;
+    auto end = expected_.begin() + static_cast<std::ptrdiff_t>(it->second);
+    ml::Labels want(expected_.begin(), end);
+    EXPECT_EQ(response.labels, want) << response.request_id;
+    rows_by_id.erase(it);
+  }
+  EXPECT_TRUE(rows_by_id.empty());
+  auto stats = server->stats();
+  EXPECT_EQ(stats.batches_executed, 2u);
+  EXPECT_EQ(stats.peak_batch_requests, static_cast<uint64_t>(kQueued));
+}
+
+TEST_F(InferenceServerTest, SequentialCallsEachFormOneBatch) {
+  // Nothing waits for company: a lone request is a batch of one.
+  constexpr uint64_t kCalls = 5;
+  auto server = MakeServer({});
+  client::InferenceClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+  for (uint64_t i = 0; i < kCalls; ++i) {
+    EXPECT_EQ(client.Predict("m", query_).ValueOrDie(), expected_);
+  }
+  EXPECT_EQ(server->stats().batches_executed, kCalls);
+}
+
+/// Spans of every retained `serve.batch` trace, oldest first.
+std::vector<std::vector<obs::TraceSpan>> ServeBatchTraces() {
+  std::vector<std::vector<obs::TraceSpan>> out;
+  auto recent = obs::FlightRecorder::Global().RecentTraces(64);
+  for (auto it = recent.rbegin(); it != recent.rend(); ++it) {
+    if (it->root_name == "serve.batch") {
+      out.push_back(obs::FlightRecorder::Global().Query(it->trace_id));
+    }
+  }
+  return out;
+}
+
+std::vector<const obs::TraceSpan*> SpansNamed(
+    const std::vector<obs::TraceSpan>& spans, const std::string& name) {
+  std::vector<const obs::TraceSpan*> out;
+  for (const obs::TraceSpan& s : spans) {
+    if (s.name == name) out.push_back(&s);
+  }
+  return out;
+}
+
+const obs::TraceSpan* RootSpan(const std::vector<obs::TraceSpan>& spans) {
+  for (const obs::TraceSpan& s : spans) {
+    if (s.span_id == 1) return &s;
+  }
+  return nullptr;
+}
+
+TEST_F(InferenceServerTest, InlineGroupTracesUnderTheBatchRoot) {
+  obs::FlightRecorder::Global().Clear();
+  obs::SetTracingEnabled(true);
+  auto server = MakeServer({});
+  client::InferenceClient client;
+  EXPECT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+  EXPECT_EQ(client.Predict("m", query_).ValueOrDie(), expected_);
+  server->Stop();  // joins the batcher, which flushed the batch's trace
+  obs::SetTracingEnabled(false);
+
+  auto traces = ServeBatchTraces();
+  ASSERT_EQ(traces.size(), 1u);
+  const obs::TraceSpan* root = RootSpan(traces[0]);
+  ASSERT_NE(root, nullptr);
+  auto predicts = SpansNamed(traces[0], "serve.predict");
+  ASSERT_EQ(predicts.size(), 1u);
+  EXPECT_EQ(predicts[0]->parent_id, 1u);
+  EXPECT_EQ(predicts[0]->tid, root->tid);  // ran on the batch thread
+  auto gets = SpansNamed(traces[0], "model_cache.get");
+  ASSERT_EQ(gets.size(), 1u);
+  EXPECT_EQ(gets[0]->parent_id, predicts[0]->span_id);
+}
+
+TEST_F(InferenceServerTest, TwoModelBatchTracesBothGroups) {
+  // A batch holding two models splits into two groups: the first runs on
+  // the pool, the last on the batch thread, and both trace under the
+  // batch's root.
+  auto blob = store_->LoadModelBlob("m");
+  ASSERT_TRUE(blob.ok());
+  auto model = ml::pickle::Loads(blob.ValueOrDie());
+  ASSERT_TRUE(model.ok());
+  ASSERT_TRUE(store_->SaveModel("m2", *model.ValueOrDie(), 0.99, 64).ok());
+  ThreadPool pool(2);
+  BatchGate gate;
+  InferenceServerOptions opts;
+  opts.pool = &pool;
+  opts.test_batch_hook = gate.Hook();
+  obs::FlightRecorder::Global().Clear();
+  obs::SetTracingEnabled(true);
+  auto server = MakeServer(opts);
+  client::InferenceClient client;
+  EXPECT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+  EXPECT_TRUE(client.Send("m", query_).ok());
+  gate.WaitHeld();
+  EXPECT_TRUE(client.Send("m", query_).ok());
+  EXPECT_TRUE(client.Send("m2", query_).ok());
+  WaitAccepted(*server, 3);
+  gate.Release();
+  for (int i = 0; i < 3; ++i) {
+    auto r = client.Receive();
+    EXPECT_TRUE(r.ok() && r.ValueOrDie().code == ServeCode::kOk &&
+                r.ValueOrDie().labels == expected_);
+  }
+  server->Stop();
+  obs::SetTracingEnabled(false);
+
+  auto traces = ServeBatchTraces();
+  ASSERT_EQ(traces.size(), 2u);
+  const std::vector<obs::TraceSpan>& spans = traces[1];
+  const obs::TraceSpan* root = RootSpan(spans);
+  ASSERT_NE(root, nullptr);
+  auto predicts = SpansNamed(spans, "serve.predict");
+  auto gets = SpansNamed(spans, "model_cache.get");
+  ASSERT_EQ(predicts.size(), 2u);
+  ASSERT_EQ(gets.size(), 2u);
+  int on_batch_thread = 0;
+  for (const obs::TraceSpan* predict : predicts) {
+    EXPECT_EQ(predict->parent_id, 1u);
+    if (predict->tid == root->tid) ++on_batch_thread;
+    int children = 0;
+    for (const obs::TraceSpan* get : gets) {
+      if (get->parent_id == predict->span_id) ++children;
+    }
+    EXPECT_EQ(children, 1) << "predict span " << predict->span_id;
+  }
+  EXPECT_EQ(on_batch_thread, 1);  // the other group ran on the pool
 }
 
 TEST_F(InferenceServerTest, OverloadAnswersOverloadedWithBoundedQueue) {
@@ -518,7 +728,6 @@ TEST_F(InferenceServerTest, DrainThenStopAnswersQueuedRequests) {
   bool release = false;
   bool held = false;
   InferenceServerOptions opts;
-  opts.batch_linger = std::chrono::microseconds(0);
   opts.test_batch_hook = [&] {
     std::unique_lock<std::mutex> lock(mu);
     held = true;
