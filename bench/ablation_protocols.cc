@@ -3,13 +3,16 @@
 /// Data Hostage", the paper's [15]).
 ///
 /// A 100k-row, 8-int-column table is serialized and re-materialized
-/// through each wire format; the in-process "zero-copy" row shows what the
-/// in-database path pays instead (sharing column pointers).
+/// through each wire format, in memory and then over a loopback socket;
+/// the in-process "zero-copy" row shows what the in-database path pays
+/// instead (sharing column pointers).
 #include <benchmark/benchmark.h>
 
 #include "bench_main.h"
 
+#include "client/client.h"
 #include "client/protocol.h"
+#include "client/server.h"
 #include "client/sqlite_like.h"
 #include "common/random.h"
 #include "sql/database.h"
@@ -111,13 +114,43 @@ void BM_TransferColumnar(benchmark::State& state) {
   state.counters["wire_bytes"] = static_cast<double>(bytes);
 }
 
-/// SQLite-style per-cell boxing, no serialization.
-void BM_TransferRowCursor(benchmark::State& state) {
+/// The fixture as table `t` of a database, for the rows that query it.
+Database* FixtureDb() {
   static Database* db = [] {
     auto* d = new Database();
     (void)d->catalog().CreateTable("t", Fixture());
     return d;
   }();
+  return db;
+}
+
+/// A real TableServer/TableClient round trip over loopback: the rows above
+/// plus the query, the socket and the framing, with the server encoding a
+/// frame while the client decodes the one before. The gap to the matching
+/// in-memory row is what the socket adds.
+void BM_LoopbackRoundTrip(benchmark::State& state,
+                          client::WireProtocol protocol) {
+  client::TableServer server(FixtureDb());
+  client::TableClient tcp;
+  if (!server.Start(0).ok() ||
+      !tcp.Connect("127.0.0.1", server.port()).ok()) {
+    state.SkipWithError("loopback setup failed");
+    return;
+  }
+  for (auto _ : state) {
+    auto back = tcp.Query("SELECT * FROM t", protocol);
+    if (!back.ok()) state.SkipWithError("query failed");
+    benchmark::DoNotOptimize(back);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(Fixture()->num_rows()));
+  state.counters["wire_bytes"] =
+      static_cast<double>(tcp.last_response_bytes());
+}
+
+/// SQLite-style per-cell boxing, no serialization.
+void BM_TransferRowCursor(benchmark::State& state) {
+  Database* db = FixtureDb();
   for (auto _ : state) {
     auto back = client::FetchAllRowAtATime(db, "SELECT * FROM t");
     if (!back.ok()) state.SkipWithError("cursor fetch failed");
@@ -145,6 +178,14 @@ void BM_TransferZeroCopyColumns(benchmark::State& state) {
 BENCHMARK(BM_TransferPgText);
 BENCHMARK(BM_TransferMyBinary);
 BENCHMARK(BM_TransferColumnar);
+BENCHMARK_CAPTURE(BM_LoopbackRoundTrip, pg_text, client::WireProtocol::kPgText)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_LoopbackRoundTrip, mysql_binary,
+                  client::WireProtocol::kMyBinary)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_LoopbackRoundTrip, columnar,
+                  client::WireProtocol::kColumnar)
+    ->UseRealTime();
 BENCHMARK(BM_TransferRowCursor);
 BENCHMARK(BM_TransferZeroCopyColumns);
 

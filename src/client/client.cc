@@ -44,52 +44,83 @@ void TableClient::Disconnect() {
   }
 }
 
-Result<TablePtr> TableClient::Query(const std::string& sql,
-                                    WireProtocol protocol) {
+Status TableClient::SendRequest(uint8_t verb, const std::string& payload) {
   if (fd_ < 0) return Status::NetworkError("not connected");
-  uint8_t protocol_byte = static_cast<uint8_t>(protocol);
-  uint32_t sql_len = static_cast<uint32_t>(sql.size());
-  if (!net::WriteAll(fd_, &protocol_byte, 1) ||
-      !net::WriteAll(fd_, &sql_len, sizeof(sql_len)) ||
-      !net::WriteAll(fd_, sql.data(), sql.size())) {
-    return Status::NetworkError("failed to send query");
+  uint32_t payload_len = static_cast<uint32_t>(payload.size());
+  if (!net::WriteAll(fd_, &verb, 1) ||
+      !net::WriteAll(fd_, &payload_len, sizeof(payload_len)) ||
+      !net::WriteAll(fd_, payload.data(), payload.size())) {
+    Disconnect();
+    return Status::NetworkError("failed to send request");
   }
+  last_response_bytes_ = 0;
+  return Status::OK();
+}
+
+Status TableClient::ReadFrame(std::vector<uint8_t>* frame) {
   uint64_t frame_len = 0;
   if (!net::ReadExact(fd_, &frame_len, sizeof(frame_len))) {
+    Disconnect();
     return Status::NetworkError("connection closed while reading response");
   }
-  std::vector<uint8_t> frame(frame_len);
-  if (!net::ReadExact(fd_, frame.data(), frame.size())) {
+  if (frame_len > kMaxFrameBytes) {
+    // The rest of the stream cannot be skipped safely: hang up.
+    Disconnect();
+    return Status::NetworkError("response frame of " +
+                                std::to_string(frame_len) +
+                                " bytes exceeds the frame cap");
+  }
+  frame->resize(frame_len);
+  if (!net::ReadExact(fd_, frame->data(), frame->size())) {
+    Disconnect();
     return Status::NetworkError("truncated response frame");
   }
-  last_response_bytes_ = frame.size();
+  last_response_bytes_ += frame->size();
+  return Status::OK();
+}
+
+Result<TablePtr> TableClient::Query(const std::string& sql,
+                                    WireProtocol protocol) {
+  MLCS_RETURN_IF_ERROR(SendRequest(static_cast<uint8_t>(protocol), sql));
+  std::vector<uint8_t> frame;  // reused for every frame of the response
+  MLCS_RETURN_IF_ERROR(ReadFrame(&frame));
   ByteReader reader(frame);
   MLCS_ASSIGN_OR_RETURN(uint8_t ok_flag, reader.ReadU8());
   if (ok_flag != 0) {
     MLCS_ASSIGN_OR_RETURN(std::string message, reader.ReadString());
     return Status::NetworkError("server error: " + message);
   }
-  return DecodeResultSet(&reader, protocol);
+  Result<TablePtr> table = ReceiveRows(&reader, protocol, &frame);
+  // Frames may remain unread behind a malformed one: the connection is out
+  // of step with the server.
+  if (!table.ok()) Disconnect();
+  return table;
+}
+
+Result<TablePtr> TableClient::ReceiveRows(ByteReader* header,
+                                          WireProtocol protocol,
+                                          std::vector<uint8_t>* frame) {
+  MLCS_ASSIGN_OR_RETURN(Schema schema, DecodeHeader(header));
+  if (!header->AtEnd()) return Status::ParseError("trailing header bytes");
+  auto table = Table::Make(std::move(schema));
+  bool ended = false;
+  while (!ended) {
+    MLCS_RETURN_IF_ERROR(ReadFrame(frame));
+    ByteReader reader(*frame);
+    MLCS_ASSIGN_OR_RETURN(ended,
+                          DecodeMessages(&reader, protocol, table.get()));
+    if (ended && !reader.AtEnd()) {
+      return Status::ParseError("bytes after the end marker");
+    }
+  }
+  return table;
 }
 
 Result<std::string> TableClient::FetchExport(uint8_t verb,
                                              const std::string& payload) {
-  if (fd_ < 0) return Status::NetworkError("not connected");
-  uint32_t payload_len = static_cast<uint32_t>(payload.size());
-  if (!net::WriteAll(fd_, &verb, 1) ||
-      !net::WriteAll(fd_, &payload_len, sizeof(payload_len)) ||
-      !net::WriteAll(fd_, payload.data(), payload.size())) {
-    return Status::NetworkError("failed to send export request");
-  }
-  uint64_t frame_len = 0;
-  if (!net::ReadExact(fd_, &frame_len, sizeof(frame_len))) {
-    return Status::NetworkError("connection closed while reading export");
-  }
-  std::vector<uint8_t> frame(frame_len);
-  if (!net::ReadExact(fd_, frame.data(), frame.size())) {
-    return Status::NetworkError("truncated export frame");
-  }
-  last_response_bytes_ = frame.size();
+  MLCS_RETURN_IF_ERROR(SendRequest(verb, payload));
+  std::vector<uint8_t> frame;
+  MLCS_RETURN_IF_ERROR(ReadFrame(&frame));
   ByteReader reader(frame);
   MLCS_ASSIGN_OR_RETURN(uint8_t ok_flag, reader.ReadU8());
   MLCS_ASSIGN_OR_RETURN(std::string text, reader.ReadString());

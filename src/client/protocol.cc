@@ -285,13 +285,12 @@ Status EncodeRows(const Table& table, WireProtocol protocol, size_t begin,
 
 void EncodeEnd(ByteWriter* out) { out->WriteU8(kEndMarker); }
 
-Result<TablePtr> DecodeResultSet(ByteReader* in, WireProtocol protocol) {
-  MLCS_ASSIGN_OR_RETURN(Schema schema, DecodeHeader(in));
-  auto table = Table::Make(schema);
-  size_t ncols = schema.num_fields();
-  while (true) {
+Result<bool> DecodeMessages(ByteReader* in, WireProtocol protocol,
+                            Table* table) {
+  size_t ncols = table->num_columns();
+  while (!in->AtEnd()) {
     MLCS_ASSIGN_OR_RETURN(uint8_t marker, in->ReadU8());
-    if (marker == kEndMarker) break;
+    if (marker == kEndMarker) return true;
     if (protocol == WireProtocol::kColumnar) {
       if (marker != kBlockMarker) {
         return Status::ParseError("unexpected message marker " +
@@ -395,6 +394,14 @@ Result<TablePtr> DecodeResultSet(ByteReader* in, WireProtocol protocol) {
       }
     }
   }
+  return false;
+}
+
+Result<TablePtr> DecodeResultSet(ByteReader* in, WireProtocol protocol) {
+  MLCS_ASSIGN_OR_RETURN(Schema schema, DecodeHeader(in));
+  auto table = Table::Make(std::move(schema));
+  MLCS_ASSIGN_OR_RETURN(bool ended, DecodeMessages(in, protocol, table.get()));
+  if (!ended) return Status::OutOfRange("result set has no end marker");
   return table;
 }
 

@@ -17,10 +17,10 @@ namespace mlcs::client {
 ///                width little-endian values / length-prefixed strings.
 ///                Cheaper per cell but still row-major: the client must
 ///                transpose rows back into columns.
-///  - kColumnar:  one block per result set; within it every column's
-///                values are contiguous, so fixed-width no-null columns
-///                encode and decode as a single memcpy. This is the wire
-///                form of the column store itself — the protocol the
+///  - kColumnar:  one block per frame (see TableServer); within it every
+///                column's values are contiguous, so fixed-width no-null
+///                columns encode and decode as a single memcpy. This is the
+///                wire form of the column store itself — the protocol the
 ///                serving path (src/serve/) speaks.
 ///
 /// The contrast between the row-major pair and the in-database path
@@ -39,6 +39,11 @@ const char* WireProtocolToString(WireProtocol protocol);
 inline constexpr uint8_t kVerbPrometheus = 0xF0;
 inline constexpr uint8_t kVerbChromeTrace = 0xF1;
 
+/// Largest frame either side of a TableServer connection accepts: the
+/// server refuses a longer request, and the client rejects a longer
+/// response frame before it allocates anything for it.
+inline constexpr uint64_t kMaxFrameBytes = 64u << 20;
+
 /// Result-set header: column names and types.
 void EncodeHeader(const Schema& schema, ByteWriter* out);
 Result<Schema> DecodeHeader(ByteReader* in);
@@ -50,8 +55,18 @@ Status EncodeRows(const Table& table, WireProtocol protocol, size_t begin,
 /// Terminator after all rows.
 void EncodeEnd(ByteWriter* out);
 
-/// Decodes a full result set (header + rows + end marker) into a table,
-/// converting every cell — the client-side share of the protocol cost.
+/// Decodes one frame's messages ('D' rows or 'B' blocks, then possibly the
+/// end marker) and appends their rows to `table`, converting every cell —
+/// the client-side share of the protocol cost. Returns true when it read
+/// the end marker, which leaves `in` just past it; false when `in` ran out
+/// first, so more rows follow in the next frame.
+Result<bool> DecodeMessages(ByteReader* in, WireProtocol protocol,
+                            Table* table);
+
+/// Decodes a whole result set held in one buffer: the header, then every
+/// message up to the end marker (DecodeHeader + DecodeMessages). A buffer
+/// that ends before the end marker is an error. TableClient decodes frame
+/// by frame instead; this is the entry for callers that hold all the bytes.
 Result<TablePtr> DecodeResultSet(ByteReader* in, WireProtocol protocol);
 
 }  // namespace mlcs::client

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -14,6 +15,77 @@
 #include "obs/export.h"
 
 namespace mlcs::client {
+
+namespace {
+
+/// Payload bytes a row frame aims for. Small enough that the server encodes
+/// the next frame while the client decodes this one, large enough that the
+/// per-frame write and read stay cheap; chosen by measurement (DESIGN.md
+/// §4 item 3).
+constexpr size_t kFrameTargetBytes = 256u << 10;
+
+/// Every frame is a u64 payload length, then the payload.
+constexpr size_t kPrefixBytes = sizeof(uint64_t);
+
+/// Empties `frame` and reserves its length prefix.
+void StartFrame(ByteWriter* frame) {
+  frame->Clear();
+  frame->WriteU64(0);
+}
+
+/// Fills in the length prefix and sends prefix and payload in one write.
+bool SendFrame(int fd, ByteWriter* frame) {
+  frame->PatchU64(0, frame->size() - kPrefixBytes);
+  return net::WriteAll(fd, frame->data().data(), frame->size());
+}
+
+/// A whole error response: u8 1, then the message.
+bool SendError(int fd, const std::string& message, ByteWriter* frame) {
+  StartFrame(frame);
+  frame->WriteU8(1);
+  frame->WriteString(message);
+  return SendFrame(fd, frame);
+}
+
+/// Streams `table`: a first frame with the ok flag and header, then frames
+/// of whole rows (one block for kColumnar) near kFrameTargetBytes each, the
+/// end marker closing the last. A frame's row count comes from the bytes
+/// per row of the frame before; the first assumes 8 bytes a cell. Returns
+/// false when the connection must close: the peer is gone, or a single row
+/// exceeds kMaxFrameBytes.
+bool SendResultSet(int fd, const Table& table, WireProtocol protocol,
+                   ByteWriter* frame) {
+  StartFrame(frame);
+  frame->WriteU8(0);
+  EncodeHeader(table.schema(), frame);
+  if (!SendFrame(fd, frame)) return false;
+  const size_t num_rows = table.num_rows();
+  size_t frame_rows = std::max<size_t>(
+      1, kFrameTargetBytes / (8 * std::max<size_t>(1, table.num_columns())));
+  size_t begin = 0;
+  do {
+    size_t count = std::min(frame_rows, num_rows - begin);
+    while (true) {
+      StartFrame(frame);
+      if (count > 0 && !EncodeRows(table, protocol, begin, count, frame).ok()) {
+        return false;
+      }
+      if (frame->size() <= kMaxFrameBytes || count <= 1) break;
+      count /= 2;  // these rows are far wider than the last frame's
+    }
+    if (frame->size() > kMaxFrameBytes) return false;
+    if (count > 0) {
+      frame_rows = std::max<size_t>(
+          1, kFrameTargetBytes * count / (frame->size() - kPrefixBytes));
+    }
+    begin += count;
+    if (begin == num_rows) EncodeEnd(frame);
+    if (!SendFrame(fd, frame)) return false;
+  } while (begin < num_rows);
+  return true;
+}
+
+}  // namespace
 
 TableServer::~TableServer() { Stop(); }
 
@@ -138,23 +210,19 @@ void TableServer::AcceptLoop() {
 }
 
 void TableServer::ServeConnection(int fd) {
+  ByteWriter frame;  // reused for every frame this connection sends
   while (running_.load()) {
     uint8_t protocol_byte = 0;
     if (!net::ReadExact(fd, &protocol_byte, 1)) break;  // client gone
     uint32_t sql_len = 0;
     if (!net::ReadExact(fd, &sql_len, sizeof(sql_len))) break;
-    if (sql_len > (64u << 20)) {
+    if (sql_len > kMaxFrameBytes) {
       // Refuse absurd frames, but tell the client why before hanging up
       // instead of silently dropping the connection.
-      ByteWriter error;
-      error.WriteU8(1);
-      error.WriteString("query of " + std::to_string(sql_len) +
-                        " bytes exceeds the frame cap");
-      uint64_t frame_len = error.size();
-      if (net::WriteAll(fd, &frame_len, sizeof(frame_len))) {
-        bool sent = net::WriteAll(fd, error.data().data(), error.size());
-        (void)sent;
-      }
+      SendError(fd,
+                "query of " + std::to_string(sql_len) +
+                    " bytes exceeds the frame cap",
+                &frame);
       break;
     }
     std::string sql(sql_len, '\0');
@@ -164,46 +232,41 @@ void TableServer::ServeConnection(int fd) {
         protocol_byte == kVerbChromeTrace) {
       // Observability verbs bypass SQL entirely: the payload is empty
       // (Prometheus) or a decimal trace id (Chrome trace).
-      ByteWriter response;
-      response.WriteU8(0);
-      if (protocol_byte == kVerbPrometheus) {
-        response.WriteString(obs::PrometheusText());
-      } else {
-        uint64_t trace_id = std::strtoull(sql.c_str(), nullptr, 10);
-        response.WriteString(obs::ChromeTraceJson(trace_id));
+      std::string text =
+          protocol_byte == kVerbPrometheus
+              ? obs::PrometheusText()
+              : obs::ChromeTraceJson(std::strtoull(sql.c_str(), nullptr, 10));
+      if (1 + sizeof(uint32_t) + text.size() > kMaxFrameBytes) {
+        if (!SendError(fd,
+                       "export of " + std::to_string(text.size()) +
+                           " bytes exceeds the frame cap",
+                       &frame)) {
+          break;
+        }
+        continue;
       }
-      uint64_t frame_len = response.size();
-      if (!net::WriteAll(fd, &frame_len, sizeof(frame_len))) break;
-      if (!net::WriteAll(fd, response.data().data(), response.size())) break;
+      StartFrame(&frame);
+      frame.WriteU8(0);
+      frame.WriteString(text);
+      if (!SendFrame(fd, &frame)) break;
       continue;
     }
 
-    ByteWriter response;
-    auto result = db_->Query(sql);
-    if (!result.ok() ||
-        protocol_byte > static_cast<uint8_t>(WireProtocol::kColumnar)) {
-      response.WriteU8(1);
-      response.WriteString(result.ok() ? "bad protocol"
-                                       : result.status().ToString());
-    } else {
-      WireProtocol protocol = static_cast<WireProtocol>(protocol_byte);
-      const Table& table = *result.ValueOrDie();
-      response.WriteU8(0);
-      EncodeHeader(table.schema(), &response);
-      Status encoded =
-          EncodeRows(table, protocol, 0, table.num_rows(), &response);
-      if (!encoded.ok()) {
-        ByteWriter error;
-        error.WriteU8(1);
-        error.WriteString(encoded.ToString());
-        response = std::move(error);
-      } else {
-        EncodeEnd(&response);
-      }
+    // Checked before the query runs: a request the server cannot answer
+    // must not change the database either.
+    if (protocol_byte > static_cast<uint8_t>(WireProtocol::kColumnar)) {
+      if (!SendError(fd, "bad protocol", &frame)) break;
+      continue;
     }
-    uint64_t frame_len = response.size();
-    if (!net::WriteAll(fd, &frame_len, sizeof(frame_len))) break;
-    if (!net::WriteAll(fd, response.data().data(), response.size())) break;
+    auto result = db_->Query(sql);
+    if (!result.ok()) {
+      if (!SendError(fd, result.status().ToString(), &frame)) break;
+      continue;
+    }
+    if (!SendResultSet(fd, *result.ValueOrDie(),
+                       static_cast<WireProtocol>(protocol_byte), &frame)) {
+      break;
+    }
   }
   ::close(fd);
 }

@@ -15,9 +15,14 @@ namespace mlcs::client {
 
 /// A TCP table server fronting a Database — the "separate database server
 /// + socket connection" deployment the paper benchmarks against. Request
-/// framing: u8 protocol, u32 length, SQL bytes. Response: u8 ok-flag;
-/// on error a length-prefixed message, on success an encoded result set
-/// (header + row messages + end marker), all length-framed as one blob.
+/// framing: u8 protocol, u32 length, SQL bytes. The response is a stream
+/// of frames, each a u64 payload length and the payload. An error is one
+/// frame: u8 1 and a length-prefixed message. A result set is a first
+/// frame holding u8 0 and the header, then row frames of about 256 KiB
+/// (whole 'D' rows, or one 'B' block for kColumnar), the end marker
+/// closing the last — encoded one frame at a time, so the client decodes
+/// a frame while the server encodes the next, as PostgreSQL and MySQL
+/// stream their row messages.
 class TableServer {
  public:
   explicit TableServer(Database* db) : db_(db) {}

@@ -61,6 +61,17 @@ class ByteWriter {
     WriteU8(static_cast<uint8_t>(v));
   }
 
+  /// Overwrites the 8 bytes at `offset`, which an earlier WriteU64 wrote:
+  /// a length prefix filled in once the bytes it counts are written.
+  /// Requires offset + 8 <= size().
+  void PatchU64(size_t offset, uint64_t v) {
+    std::memcpy(buffer_.data() + offset, &v, sizeof(v));
+  }
+
+  /// Empties the writer but keeps its capacity, so a writer reused for
+  /// one frame after another allocates only for the largest.
+  void Clear() { buffer_.clear(); }
+
   const std::vector<uint8_t>& data() const { return buffer_; }
   size_t size() const { return buffer_.size(); }
 

@@ -32,6 +32,24 @@ TEST(ByteBufferTest, PrimitiveRoundTrip) {
   EXPECT_TRUE(r.AtEnd());
 }
 
+/// The frame idiom: reserve a length prefix, fill it in last, then reuse
+/// the writer for the next frame without giving back its buffer.
+TEST(ByteBufferTest, PatchedPrefixAndClearKeepsCapacity) {
+  ByteWriter w;
+  w.WriteU64(0);
+  w.WriteString("abc");
+  w.PatchU64(0, w.size() - sizeof(uint64_t));
+  ByteReader r(w.data());
+  EXPECT_EQ(r.ReadU64().ValueOrDie(), 7u);
+  EXPECT_EQ(r.ReadString().ValueOrDie(), "abc");
+  EXPECT_TRUE(r.AtEnd());
+
+  size_t capacity = w.data().capacity();
+  w.Clear();
+  EXPECT_EQ(w.size(), 0u);
+  EXPECT_EQ(w.data().capacity(), capacity);
+}
+
 TEST(ByteBufferTest, StringRoundTrip) {
   ByteWriter w;
   w.WriteString("");

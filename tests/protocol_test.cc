@@ -221,6 +221,39 @@ TEST(ProtocolTest, TruncatedStreamRejected) {
   EXPECT_FALSE(DecodeResultSet(&in, WireProtocol::kPgText).ok());
 }
 
+/// The streaming decoder: messages split over frames append to one table,
+/// and only the frame carrying the end marker reports it.
+TEST_P(ProtocolRoundTripTest, MessagesDecodeFrameByFrame) {
+  WireProtocol protocol = GetParam();
+  auto t = MixedTable();
+  ByteWriter header;
+  EncodeHeader(t->schema(), &header);
+  ByteWriter first;
+  ASSERT_TRUE(EncodeRows(*t, protocol, 0, 1, &first).ok());
+  ByteWriter last;
+  ASSERT_TRUE(EncodeRows(*t, protocol, 1, 1, &last).ok());
+  EncodeEnd(&last);
+
+  ByteReader header_in(header.data());
+  auto back = Table::Make(DecodeHeader(&header_in).ValueOrDie());
+  ByteReader first_in(first.data());
+  EXPECT_FALSE(DecodeMessages(&first_in, protocol, back.get()).ValueOrDie());
+  EXPECT_EQ(back->num_rows(), 1u);
+  ByteReader last_in(last.data());
+  EXPECT_TRUE(DecodeMessages(&last_in, protocol, back.get()).ValueOrDie());
+  EXPECT_TRUE(last_in.AtEnd());
+  EXPECT_TRUE(t->Equals(*back));
+}
+
+TEST(ProtocolTest, ResultSetWithoutEndMarkerRejected) {
+  auto t = MixedTable();
+  ByteWriter out;
+  EncodeHeader(t->schema(), &out);
+  ASSERT_TRUE(EncodeRows(*t, WireProtocol::kMyBinary, 0, 2, &out).ok());
+  ByteReader in(out.data());
+  EXPECT_FALSE(DecodeResultSet(&in, WireProtocol::kMyBinary).ok());
+}
+
 // ---------------------------------------------------------------------------
 // Negative paths over a real socket: malformed frames must produce clean
 // Status errors on the peer that caused them — never a hang, crash, or a
@@ -298,7 +331,7 @@ TEST_F(MalformedFrameTest, OversizedDeclaredLengthAnswered) {
 TEST_F(MalformedFrameTest, UnknownProtocolByteAnswered) {
   int fd = RawConnect();
   uint8_t protocol_byte = 0x7F;
-  std::string sql = "SELECT 1";
+  std::string sql = "CREATE TABLE leaked (a INTEGER)";
   uint32_t sql_len = static_cast<uint32_t>(sql.size());
   ASSERT_TRUE(net::WriteAll(fd, &protocol_byte, 1));
   ASSERT_TRUE(net::WriteAll(fd, &sql_len, sizeof(sql_len)));
@@ -312,6 +345,8 @@ TEST_F(MalformedFrameTest, UnknownProtocolByteAnswered) {
   EXPECT_NE(reader.ReadString().ValueOrDie().find("bad protocol"),
             std::string::npos);
   ::close(fd);
+  // A request the server refuses must not have run.
+  EXPECT_FALSE(db_.catalog().GetTable("leaked").ok());
   ExpectServerStillHealthy();
 }
 
@@ -349,6 +384,127 @@ TEST_F(MalformedFrameTest, ConnectionThreadsAreReaped) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_LE(server_->tracked_connection_threads(), 4u);
+}
+
+// ---------------------------------------------------------------------------
+// The client against a hostile or broken server: a raw listening socket
+// answers the first request with scripted bytes, then hangs up. Every case
+// must end in a non-OK Status, never an abort or an allocation sized from
+// the wire.
+// ---------------------------------------------------------------------------
+
+class ScriptedServer {
+ public:
+  explicit ScriptedServer(std::vector<uint8_t> reply) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(listen_fd_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len), 0);
+    EXPECT_EQ(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                            &len),
+              0);
+    EXPECT_EQ(::listen(listen_fd_, 1), 0);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this, reply = std::move(reply)] {
+      int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      uint8_t verb = 0;
+      uint32_t len = 0;
+      if (net::ReadExact(fd, &verb, 1) &&
+          net::ReadExact(fd, &len, sizeof(len))) {
+        std::string request(len, '\0');
+        if (net::ReadExact(fd, request.data(), request.size())) {
+          bool sent = net::WriteAll(fd, reply.data(), reply.size());
+          (void)sent;
+        }
+      }
+      ::close(fd);
+    });
+  }
+  ~ScriptedServer() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // unblocks an accept never answered
+    thread_.join();
+    ::close(listen_fd_);
+  }
+  ScriptedServer(const ScriptedServer&) = delete;
+  ScriptedServer& operator=(const ScriptedServer&) = delete;
+
+  uint16_t port() const { return port_; }
+
+ private:
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+/// Appends one frame (u64 payload length, payload) to `wire`.
+void AppendFrame(const ByteWriter& payload, ByteWriter* wire) {
+  wire->WriteU64(payload.size());
+  wire->WriteRaw(payload.data().data(), payload.size());
+}
+
+/// The first frame of a good response: ok flag and MixedTable's header.
+ByteWriter HeaderFrame() {
+  ByteWriter payload;
+  payload.WriteU8(0);
+  EncodeHeader(MixedTable()->schema(), &payload);
+  ByteWriter wire;
+  AppendFrame(payload, &wire);
+  return wire;
+}
+
+Status QueryScripted(const ByteWriter& reply) {
+  ScriptedServer server(reply.data());
+  TableClient client;
+  MLCS_RETURN_IF_ERROR(client.Connect("127.0.0.1", server.port()));
+  Status status =
+      client.Query("SELECT * FROM t", WireProtocol::kMyBinary).status();
+  // A broken stream leaves the connection unusable, so the client drops it.
+  EXPECT_FALSE(client.connected());
+  return status;
+}
+
+TEST(HostileServerTest, HugeFrameLengthRejectedBeforeAllocating) {
+  ByteWriter reply;
+  reply.WriteU64(uint64_t{1} << 60);
+  Status status = QueryScripted(reply);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("frame cap"), std::string::npos);
+
+  // A later frame of a stream is capped the same way.
+  ByteWriter stream = HeaderFrame();
+  stream.WriteU64(kMaxFrameBytes + 1);
+  EXPECT_FALSE(QueryScripted(stream).ok());
+}
+
+TEST(HostileServerTest, HugeExportFrameRejected) {
+  ByteWriter reply;
+  reply.WriteU64(uint64_t{1} << 60);
+  ScriptedServer server(reply.data());
+  TableClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  auto text = client.FetchMetricsText();
+  ASSERT_FALSE(text.ok());
+  EXPECT_NE(text.status().message().find("frame cap"), std::string::npos);
+}
+
+TEST(HostileServerTest, CloseMidFrameFails) {
+  ByteWriter reply = HeaderFrame();
+  reply.WriteU64(100);  // promise 100 payload bytes ...
+  reply.WriteU8('D');   // ... deliver 1, hang up
+  EXPECT_FALSE(QueryScripted(reply).ok());
+}
+
+TEST(HostileServerTest, CloseBeforeEndMarkerFails) {
+  auto t = MixedTable();
+  ByteWriter rows;
+  ASSERT_TRUE(EncodeRows(*t, WireProtocol::kMyBinary, 0, 2, &rows).ok());
+  ByteWriter reply = HeaderFrame();
+  AppendFrame(rows, &reply);  // whole rows, but no end marker follows
+  EXPECT_FALSE(QueryScripted(reply).ok());
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "client/client.h"
+#include "client/net_util.h"
 #include "client/server.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -21,6 +26,32 @@ class ServerClientTest : public ::testing::Test {
   }
 
   void TearDown() override { server_->Stop(); }
+
+  /// Registers `m`: `rows` rows of INTEGER, DOUBLE, VARCHAR and BOOLEAN
+  /// with NULLs in every column — a result of many frames in every
+  /// protocol once `rows` is in the tens of thousands.
+  void AddMixedTable(size_t rows) {
+    Schema schema;
+    schema.AddField("x", TypeId::kInt32);
+    schema.AddField("d", TypeId::kDouble);
+    schema.AddField("s", TypeId::kVarchar);
+    schema.AddField("b", TypeId::kBool);
+    auto m = Table::Make(std::move(schema));
+    for (size_t i = 0; i < rows; ++i) {
+      int32_t x = static_cast<int32_t>(i);
+      ASSERT_TRUE(
+          m->AppendRow(
+               {i % 7 == 0 ? Value::MakeNull(TypeId::kInt32) : Value::Int32(x),
+                i % 11 == 0 ? Value::MakeNull(TypeId::kDouble)
+                            : Value::Double(x * 0.25 - 3.0),
+                i % 13 == 0 ? Value::MakeNull(TypeId::kVarchar)
+                            : Value::Varchar("row " + std::to_string(i)),
+                i % 5 == 0 ? Value::MakeNull(TypeId::kBool)
+                           : Value::Bool(i % 2 == 0)})
+              .ok());
+    }
+    ASSERT_TRUE(db_.catalog().CreateTable("m", std::move(m)).ok());
+  }
 
   Database db_;
   std::unique_ptr<TableServer> server_;
@@ -60,12 +91,19 @@ TEST_F(ServerClientTest, ServerErrorsPropagateToClient) {
   EXPECT_TRUE(client.Query("SELECT 1", WireProtocol::kPgText).ok());
 }
 
+constexpr WireProtocol kAllProtocols[] = {
+    WireProtocol::kPgText, WireProtocol::kMyBinary, WireProtocol::kColumnar};
+
+/// Each client pulls a many-frame result while the others do: the server
+/// encodes on every connection's thread as the clients decode.
 TEST_F(ServerClientTest, ConcurrentClients) {
   constexpr int kClients = 4;
+  AddMixedTable(20000);
+  TablePtr expected = db_.Query("SELECT * FROM m").ValueOrDie();
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
   for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([this, &failures] {
+    threads.emplace_back([this, c, &expected, &failures] {
       TableClient client;
       if (!client.Connect("127.0.0.1", server_->port()).ok()) {
         failures.fetch_add(1);
@@ -80,10 +118,120 @@ TEST_F(ServerClientTest, ConcurrentClients) {
           failures.fetch_add(1);
         }
       }
+      for (int i = 0; i < 2; ++i) {
+        auto r = client.Query("SELECT * FROM m", kAllProtocols[(c + i) % 3]);
+        if (!r.ok() || !expected->Equals(*r.ValueOrDie())) {
+          failures.fetch_add(1);
+        }
+      }
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+TEST_F(ServerClientTest, ManyFrameResultMatchesInProcess) {
+  AddMixedTable(40000);
+  TablePtr expected = db_.Query("SELECT * FROM m").ValueOrDie();
+  for (WireProtocol protocol : kAllProtocols) {
+    TableClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+    auto t = client.Query("SELECT * FROM m", protocol);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    EXPECT_TRUE(expected->Equals(*t.ValueOrDie()))
+        << WireProtocolToString(protocol);
+  }
+}
+
+TEST_F(ServerClientTest, EmptyResultIsHeaderAndEndMarker) {
+  AddMixedTable(100);
+  for (WireProtocol protocol : kAllProtocols) {
+    TableClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+    auto t = client.Query("SELECT * FROM m WHERE x < 0", protocol)
+                 .ValueOrDie();
+    EXPECT_EQ(t->num_rows(), 0u);
+    EXPECT_EQ(t->num_columns(), 4u);
+    EXPECT_EQ(t->schema().field(2).type, TypeId::kVarchar);
+    // Still in step: the next query on the connection works.
+    EXPECT_TRUE(client.Query("SELECT COUNT(*) FROM m", protocol).ok());
+  }
+}
+
+/// A row larger than the frame target still goes out whole: its frame
+/// grows past the target, up to the frame cap.
+TEST_F(ServerClientTest, RowLargerThanFrameTargetRoundTrips) {
+  Schema schema;
+  schema.AddField("id", TypeId::kInt32);
+  schema.AddField("payload", TypeId::kBlob);
+  auto blobs = Table::Make(std::move(schema));
+  std::string big(1 << 20, '\0');
+  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<char>(i * 31);
+  ASSERT_TRUE(
+      blobs->AppendRow({Value::Int32(1), Value::Blob("small")}).ok());
+  ASSERT_TRUE(blobs->AppendRow({Value::Int32(2), Value::Blob(big)}).ok());
+  ASSERT_TRUE(blobs->AppendRow({Value::Int32(3), Value::Blob("")}).ok());
+  ASSERT_TRUE(db_.catalog().CreateTable("blobs", blobs).ok());
+  for (WireProtocol protocol : kAllProtocols) {
+    TableClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+    auto t = client.Query("SELECT * FROM blobs", protocol);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    EXPECT_TRUE(blobs->Equals(*t.ValueOrDie()))
+        << WireProtocolToString(protocol);
+    EXPECT_GT(client.last_response_bytes(), big.size());
+  }
+}
+
+/// last_response_bytes() counts every frame's payload and no length
+/// prefix: a raw reader of the same stream sums the payloads it sees.
+TEST_F(ServerClientTest, ResponseBytesSumFramePayloads) {
+  AddMixedTable(40000);
+  const std::string sql = "SELECT * FROM m";
+  for (WireProtocol protocol : kAllProtocols) {
+    TableClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+    ASSERT_TRUE(client.Query(sql, protocol).ok());
+
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server_->port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    uint8_t protocol_byte = static_cast<uint8_t>(protocol);
+    uint32_t sql_len = static_cast<uint32_t>(sql.size());
+    ASSERT_TRUE(net::WriteAll(fd, &protocol_byte, 1));
+    ASSERT_TRUE(net::WriteAll(fd, &sql_len, sizeof(sql_len)));
+    ASSERT_TRUE(net::WriteAll(fd, sql.data(), sql.size()));
+    size_t frames = 0;
+    size_t payload_bytes = 0;
+    TablePtr table;
+    bool ended = false;
+    while (!ended) {
+      uint64_t frame_len = 0;
+      ASSERT_TRUE(net::ReadExact(fd, &frame_len, sizeof(frame_len)));
+      ASSERT_LE(frame_len, kMaxFrameBytes);
+      std::vector<uint8_t> frame(frame_len);
+      ASSERT_TRUE(net::ReadExact(fd, frame.data(), frame.size()));
+      ++frames;
+      payload_bytes += frame.size();
+      ByteReader reader(frame);
+      if (table == nullptr) {
+        ASSERT_EQ(reader.ReadU8().ValueOrDie(), 0);
+        table = Table::Make(DecodeHeader(&reader).ValueOrDie());
+      } else {
+        ended = DecodeMessages(&reader, protocol, table.get()).ValueOrDie();
+      }
+    }
+    ::close(fd);
+    EXPECT_EQ(payload_bytes, client.last_response_bytes())
+        << WireProtocolToString(protocol);
+    EXPECT_GT(frames, 3u) << WireProtocolToString(protocol);
+    EXPECT_EQ(table->num_rows(), 40000u);
+  }
 }
 
 TEST_F(ServerClientTest, QueryWithoutConnectFails) {
