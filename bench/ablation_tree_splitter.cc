@@ -8,7 +8,8 @@
 /// BM_ForestPredict/threads:N times the walk those trees are read back
 /// with: the Figure-1 forest shape (8 trees, depth 10) over synthetic
 /// voters' INTEGER feature columns read in place, 2 048-row blocks on a
-/// pool of N threads (DESIGN.md §4).
+/// pool of N threads (DESIGN.md §4). BM_ForestFit times growing that
+/// forest on the global pool.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -98,6 +99,9 @@ ml::RandomForestOptions Figure1ForestOptions() {
 
 struct ForestFixture {
   ml::RandomForest forest{Figure1ForestOptions()};
+  /// The training input: 95 INTEGER feature columns read in place.
+  ml::TrainingSource source;
+  ml::Labels y;
   /// The input as kBlockRows-row sources, each holding its own INTEGER
   /// columns, so each block's PredictDistribution runs on the thread that
   /// takes it.
@@ -118,18 +122,18 @@ ForestFixture& Forest() {
       features.push_back(voters->column(c));
     }
     f->rows = voters->num_rows();
-    ml::Labels y(f->rows);
+    f->y.resize(f->rows);
     Rng rng(5);
     const std::vector<int32_t>& precinct = features[0]->i32_data();
     for (size_t r = 0; r < f->rows; ++r) {
       double share = io::PrecinctDemShare(
           data.seed, static_cast<size_t>(precinct[r]), data.num_precincts);
-      y[r] = rng.NextDouble() < share ? 1 : 0;
+      f->y[r] = rng.NextDouble() < share ? 1 : 0;
     }
     auto source = ml::TrainingSource::FromColumns(features);
-    if (!source.ok() || !f->forest.FitSource(source.ValueOrDie(), y).ok()) {
-      std::abort();
-    }
+    if (!source.ok()) std::abort();
+    f->source = std::move(source).ValueOrDie();
+    if (!f->forest.FitSource(f->source, f->y).ok()) std::abort();
     for (size_t begin = 0; begin < f->rows; begin += kBlockRows) {
       size_t end = std::min(f->rows, begin + kBlockRows);
       std::vector<ColumnPtr> cols;
@@ -171,6 +175,26 @@ BENCHMARK(BM_ForestPredict)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+/// Fits the same forest on the same input, on the global pool (its size
+/// is MLCS_THREADS).
+void BM_ForestFit(benchmark::State& state) {
+  ForestFixture& f = Forest();
+  for (auto _ : state) {
+    ml::RandomForest forest(Figure1ForestOptions());
+    if (!forest.FitSource(f.source, f.y).ok()) {
+      state.SkipWithError("fit failed");
+      break;
+    }
+    benchmark::DoNotOptimize(forest);
+  }
+  state.counters["threads"] =
+      static_cast<double>(ThreadPool::DefaultThreadCount());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(f.rows));
+}
+
+BENCHMARK(BM_ForestFit)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

@@ -188,6 +188,69 @@ bool WriteJson(const mlcs::pipeline::PipelineConfig& config) {
   return json.WriteTo("BENCH_fig1_voter_classification.json");
 }
 
+/// Median of one stage over the reps of the channel named `method`
+/// (0 when it did not run).
+double MedianOf(const std::string& method,
+                double mlcs::pipeline::PipelineResult::*stage) {
+  for (const Channel& channel : g_channels) {
+    if (channel.reps[0].method != method) continue;
+    std::vector<double> values;
+    for (const auto& rep : channel.reps) values.push_back(rep.*stage);
+    return Quantile(values, 0.5);
+  }
+  return 0;
+}
+
+/// The paper's §4 shape claims, each judged on this run's medians.
+void PrintShapeChecks() {
+  using mlcs::pipeline::PipelineResult;
+  const std::string in_db = "mlcs (in-database UDF)";
+  auto total = [](const std::string& m) {
+    return MedianOf(m, &PipelineResult::total_seconds);
+  };
+  auto wrangle = [](const std::string& m) {
+    return MedianOf(m, &PipelineResult::load_wrangle_seconds);
+  };
+  auto mark = [](bool holds) { return holds ? "✓" : "✗"; };
+  std::printf("\nshape check (paper §4), on median totals and wrangles:\n");
+
+  std::string runner_up;
+  for (const Channel& channel : g_channels) {
+    const std::string& m = channel.reps[0].method;
+    if (m != in_db && (runner_up.empty() || total(m) < total(runner_up))) {
+      runner_up = m;
+    }
+  }
+  std::printf("  %s in-database total fastest: %.3f s, next %s %.3f s\n",
+              mark(total(in_db) < total(runner_up)), total(in_db),
+              runner_up.c_str(), total(runner_up));
+
+  double least = 0;
+  for (const char* m :
+       {"socket pg-text", "socket mysql-binary", "socket columnar"}) {
+    double ratio = wrangle(m) / wrangle(in_db);
+    if (least == 0 || ratio < least) least = ratio;
+  }
+  std::printf("  %s in-database wrangle an order of magnitude below every "
+              "socket channel's: %.0fx at the least\n",
+              mark(least >= 10), least);
+
+  double binary = std::max(wrangle("numpy-binary"), wrangle("hdf5-like"));
+  double text = std::min({wrangle("csv"), wrangle("socket pg-text"),
+                          wrangle("socket mysql-binary")});
+  std::printf("  %s binary files load faster than csv and the row sockets "
+              "(%.3f vs %.3f s), in-database faster still (%.3f s)\n",
+              mark(binary < text && wrangle(in_db) < binary), binary, text,
+              wrangle(in_db));
+
+  double pg = wrangle("csv") / wrangle("socket pg-text");
+  double my = wrangle("csv") / wrangle("socket mysql-binary");
+  auto comparable = [](double ratio) { return ratio >= 0.5 && ratio <= 2; };
+  std::printf("  %s csv wrangle comparable to the row sockets' (within 2x): "
+              "%.2fx pg-text, %.2fx mysql-binary\n",
+              mark(comparable(pg) && comparable(my)), pg, my);
+}
+
 bool Check(const mlcs::Status& st, const char* what) {
   if (st.ok()) return true;
   std::fprintf(stderr, "%s failed: %s\n", what, st.ToString().c_str());
@@ -310,10 +373,7 @@ int main() {
     PrintRow(r.ValueOrDie());
   }
 
-  std::printf(
-      "\nshape check (paper): in-database fastest, wrangle share ~an order "
-      "of magnitude below the socket channels; binary files fast to load; "
-      "csv comparable to sockets.\n");
+  PrintShapeChecks();
   if (!WriteJson(config)) {
     std::fprintf(stderr, "failed to write BENCH json\n");
     return 1;

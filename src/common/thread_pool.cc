@@ -100,36 +100,6 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
   return fut;
 }
 
-void ThreadPool::ParallelFor(size_t count,
-                             const std::function<void(size_t)>& fn) {
-  if (count == 0) return;
-  ParallelForChunks(count, num_threads(),
-                    [&fn](size_t, size_t begin, size_t end) {
-                      for (size_t i = begin; i < end; ++i) fn(i);
-                    });
-}
-
-void ThreadPool::ParallelForChunks(
-    size_t count, size_t num_chunks,
-    const std::function<void(size_t, size_t, size_t)>& fn) {
-  if (count == 0) return;
-  num_chunks = std::max<size_t>(1, std::min(num_chunks, count));
-  if (num_chunks == 1) {
-    fn(0, 0, count);
-    return;
-  }
-  size_t chunk_size = (count + num_chunks - 1) / num_chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(num_chunks);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    size_t begin = c * chunk_size;
-    size_t end = std::min(count, begin + chunk_size);
-    if (begin >= end) break;
-    futures.push_back(Submit([&fn, c, begin, end] { fn(c, begin, end); }));
-  }
-  for (auto& f : futures) f.wait();
-}
-
 void ThreadPool::WorkerLoop() {
   while (true) {
     std::packaged_task<void()> task;

@@ -14,8 +14,8 @@
 
 namespace mlcs {
 
-/// Fixed-size worker pool. Supports fire-and-forget Submit plus a blocking
-/// ParallelFor used by the chunked UDF driver and random-forest training.
+/// Fixed-size worker pool with fire-and-forget Submit. Parallel loops run
+/// on it through ParallelMorsels and ParallelItems (common/parallel_for.h).
 class ThreadPool {
  public:
   /// `num_threads == 0` means DefaultThreadCount().
@@ -29,16 +29,6 @@ class ThreadPool {
 
   /// Enqueues a task; returns a future for completion/raised value.
   std::future<void> Submit(std::function<void()> task);
-
-  /// Runs fn(i) for i in [0, count), partitioned across the pool, and
-  /// blocks until all iterations finish. fn must be thread-safe.
-  void ParallelFor(size_t count, const std::function<void(size_t)>& fn);
-
-  /// Splits [0, count) into `num_chunks` contiguous ranges and runs
-  /// fn(chunk_index, begin, end) for each in parallel.
-  void ParallelForChunks(
-      size_t count, size_t num_chunks,
-      const std::function<void(size_t, size_t, size_t)>& fn);
 
   /// Process-wide shared pool (lazily constructed, never destroyed —
   /// avoids static destruction order issues per Google style).

@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <string>
+#include <utility>
 
 #include "common/parallel_for.h"
 #include "common/random.h"
@@ -34,6 +35,9 @@ constexpr size_t kMinNodeBytes = 4 + 8 + 4 + 4 + 1;
 /// cheaper.
 constexpr size_t kSortFactor = 16;
 
+/// How many node rows ahead the counting pass prefetches a row's codes.
+constexpr size_t kPrefetchRows = 16;
+
 }  // namespace
 
 size_t DecisionTreeOptions::max_codes() const {
@@ -41,35 +45,78 @@ size_t DecisionTreeOptions::max_codes() const {
                       : static_cast<size_t>(std::max(num_bins, 1));
 }
 
+struct DecisionTree::Candidate {
+  size_t feature = 0;
+  /// Far more codes than node rows (exact splits on a small node): its
+  /// (code, class) pairs are sorted instead of zeroing a sparse table.
+  bool sparse = false;
+  /// Start of its [code × class] table in Grower::table.
+  size_t offset = 0;
+  /// Rows of num_classes counts in its table: one per code, or, when
+  /// sparse, one per present code.
+  size_t groups = 0;
+  /// Sparse only: start of its pairs in Grower::pairs and of its present
+  /// codes in Grower::present, one per node row.
+  size_t sparse_at = 0;
+  SplitResult best;
+  /// Left class counts at `best`'s boundary.
+  std::vector<uint32_t> best_left;
+};
+
+struct DecisionTree::SearchScratch {
+  /// The dense candidates' codes and tables, and the sparse candidates'
+  /// codes and pairs.
+  std::vector<const uint16_t*> dense_codes;
+  std::vector<uint32_t*> dense_tables;
+  std::vector<const uint16_t*> sparse_codes;
+  std::vector<std::pair<uint64_t, uint32_t>*> sparse_pairs;
+  /// ScanCodes' class counts: the node's, and either side of a boundary.
+  std::vector<double> parent;
+  std::vector<double> left;
+  std::vector<double> right;
+};
+
 struct DecisionTree::Grower {
   Grower(const TrainingCodes& codes, bool parallel, uint64_t seed,
          std::vector<uint32_t> sample_rows,
-         std::vector<uint32_t> sample_weights)
+         std::vector<uint32_t> sample_weights,
+         std::vector<uint32_t> sample_classes)
       : codes(codes),
         parallel(parallel),
         rng(seed),
         rows(std::move(sample_rows)),
         weights(std::move(sample_weights)),
+        classes(std::move(sample_classes)),
         spill_rows(rows.size()),
-        spill_weights(rows.size()) {}
+        spill_weights(rows.size()),
+        spill_classes(rows.size()) {}
 
   const TrainingCodes& codes;
   bool parallel;
   Rng rng;
   /// The sample, grown in place: a node owns a [begin, end) range of
-  /// rows (ascending) and their weights, and its split partitions that
-  /// range stably into the children's two ranges.
+  /// rows (ascending) with their weights and class indices, and its split
+  /// partitions that range stably into the children's two ranges.
   std::vector<uint32_t> rows;
   std::vector<uint32_t> weights;
+  std::vector<uint32_t> classes;
   /// Where a partition parks the right child's rows meanwhile.
   std::vector<uint32_t> spill_rows;
   std::vector<uint32_t> spill_weights;
+  std::vector<uint32_t> spill_classes;
   /// The candidate features of the node being split.
   std::vector<size_t> features;
-  /// Scratch the serial split search reuses from node to node.
-  CodeCounts counts;
-  /// The node's class indices in row order, shared by every candidate.
-  std::vector<uint32_t> node_labels;
+  /// One per feature, in the same order.
+  std::vector<Candidate> candidates;
+  /// Every candidate's class counts, tables back to back, reused from
+  /// node to node.
+  std::vector<uint32_t> table;
+  /// Sparse candidates' (code << 32 | class, row weight) pairs and their
+  /// present codes.
+  std::vector<std::pair<uint64_t, uint32_t>> pairs;
+  std::vector<uint16_t> present;
+  /// One per task of the split search.
+  std::vector<SearchScratch> scratch;
   /// Left class counts of the last FindBestSplit's winner.
   std::vector<uint32_t> best_left;
 };
@@ -128,13 +175,15 @@ Status DecisionTree::FitCoded(const TrainingCodes& codes,
   probs_.clear();
   feature_importances_.assign(num_features_, 0.0);
   const std::vector<uint32_t>& labels = codes.labels();
+  std::vector<uint32_t> row_classes(rows.size());
   std::vector<uint32_t> class_counts(classes_.size(), 0);
   for (size_t i = 0; i < rows.size(); ++i) {
-    class_counts[labels[rows[i]]] += weights[i];
+    row_classes[i] = labels[rows[i]];
+    class_counts[row_classes[i]] += weights[i];
   }
   size_t n = rows.size();
   Grower grower(codes, parallel, options_.seed, std::move(rows),
-                std::move(weights));
+                std::move(weights), std::move(row_classes));
   BuildNode(grower, 0, n, std::move(class_counts), /*depth=*/0);
   depth_ = ComputeDepth();
   double total = 0;
@@ -217,18 +266,22 @@ uint32_t DecisionTree::BuildNode(Grower& g, size_t begin, size_t end,
   for (size_t i = begin; i < end; ++i) {
     uint32_t r = g.rows[i];
     uint32_t w = g.weights[i];
+    uint32_t c = g.classes[i];
     if (codes[r] <= best.left_code) {
       g.rows[mid] = r;
       g.weights[mid] = w;
+      g.classes[mid] = c;
       ++mid;
     } else {
       g.spill_rows[spilled] = r;
       g.spill_weights[spilled] = w;
+      g.spill_classes[spilled] = c;
       ++spilled;
     }
   }
   std::copy_n(g.spill_rows.begin(), spilled, g.rows.begin() + mid);
   std::copy_n(g.spill_weights.begin(), spilled, g.weights.begin() + mid);
+  std::copy_n(g.spill_classes.begin(), spilled, g.classes.begin() + mid);
 
   Node node;
   node.feature = static_cast<int32_t>(best.feature);
@@ -247,89 +300,153 @@ DecisionTree::SplitResult DecisionTree::FindBestSplit(
     Grower& g, size_t begin, size_t end,
     const std::vector<uint32_t>& class_counts) const {
   const TrainingCodes& codes = g.codes;
-  const std::vector<uint32_t>& labels = codes.labels();
   size_t num_classes = classes_.size();
   size_t n = end - begin;
-  const uint32_t* rows = g.rows.data() + begin;
-  const uint32_t* weights = g.weights.data() + begin;
-  g.node_labels.resize(n);
-  for (size_t i = 0; i < n; ++i) g.node_labels[i] = labels[rows[i]];
+  size_t k = g.features.size();
 
-  // [code × class] counts of one candidate, then its best boundary.
-  auto split_on = [&](size_t f, CodeCounts& counts) {
-    const std::vector<uint16_t>& fc = codes.codes(f);
-    size_t num_codes = codes.num_codes(f);
-    counts.present.clear();
-    if (num_codes * num_classes > kSortFactor * n) {
-      // Far more codes than rows (exact splits on a small node): sort the
-      // node's (code, class) pairs instead of zeroing a sparse table.
-      counts.pairs.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        counts.pairs[i] = {uint64_t{fc[rows[i]]} << 32 | g.node_labels[i],
-                           weights[i]};
-      }
-      std::sort(counts.pairs.begin(), counts.pairs.end());
-      counts.table.clear();
-      for (const auto& [key, weight] : counts.pairs) {
-        auto code = static_cast<uint16_t>(key >> 32);
-        if (counts.present.empty() || counts.present.back() != code) {
-          counts.present.push_back(code);
-          counts.table.resize(counts.table.size() + num_classes, 0);
-        }
-        counts.table[counts.table.size() - num_classes + (key & 0xFFFFFFFF)] +=
-            weight;
-      }
-      return ScanCodes(codes, f, counts, class_counts);
+  // Lay every candidate's table out in one buffer: a dense one holds all
+  // its codes, a sparse one at most one group per node row.
+  g.candidates.resize(k);
+  size_t table_size = 0;
+  size_t num_pairs = 0;
+  for (size_t j = 0; j < k; ++j) {
+    Candidate& cand = g.candidates[j];
+    cand.feature = g.features[j];
+    size_t num_codes = codes.num_codes(cand.feature);
+    cand.sparse = num_codes * num_classes > kSortFactor * n;
+    cand.offset = table_size;
+    cand.groups = cand.sparse ? n : num_codes;
+    cand.sparse_at = num_pairs;
+    table_size += cand.groups * num_classes;
+    if (cand.sparse) num_pairs += n;
+  }
+  g.table.assign(table_size, 0);
+  g.pairs.resize(num_pairs);
+  g.present.resize(num_pairs);
+
+  // Each task counts and scans a contiguous slice of the candidates. A
+  // candidate's result is a pure function of the node, so the tree is
+  // the same for any slicing.
+  MorselPolicy pool;
+  size_t slices = 1;
+  if (g.parallel && n * k >= kParallelSplitWork) {
+    slices = std::min(k, pool.threads());
+  }
+  if (g.scratch.size() < slices) g.scratch.resize(slices);
+  auto search = [&](size_t s) {
+    size_t first = s * k / slices;
+    size_t last = (s + 1) * k / slices;
+    SearchScratch& scratch = g.scratch[s];
+    CountCandidates(g, begin, end, first, last, scratch);
+    for (size_t j = first; j < last; ++j) {
+      Candidate& cand = g.candidates[j];
+      cand.best = ScanCodes(
+          codes, cand.feature, g.table.data() + cand.offset, cand.groups,
+          cand.sparse ? g.present.data() + cand.sparse_at : nullptr,
+          class_counts, scratch, cand.best_left);
     }
-    counts.table.assign(num_codes * num_classes, 0);
-    for (size_t i = 0; i < n; ++i) {
-      counts.table[fc[rows[i]] * num_classes + g.node_labels[i]] +=
-          weights[i];
-    }
-    return ScanCodes(codes, f, counts, class_counts);
+    return Status::OK();
   };
-  auto better = [](const SplitResult& cand, const SplitResult& best) {
-    return cand.found &&
-           (!best.found || cand.impurity_decrease > best.impurity_decrease);
-  };
-  const std::vector<size_t>& features = g.features;
-  SplitResult best;
-  if (g.parallel && n * features.size() >= kParallelSplitWork) {
-    // Each candidate is a pure function of the node, so the tree is the
-    // same at any thread count.
-    std::vector<CodeCounts> counts(features.size());
-    std::vector<SplitResult> candidates(features.size());
-    Status st = ParallelItems(MorselPolicy{}, features.size(), [&](size_t i) {
-      candidates[i] = split_on(features[i], counts[i]);
-      return Status::OK();
-    });
-    (void)st;  // the items never fail
-    for (size_t i = 0; i < features.size(); ++i) {
-      if (better(candidates[i], best)) {
-        best = candidates[i];
-        g.best_left.swap(counts[i].best_left);
-      }
-    }
+  if (slices == 1) {
+    (void)search(0);
   } else {
-    for (size_t f : features) {
-      SplitResult cand = split_on(f, g.counts);
-      if (better(cand, best)) {
-        best = cand;
-        g.best_left.swap(g.counts.best_left);
-      }
+    Status st = ParallelItems(pool, slices, search);
+    (void)st;  // the items never fail
+  }
+
+  SplitResult best;
+  for (Candidate& cand : g.candidates) {
+    if (cand.best.found &&
+        (!best.found ||
+         cand.best.impurity_decrease > best.impurity_decrease)) {
+      best = cand.best;
+      g.best_left.swap(cand.best_left);
     }
   }
   return best;
 }
 
+void DecisionTree::CountCandidates(Grower& g, size_t begin, size_t end,
+                                   size_t first, size_t last,
+                                   SearchScratch& scratch) const {
+  size_t num_classes = classes_.size();
+  size_t n = end - begin;
+  const uint32_t* rows = g.rows.data() + begin;
+  const uint32_t* weights = g.weights.data() + begin;
+  const uint32_t* classes = g.classes.data() + begin;
+  scratch.dense_codes.clear();
+  scratch.dense_tables.clear();
+  scratch.sparse_codes.clear();
+  scratch.sparse_pairs.clear();
+  for (size_t j = first; j < last; ++j) {
+    const Candidate& cand = g.candidates[j];
+    const uint16_t* fc = g.codes.codes(cand.feature).data();
+    if (cand.sparse) {
+      scratch.sparse_codes.push_back(fc);
+      scratch.sparse_pairs.push_back(g.pairs.data() + cand.sparse_at);
+    } else {
+      scratch.dense_codes.push_back(fc);
+      scratch.dense_tables.push_back(g.table.data() + cand.offset);
+    }
+  }
+  size_t num_dense = scratch.dense_codes.size();
+  size_t num_sparse = scratch.sparse_codes.size();
+  const uint16_t* const* dense_codes = scratch.dense_codes.data();
+  uint32_t* const* dense_tables = scratch.dense_tables.data();
+  const uint16_t* const* sparse_codes = scratch.sparse_codes.data();
+  std::pair<uint64_t, uint32_t>* const* sparse_pairs =
+      scratch.sparse_pairs.data();
+  for (size_t i = 0; i < n; ++i) {
+    // Deeper nodes hold scattered rows: start the gathers of a row a few
+    // iterations ahead.
+    if (i + kPrefetchRows < n) {
+      uint32_t ahead = rows[i + kPrefetchRows];
+      for (size_t j = 0; j < num_dense; ++j) {
+        __builtin_prefetch(dense_codes[j] + ahead);
+      }
+    }
+    uint32_t r = rows[i];
+    uint32_t w = weights[i];
+    uint32_t c = classes[i];
+    for (size_t j = 0; j < num_dense; ++j) {
+      dense_tables[j][dense_codes[j][r] * num_classes + c] += w;
+    }
+    for (size_t j = 0; j < num_sparse; ++j) {
+      sparse_pairs[j][i] = {uint64_t{sparse_codes[j][r]} << 32 | c, w};
+    }
+  }
+  // A sparse candidate's table gets one group per present code, in code
+  // order.
+  for (size_t j = first; j < last; ++j) {
+    Candidate& cand = g.candidates[j];
+    if (!cand.sparse) continue;
+    std::pair<uint64_t, uint32_t>* pairs = g.pairs.data() + cand.sparse_at;
+    std::sort(pairs, pairs + n);
+    uint16_t* present = g.present.data() + cand.sparse_at;
+    uint32_t* table = g.table.data() + cand.offset;
+    size_t groups = 0;
+    for (size_t i = 0; i < n; ++i) {
+      auto code = static_cast<uint16_t>(pairs[i].first >> 32);
+      if (groups == 0 || present[groups - 1] != code) {
+        present[groups++] = code;
+      }
+      table[(groups - 1) * num_classes + (pairs[i].first & 0xFFFFFFFF)] +=
+          pairs[i].second;
+    }
+    cand.groups = groups;
+  }
+}
+
 DecisionTree::SplitResult DecisionTree::ScanCodes(
-    const TrainingCodes& codes, size_t feature, CodeCounts& counts,
-    const std::vector<uint32_t>& class_counts) const {
+    const TrainingCodes& codes, size_t feature, const uint32_t* table,
+    size_t num_groups, const uint16_t* present,
+    const std::vector<uint32_t>& class_counts, SearchScratch& scratch,
+    std::vector<uint32_t>& best_left) const {
   SplitResult out;
   size_t num_classes = classes_.size();
-  std::vector<double>& parent = counts.parent;
-  std::vector<double>& left = counts.left;
-  std::vector<double>& right = counts.right;
+  std::vector<double>& parent = scratch.parent;
+  std::vector<double>& left = scratch.left;
+  std::vector<double>& right = scratch.right;
   parent.assign(class_counts.begin(), class_counts.end());
   double total = 0;
   for (double c : parent) total += c;
@@ -341,15 +458,14 @@ DecisionTree::SplitResult DecisionTree::ScanCodes(
   right.resize(num_classes);
   double left_total = 0;
   size_t num_codes = codes.num_codes(feature);
-  size_t num_groups = counts.table.size() / num_classes;
   size_t prev = num_codes;  // no present code yet
   size_t right_code = 0;
   for (size_t i = 0; i < num_groups; ++i) {
-    size_t code = counts.present.empty() ? i : counts.present[i];
-    const uint32_t* code_counts = &counts.table[i * num_classes];
-    uint64_t present = 0;
-    for (size_t c = 0; c < num_classes; ++c) present += code_counts[c];
-    if (present == 0) continue;
+    size_t code = present == nullptr ? i : present[i];
+    const uint32_t* code_counts = table + i * num_classes;
+    uint64_t present_weight = 0;
+    for (size_t c = 0; c < num_classes; ++c) present_weight += code_counts[c];
+    if (present_weight == 0) continue;
     if (prev != num_codes) {
       double right_total = total - left_total;
       for (size_t c = 0; c < num_classes; ++c) right[c] = parent[c] - left[c];
@@ -363,14 +479,14 @@ DecisionTree::SplitResult DecisionTree::ScanCodes(
         out.left_code = static_cast<uint16_t>(prev);
         out.impurity_decrease = decrease;
         right_code = code;
-        counts.best_left.resize(num_classes);
+        best_left.resize(num_classes);
         for (size_t c = 0; c < num_classes; ++c) {
-          counts.best_left[c] = static_cast<uint32_t>(left[c]);
+          best_left[c] = static_cast<uint32_t>(left[c]);
         }
       }
     }
     for (size_t c = 0; c < num_classes; ++c) left[c] += code_counts[c];
-    left_total += static_cast<double>(present);
+    left_total += static_cast<double>(present_weight);
     prev = code;
   }
   if (out.found) {

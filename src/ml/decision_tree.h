@@ -2,7 +2,6 @@
 #define MLCS_ML_DECISION_TREE_H_
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "ml/model.h"
@@ -53,9 +52,12 @@ class DecisionTree : public Model {
   /// counts), adopting its class set — how a random forest codes once and
   /// grows every tree from the same codes. `rows` must be strictly
   /// ascending row ids of `codes`, every weight positive and their sum
-  /// at most 2^32 - 1 (class counts are uint32). `parallel` fans the
-  /// split search of large nodes out over the global pool, one candidate
-  /// feature per task; the tree does not depend on it.
+  /// at most 2^32 - 1 (class counts are uint32). Each row's class index
+  /// travels with its id and weight as nodes partition the sample, and a
+  /// node counts all its candidate features in one pass over its rows.
+  /// `parallel` splits a large node's candidates into contiguous slices
+  /// on the global pool, each counted by the same pass over the rows; the
+  /// tree does not depend on it.
   Status FitCoded(const TrainingCodes& codes, std::vector<uint32_t> rows,
                   std::vector<uint32_t> weights, bool parallel);
 
@@ -106,24 +108,13 @@ class DecisionTree : public Model {
     double threshold = 0;
     double impurity_decrease = 0;
   };
-  /// One candidate feature's class counts at a node: a [code × class]
-  /// table, or, when `present` is non-empty, one row per listed code
-  /// (ascending) — the sparse form a node with more codes than rows uses.
-  /// The rest is scratch one split search reuses from candidate to
-  /// candidate.
-  struct CodeCounts {
-    std::vector<uint32_t> table;
-    std::vector<uint16_t> present;
-    /// Sparse-form input: (code << 32 | class, row weight) per node row.
-    std::vector<std::pair<uint64_t, uint32_t>> pairs;
-    std::vector<double> parent;  // the node's class counts
-    std::vector<double> left;    // left of the boundary being scanned
-    std::vector<double> right;
-    /// Left class counts at the best boundary ScanCodes found.
-    std::vector<uint32_t> best_left;
-  };
   /// Per-fit state BuildNode threads through the recursion.
   struct Grower;
+  /// One candidate feature of the node being split: where its class
+  /// counts sit in the grower's shared table, and its best boundary.
+  struct Candidate;
+  /// Scratch one task of a split search reuses from node to node.
+  struct SearchScratch;
 
   /// Grows the node over rows [begin, end) of the grower's row buffer,
   /// whose class counts (row weights summed per class) are
@@ -134,10 +125,21 @@ class DecisionTree : public Model {
   /// class counts land in g.best_left.
   SplitResult FindBestSplit(Grower& g, size_t begin, size_t end,
                             const std::vector<uint32_t>& class_counts) const;
-  /// Best boundary between the present codes of one feature's counts.
+  /// Counts candidates [first, last) of the node over rows [begin, end)
+  /// in one pass: each row's id, weight and class are read once, then
+  /// each candidate's code of the row is gathered into its table.
+  void CountCandidates(Grower& g, size_t begin, size_t end, size_t first,
+                       size_t last, SearchScratch& scratch) const;
+  /// Best boundary between the present codes of one feature's class
+  /// counts: `num_groups` rows of num_classes counts in `table`, one per
+  /// code, or, when `present` is non-null, one per listed code
+  /// (ascending). The winner's left class counts land in `best_left`.
   SplitResult ScanCodes(const TrainingCodes& codes, size_t feature,
-                        CodeCounts& counts,
-                        const std::vector<uint32_t>& class_counts) const;
+                        const uint32_t* table, size_t num_groups,
+                        const uint16_t* present,
+                        const std::vector<uint32_t>& class_counts,
+                        SearchScratch& scratch,
+                        std::vector<uint32_t>& best_left) const;
   uint32_t MakeLeaf(const std::vector<uint32_t>& class_counts);
   bool IsLeaf(size_t node) const { return nodes_[node].children[0] == node; }
   /// The longest root-to-leaf path, a max over every parent; children

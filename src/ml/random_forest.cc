@@ -24,6 +24,10 @@ Status RandomForest::FitSource(const TrainingSource& x, const Labels& y) {
   if (options_.n_estimators <= 0) {
     return Status::InvalidArgument("n_estimators must be positive");
   }
+  // One span for the fit, with the coding pass and each tree under it;
+  // no span per node, so a forest adds n_estimators + 2 spans.
+  obs::ScopedSpan span("forest.fit");
+  span.set_rows_in(x.rows());
   classes_ = internal::DistinctClasses(y);
   num_features_ = x.cols();
 
@@ -63,7 +67,10 @@ Status RandomForest::FitSource(const TrainingSource& x, const Labels& y) {
   // nodes also fan their split search out over the candidate features.
   MorselPolicy pool;
   bool split_parallel = options_.parallel_fit && num_trees < pool.threads();
+  obs::TraceParent trace = obs::CurrentTraceParent();
   auto fit_one = [&](size_t t) {
+    obs::ScopedTraceAttach attach(trace);
+    obs::ScopedSpan tree_span("tree.fit");
     DecisionTreeOptions topt = tree_options;
     topt.seed = tree_seeds[t];
     auto tree = std::make_unique<DecisionTree>(topt);

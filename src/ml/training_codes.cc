@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "common/parallel_for.h"
+#include "obs/trace.h"
 
 namespace mlcs::ml {
 
@@ -216,6 +217,8 @@ Result<TrainingCodes> TrainingCodes::Build(const TrainingSource& x,
         "label count " + std::to_string(y.size()) +
         " does not match row count " + std::to_string(x.rows()));
   }
+  obs::ScopedSpan span("codes.build");
+  span.set_rows_in(x.rows());
   max_codes = std::clamp<size_t>(max_codes, 1, kMaxValueCodes);
   TrainingCodes out;
   out.labels_.resize(y.size());

@@ -254,12 +254,19 @@ std::vector<TraceSpan> TraceContext::ConsumeSpans() {
 
 /// -- ScopedTraceAttach ------------------------------------------------------
 
+TraceParent CurrentTraceParent() {
+  return TraceParent{tls_trace.ctx, tls_trace.parent};
+}
+
 ScopedTraceAttach::ScopedTraceAttach(TraceContext* ctx)
+    : ScopedTraceAttach(TraceParent{ctx, 1}) {}
+
+ScopedTraceAttach::ScopedTraceAttach(TraceParent parent)
     : saved_ctx_(tls_trace.ctx), saved_parent_(tls_trace.parent) {
-  if (ctx == nullptr || !ctx->active()) return;
+  if (parent.ctx == nullptr || !parent.ctx->active()) return;
   attached_ = true;
-  tls_trace.ctx = ctx;
-  tls_trace.parent = 1;
+  tls_trace.ctx = parent.ctx;
+  tls_trace.parent = parent.span_id;
 }
 
 ScopedTraceAttach::~ScopedTraceAttach() {

@@ -71,12 +71,25 @@ uint32_t CurrentThreadIndex();
 
 class TraceContext;
 
+/// A context and one of its open spans, captured on one thread so that
+/// tasks on other threads can record spans under that span.
+struct TraceParent {
+  TraceContext* ctx = nullptr;
+  uint32_t span_id = 0;
+};
+
+/// The calling thread's current context and innermost open span (the
+/// root when none is open); a null context when the thread has none.
+TraceParent CurrentTraceParent();
+
 /// Attaches `ctx` (may be null → no-op) as the calling thread's current
 /// context for the scope — how pool tasks contribute spans to the query or
-/// batch that spawned them. New spans parent under the context's root.
+/// batch that spawned them. New spans parent under the context's root, or
+/// under the captured span of a TraceParent.
 class ScopedTraceAttach {
  public:
   explicit ScopedTraceAttach(TraceContext* ctx);
+  explicit ScopedTraceAttach(TraceParent parent);
   ~ScopedTraceAttach();
   ScopedTraceAttach(const ScopedTraceAttach&) = delete;
   ScopedTraceAttach& operator=(const ScopedTraceAttach&) = delete;

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <string>
 
 #include "common/byte_buffer.h"
 #include "common/random.h"
@@ -180,6 +182,56 @@ TEST(DecisionTreeTest, FitCodedRejectsWeightsPastUint32) {
   DecisionTree tree;
   EXPECT_EQ(tree.FitCoded(codes, {0, 1}, {UINT32_MAX, 1}, false).code(),
             StatusCode::kInvalidArgument);
+}
+
+/// Large nodes' split search runs on the pool, a contiguous slice of the
+/// candidates per task; it must grow the tree the serial search grows.
+/// Feature 0 has a distinct value per row, so with exact splits its
+/// table turns sparse below 20 000 rows while the other features' stay
+/// dense: nodes large enough for the pool count both forms together.
+TEST(DecisionTreeTest, PooledSplitSearchMatchesSerial) {
+  constexpr size_t kRows = 40000;
+  constexpr size_t kCols = 8;
+  constexpr int32_t kClasses = 8;
+  Rng rng(11);
+  Matrix x(kRows, kCols);
+  Labels y(kRows);
+  for (size_t r = 0; r < kRows; ++r) {
+    double v0 = rng.NextDouble() * 1000.0;
+    x.Set(r, 0, v0);
+    double sum = v0 / 250.0;
+    for (size_t c = 1; c < kCols; ++c) {
+      auto v = static_cast<double>(rng.NextBounded(4 + 3 * c));
+      x.Set(r, c, v);
+      if (c < 3) sum += v / static_cast<double>(2 + c);
+    }
+    y[r] = static_cast<int32_t>(sum + rng.NextBounded(2)) % kClasses;
+  }
+  DecisionTreeOptions opt;
+  opt.exact_splits = true;
+  opt.max_depth = 8;
+  std::vector<int32_t> classes(kClasses);
+  std::iota(classes.begin(), classes.end(), 0);
+  auto codes = TrainingCodes::Build(TrainingSource::FromMatrix(x), y,
+                                    classes, opt.max_codes(), false);
+  ASSERT_TRUE(codes.ok());
+  ASSERT_GT(codes.ValueOrDie().num_codes(0), 255u);
+  std::vector<uint32_t> rows(kRows);
+  std::iota(rows.begin(), rows.end(), 0);
+  std::vector<uint32_t> weights(kRows);
+  for (size_t r = 0; r < kRows; ++r) weights[r] = 1 + r % 3;
+
+  std::string bytes[2];
+  for (bool parallel : {false, true}) {
+    DecisionTree tree(opt);
+    ASSERT_TRUE(
+        tree.FitCoded(codes.ValueOrDie(), rows, weights, parallel).ok());
+    EXPECT_GT(tree.num_nodes(), 100u);
+    ByteWriter w;
+    tree.Serialize(&w);
+    bytes[parallel] = w.TakeString();
+  }
+  EXPECT_EQ(bytes[0], bytes[1]);
 }
 
 TEST(DecisionTreeTest, NaNRowsRouteLeftWithoutCrashing) {

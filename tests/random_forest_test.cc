@@ -6,11 +6,13 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "ml/metrics.h"
 #include "ml/pickle.h"
 #include "ml/split.h"
+#include "obs/trace.h"
 #include "storage/column.h"
 
 namespace mlcs::ml {
@@ -75,6 +77,46 @@ TEST(RandomForestTest, DeterministicAcrossParallelAndSerialFit) {
   auto pa = a.PredictProba(x, 1).ValueOrDie();
   auto pb = b.PredictProba(x, 1).ValueOrDie();
   for (size_t i = 0; i < pa.size(); ++i) EXPECT_DOUBLE_EQ(pa[i], pb[i]);
+}
+
+/// A traced fit records the forest, its coding pass and one span per
+/// tree under it, whichever pool thread grew the tree; nodes add none.
+TEST(RandomForestTest, FitTracesForestCodesAndEachTree) {
+  Matrix x;
+  Labels y;
+  MakeXor(2000, &x, &y, 5);
+  RandomForestOptions opt;
+  opt.n_estimators = 8;
+  RandomForest forest(opt);
+  std::vector<obs::TraceSpan> spans;
+  {
+    obs::TraceContext trace("test.fit", /*force=*/true);
+    ASSERT_TRUE(forest.Fit(x, y).ok());
+    spans = trace.ConsumeSpans();
+  }
+  ASSERT_EQ(spans.size(), 11u);  // the root, forest.fit, codes.build, 8 trees
+  uint32_t forest_id = 0;
+  for (const obs::TraceSpan& s : spans) {
+    if (s.name == "forest.fit") {
+      EXPECT_EQ(s.parent_id, 1u);
+      EXPECT_EQ(s.rows_in, 2000u);
+      forest_id = s.span_id;
+    }
+  }
+  ASSERT_NE(forest_id, 0u);
+  size_t trees = 0;
+  size_t codes = 0;
+  for (const obs::TraceSpan& s : spans) {
+    if (s.name == "tree.fit") {
+      ++trees;
+      EXPECT_EQ(s.parent_id, forest_id);
+    } else if (s.name == "codes.build") {
+      ++codes;
+      EXPECT_EQ(s.parent_id, forest_id);
+    }
+  }
+  EXPECT_EQ(trees, 8u);
+  EXPECT_EQ(codes, 1u);
 }
 
 TEST(RandomForestTest, ProbaSumsToOne) {

@@ -17,6 +17,7 @@
 #include "bufpool/zone_map.h"
 #include "client/inference_client.h"
 #include "common/mutex.h"
+#include "common/parallel_for.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "exec/kernels.h"
@@ -120,20 +121,32 @@ TEST(SanitizerStressTest, ThreadPoolConcurrentSubmitters) {
   EXPECT_EQ(executed.load(), kThreads * kIters);
 }
 
-TEST(SanitizerStressTest, ThreadPoolConcurrentParallelFor) {
-  // Overlapping ParallelFor calls from distinct threads share the worker
-  // queue; each call's chunks must still cover its own range exactly once.
+TEST(SanitizerStressTest, ThreadPoolConcurrentParallelItems) {
+  // Overlapping ParallelItems and ParallelMorsels calls from distinct
+  // threads share one pool; each call must still cover its own range
+  // exactly once.
   ThreadPool pool(3);
+  MorselPolicy policy;
+  policy.pool = &pool;
+  policy.morsel_rows = 16;
   std::vector<std::thread> drivers;
   std::atomic<int> failures{0};
   for (int t = 0; t < kThreads; ++t) {
     drivers.emplace_back([&] {
       for (int i = 0; i < 8; ++i) {
         std::vector<std::atomic<int>> hits(512);
-        pool.ParallelFor(hits.size(),
-                         [&hits](size_t j) { hits[j].fetch_add(1); });
+        Status items = ParallelItems(policy, hits.size(), [&hits](size_t j) {
+          hits[j].fetch_add(1);
+          return Status::OK();
+        });
+        Status morsels = ParallelMorsels(
+            policy, hits.size(), [&hits](size_t, size_t begin, size_t end) {
+              for (size_t j = begin; j < end; ++j) hits[j].fetch_add(1);
+              return Status::OK();
+            });
+        if (!items.ok() || !morsels.ok()) failures.fetch_add(1);
         for (auto& h : hits) {
-          if (h.load() != 1) failures.fetch_add(1);
+          if (h.load() != 2) failures.fetch_add(1);
         }
       }
     });

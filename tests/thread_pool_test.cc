@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <mutex>
+#include <utility>
+#include <vector>
+
+#include "common/parallel_for.h"
 
 namespace mlcs {
 namespace {
@@ -27,28 +32,47 @@ TEST(ThreadPoolTest, ManyTasksAllRun) {
   EXPECT_EQ(counter.load(), 200);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
+TEST(ThreadPoolTest, ParallelItemsCoversAllIndices) {
   ThreadPool pool(3);
+  MorselPolicy policy;
+  policy.pool = &pool;
   std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&](size_t i) { hits[i].fetch_add(1); });
+  ASSERT_TRUE(ParallelItems(policy, hits.size(), [&](size_t i) {
+                hits[i].fetch_add(1);
+                return Status::OK();
+              }).ok());
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolTest, ParallelForZeroCountIsNoop) {
+TEST(ThreadPoolTest, ZeroCountIsNoop) {
   ThreadPool pool(2);
+  MorselPolicy policy;
+  policy.pool = &pool;
   bool called = false;
-  pool.ParallelFor(0, [&](size_t) { called = true; });
+  EXPECT_TRUE(ParallelItems(policy, 0, [&](size_t) {
+                called = true;
+                return Status::OK();
+              }).ok());
+  EXPECT_TRUE(ParallelMorsels(policy, 0, [&](size_t, size_t, size_t) {
+                called = true;
+                return Status::OK();
+              }).ok());
   EXPECT_FALSE(called);
 }
 
-TEST(ThreadPoolTest, ParallelForChunksPartitionIsExact) {
+TEST(ThreadPoolTest, ParallelMorselsPartitionIsExact) {
   ThreadPool pool(4);
+  MorselPolicy policy;
+  policy.pool = &pool;
+  policy.morsel_rows = 10;
   std::mutex mu;
   std::vector<std::pair<size_t, size_t>> ranges;
-  pool.ParallelForChunks(103, 4, [&](size_t, size_t begin, size_t end) {
-    std::lock_guard<std::mutex> lock(mu);
-    ranges.emplace_back(begin, end);
-  });
+  ASSERT_TRUE(ParallelMorsels(policy, 103, [&](size_t, size_t begin,
+                                               size_t end) {
+                std::lock_guard<std::mutex> lock(mu);
+                ranges.emplace_back(begin, end);
+                return Status::OK();
+              }).ok());
   std::sort(ranges.begin(), ranges.end());
   size_t expected_begin = 0;
   for (auto [begin, end] : ranges) {
@@ -57,21 +81,27 @@ TEST(ThreadPoolTest, ParallelForChunksPartitionIsExact) {
     expected_begin = end;
   }
   EXPECT_EQ(expected_begin, 103u);
+  EXPECT_EQ(ranges.size(), NumMorsels(policy, 103));
 }
 
-TEST(ThreadPoolTest, ChunkCountClampedToWork) {
+TEST(ThreadPoolTest, MorselCountClampedToWork) {
   ThreadPool pool(8);
-  std::atomic<int> chunks{0};
-  pool.ParallelForChunks(3, 8, [&](size_t, size_t, size_t) {
-    chunks.fetch_add(1);
-  });
-  EXPECT_LE(chunks.load(), 3);
-  EXPECT_GE(chunks.load(), 1);
+  MorselPolicy policy;
+  policy.pool = &pool;
+  std::atomic<int> morsels{0};
+  ASSERT_TRUE(ParallelMorsels(policy, 3, [&](size_t, size_t, size_t) {
+                morsels.fetch_add(1);
+                return Status::OK();
+              }).ok());
+  EXPECT_EQ(morsels.load(), 1);
 }
 
 TEST(ThreadPoolTest, GlobalPoolIsUsable) {
   std::atomic<int> counter{0};
-  ThreadPool::Global().ParallelFor(10, [&](size_t) { counter.fetch_add(1); });
+  ASSERT_TRUE(ParallelItems(MorselPolicy{}, 10, [&](size_t) {
+                counter.fetch_add(1);
+                return Status::OK();
+              }).ok());
   EXPECT_EQ(counter.load(), 10);
 }
 
