@@ -38,6 +38,10 @@ constexpr size_t kSortFactor = 16;
 /// How many node rows ahead the counting pass prefetches a row's codes.
 constexpr size_t kPrefetchRows = 16;
 
+/// Counts per cache line. Each candidate's table is followed by a line of
+/// padding, so tables that different pool tasks count never share a line.
+constexpr size_t kLineCounts = 64 / sizeof(uint32_t);
+
 }  // namespace
 
 size_t DecisionTreeOptions::max_codes() const {
@@ -305,7 +309,8 @@ DecisionTree::SplitResult DecisionTree::FindBestSplit(
   size_t k = g.features.size();
 
   // Lay every candidate's table out in one buffer: a dense one holds all
-  // its codes, a sparse one at most one group per node row.
+  // its codes, a sparse one at most one group per node row, each a line
+  // apart from the next.
   g.candidates.resize(k);
   size_t table_size = 0;
   size_t num_pairs = 0;
@@ -317,7 +322,7 @@ DecisionTree::SplitResult DecisionTree::FindBestSplit(
     cand.offset = table_size;
     cand.groups = cand.sparse ? n : num_codes;
     cand.sparse_at = num_pairs;
-    table_size += cand.groups * num_classes;
+    table_size += cand.groups * num_classes + kLineCounts;
     if (cand.sparse) num_pairs += n;
   }
   g.table.assign(table_size, 0);
