@@ -33,18 +33,6 @@ Result<DataFrame> DataFrame::Filter(const mlcs::Column& predicate) const {
   return DataFrame(std::move(out));
 }
 
-Result<DataFrame> DataFrame::Select(
-    const std::vector<std::string>& names) const {
-  std::vector<size_t> indices;
-  indices.reserve(names.size());
-  for (const auto& name : names) {
-    MLCS_ASSIGN_OR_RETURN(size_t idx,
-                          table_->schema().RequireFieldIndex(name));
-    indices.push_back(idx);
-  }
-  return DataFrame(table_->Project(indices));
-}
-
 DataFrame DataFrame::Head(size_t n) const {
   return SliceRows(0, std::min(n, num_rows()));
 }

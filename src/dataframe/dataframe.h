@@ -46,9 +46,6 @@ class DataFrame {
   /// Rows where `predicate` (a BOOL column) is true.
   Result<DataFrame> Filter(const mlcs::Column& predicate) const;
 
-  /// Keep only the named columns (shares buffers).
-  Result<DataFrame> Select(const std::vector<std::string>& names) const;
-
   /// Row-range head/slice.
   DataFrame Head(size_t n) const;
   DataFrame SliceRows(size_t offset, size_t length) const;

@@ -214,11 +214,27 @@ Result<TablePtr> HashGroupBy(const Table& input,
                            : SIZE_MAX;
   size_t n = input.num_rows();
 
-  // Resolve key columns.
+  // COUNT(*) alone with no grouping is the row count: no column is read.
+  bool count_only =
+      group_keys.empty() && !aggregates.empty() &&
+      std::all_of(aggregates.begin(), aggregates.end(), [](const AggSpec& a) {
+        return a.op == AggOp::kCountStar;
+      });
+  if (count_only) {
+    Schema schema;
+    std::vector<ColumnPtr> out_cols;
+    for (const AggSpec& spec : aggregates) {
+      schema.AddField(spec.output_name, TypeId::kInt64);
+      out_cols.push_back(Column::FromInt64({static_cast<int64_t>(n)}));
+    }
+    return std::make_shared<Table>(std::move(schema), std::move(out_cols));
+  }
+
+  // Resolve key columns (an RLE key decodes once, see HashKeyColumn).
   std::vector<ColumnPtr> key_cols;
   for (const auto& key : group_keys) {
     MLCS_ASSIGN_OR_RETURN(ColumnPtr col, input.ColumnByName(key));
-    key_cols.push_back(col);
+    key_cols.push_back(HashKeyColumn(std::move(col)));
   }
 
   // Group-on-codes fast path: a single dictionary-encoded key groups by
@@ -268,70 +284,6 @@ Result<TablePtr> HashGroupBy(const Table& input,
         t == TypeId::kBlob) {
       return Status::TypeMismatch("MIN/MAX not supported on BLOB");
     }
-  }
-
-  // Per-run aggregation fast path: with no grouping, COUNT/SUM/MIN/MAX over
-  // null-free integer RLE columns fold whole runs — O(runs) instead of
-  // O(rows). Restricted to exact integer state so the result is bit-
-  // identical to the per-row path (double accumulation order would differ
-  // per run, which is why AVG/STDDEV and DOUBLE inputs are excluded).
-  bool rle_fast = group_keys.empty() && n > 0 && !aggregates.empty();
-  for (size_t a = 0; rle_fast && a < aggregates.size(); ++a) {
-    AggOp op = aggregates[a].op;
-    if (op == AggOp::kCountStar) continue;
-    const Column& col = *agg_cols[a];
-    bool int_rle = col.encoding() == ColumnEncoding::kRle &&
-                   !col.has_nulls() &&
-                   (col.type() == TypeId::kInt32 ||
-                    col.type() == TypeId::kInt64);
-    rle_fast = int_rle && (op == AggOp::kCount || op == AggOp::kSum ||
-                           op == AggOp::kMin || op == AggOp::kMax);
-  }
-  if (rle_fast) {
-    CountCodePathHit();
-    Schema schema;
-    std::vector<ColumnPtr> out_cols;
-    for (size_t a = 0; a < aggregates.size(); ++a) {
-      const AggSpec& spec = aggregates[a];
-      TypeId input_type =
-          spec.op == AggOp::kCountStar ? TypeId::kInt64 : agg_cols[a]->type();
-      TypeId out_type = OutputTypeFor(spec.op, input_type);
-      ColumnPtr col = Column::Make(out_type);
-      if (spec.op == AggOp::kCountStar || spec.op == AggOp::kCount) {
-        col->AppendInt64(static_cast<int64_t>(n));
-      } else {
-        const Column& in = *agg_cols[a];
-        const Column& rv = *in.run_values();
-        const auto& lens = in.run_lengths();
-        uint64_t isum = 0;  // wraps like the per-row signed adds
-        double dmin = std::numeric_limits<double>::infinity();
-        double dmax = -std::numeric_limits<double>::infinity();
-        for (size_t r = 0; r < lens.size(); ++r) {
-          int64_t value = rv.type() == TypeId::kInt32
-                              ? static_cast<int64_t>(rv.i32_data()[r])
-                              : rv.i64_data()[r];
-          isum += static_cast<uint64_t>(value) * lens[r];
-          double v = static_cast<double>(value);
-          if (v < dmin) dmin = v;
-          if (v > dmax) dmax = v;
-        }
-        if (spec.op == AggOp::kSum) {
-          col->AppendInt64(static_cast<int64_t>(isum));
-        } else {
-          double v = spec.op == AggOp::kMin ? dmin : dmax;
-          if (out_type == TypeId::kInt32) {
-            col->AppendInt32(static_cast<int32_t>(v));
-          } else {
-            col->AppendInt64(static_cast<int64_t>(v));
-          }
-        }
-      }
-      schema.AddField(spec.output_name, out_type);
-      out_cols.push_back(std::move(col));
-    }
-    auto out = std::make_shared<Table>(std::move(schema), std::move(out_cols));
-    MLCS_RETURN_IF_ERROR(out->Validate());
-    return out;
   }
 
   // Materialize the double view of each numeric aggregate input up front,

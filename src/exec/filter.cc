@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "storage/encoding.h"
-
 namespace mlcs::exec {
 
 namespace {
@@ -34,34 +32,6 @@ void ScanTrueRows(const Column& predicate, size_t begin, size_t end,
   out->resize(base + count);
 }
 
-/// Per-run selection over an RLE BOOLEAN predicate: one decision per run
-/// instead of per row (a false or all-null run emits nothing; a true run
-/// emits its whole span, minus any null rows).
-std::vector<uint32_t> RleTrueRows(const Column& predicate) {
-  CountCodePathHit();
-  std::vector<uint32_t> indices;
-  const auto& rv = predicate.run_values()->bool_data();
-  const auto& starts = predicate.run_starts();
-  const uint8_t* valid = predicate.validity_data();
-  for (size_t r = 0; r + 1 < starts.size(); ++r) {
-    if (rv[r] == 0) continue;
-    size_t lo = static_cast<size_t>(starts[r]);
-    size_t hi = static_cast<size_t>(starts[r + 1]);
-    if (valid == nullptr) {
-      size_t base = indices.size();
-      indices.resize(base + (hi - lo));
-      for (size_t i = lo; i < hi; ++i) {
-        indices[base + (i - lo)] = static_cast<uint32_t>(i);
-      }
-    } else {
-      for (size_t i = lo; i < hi; ++i) {
-        if (valid[i] != 0) indices.push_back(static_cast<uint32_t>(i));
-      }
-    }
-  }
-  return indices;
-}
-
 }  // namespace
 
 Result<std::vector<uint32_t>> SelectionIndices(const Column& predicate,
@@ -71,13 +41,7 @@ Result<std::vector<uint32_t>> SelectionIndices(const Column& predicate,
     return Status::TypeMismatch("filter predicate must be BOOLEAN, got " +
                                 std::string(TypeIdToString(predicate.type())));
   }
-  if (predicate.encoding() == ColumnEncoding::kRle &&
-      predicate.size() == num_rows && num_rows > 0) {
-    return RleTrueRows(predicate);
-  }
   if (predicate.is_encoded()) {
-    // Encoded shapes without a per-run path (length-mismatch errors
-    // included) evaluate against the plain decode.
     return SelectionIndices(*predicate.Decode(), num_rows, policy);
   }
   std::vector<uint32_t> indices;

@@ -1,11 +1,9 @@
 #include "exec/hash_join.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 
 #include "exec/kernels.h"
-#include "storage/encoding.h"
 
 namespace mlcs::exec {
 
@@ -21,7 +19,7 @@ Result<std::vector<uint64_t>> KeyHashes(
   std::vector<uint64_t> hashes(table.num_rows(), kHashSeed);
   for (const auto& key : keys) {
     MLCS_ASSIGN_OR_RETURN(ColumnPtr col, table.ColumnByName(key));
-    key_cols->push_back(col);
+    key_cols->push_back(HashKeyColumn(std::move(col)));
   }
   MLCS_RETURN_IF_ERROR(ParallelMorsels(
       policy, table.num_rows(),
@@ -118,55 +116,11 @@ Result<TablePtr> HashJoin(const Table& left, const Table& right,
     std::vector<int64_t> r;
   };
   std::vector<ProbeOut> probe_parts(NumMorsels(policy, left_rows));
-  // Run-level probing: every row of an RLE run carries the same key (and
-  // therefore the same hash), so the match list can be resolved once per
-  // run and replicated across the run's rows — one map lookup and one
-  // chain walk per run instead of per row. Restricted to null-free
-  // single-key probes: validity is per-row, so a nullable column can mix
-  // null and non-null rows inside one run.
-  const Column* rle_key =
-      lcols.size() == 1 && lcols[0]->encoding() == ColumnEncoding::kRle &&
-              !lcols[0]->has_nulls()
-          ? lcols[0].get()
-          : nullptr;
-  if (rle_key != nullptr) CountCodePathHit();
   MLCS_RETURN_IF_ERROR(ParallelMorsels(
       policy, left_rows, [&](size_t m, size_t begin, size_t end) -> Status {
         ProbeOut& out = probe_parts[m];
         out.l.reserve(end - begin);
         out.r.reserve(end - begin);
-        if (rle_key != nullptr && end > begin) {
-          const auto& starts = rle_key->run_starts();
-          size_t run = rle_key->RunIndexOf(begin);
-          std::vector<uint32_t> matches;
-          for (size_t l = begin; l < end; ++run) {
-            size_t stop = std::min(end, static_cast<size_t>(starts[run + 1]));
-            matches.clear();
-            const auto& map = first[PartitionOf(lhash[l], partitions)];
-            auto it = map.find(lhash[l]);
-            if (it != map.end()) {
-              for (uint32_t r = it->second; r != kChainEnd; r = next[r]) {
-                if (KeysEqual(lcols, l, rcols, r)) matches.push_back(r);
-              }
-            }
-            // Same emission order as the per-row loop below: for each left
-            // row in turn, its chain matches in chain order.
-            for (; l < stop; ++l) {
-              if (matches.empty()) {
-                if (type == JoinType::kLeft) {
-                  out.l.push_back(static_cast<uint32_t>(l));
-                  out.r.push_back(-1);
-                }
-                continue;
-              }
-              for (uint32_t r : matches) {
-                out.l.push_back(static_cast<uint32_t>(l));
-                out.r.push_back(r);
-              }
-            }
-          }
-          return Status::OK();
-        }
         for (size_t l = begin; l < end; ++l) {
           bool matched = false;
           if (!AnyKeyNull(lcols, l)) {

@@ -495,22 +495,7 @@ Result<ColumnPtr> BinaryKernel(BinOpKind op, const Column& left,
 Result<ColumnPtr> UnaryKernel(UnOpKind op, const Column& input,
                               const MorselPolicy& policy) {
   size_t n = input.size();
-  if (input.is_encoded()) {
-    // Apply the op once per dictionary entry / run, then expand through the
-    // codes (NOT and unary minus are pure per value, so the gathered result
-    // matches the plain per-row loops bit for bit).
-    const Column& per_input = input.encoding() == ColumnEncoding::kDict
-                                  ? *input.dict()
-                                  : *input.run_values();
-    if (per_input.size() == 0) return UnaryKernel(op, *input.Decode(), policy);
-    MLCS_ASSIGN_OR_RETURN(ColumnPtr per, UnaryKernel(op, per_input));
-    ColumnPtr out = input.encoding() == ColumnEncoding::kDict
-                        ? per->Take(input.codes())
-                        : per->Take(RunIndexVector(input));
-    OverlayNulls(input, out.get());
-    CountCodePathHit();
-    return out;
-  }
+  if (input.is_encoded()) return UnaryKernel(op, *input.Decode(), policy);
   if (ShouldParallelize(policy, n)) {
     std::vector<ColumnPtr> parts(NumMorsels(policy, n));
     MLCS_RETURN_IF_ERROR(ParallelMorsels(
@@ -681,6 +666,11 @@ CellRef ResolveCell(const Column& c, size_t i) {
 
 }  // namespace
 
+ColumnPtr HashKeyColumn(ColumnPtr column) {
+  if (column->encoding() != ColumnEncoding::kRle) return column;
+  return column->Decode();
+}
+
 bool CellEquals(const Column& a, size_t ai, const Column& b, size_t bi) {
   bool an = a.IsNull(ai), bn = b.IsNull(bi);
   if (an || bn) return an == bn;
@@ -758,34 +748,7 @@ std::vector<T> GatherDense(const std::vector<T>& src,
 }  // namespace
 
 ColumnPtr TakeOrNull(const Column& column, const std::vector<int64_t>& idx) {
-  if (column.encoding() == ColumnEncoding::kDict) {
-    // Gather the codes, share the dictionary; -1 and null sources become
-    // null rows with code 0 (null codes are never dereferenced).
-    std::vector<uint32_t> codes(idx.size(), 0);
-    std::vector<uint8_t> validity(idx.size(), 1);
-    const auto& src_codes = column.codes();
-    bool any_null = false;
-    for (size_t i = 0; i < idx.size(); ++i) {
-      int64_t j = idx[i];
-      if (j < 0 || column.IsNull(static_cast<size_t>(j))) {
-        validity[i] = 0;
-        any_null = true;
-      } else {
-        codes[i] = src_codes[static_cast<size_t>(j)];
-      }
-    }
-    if (!any_null) validity.clear();
-    Result<ColumnPtr> out = Column::MakeDictionary(
-        column.type(), std::move(codes), column.dict(), std::move(validity));
-    if (out.ok()) {
-      CountCodePathHit();
-      return out.ValueOrDie();
-    }
-  }
-  if (column.is_encoded()) {
-    // RLE (a gather breaks runs) and any rejected dictionary rebuild.
-    return TakeOrNull(*column.Decode(), idx);
-  }
+  if (column.is_encoded()) return TakeOrNull(*column.Decode(), idx);
   if (!column.has_nulls() &&
       std::none_of(idx.begin(), idx.end(),
                    [](int64_t i) { return i < 0; })) {

@@ -228,60 +228,4 @@ Result<TablePtr> ReadCsv(const std::string& path, const Schema& schema,
   return table;
 }
 
-Result<TablePtr> ReadCsvInferred(const std::string& path,
-                                 const CsvOptions& options,
-                                 size_t probe_rows) {
-  MLCS_ASSIGN_OR_RETURN(std::string data, ReadWholeFile(path));
-  // First pass over up to probe_rows lines: names and types.
-  std::vector<std::string> names;
-  std::vector<TypeId> types;
-  std::vector<std::string> fields;
-  size_t pos = 0;
-  bool saw_header = false;
-  size_t probed = 0;
-  while (pos < data.size() && probed < probe_rows) {
-    size_t end = data.find('\n', pos);
-    if (end == std::string::npos) end = data.size();
-    std::string_view line(data.data() + pos, end - pos);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    pos = end + 1;
-    if (line.empty()) continue;
-    SplitLine(line, options.delimiter, &fields);
-    if (!saw_header) {
-      saw_header = true;
-      if (options.has_header) {
-        names.assign(fields.begin(), fields.end());
-        types.assign(fields.size(), TypeId::kInt64);
-        continue;
-      }
-      names.resize(fields.size());
-      for (size_t i = 0; i < fields.size(); ++i) {
-        names[i] = "col" + std::to_string(i);
-      }
-      types.assign(fields.size(), TypeId::kInt64);
-    }
-    if (fields.size() != names.size()) {
-      return Status::ParseError("ragged CSV in '" + path + "'");
-    }
-    for (size_t c = 0; c < fields.size(); ++c) {
-      if (fields[c].empty()) continue;
-      if (types[c] == TypeId::kInt64 && !ParseInt64(fields[c]).ok()) {
-        types[c] = TypeId::kDouble;
-      }
-      if (types[c] == TypeId::kDouble && !ParseDouble(fields[c]).ok()) {
-        types[c] = TypeId::kVarchar;
-      }
-    }
-    ++probed;
-  }
-  if (names.empty()) {
-    return Status::ParseError("'" + path + "' is empty");
-  }
-  Schema schema;
-  for (size_t c = 0; c < names.size(); ++c) {
-    schema.AddField(names[c], types[c]);
-  }
-  return ReadCsv(path, schema, options);
-}
-
 }  // namespace mlcs::io

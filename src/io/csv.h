@@ -23,12 +23,6 @@ Status WriteCsv(const Table& table, const std::string& path,
 Result<TablePtr> ReadCsv(const std::string& path, const Schema& schema,
                          const CsvOptions& options = {});
 
-/// Reads a CSV inferring each column as BIGINT → DOUBLE → VARCHAR from the
-/// first `probe_rows` data rows.
-Result<TablePtr> ReadCsvInferred(const std::string& path,
-                                 const CsvOptions& options = {},
-                                 size_t probe_rows = 100);
-
 }  // namespace mlcs::io
 
 #endif  // MLCS_IO_CSV_H_

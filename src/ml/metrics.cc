@@ -1,9 +1,5 @@
 #include "ml/metrics.h"
 
-#include <algorithm>
-#include <cmath>
-#include <sstream>
-
 namespace mlcs::ml {
 
 namespace {
@@ -27,113 +23,6 @@ Result<double> Accuracy(const Labels& y_true, const Labels& y_pred) {
     if (y_true[i] == y_pred[i]) ++hits;
   }
   return static_cast<double>(hits) / static_cast<double>(y_true.size());
-}
-
-int64_t ConfusionMatrix::At(int32_t true_cls, int32_t pred_cls) const {
-  auto find = [this](int32_t c) -> int64_t {
-    auto it = std::lower_bound(classes.begin(), classes.end(), c);
-    if (it == classes.end() || *it != c) return -1;
-    return it - classes.begin();
-  };
-  int64_t t = find(true_cls), p = find(pred_cls);
-  if (t < 0 || p < 0) return 0;
-  return counts[t][p];
-}
-
-std::string ConfusionMatrix::ToString() const {
-  std::ostringstream out;
-  out << "true\\pred";
-  for (int32_t c : classes) out << "\t" << c;
-  out << "\n";
-  for (size_t t = 0; t < classes.size(); ++t) {
-    out << classes[t];
-    for (size_t p = 0; p < classes.size(); ++p) out << "\t" << counts[t][p];
-    out << "\n";
-  }
-  return out.str();
-}
-
-Result<ConfusionMatrix> ComputeConfusionMatrix(const Labels& y_true,
-                                               const Labels& y_pred) {
-  MLCS_RETURN_IF_ERROR(CheckSameLength(y_true.size(), y_pred.size()));
-  ConfusionMatrix cm;
-  cm.classes = y_true;
-  cm.classes.insert(cm.classes.end(), y_pred.begin(), y_pred.end());
-  std::sort(cm.classes.begin(), cm.classes.end());
-  cm.classes.erase(std::unique(cm.classes.begin(), cm.classes.end()),
-                   cm.classes.end());
-  size_t k = cm.classes.size();
-  cm.counts.assign(k, std::vector<int64_t>(k, 0));
-  auto index = [&](int32_t c) {
-    return static_cast<size_t>(
-        std::lower_bound(cm.classes.begin(), cm.classes.end(), c) -
-        cm.classes.begin());
-  };
-  for (size_t i = 0; i < y_true.size(); ++i) {
-    ++cm.counts[index(y_true[i])][index(y_pred[i])];
-  }
-  return cm;
-}
-
-std::string ClassificationReport::ToString() const {
-  std::ostringstream out;
-  out << "class\tprecision\trecall\tf1\tsupport\n";
-  for (const auto& pc : per_class) {
-    out << pc.cls << "\t" << pc.precision << "\t" << pc.recall << "\t"
-        << pc.f1 << "\t" << pc.support << "\n";
-  }
-  out << "macro\t" << macro_precision << "\t" << macro_recall << "\t"
-      << macro_f1 << "\n";
-  return out.str();
-}
-
-Result<ClassificationReport> ComputeClassificationReport(
-    const Labels& y_true, const Labels& y_pred) {
-  MLCS_ASSIGN_OR_RETURN(ConfusionMatrix cm,
-                        ComputeConfusionMatrix(y_true, y_pred));
-  ClassificationReport report;
-  size_t k = cm.classes.size();
-  for (size_t c = 0; c < k; ++c) {
-    int64_t tp = cm.counts[c][c];
-    int64_t fp = 0, fn = 0, support = 0;
-    for (size_t o = 0; o < k; ++o) {
-      if (o != c) {
-        fp += cm.counts[o][c];
-        fn += cm.counts[c][o];
-      }
-      support += cm.counts[c][o];
-    }
-    ClassificationReport::PerClass pc;
-    pc.cls = cm.classes[c];
-    pc.support = support;
-    pc.precision = (tp + fp) > 0
-                       ? static_cast<double>(tp) / static_cast<double>(tp + fp)
-                       : 0.0;
-    pc.recall = (tp + fn) > 0
-                    ? static_cast<double>(tp) / static_cast<double>(tp + fn)
-                    : 0.0;
-    pc.f1 = (pc.precision + pc.recall) > 0
-                ? 2 * pc.precision * pc.recall / (pc.precision + pc.recall)
-                : 0.0;
-    report.per_class.push_back(pc);
-    report.macro_precision += pc.precision;
-    report.macro_recall += pc.recall;
-    report.macro_f1 += pc.f1;
-  }
-  report.macro_precision /= static_cast<double>(k);
-  report.macro_recall /= static_cast<double>(k);
-  report.macro_f1 /= static_cast<double>(k);
-  return report;
-}
-
-Result<double> LogLoss(const Labels& y_true,
-                       const std::vector<double>& proba_of_true) {
-  MLCS_RETURN_IF_ERROR(CheckSameLength(y_true.size(), proba_of_true.size()));
-  double sum = 0;
-  for (double p : proba_of_true) {
-    sum += -std::log(std::max(p, 1e-15));
-  }
-  return sum / static_cast<double>(proba_of_true.size());
 }
 
 }  // namespace mlcs::ml

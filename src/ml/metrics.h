@@ -1,11 +1,6 @@
 #ifndef MLCS_ML_METRICS_H_
 #define MLCS_ML_METRICS_H_
 
-#include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
-
 #include "common/result.h"
 #include "ml/matrix.h"
 
@@ -13,43 +8,6 @@ namespace mlcs::ml {
 
 /// Fraction of rows where prediction equals truth.
 Result<double> Accuracy(const Labels& y_true, const Labels& y_pred);
-
-/// Confusion matrix over the union of observed classes.
-struct ConfusionMatrix {
-  std::vector<int32_t> classes;                 // sorted
-  std::vector<std::vector<int64_t>> counts;     // [true][pred]
-
-  int64_t At(int32_t true_cls, int32_t pred_cls) const;
-  std::string ToString() const;
-};
-
-Result<ConfusionMatrix> ComputeConfusionMatrix(const Labels& y_true,
-                                               const Labels& y_pred);
-
-/// Per-class precision / recall / F1 plus macro averages.
-struct ClassificationReport {
-  struct PerClass {
-    int32_t cls = 0;
-    double precision = 0;
-    double recall = 0;
-    double f1 = 0;
-    int64_t support = 0;
-  };
-  std::vector<PerClass> per_class;
-  double macro_precision = 0;
-  double macro_recall = 0;
-  double macro_f1 = 0;
-
-  std::string ToString() const;
-};
-
-Result<ClassificationReport> ComputeClassificationReport(
-    const Labels& y_true, const Labels& y_pred);
-
-/// Negative mean log of the predicted probability assigned to the true
-/// class (probabilities clamped away from 0).
-Result<double> LogLoss(const Labels& y_true,
-                       const std::vector<double>& proba_of_true);
 
 }  // namespace mlcs::ml
 

@@ -152,23 +152,6 @@ Result<std::vector<double>> RandomForest::PredictDistribution(
   return avg;
 }
 
-Result<std::vector<double>> RandomForest::FeatureImportances() const {
-  if (!fitted()) return Status::InvalidArgument("model is not fitted");
-  std::vector<double> out(num_features_, 0.0);
-  for (const auto& tree : trees_) {
-    const auto& imp = tree->feature_importances();
-    for (size_t f = 0; f < out.size() && f < imp.size(); ++f) {
-      out[f] += imp[f];
-    }
-  }
-  double total = 0;
-  for (double v : out) total += v;
-  if (total > 0) {
-    for (double& v : out) v /= total;
-  }
-  return out;
-}
-
 std::string RandomForest::ParamsString() const {
   return "n_estimators=" + std::to_string(options_.n_estimators) +
          " max_depth=" + std::to_string(options_.max_depth) +

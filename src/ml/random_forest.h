@@ -50,9 +50,6 @@ class RandomForest : public Model {
 
   size_t num_trees() const { return trees_.size(); }
 
-  /// Mean of the trees' normalized importances, renormalized — which
-  /// demographics drive the voter model (meta-analysis, §3.3 flavor).
-  Result<std::vector<double>> FeatureImportances() const;
   const RandomForestOptions& options() const { return options_; }
 
  private:

@@ -63,20 +63,6 @@ TEST(CsvTest, HeaderlessAndCustomDelimiter) {
   std::remove(path.c_str());
 }
 
-TEST(CsvTest, TypeInference) {
-  std::string path = TempPath("infer.csv");
-  FILE* f = fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  fputs("i,d,s\n1,1.5,abc\n2,2.5,def\n", f);
-  fclose(f);
-  auto t = ReadCsvInferred(path).ValueOrDie();
-  EXPECT_EQ(t->schema().field(0).type, TypeId::kInt64);
-  EXPECT_EQ(t->schema().field(1).type, TypeId::kDouble);
-  EXPECT_EQ(t->schema().field(2).type, TypeId::kVarchar);
-  EXPECT_EQ(t->num_rows(), 2u);
-  std::remove(path.c_str());
-}
-
 TEST(CsvTest, FieldCountMismatchReported) {
   std::string path = TempPath("ragged.csv");
   FILE* f = fopen(path.c_str(), "wb");

@@ -47,13 +47,10 @@ TEST(DataFrameTest, GroupByAgg) {
       grouped.table()->GetValue(0, 2).ValueOrDie().double_value(), 25.0);
 }
 
-TEST(DataFrameTest, FilterAndSelect) {
+TEST(DataFrameTest, Filter) {
   auto df = Voters();
   auto old = df.Filter(*Column::FromBool({0, 1, 1})).ValueOrDie();
   EXPECT_EQ(old.num_rows(), 2u);
-  auto ages = df.Select({"age"}).ValueOrDie();
-  EXPECT_EQ(ages.num_columns(), 1u);
-  EXPECT_FALSE(df.Select({"ghost"}).ok());
 }
 
 TEST(DataFrameTest, HeadSliceTake) {

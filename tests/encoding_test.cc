@@ -15,9 +15,12 @@
 #include "common/byte_buffer.h"
 #include "common/file_util.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
+#include "exec/aggregate.h"
 #include "exec/filter.h"
 #include "exec/kernels.h"
 #include "obs/metrics.h"
+#include "sql/database.h"
 #include "storage/encoding.h"
 #include "storage/table.h"
 
@@ -257,24 +260,134 @@ TEST(EncodingTest, KernelsMatchPlainOnEncodedInputs) {
   }
 }
 
-TEST(EncodingTest, RleFilterSelectsPerRun) {
-  ColumnPtr rle = EncodeColumn(MakeRunHeavy(400));
-  ColumnPtr lit = Column::Constant(Value::Int64(5), 1);
-  auto mask = exec::BinaryKernel(exec::BinOpKind::kEq, *rle, *lit);
-  ASSERT_TRUE(mask.ok());
-  uint64_t before = EncodeCodePathHits();
-  auto rows = exec::SelectionIndices(*mask.ValueOrDie(), 400);
-  ASSERT_TRUE(rows.ok());
-  const std::vector<uint32_t>& idx = rows.ValueOrDie();
-  ASSERT_EQ(idx.size(), 32u);
-  for (size_t i = 0; i < idx.size(); ++i) {
-    EXPECT_EQ(idx[i], 5u * 32u + i);
+TEST(EncodingTest, RleBoolPredicateSelectsLikePlain) {
+  // A sorted BOOL column (150 false, then 250 true) with a null every 50th
+  // row: the policy stores it as runs.
+  auto plain = Column::Make(TypeId::kBool);
+  for (size_t i = 0; i < 400; ++i) {
+    if (i % 50 == 7) {
+      plain->AppendNull();
+    } else {
+      plain->AppendBool(i >= 150);
+    }
   }
-  // The mask itself came back encoded (gather over per-run results keeps
-  // run structure only when the expansion does; either way selection must
-  // not have decoded row by row). Just assert the fast-path counter moved
-  // somewhere in this pipeline.
-  EXPECT_GE(EncodeCodePathHits(), before);
+  ColumnPtr rle = EncodeColumn(plain);
+  ASSERT_EQ(rle->encoding(), ColumnEncoding::kRle);
+  ThreadPool pool(3);
+  MorselPolicy pooled;
+  pooled.pool = &pool;
+  pooled.morsel_rows = 64;
+  for (const MorselPolicy& policy : {MorselPolicy{}, pooled}) {
+    auto want = exec::SelectionIndices(*plain, 400, policy);
+    auto got = exec::SelectionIndices(*rle, 400, policy);
+    ASSERT_TRUE(want.ok() && got.ok());
+    EXPECT_EQ(want.ValueOrDie().size(), 245u);  // 250 trues, 5 of them null
+    EXPECT_EQ(got.ValueOrDie(), want.ValueOrDie());
+  }
+  EXPECT_FALSE(exec::SelectionIndices(*rle, 399).ok());
+}
+
+/// -- Operate-on-code sites -------------------------------------------------
+///
+/// Each site that bumps mlcs.encode.code_path_hits has a test that runs its
+/// shape, checks the result against the plain input's, and requires the
+/// counter to rise: the test fails if the site stops firing.
+
+/// 640 rows of a dictionary-shaped key `k` (INTEGER), a key `p` (INTEGER,
+/// 40 distinct) that is always left plain, and a run-shaped value `r`
+/// (BIGINT). `encoded` encodes `k` and `r`.
+TablePtr GroupTable(bool encoded) {
+  Schema schema;
+  schema.AddField("k", TypeId::kInt32);
+  schema.AddField("p", TypeId::kInt32);
+  schema.AddField("r", TypeId::kInt64);
+  std::vector<ColumnPtr> cols = {MakeCategorical(640),
+                                 Column::Make(TypeId::kInt32),
+                                 MakeRunHeavy(640)};
+  for (size_t i = 0; i < 640; ++i) {
+    cols[1]->AppendInt32(static_cast<int32_t>((i * 11) % 40));
+  }
+  if (encoded) {
+    cols[0] = EncodeColumn(cols[0]);
+    cols[2] = EncodeColumn(cols[2]);
+  }
+  return std::make_shared<Table>(std::move(schema), std::move(cols));
+}
+
+TEST(EncodingTest, DictionaryKeyGroupsThroughCodeTable) {
+  TablePtr encoded = GroupTable(true);
+  ASSERT_EQ(encoded->column(0)->encoding(), ColumnEncoding::kDict);
+  std::vector<exec::AggSpec> aggs = {{exec::AggOp::kCountStar, "", "n"},
+                                     {exec::AggOp::kMax, "p", "mp"}};
+  uint64_t before = EncodeCodePathHits();
+  auto got = exec::HashGroupBy(*encoded, {"k"}, aggs);
+  EXPECT_GT(EncodeCodePathHits(), before);
+  auto want = exec::HashGroupBy(*GroupTable(false), {"k"}, aggs);
+  ASSERT_TRUE(got.ok() && want.ok());
+  EXPECT_TRUE(got.ValueOrDie()->Equals(*want.ValueOrDie()));
+}
+
+TEST(EncodingTest, GroupedSumFoldsRleRuns) {
+  TablePtr encoded = GroupTable(true);
+  ASSERT_EQ(encoded->column(2)->encoding(), ColumnEncoding::kRle);
+  ASSERT_FALSE(encoded->column(1)->is_encoded());
+  std::vector<exec::AggSpec> aggs = {{exec::AggOp::kSum, "r", "sr"},
+                                     {exec::AggOp::kCount, "r", "cr"}};
+  uint64_t before = EncodeCodePathHits();
+  auto got = exec::HashGroupBy(*encoded, {"p"}, aggs);
+  EXPECT_GT(EncodeCodePathHits(), before);
+  auto want = exec::HashGroupBy(*GroupTable(false), {"p"}, aggs);
+  ASSERT_TRUE(got.ok() && want.ok());
+  EXPECT_EQ(got.ValueOrDie()->num_rows(), 40u);
+  EXPECT_TRUE(got.ValueOrDie()->Equals(*want.ValueOrDie()));
+}
+
+TEST(EncodingTest, BinaryKernelComputesPerDictionaryEntry) {
+  ColumnPtr dict = EncodeColumn(MakeCategorical(400));
+  ASSERT_EQ(dict->encoding(), ColumnEncoding::kDict);
+  ColumnPtr lit = Column::Constant(Value::Int64(3), 1);
+  uint64_t before = EncodeCodePathHits();
+  auto got = exec::BinaryKernel(exec::BinOpKind::kAdd, *dict, *lit);
+  EXPECT_GT(EncodeCodePathHits(), before);
+  auto want = exec::BinaryKernel(exec::BinOpKind::kAdd, *dict->Decode(), *lit);
+  ASSERT_TRUE(got.ok() && want.ok());
+  EXPECT_TRUE(got.ValueOrDie()->Equals(*want.ValueOrDie()));
+}
+
+TEST(EncodingTest, HashMixesOneWordPerDictionaryEntry) {
+  ColumnPtr dict = EncodeColumn(MakeCategorical(400));
+  ASSERT_EQ(dict->encoding(), ColumnEncoding::kDict);
+  ColumnPtr plain = dict->Decode();
+  std::vector<uint64_t> got(400, exec::kHashSeed), want = got;
+  uint64_t before = EncodeCodePathHits();
+  exec::HashCombineColumn(*dict, &got);
+  EXPECT_GT(EncodeCodePathHits(), before);
+  exec::HashCombineColumn(*plain, &want);
+  for (size_t i = 0; i < 400; ++i) {
+    if (!plain->IsNull(i)) {
+      EXPECT_EQ(got[i], want[i]) << i;
+    }
+  }
+}
+
+TEST(EncodingTest, CountStarOnPlainTableTouchesNoCodePath) {
+  Database db;
+  ASSERT_TRUE(db.Run("CREATE TABLE t (x INTEGER);").ok());
+  auto t = db.catalog().GetTable("t").ValueOrDie();
+  for (int32_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(t->AppendRow({Value::Int32(i % 3)}).ok());
+  }
+  ASSERT_FALSE(t->column(0)->is_encoded());
+  uint64_t before = EncodeCodePathHits();
+  auto r = db.Query("SELECT COUNT(*) AS n FROM t");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.ValueOrDie()->GetValue(0, 0).ValueOrDie(), Value::Int64(300));
+  // No rows left to count is still one row holding 0.
+  auto none = db.Query("SELECT COUNT(*) AS n FROM t WHERE x > 5");
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  ASSERT_EQ(none.ValueOrDie()->num_rows(), 1u);
+  EXPECT_EQ(none.ValueOrDie()->GetValue(0, 0).ValueOrDie(), Value::Int64(0));
+  EXPECT_EQ(EncodeCodePathHits(), before);
 }
 
 /// -- Persistence + zone maps ----------------------------------------------

@@ -2,7 +2,6 @@
 
 #include "common/random.h"
 #include "ml/decision_tree.h"
-#include "ml/random_forest.h"
 
 namespace mlcs::ml {
 namespace {
@@ -42,28 +41,6 @@ TEST(FeatureImportanceTest, SingleLeafTreeHasZeroImportances) {
   DecisionTree tree;
   ASSERT_TRUE(tree.Fit(x, y).ok());
   for (double v : tree.feature_importances()) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(FeatureImportanceTest, ForestAggregatesAcrossTrees) {
-  Matrix x;
-  Labels y;
-  MakeData(600, &x, &y, 4);
-  RandomForestOptions opt;
-  opt.n_estimators = 8;
-  RandomForest forest(opt);
-  ASSERT_TRUE(forest.Fit(x, y).ok());
-  auto imp = forest.FeatureImportances().ValueOrDie();
-  ASSERT_EQ(imp.size(), 3u);
-  double total = imp[0] + imp[1] + imp[2];
-  EXPECT_NEAR(total, 1.0, 1e-9);
-  // Feature subsampling forces some splits on noise, but the signal
-  // feature still dominates clearly.
-  EXPECT_GT(imp[0], 0.5);
-}
-
-TEST(FeatureImportanceTest, UnfittedForestRejected) {
-  RandomForest forest;
-  EXPECT_FALSE(forest.FeatureImportances().ok());
 }
 
 TEST(FeatureImportanceTest, ImportancesSurviveSerialization) {

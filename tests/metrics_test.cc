@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace mlcs::ml {
 namespace {
 
@@ -13,63 +11,6 @@ TEST(MetricsTest, AccuracyBasics) {
   EXPECT_DOUBLE_EQ(Accuracy({1}, {0}).ValueOrDie(), 0.0);
   EXPECT_FALSE(Accuracy({1}, {0, 1}).ok());
   EXPECT_FALSE(Accuracy({}, {}).ok());
-}
-
-TEST(MetricsTest, ConfusionMatrixCounts) {
-  auto cm = ComputeConfusionMatrix({0, 0, 1, 1, 1}, {0, 1, 1, 1, 0})
-                .ValueOrDie();
-  EXPECT_EQ(cm.classes, (std::vector<int32_t>{0, 1}));
-  EXPECT_EQ(cm.At(0, 0), 1);
-  EXPECT_EQ(cm.At(0, 1), 1);
-  EXPECT_EQ(cm.At(1, 0), 1);
-  EXPECT_EQ(cm.At(1, 1), 2);
-  EXPECT_EQ(cm.At(9, 9), 0);  // unknown class
-}
-
-TEST(MetricsTest, ConfusionMatrixIncludesPredOnlyClasses) {
-  auto cm = ComputeConfusionMatrix({0, 0}, {0, 5}).ValueOrDie();
-  EXPECT_EQ(cm.classes, (std::vector<int32_t>{0, 5}));
-  EXPECT_EQ(cm.At(0, 5), 1);
-}
-
-TEST(MetricsTest, ClassificationReportPerfect) {
-  auto report =
-      ComputeClassificationReport({0, 1, 0, 1}, {0, 1, 0, 1}).ValueOrDie();
-  EXPECT_DOUBLE_EQ(report.macro_f1, 1.0);
-  EXPECT_DOUBLE_EQ(report.macro_precision, 1.0);
-  EXPECT_DOUBLE_EQ(report.macro_recall, 1.0);
-  ASSERT_EQ(report.per_class.size(), 2u);
-  EXPECT_EQ(report.per_class[0].support, 2);
-}
-
-TEST(MetricsTest, ClassificationReportKnownValues) {
-  // true: 0,0,0,1  pred: 0,0,1,1
-  auto report =
-      ComputeClassificationReport({0, 0, 0, 1}, {0, 0, 1, 1}).ValueOrDie();
-  const auto& c0 = report.per_class[0];
-  EXPECT_DOUBLE_EQ(c0.precision, 1.0);          // 2/(2+0)
-  EXPECT_DOUBLE_EQ(c0.recall, 2.0 / 3.0);       // 2/(2+1)
-  const auto& c1 = report.per_class[1];
-  EXPECT_DOUBLE_EQ(c1.precision, 0.5);          // 1/(1+1)
-  EXPECT_DOUBLE_EQ(c1.recall, 1.0);             // 1/(1+0)
-}
-
-TEST(MetricsTest, LogLoss) {
-  // Perfectly confident correct predictions → ~0.
-  EXPECT_NEAR(LogLoss({1, 0}, {1.0, 1.0}).ValueOrDie(), 0.0, 1e-12);
-  // p=0.5 everywhere → ln 2.
-  EXPECT_NEAR(LogLoss({1, 0}, {0.5, 0.5}).ValueOrDie(), std::log(2.0),
-              1e-12);
-  // Zero probability is clamped, not infinite.
-  EXPECT_TRUE(std::isfinite(LogLoss({1}, {0.0}).ValueOrDie()));
-  EXPECT_FALSE(LogLoss({1}, {}).ok());
-}
-
-TEST(MetricsTest, ToStringRenders) {
-  auto cm = ComputeConfusionMatrix({0, 1}, {0, 1}).ValueOrDie();
-  EXPECT_NE(cm.ToString().find("true\\pred"), std::string::npos);
-  auto report = ComputeClassificationReport({0, 1}, {0, 1}).ValueOrDie();
-  EXPECT_NE(report.ToString().find("macro"), std::string::npos);
 }
 
 }  // namespace

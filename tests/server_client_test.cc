@@ -9,6 +9,7 @@
 #include "client/server.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace mlcs::client {
 namespace {
@@ -181,6 +182,58 @@ TEST_F(ServerClientTest, RowLargerThanFrameTargetRoundTrips) {
         << WireProtocolToString(protocol);
     EXPECT_GT(client.last_response_bytes(), big.size());
   }
+}
+
+/// A single row whose encoding exceeds the frame cap cannot be sent: the
+/// server hangs up after the header frame, the client's Query fails and
+/// closes its end, and the server goes on accepting connections.
+TEST_F(ServerClientTest, RowAboveFrameCapFailsQueryAndServerSurvives) {
+  Schema schema;
+  schema.AddField("s", TypeId::kVarchar);
+  std::vector<std::string> cells(1, std::string(kMaxFrameBytes + 16, 'w'));
+  auto wide = std::make_shared<Table>(
+      std::move(schema),
+      std::vector<ColumnPtr>{Column::FromStrings(std::move(cells))});
+  ASSERT_TRUE(db_.catalog().CreateTable("wide", std::move(wide)).ok());
+  {
+    TableClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+    auto t = client.Query("SELECT s FROM wide", WireProtocol::kMyBinary);
+    EXPECT_FALSE(t.ok());
+    EXPECT_FALSE(client.connected());
+  }
+  ASSERT_TRUE(db_.Run("DROP TABLE wide;").ok());
+  TableClient next;
+  ASSERT_TRUE(next.Connect("127.0.0.1", server_->port()).ok());
+  auto t = next.Query("SELECT COUNT(*) FROM t", WireProtocol::kColumnar);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t.ValueOrDie()->GetValue(0, 0).ValueOrDie(), Value::Int64(3));
+}
+
+/// An export larger than the frame cap is answered with an error frame;
+/// the connection stays usable.
+TEST_F(ServerClientTest, ExportAboveFrameCapIsAnErrorFrame) {
+  obs::FlightRecorder::Global().Clear();
+  uint64_t trace_id = 0;
+  {
+    obs::TraceContext ctx("oversized_export", /*force=*/true);
+    trace_id = ctx.trace_id();
+    obs::ScopedSpan span("oversized_note");
+    // Each control byte escapes to six JSON bytes ("\u0001").
+    span.set_note(std::string(kMaxFrameBytes / 6 + 1024, '\x01'));
+  }
+  TableClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  auto trace = client.FetchChromeTrace(trace_id);
+  ASSERT_FALSE(trace.ok());
+  EXPECT_NE(trace.status().ToString().find("exceeds the frame cap"),
+            std::string::npos)
+      << trace.status().ToString();
+  EXPECT_TRUE(client.connected());
+  obs::FlightRecorder::Global().Clear();
+  auto t = client.Query("SELECT COUNT(*) FROM t", WireProtocol::kMyBinary);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t.ValueOrDie()->GetValue(0, 0).ValueOrDie(), Value::Int64(3));
 }
 
 /// last_response_bytes() counts every frame's payload and no length

@@ -304,10 +304,11 @@ struct EncodingToggleGuard {
 };
 
 /// Random query over the saved tables. Beyond the optimizer-parity shapes,
-/// leans on `r` (run-heavy: RLE on disk) and `s` (low-cardinality strings:
-/// dictionary on disk).
+/// leans on `r` (run-heavy: RLE on disk), `q` (runs with whole null runs:
+/// RLE with validity), `c.r` (RLE on the join's build side) and `s`
+/// (low-cardinality strings: dictionary on disk).
 std::string EncodingParityQuery(Rng& rng) {
-  switch (rng.NextBounded(7)) {
+  switch (rng.NextBounded(10)) {
     case 0:
       return "SELECT k, v FROM a WHERE " + ParityPredicate(rng, false);
     case 1:
@@ -324,6 +325,14 @@ std::string EncodingParityQuery(Rng& rng) {
              std::to_string(rng.NextInt(0, 14));
     case 5:  // dictionary strings as group keys
       return "SELECT s, COUNT(*) AS c FROM a GROUP BY s ORDER BY s";
+    case 6:  // two RLE group keys, one with null runs
+      return "SELECT r, q, COUNT(*) AS c, SUM(v) AS sv FROM a WHERE " +
+             ParityPredicate(rng, false) + " GROUP BY r, q ORDER BY r, q";
+    case 7:  // RLE keys on both sides of the join
+      return "SELECT k, r, t FROM a JOIN c ON r = r WHERE " +
+             ParityPredicate(rng, false);
+    case 8:  // nullable RLE probe key; null keys never match
+      return "SELECT k, q, t FROM a LEFT JOIN c ON q = r";
     default:
       return "SELECT COUNT(*) FROM a WHERE " + ParityPredicate(rng, false);
   }
@@ -344,8 +353,9 @@ TEST(SqlPropertyTest, EncodingParityOnRandomQueries) {
       ASSERT_TRUE(
           source
               .Run("CREATE TABLE a (k INTEGER, v INTEGER, w INTEGER, "
-                   "r INTEGER, s VARCHAR); "
-                   "CREATE TABLE b (k INTEGER, u INTEGER);")
+                   "r INTEGER, s VARCHAR, q INTEGER); "
+                   "CREATE TABLE b (k INTEGER, u INTEGER); "
+                   "CREATE TABLE c (r INTEGER, t INTEGER);")
               .ok());
       Rng rng(pool->num_threads() == 1 ? 1042 : 1043);
       auto a = source.catalog().GetTable("a").ValueOrDie();
@@ -365,7 +375,17 @@ TEST(SqlPropertyTest, EncodingParityOnRandomQueries) {
                           Value::Int32(static_cast<int32_t>(
                               rng.NextInt(-50, 50))),
                           Value::Int32(static_cast<int32_t>(i / 40)),
-                          s})
+                          s,
+                          i / 30 % 4 == 1 ? Value::MakeNull(TypeId::kInt32)
+                                          : Value::Int32(static_cast<int32_t>(
+                                                i / 30))})
+                        .ok());
+      }
+      auto c = source.catalog().GetTable("c").ValueOrDie();
+      for (size_t i = 0; i < 240; ++i) {
+        ASSERT_TRUE(c->AppendRow({Value::Int32(static_cast<int32_t>(i / 12)),
+                                  Value::Int32(static_cast<int32_t>(
+                                      rng.NextInt(-50, 50)))})
                         .ok());
       }
       auto b = source.catalog().GetTable("b").ValueOrDie();
@@ -387,17 +407,24 @@ TEST(SqlPropertyTest, EncodingParityOnRandomQueries) {
     ASSERT_TRUE(db.LoadFrom(dir).ok());
 
     // The sweep is only meaningful if the stored tables really serve
-    // encoded columns: `r` must have come back RLE or dictionary-coded.
+    // encoded columns: the run-shaped keys must have come back RLE.
     {
       auto probe = db.catalog().ScanTable(
-          "a", std::vector<std::string>{"r", "s"});
+          "a", std::vector<std::string>{"r", "q", "s"});
       ASSERT_TRUE(probe.ok());
-      EXPECT_TRUE(probe.ValueOrDie()->column(0)->is_encoded());
-      EXPECT_TRUE(probe.ValueOrDie()->column(1)->is_encoded());
+      EXPECT_EQ(probe.ValueOrDie()->column(0)->encoding(),
+                ColumnEncoding::kRle);
+      EXPECT_EQ(probe.ValueOrDie()->column(1)->encoding(),
+                ColumnEncoding::kRle);
+      EXPECT_TRUE(probe.ValueOrDie()->column(2)->is_encoded());
+      auto build = db.catalog().ScanTable("c", std::vector<std::string>{"r"});
+      ASSERT_TRUE(build.ok());
+      EXPECT_EQ(build.ValueOrDie()->column(0)->encoding(),
+                ColumnEncoding::kRle);
     }
 
     Rng rng(pool->num_threads() == 1 ? 2042 : 2043);
-    for (int i = 0; i < 60; ++i) {
+    for (int i = 0; i < 80; ++i) {
       std::string sql = EncodingParityQuery(rng);
       SetEncodingEnabled(true);
       auto on = db.Query(sql);
