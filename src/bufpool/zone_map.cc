@@ -86,14 +86,6 @@ ZoneMap ComputeZoneMap(const Column& column) {
     z.null_count = zone.null_count;
     return z;
   }
-  if (column.encoding() == ColumnEncoding::kRle) {
-    if (!column.has_nulls()) {
-      // Every run value is a real row value: the per-run min/max is the
-      // per-row min/max at O(runs) cost.
-      return ComputeZoneMap(*column.run_values());
-    }
-    return ComputeZoneMap(*column.Decode());
-  }
   switch (column.type()) {
     case TypeId::kBool: {
       uint8_t lo = 1, hi = 0;

@@ -176,22 +176,7 @@ struct AggInput {
   /// loop reads the typed vectors directly, so encoded inputs decode once
   /// here (decode-at-materialization) rather than per row.
   ColumnPtr decoded;
-  /// Set when the input is a null-free integer RLE column under SUM/COUNT:
-  /// the morsel loop folds whole runs (value × length) instead of
-  /// expanding — the column is never decoded at all.
-  const Column* rle = nullptr;
 };
-
-/// SUM/COUNT over a null-free integer RLE column can accumulate per run
-/// without decoding: count and isum are exact integer state, so folding
-/// `value × segment length` is bit-identical to adding the value once per
-/// row (the double members sum/sum_sq/dmin/dmax are never read when
-/// emitting integer SUM or COUNT).
-bool RleFoldable(AggOp op, const Column& col) {
-  if (op != AggOp::kSum && op != AggOp::kCount) return false;
-  return col.encoding() == ColumnEncoding::kRle && !col.has_nulls() &&
-         (col.type() == TypeId::kInt32 || col.type() == TypeId::kInt64);
-}
 
 /// Aggregation morsels are 16× the policy width. Each morsel pays for a
 /// local group table plus a per-group merge, so the efficient grain is
@@ -230,11 +215,10 @@ Result<TablePtr> HashGroupBy(const Table& input,
     return std::make_shared<Table>(std::move(schema), std::move(out_cols));
   }
 
-  // Resolve key columns (an RLE key decodes once, see HashKeyColumn).
   std::vector<ColumnPtr> key_cols;
   for (const auto& key : group_keys) {
     MLCS_ASSIGN_OR_RETURN(ColumnPtr col, input.ColumnByName(key));
-    key_cols.push_back(HashKeyColumn(std::move(col)));
+    key_cols.push_back(std::move(col));
   }
 
   // Group-on-codes fast path: a single dictionary-encoded key groups by
@@ -293,12 +277,6 @@ Result<TablePtr> HashGroupBy(const Table& input,
       policy, aggregates.size(), [&](size_t a) -> Status {
         if (aggregates[a].op == AggOp::kCountStar) return Status::OK();
         AggInput& in = agg_inputs[a];
-        if (RleFoldable(aggregates[a].op, *agg_cols[a])) {
-          in.rle = agg_cols[a].get();
-          in.col = in.rle;
-          CountCodePathHit();
-          return Status::OK();
-        }
         if (agg_cols[a]->is_encoded()) in.decoded = agg_cols[a]->Decode();
         const Column& col = in.decoded != nullptr ? *in.decoded : *agg_cols[a];
         in.col = &col;
@@ -364,39 +342,6 @@ Result<TablePtr> HashGroupBy(const Table& input,
           }
           const AggInput& in = agg_inputs[a];
           const Column& col = *in.col;
-          if (in.rle != nullptr) {
-            // Run folding: one (count, isum) update per stretch of rows
-            // that share a run AND a local group, instead of one per row.
-            // Exact integer accumulation, so identical to the per-row path.
-            const Column& rv = *in.rle->run_values();
-            const std::vector<uint64_t>& starts = in.rle->run_starts();
-            bool narrow = rv.type() == TypeId::kInt32;
-            size_t num_runs = in.rle->run_lengths().size();
-            for (size_t r = in.rle->RunIndexOf(begin);
-                 r < num_runs && starts[r] < end; ++r) {
-              size_t seg_begin = std::max<size_t>(starts[r], begin);
-              size_t seg_end = std::min<size_t>(starts[r + 1], end);
-              uint64_t value =
-                  narrow ? static_cast<uint64_t>(
-                               static_cast<int64_t>(rv.i32_data()[r]))
-                         : static_cast<uint64_t>(rv.i64_data()[r]);
-              size_t i = seg_begin;
-              while (i < seg_end) {
-                uint32_t g = lgid[i - begin];
-                size_t j = i + 1;
-                while (j < seg_end && lgid[j - begin] == g) ++j;
-                Accumulator& ga = acc[g];
-                uint64_t len = j - i;
-                ga.count += static_cast<int64_t>(len);
-                ga.has_value = true;
-                // uint64 arithmetic: wraps like the per-row signed adds.
-                ga.isum = static_cast<int64_t>(
-                    static_cast<uint64_t>(ga.isum) + value * len);
-                i = j;
-              }
-            }
-            continue;
-          }
           if (in.is_string) {
             auto& str = lg.strs[a];
             str.resize(local_groups);

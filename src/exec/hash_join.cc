@@ -19,7 +19,7 @@ Result<std::vector<uint64_t>> KeyHashes(
   std::vector<uint64_t> hashes(table.num_rows(), kHashSeed);
   for (const auto& key : keys) {
     MLCS_ASSIGN_OR_RETURN(ColumnPtr col, table.ColumnByName(key));
-    key_cols->push_back(HashKeyColumn(std::move(col)));
+    key_cols->push_back(std::move(col));
   }
   MLCS_RETURN_IF_ERROR(ParallelMorsels(
       policy, table.num_rows(),

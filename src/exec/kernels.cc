@@ -259,19 +259,6 @@ bool IsPlainLiteral(const Column& c) {
   return !c.is_encoded() && c.size() == 1 && !c.has_nulls();
 }
 
-/// row → run-index gather vector for an RLE column (expands a per-run
-/// result back to row granularity in one Take).
-std::vector<uint32_t> RunIndexVector(const Column& c) {
-  const auto& starts = c.run_starts();
-  std::vector<uint32_t> ridx(c.size());
-  for (size_t r = 0; r + 1 < starts.size(); ++r) {
-    for (uint64_t i = starts[r]; i < starts[r + 1]; ++i) {
-      ridx[i] = static_cast<uint32_t>(r);
-    }
-  }
-  return ridx;
-}
-
 /// Nulls in `src` become nulls in `out` — the validity overlay the
 /// gather-based fast paths apply after expanding a per-code result.
 void OverlayNulls(const Column& src, Column* out) {
@@ -353,9 +340,9 @@ Result<ColumnPtr> BinaryKernelSerial(BinOpKind op, const Column& left,
   return out;
 }
 
-/// Operate-on-encoded-data fast paths (DESIGN.md §13). A dictionary or RLE
+/// Operate-on-encoded-data fast path (DESIGN.md §13). A dictionary
 /// operand against a scalar literal computes the op once per dictionary
-/// entry / run on the small plain payload, then expands that per-code
+/// entry on the small plain payload, then expands that per-code
 /// result through the codes with one gather — O(distinct + n) instead of
 /// O(n) typed work. Because the per-entry values are exactly the column's
 /// distinct plain values, every SQL semantic (type promotion, ÷0 nulls,
@@ -377,11 +364,9 @@ Result<ColumnPtr> EncodedBinaryKernel(BinOpKind op, const Column& left,
     lit = &left;
   }
   if (enc != nullptr) {
-    const Column& per_input = enc->encoding() == ColumnEncoding::kDict
-                                  ? *enc->dict()
-                                  : *enc->run_values();
-    // An empty dictionary / zero runs means every row is NULL (or the
-    // column is empty): nothing to gather from, take the decode path.
+    const Column& per_input = *enc->dict();
+    // An empty dictionary means every row is NULL (or the column is
+    // empty): nothing to gather from, take the decode path.
     if (per_input.size() > 0) {
       MLCS_ASSIGN_OR_RETURN(ColumnPtr per,
                             enc_left ? BinaryKernelSerial(op, per_input, *lit)
@@ -390,14 +375,8 @@ Result<ColumnPtr> EncodedBinaryKernel(BinOpKind op, const Column& left,
       // the per-entry trues are one code band, so the mask is two
       // branchless code compares (filter.h).
       ColumnPtr out;
-      if (IsComparison(op) && enc->encoding() == ColumnEncoding::kDict) {
-        out = SortedDictRangeMask(*enc, *per);
-      }
-      if (out == nullptr) {
-        out = enc->encoding() == ColumnEncoding::kDict
-                  ? per->Take(enc->codes())
-                  : per->Take(RunIndexVector(*enc));
-      }
+      if (IsComparison(op)) out = SortedDictRangeMask(*enc, *per);
+      if (out == nullptr) out = per->Take(enc->codes());
       OverlayNulls(*enc, out.get());
       CountCodePathHit();
       return out;
@@ -557,33 +536,20 @@ void HashCombineColumn(const Column& column, std::vector<uint64_t>* hashes) {
 void HashCombineColumnRange(const Column& column, size_t begin, size_t end,
                             std::vector<uint64_t>* hashes) {
   if (column.is_encoded()) {
-    // Hash each dictionary entry / run value once, then mix the gathered
-    // word per row. Non-null rows mix exactly the word the plain loops
+    // Hash each dictionary entry once, then mix the gathered word per
+    // row. Non-null rows mix exactly the word the plain loops
     // below would (the dictionary holds the plain values), so hashes agree
     // across encodings wherever equality can hold; null rows are excluded
     // from joins and resolved by CellEquals in group-by, so their value
     // word is free to differ from the decoded default slot's.
-    const Column& vals = column.encoding() == ColumnEncoding::kDict
-                             ? *column.dict()
-                             : *column.run_values();
+    const Column& vals = *column.dict();
     size_t k = vals.size();
     std::vector<uint64_t> words(k);
     for (size_t e = 0; e < k; ++e) words[e] = ValueWord(vals, e);
-    if (column.encoding() == ColumnEncoding::kDict) {
-      if (k > 0) {
-        const auto& codes = column.codes();
-        for (size_t i = begin; i < end; ++i) {
-          (*hashes)[i] = MixHash((*hashes)[i], words[codes[i]]);
-        }
-      }
-    } else if (k > 0 && end > begin) {
-      const auto& starts = column.run_starts();
-      size_t r = column.RunIndexOf(begin);
-      for (size_t i = begin; i < end;) {
-        size_t stop = std::min(end, static_cast<size_t>(starts[r + 1]));
-        uint64_t w = words[r];
-        for (; i < stop; ++i) (*hashes)[i] = MixHash((*hashes)[i], w);
-        ++r;
+    if (k > 0) {
+      const auto& codes = column.codes();
+      for (size_t i = begin; i < end; ++i) {
+        (*hashes)[i] = MixHash((*hashes)[i], words[codes[i]]);
       }
     }
     if (column.has_nulls()) {
@@ -647,8 +613,8 @@ void HashCombineColumnRange(const Column& column, size_t begin, size_t end,
 namespace {
 
 /// (column, row) rewritten to the plain payload cell behind an encoding:
-/// a dictionary cell resolves to its dictionary entry, an RLE cell to its
-/// run value. The cell must be non-null (null codes are never valid).
+/// a dictionary cell resolves to its dictionary entry. The cell must be
+/// non-null (null codes are never valid).
 struct CellRef {
   const Column* col;
   size_t row;
@@ -658,18 +624,10 @@ CellRef ResolveCell(const Column& c, size_t i) {
   if (c.encoding() == ColumnEncoding::kDict) {
     return {c.dict().get(), c.codes()[i]};
   }
-  if (c.encoding() == ColumnEncoding::kRle) {
-    return {c.run_values().get(), c.RunIndexOf(i)};
-  }
   return {&c, i};
 }
 
 }  // namespace
-
-ColumnPtr HashKeyColumn(ColumnPtr column) {
-  if (column->encoding() != ColumnEncoding::kRle) return column;
-  return column->Decode();
-}
 
 bool CellEquals(const Column& a, size_t ai, const Column& b, size_t bi) {
   bool an = a.IsNull(ai), bn = b.IsNull(bi);

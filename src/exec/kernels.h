@@ -69,12 +69,6 @@ inline constexpr uint64_t kHashSeed = 0x9E3779B97F4A7C15ULL;
 [[nodiscard]] bool CellEquals(const Column& a, size_t ai, const Column& b,
                               size_t bi);
 
-/// A join or group-by key column as the hash operators read it: an RLE
-/// column is decoded here, once, because comparing one of its cells
-/// binary-searches for the run on every probe. Other columns pass through
-/// (a dictionary cell resolves through its code in O(1)).
-[[nodiscard]] ColumnPtr HashKeyColumn(ColumnPtr column);
-
 /// Three-way comparison of two cells in columns of the same type.
 /// NULLs sort first; returns <0, 0, >0.
 int CellCompare(const Column& a, size_t ai, const Column& b, size_t bi);

@@ -136,39 +136,37 @@ void AppendWaitFamily(std::string* out) {
   }
 }
 
-/// JSON string escaping (quotes, backslash, control characters).
-std::string EscapeJson(const std::string& value) {
-  std::string out;
-  out.reserve(value.size() + 2);
+/// Appends `value` to `out` with JSON string escaping (quotes, backslash,
+/// control characters). Escapes in place: a span note can be tens of MB.
+void AppendEscapedJson(const std::string& value, std::string* out) {
   for (char c : value) {
     switch (c) {
       case '"':
-        out += "\\\"";
+        *out += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         break;
       case '\r':
-        out += "\\r";
+        *out += "\\r";
         break;
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x",
                         static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
+          *out += buf;
         } else {
-          out.push_back(c);
+          out->push_back(c);
         }
     }
   }
-  return out;
 }
 
 }  // namespace
@@ -200,17 +198,30 @@ std::string ChromeTraceJson(uint64_t trace_id) {
     first = false;
     double ts_us = static_cast<double>(s.start_offset.count()) / 1000.0;
     double dur_us = static_cast<double>(s.duration.count()) / 1000.0;
-    out += "{\"name\":\"" + EscapeJson(s.name) + "\",\"ph\":\"X\",\"ts\":" +
-           FormatValue(ts_us) + ",\"dur\":" + FormatValue(dur_us) +
-           ",\"pid\":" + std::to_string(s.trace_id) +
-           ",\"tid\":" + std::to_string(s.tid) + ",\"args\":{" +
-           "\"span_id\":" + std::to_string(s.span_id) +
-           ",\"parent_id\":" + std::to_string(s.parent_id) +
-           ",\"rows_in\":" + std::to_string(s.rows_in) +
-           ",\"rows_out\":" + std::to_string(s.rows_out) +
-           ",\"bytes\":" + std::to_string(s.bytes);
+    out += "{\"name\":\"";
+    AppendEscapedJson(s.name, &out);
+    out += "\",\"ph\":\"X\",\"ts\":";
+    out += FormatValue(ts_us);
+    out += ",\"dur\":";
+    out += FormatValue(dur_us);
+    out += ",\"pid\":";
+    out += std::to_string(s.trace_id);
+    out += ",\"tid\":";
+    out += std::to_string(s.tid);
+    out += ",\"args\":{\"span_id\":";
+    out += std::to_string(s.span_id);
+    out += ",\"parent_id\":";
+    out += std::to_string(s.parent_id);
+    out += ",\"rows_in\":";
+    out += std::to_string(s.rows_in);
+    out += ",\"rows_out\":";
+    out += std::to_string(s.rows_out);
+    out += ",\"bytes\":";
+    out += std::to_string(s.bytes);
     if (!s.note.empty()) {
-      out += ",\"note\":\"" + EscapeJson(s.note) + "\"";
+      out += ",\"note\":\"";
+      AppendEscapedJson(s.note, &out);
+      out += "\"";
     }
     out += "}}";
   }

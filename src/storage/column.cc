@@ -1,6 +1,5 @@
 #include "storage/column.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "storage/encoding.h"
@@ -184,61 +183,10 @@ Result<ColumnPtr> Column::MakeDictionary(TypeId type,
   return col;
 }
 
-Result<ColumnPtr> Column::MakeRle(TypeId type, ColumnPtr run_values,
-                                  std::vector<uint32_t> run_lengths,
-                                  std::vector<uint8_t> validity) {
-  if (run_values == nullptr) {
-    return Status::InvalidArgument("MakeRle: null run values");
-  }
-  if (run_values->is_encoded()) {
-    return Status::InvalidArgument("MakeRle: run values must be plain");
-  }
-  if (run_values->type() != type) {
-    return Status::TypeMismatch("MakeRle: run-value type mismatch");
-  }
-  if (run_values->has_nulls()) {
-    // Null runs carry a default payload slot; the per-row validity is the
-    // only null authority (per-run kernels rely on the slots being real).
-    return Status::InvalidArgument("MakeRle: run values must be null-free");
-  }
-  if (run_values->size() != run_lengths.size()) {
-    return Status::InvalidArgument(
-        "MakeRle: run value / run length count mismatch");
-  }
-  std::vector<uint64_t> starts;
-  starts.reserve(run_lengths.size() + 1);
-  starts.push_back(0);
-  for (uint32_t len : run_lengths) {
-    if (len == 0) {
-      return Status::InvalidArgument("MakeRle: zero-length run");
-    }
-    starts.push_back(starts.back() + len);
-  }
-  uint64_t rows = starts.back();
-  if (!validity.empty() && validity.size() != rows) {
-    return Status::InvalidArgument("MakeRle: validity/rows length mismatch");
-  }
-  size_t nulls = 0;
-  for (uint8_t v : validity) {
-    if (v == 0) ++nulls;
-  }
-  if (nulls == 0) validity.clear();
-  ColumnPtr col = Make(type);
-  col->encoding_ = ColumnEncoding::kRle;
-  col->run_values_ = std::move(run_values);
-  col->run_lengths_ = std::move(run_lengths);
-  col->run_starts_ = std::move(starts);
-  col->validity_ = std::move(validity);
-  col->null_count_ = nulls;
-  return col;
-}
-
 size_t Column::size() const {
   switch (encoding_) {
     case ColumnEncoding::kDict:
       return codes_.size();
-    case ColumnEncoding::kRle:
-      return run_starts_.empty() ? 0 : run_starts_.back();
     case ColumnEncoding::kPlain:
       break;
   }
@@ -257,12 +205,6 @@ size_t Column::size() const {
   return 0;
 }
 
-size_t Column::RunIndexOf(size_t row) const {
-  auto it = std::upper_bound(run_starts_.begin(), run_starts_.end(),
-                             static_cast<uint64_t>(row));
-  return static_cast<size_t>(it - run_starts_.begin()) - 1;
-}
-
 size_t Column::CodeWidth() const {
   size_t dict_size = dict_ != nullptr ? dict_->size() : 0;
   if (dict_size <= (1u << 8)) return 1;
@@ -277,153 +219,71 @@ ColumnPtr Column::Decode() const {
   CountDecodeEvent();
   size_t n = size();
   ColumnPtr out = Make(type_);
-  if (encoding_ == ColumnEncoding::kDict) {
-    const uint32_t* codes = codes_.data();
-    const uint8_t* valid = validity_data();
-    switch (type_) {
-      case TypeId::kBool: {
-        const auto& dv = dict_->bool_data();
-        auto& dst = out->bool_data();
-        if (dv.empty()) {
-          dst.assign(n, 0);  // all-null column: empty dictionary
-          break;
-        }
-        dst.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          dst[i] = (valid == nullptr || valid[i]) ? dv[codes[i]] : 0;
-        }
+  const uint32_t* codes = codes_.data();
+  const uint8_t* valid = validity_data();
+  switch (type_) {
+    case TypeId::kBool: {
+      const auto& dv = dict_->bool_data();
+      auto& dst = out->bool_data();
+      if (dv.empty()) {
+        dst.assign(n, 0);  // all-null column: empty dictionary
         break;
       }
-      case TypeId::kInt32: {
-        const auto& dv = dict_->i32_data();
-        auto& dst = out->i32_data();
-        if (dv.empty()) {
-          dst.assign(n, 0);
-          break;
-        }
-        dst.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          dst[i] = (valid == nullptr || valid[i]) ? dv[codes[i]] : 0;
-        }
-        break;
-      }
-      case TypeId::kInt64: {
-        const auto& dv = dict_->i64_data();
-        auto& dst = out->i64_data();
-        if (dv.empty()) {
-          dst.assign(n, 0);
-          break;
-        }
-        dst.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          dst[i] = (valid == nullptr || valid[i]) ? dv[codes[i]] : 0;
-        }
-        break;
-      }
-      case TypeId::kDouble: {
-        const auto& dv = dict_->f64_data();
-        auto& dst = out->f64_data();
-        if (dv.empty()) {
-          dst.assign(n, 0.0);
-          break;
-        }
-        dst.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          dst[i] = (valid == nullptr || valid[i]) ? dv[codes[i]] : 0.0;
-        }
-        break;
-      }
-      case TypeId::kVarchar:
-      case TypeId::kBlob: {
-        const auto& dv = dict_->str_data();
-        auto& dst = out->str_data();
-        dst.resize(n);
-        if (dv.empty()) break;
-        for (size_t i = 0; i < n; ++i) {
-          if (valid == nullptr || valid[i]) dst[i] = dv[codes[i]];
-        }
-        break;
-      }
-    }
-  } else {  // kRle
-    size_t runs = run_lengths_.size();
-    switch (type_) {
-      case TypeId::kBool: {
-        const auto& rv = run_values_->bool_data();
-        auto& dst = out->bool_data();
-        dst.resize(n);
-        for (size_t r = 0; r < runs; ++r) {
-          std::fill(dst.begin() + run_starts_[r],
-                    dst.begin() + run_starts_[r + 1], rv[r]);
-        }
-        break;
-      }
-      case TypeId::kInt32: {
-        const auto& rv = run_values_->i32_data();
-        auto& dst = out->i32_data();
-        dst.resize(n);
-        for (size_t r = 0; r < runs; ++r) {
-          std::fill(dst.begin() + run_starts_[r],
-                    dst.begin() + run_starts_[r + 1], rv[r]);
-        }
-        break;
-      }
-      case TypeId::kInt64: {
-        const auto& rv = run_values_->i64_data();
-        auto& dst = out->i64_data();
-        dst.resize(n);
-        for (size_t r = 0; r < runs; ++r) {
-          std::fill(dst.begin() + run_starts_[r],
-                    dst.begin() + run_starts_[r + 1], rv[r]);
-        }
-        break;
-      }
-      case TypeId::kDouble: {
-        const auto& rv = run_values_->f64_data();
-        auto& dst = out->f64_data();
-        dst.resize(n);
-        for (size_t r = 0; r < runs; ++r) {
-          std::fill(dst.begin() + run_starts_[r],
-                    dst.begin() + run_starts_[r + 1], rv[r]);
-        }
-        break;
-      }
-      case TypeId::kVarchar:
-      case TypeId::kBlob: {
-        const auto& rv = run_values_->str_data();
-        auto& dst = out->str_data();
-        dst.resize(n);
-        for (size_t r = 0; r < runs; ++r) {
-          std::fill(dst.begin() + run_starts_[r],
-                    dst.begin() + run_starts_[r + 1], rv[r]);
-        }
-        break;
-      }
-    }
-    // Null slots hold run values; normalize them to defaults so decoded
-    // bytes match what plain appends would have produced.
-    if (has_nulls()) {
+      dst.resize(n);
       for (size_t i = 0; i < n; ++i) {
-        if (validity_[i] != 0) continue;
-        switch (type_) {
-          case TypeId::kBool:
-            out->bool_data()[i] = 0;
-            break;
-          case TypeId::kInt32:
-            out->i32_data()[i] = 0;
-            break;
-          case TypeId::kInt64:
-            out->i64_data()[i] = 0;
-            break;
-          case TypeId::kDouble:
-            out->f64_data()[i] = 0.0;
-            break;
-          case TypeId::kVarchar:
-          case TypeId::kBlob:
-            out->str_data()[i].clear();
-            break;
-        }
+        dst[i] = (valid == nullptr || valid[i]) ? dv[codes[i]] : 0;
       }
+      break;
+    }
+    case TypeId::kInt32: {
+      const auto& dv = dict_->i32_data();
+      auto& dst = out->i32_data();
+      if (dv.empty()) {
+        dst.assign(n, 0);
+        break;
+      }
+      dst.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        dst[i] = (valid == nullptr || valid[i]) ? dv[codes[i]] : 0;
+      }
+      break;
+    }
+    case TypeId::kInt64: {
+      const auto& dv = dict_->i64_data();
+      auto& dst = out->i64_data();
+      if (dv.empty()) {
+        dst.assign(n, 0);
+        break;
+      }
+      dst.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        dst[i] = (valid == nullptr || valid[i]) ? dv[codes[i]] : 0;
+      }
+      break;
+    }
+    case TypeId::kDouble: {
+      const auto& dv = dict_->f64_data();
+      auto& dst = out->f64_data();
+      if (dv.empty()) {
+        dst.assign(n, 0.0);
+        break;
+      }
+      dst.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        dst[i] = (valid == nullptr || valid[i]) ? dv[codes[i]] : 0.0;
+      }
+      break;
+    }
+    case TypeId::kVarchar:
+    case TypeId::kBlob: {
+      const auto& dv = dict_->str_data();
+      auto& dst = out->str_data();
+      dst.resize(n);
+      if (dv.empty()) break;
+      for (size_t i = 0; i < n; ++i) {
+        if (valid == nullptr || valid[i]) dst[i] = dv[codes[i]];
+      }
+      break;
     }
   }
   out->validity_ = validity_;
@@ -454,7 +314,6 @@ void Column::Reserve(size_t capacity) {
     codes_.reserve(capacity);
     return;
   }
-  if (encoding_ == ColumnEncoding::kRle) return;
   switch (data_.index()) {
     case kBoolIdx:
       std::get<kBoolIdx>(data_).reserve(capacity);
@@ -537,15 +396,11 @@ Status Column::AppendColumn(const Column& other) {
   if (other.size() == 0) return Status::OK();
   // An empty plain column adopts the first appended column's encoding:
   // block scans splice chunks with Make(type) + AppendColumn, and this is
-  // what keeps encoded chunks encoded end-to-end. RLE state is deep-copied
-  // because later appends extend run_values_ in place — the source (often
-  // a cached buffer-pool chunk) must not grow with us.
+  // what keeps encoded chunks encoded end-to-end. The dictionary is
+  // shared, never grown: later appends add codes only.
   if (size() == 0 && encoding_ == ColumnEncoding::kPlain &&
       validity_.empty() && other.is_encoded()) {
     *this = other;
-    if (encoding_ == ColumnEncoding::kRle) {
-      run_values_ = std::make_shared<Column>(*run_values_);
-    }
     return Status::OK();
   }
   if (encoding_ == ColumnEncoding::kDict &&
@@ -565,30 +420,8 @@ Status Column::AppendColumn(const Column& other) {
     }
     return Status::OK();
   }
-  if (encoding_ == ColumnEncoding::kRle &&
-      other.encoding_ == ColumnEncoding::kRle && &other != this) {
-    size_t old_size = size();
-    MLCS_RETURN_IF_ERROR(run_values_->AppendColumn(*other.run_values_));
-    run_lengths_.insert(run_lengths_.end(), other.run_lengths_.begin(),
-                        other.run_lengths_.end());
-    uint64_t base = run_starts_.back();
-    for (size_t r = 1; r < other.run_starts_.size(); ++r) {
-      run_starts_.push_back(base + other.run_starts_[r]);
-    }
-    if (other.has_nulls() || !validity_.empty()) {
-      if (validity_.empty()) validity_.assign(old_size, 1);
-      if (other.validity_.empty()) {
-        validity_.insert(validity_.end(), other.size(), 1);
-      } else {
-        validity_.insert(validity_.end(), other.validity_.begin(),
-                         other.validity_.end());
-      }
-      null_count_ += other.null_count_;
-    }
-    return Status::OK();
-  }
   if (is_encoded() || other.is_encoded()) {
-    // Incompatible mix (different dictionaries, dict+RLE, …): fall back.
+    // Incompatible mix (different dictionaries, dict+plain): fall back.
     EnsurePlain();
     if (other.is_encoded()) {
       ColumnPtr plain = other.Decode();
@@ -650,9 +483,6 @@ Result<Value> Column::GetValue(size_t row) const {
   if (IsNull(row)) return Value::MakeNull(type_);
   if (encoding_ == ColumnEncoding::kDict) {
     return dict_->GetValue(codes_[row]);
-  }
-  if (encoding_ == ColumnEncoding::kRle) {
-    return run_values_->GetValue(RunIndexOf(row));
   }
   switch (type_) {
     case TypeId::kBool:
@@ -720,30 +550,6 @@ ColumnPtr Column::Take(const uint32_t* indices, size_t count) const {
         if (valid == 0) ++out->null_count_;
       }
       if (out->null_count_ == 0) out->validity_.clear();
-    }
-    return out;
-  }
-  if (encoding_ == ColumnEncoding::kRle) {
-    // A gather breaks runs; emit plain by gathering run values. Selection
-    // vectors arrive ascending, so a monotonic run cursor resolves them in
-    // O(count + runs); a backwards jump falls back to the binary search
-    // and re-anchors the cursor there.
-    std::vector<uint32_t> run_idx(count);
-    size_t run = 0;
-    for (size_t i = 0; i < count; ++i) {
-      size_t row = indices[i];
-      if (row < run_starts_[run]) {
-        run = RunIndexOf(row);
-      } else {
-        while (run_starts_[run + 1] <= row) ++run;
-      }
-      run_idx[i] = static_cast<uint32_t>(run);
-    }
-    ColumnPtr out = run_values_->Take(run_idx);
-    if (has_nulls()) {
-      for (size_t i = 0; i < count; ++i) {
-        if (validity_[indices[i]] == 0) out->SetNull(i);
-      }
     }
     return out;
   }
@@ -822,37 +628,6 @@ ColumnPtr Column::Slice(size_t offset, size_t length) const {
     }
     return out;
   }
-  if (encoding_ == ColumnEncoding::kRle) {
-    if (length == 0) return Make(type_);
-    size_t first = RunIndexOf(offset);
-    size_t last = RunIndexOf(offset + length - 1);
-    ColumnPtr out = Make(type_);
-    out->encoding_ = ColumnEncoding::kRle;
-    out->run_values_ = run_values_->Slice(first, last - first + 1);
-    out->run_lengths_.assign(run_lengths_.begin() + first,
-                             run_lengths_.begin() + last + 1);
-    // Trim the boundary runs to the slice window.
-    out->run_lengths_.front() = static_cast<uint32_t>(
-        std::min<uint64_t>(run_starts_[first + 1], offset + length) - offset);
-    if (last > first) {
-      out->run_lengths_.back() =
-          static_cast<uint32_t>(offset + length - run_starts_[last]);
-    }
-    out->run_starts_.reserve(out->run_lengths_.size() + 1);
-    out->run_starts_.push_back(0);
-    for (uint32_t len : out->run_lengths_) {
-      out->run_starts_.push_back(out->run_starts_.back() + len);
-    }
-    if (has_nulls()) {
-      out->validity_.assign(validity_.begin() + offset,
-                            validity_.begin() + offset + length);
-      for (uint8_t v : out->validity_) {
-        if (v == 0) ++out->null_count_;
-      }
-      if (out->null_count_ == 0) out->validity_.clear();
-    }
-    return out;
-  }
   ColumnPtr out = Make(type_);
   switch (data_.index()) {
     case kBoolIdx: {
@@ -911,13 +686,6 @@ Result<std::vector<double>> Column::ToDoubleVector() const {
       const uint32_t* codes = codes_.data();
       for (size_t i = 0; i < n; ++i) out[i] = dict_vals[codes[i]];
     }
-  } else if (encoding_ == ColumnEncoding::kRle) {
-    MLCS_ASSIGN_OR_RETURN(std::vector<double> run_vals,
-                          run_values_->ToDoubleVector());
-    for (size_t r = 0; r < run_vals.size(); ++r) {
-      std::fill(out.begin() + run_starts_[r], out.begin() + run_starts_[r + 1],
-                run_vals[r]);
-    }
   } else {
     switch (type_) {
       case TypeId::kBool: {
@@ -954,10 +722,6 @@ size_t Column::ByteSize() const {
   size_t bytes = validity_.size();
   if (encoding_ == ColumnEncoding::kDict) {
     return bytes + codes_.size() * CodeWidth() + dict_->ByteSize();
-  }
-  if (encoding_ == ColumnEncoding::kRle) {
-    return bytes + run_lengths_.size() * sizeof(uint32_t) +
-           run_values_->ByteSize();
   }
   switch (type_) {
     case TypeId::kBool:
@@ -1031,16 +795,6 @@ void Column::Serialize(ByteWriter* writer) const {
     }
     return;
   }
-  if (encoding_ == ColumnEncoding::kRle) {
-    writer->WriteU8(kRleTagBase | static_cast<uint8_t>(type_));
-    writer->WriteVarint(n);
-    writer->WriteBool(has_nulls());
-    if (has_nulls()) writer->WriteRaw(validity_.data(), n);
-    writer->WriteVarint(run_lengths_.size());
-    for (uint32_t len : run_lengths_) writer->WriteVarint(len);
-    run_values_->Serialize(writer);
-    return;
-  }
   writer->WriteU8(static_cast<uint8_t>(type_));
   writer->WriteVarint(n);
   writer->WriteBool(has_nulls());
@@ -1070,9 +824,9 @@ void Column::Serialize(ByteWriter* writer) const {
 Result<ColumnPtr> Column::Deserialize(ByteReader* reader) {
   MLCS_ASSIGN_OR_RETURN(uint8_t type_byte, reader->ReadU8());
   if ((type_byte & kDictTagBase) != 0) {
-    // Encoded form: 0x80|type = dictionary, 0xA0|type = RLE.
-    bool is_rle = (type_byte & (kRleTagBase & ~kDictTagBase)) != 0;
-    uint8_t base_byte = type_byte & 0x1F;
+    // Dictionary form: 0x80|type. Every other high-bit tag (the retired
+    // run-length 0xA0|type among them) leaves a base above kBlob.
+    uint8_t base_byte = type_byte & ~kDictTagBase;
     if (base_byte > static_cast<uint8_t>(TypeId::kBlob)) {
       return Status::ParseError("invalid type tag in serialized column");
     }
@@ -1083,31 +837,6 @@ Result<ColumnPtr> Column::Deserialize(ByteReader* reader) {
     if (has_nulls) {
       validity.resize(n);
       MLCS_RETURN_IF_ERROR(reader->ReadRaw(validity.data(), n));
-    }
-    if (is_rle) {
-      MLCS_ASSIGN_OR_RETURN(uint64_t num_runs, reader->ReadVarint());
-      if (num_runs > n) {
-        return Status::ParseError("RLE column has more runs than rows");
-      }
-      std::vector<uint32_t> lengths;
-      lengths.reserve(num_runs);
-      for (uint64_t r = 0; r < num_runs; ++r) {
-        MLCS_ASSIGN_OR_RETURN(uint64_t len, reader->ReadVarint());
-        if (len == 0 || len > n) {
-          return Status::ParseError("invalid RLE run length");
-        }
-        lengths.push_back(static_cast<uint32_t>(len));
-      }
-      MLCS_ASSIGN_OR_RETURN(ColumnPtr run_values,
-                            Column::Deserialize(reader));
-      MLCS_ASSIGN_OR_RETURN(
-          ColumnPtr col,
-          MakeRle(type, std::move(run_values), std::move(lengths),
-                  std::move(validity)));
-      if (col->size() != n) {
-        return Status::ParseError("RLE run lengths disagree with row count");
-      }
-      return col;
     }
     MLCS_ASSIGN_OR_RETURN(ColumnPtr dict, Column::Deserialize(reader));
     size_t dict_size = dict->size();

@@ -23,7 +23,6 @@ using ColumnPtr = std::shared_ptr<Column>;
 enum class ColumnEncoding : uint8_t {
   kPlain = 0,  ///< typed vector, one slot per row
   kDict = 1,   ///< dense uint32 codes into a sorted unique-value dictionary
-  kRle = 2,    ///< run-length: per-run values + run lengths
 };
 
 /// A single column: contiguous typed vector plus an optional validity
@@ -38,15 +37,11 @@ enum class ColumnEncoding : uint8_t {
 ///   DOUBLE          -> std::vector<double>
 ///   VARCHAR / BLOB  -> std::vector<std::string>
 ///
-/// Encoded layouts hold the payload compressed instead of in the typed
-/// vector (which stays empty):
+/// The encoded layout holds the payload compressed instead of in the
+/// typed vector (which stays empty):
 ///   kDict -> codes() (uint32 per row) + dict() (plain column of unique
 ///            non-null values; null rows carry code 0 and are never
 ///            dereferenced — IsNull() decides first)
-///   kRle  -> run_values() (plain column, one slot per run) +
-///            run_lengths() / run_starts() (starts has runs+1 entries,
-///            back() == row count). Runs are maximal spans of rows that
-///            are pairwise equal under null-equality.
 ///
 /// Contract: every logical operation (GetValue, Take, Slice, AppendColumn,
 /// Equals, CastTo, ToDoubleVector, Serialize) works on any encoding and
@@ -84,13 +79,6 @@ class Column {
                                           std::vector<uint32_t> codes,
                                           ColumnPtr dict,
                                           std::vector<uint8_t> validity = {});
-  /// Builds a run-length-encoded column: `run_values` must be a plain
-  /// column of `type` with one slot per run (null runs carry a default
-  /// slot; the per-row `validity` is authoritative). Zero-length runs are
-  /// rejected. An empty run list builds an empty column.
-  static Result<ColumnPtr> MakeRle(TypeId type, ColumnPtr run_values,
-                                   std::vector<uint32_t> run_lengths,
-                                   std::vector<uint8_t> validity = {});
 
   TypeId type() const { return type_; }
   size_t size() const;
@@ -102,12 +90,6 @@ class Column {
   const std::vector<uint32_t>& codes() const { return codes_; }
   const ColumnPtr& dict() const { return dict_; }
   bool dict_sorted() const { return dict_sorted_; }
-  const ColumnPtr& run_values() const { return run_values_; }
-  const std::vector<uint32_t>& run_lengths() const { return run_lengths_; }
-  /// runs+1 prefix-summed row offsets; run_starts()[r] is run r's first row.
-  const std::vector<uint64_t>& run_starts() const { return run_starts_; }
-  /// The run containing `row` (kRle only; row must be < size()).
-  [[nodiscard]] size_t RunIndexOf(size_t row) const;
 
   /// A plain deep copy with identical logical contents (the decode
   /// fallback; counts one mlcs.encode.decode_events). Returns a copy even
@@ -187,7 +169,7 @@ class Column {
   /// Appends all rows of `other` (must have the same type). Appending an
   /// encoded column to an empty plain column adopts its encoding; two
   /// dictionary columns over the same (or equal) dictionary concatenate
-  /// codes; two RLE columns concatenate runs; any other mix decodes.
+  /// codes; any other mix decodes.
   Status AppendColumn(const Column& other);
 
   /// -- Row access (boundaries, tests, protocols) --------------------------
@@ -197,14 +179,13 @@ class Column {
   /// Element-wise cast; NULLs are preserved.
   Result<ColumnPtr> CastTo(TypeId target) const;
   /// Gather: out[i] = this[indices[i]]. Dictionary columns gather codes and
-  /// share the dictionary; RLE gathers decode (a gather breaks runs).
+  /// share the dictionary.
   [[nodiscard]] ColumnPtr Take(const std::vector<uint32_t>& indices) const;
   /// Pointer-range gather over indices[0, count). Lets morsel-parallel
   /// operators gather disjoint pieces of one selection vector without
   /// copying it per morsel.
   [[nodiscard]] ColumnPtr Take(const uint32_t* indices, size_t count) const;
-  /// Contiguous sub-range copy. Dictionary slices share the dictionary;
-  /// RLE slices stay RLE with boundary runs trimmed.
+  /// Contiguous sub-range copy. Dictionary slices share the dictionary.
   [[nodiscard]] ColumnPtr Slice(size_t offset, size_t length) const;
   /// Numeric column as doubles (ML ingestion). NULLs become NaN.
   Result<std::vector<double>> ToDoubleVector() const;
@@ -213,8 +194,7 @@ class Column {
   /// scan bytes-touched accounting reads. Plain: fixed-width element bytes
   /// (or summed string lengths) plus the validity vector. Dictionary:
   /// codes at their packed width (1/2/4 bytes by dictionary size, the
-  /// width Serialize writes) plus the dictionary itself. RLE: run values
-  /// plus run lengths.
+  /// width Serialize writes) plus the dictionary itself.
   [[nodiscard]] size_t ByteSize() const;
 
   [[nodiscard]] bool Equals(const Column& other) const;
@@ -230,9 +210,10 @@ class Column {
   static constexpr size_t kStrIdx = 4;
 
   /// Serialized-form tag bits OR'ed onto the type byte (plain columns keep
-  /// the bare type byte, so pre-encoding payloads still load).
+  /// the bare type byte, so pre-encoding payloads still load). Any other
+  /// tag byte, such as the retired run-length tag 0xA0 + type, is a
+  /// ParseError.
   static constexpr uint8_t kDictTagBase = 0x80;
-  static constexpr uint8_t kRleTagBase = 0xA0;
 
   /// Bytes per serialized code, by dictionary size.
   size_t CodeWidth() const;
@@ -268,10 +249,6 @@ class Column {
   std::vector<uint32_t> codes_;
   ColumnPtr dict_;
   bool dict_sorted_ = false;
-  // kRle state (empty/null otherwise).
-  ColumnPtr run_values_;
-  std::vector<uint32_t> run_lengths_;
-  std::vector<uint64_t> run_starts_;
 };
 
 }  // namespace mlcs

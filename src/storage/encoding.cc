@@ -63,96 +63,50 @@ size_t ValueBytes(const T& /*value*/) {
 }
 size_t ValueBytes(const std::string& value) { return value.size(); }
 
-/// Profiles one typed payload and encodes it as whichever of plain,
-/// dictionary and RLE takes the fewest bytes (Column::ByteSize, without
-/// the validity bytes all three share). Returns nullptr when plain is
-/// smallest — the caller keeps the column. `make_col` turns a
-/// std::vector<T> back into a plain column of the right type.
+/// Profiles one typed payload and dictionary-encodes it when that takes
+/// fewer bytes than plain (Column::ByteSize, without the validity bytes
+/// both share; a tie stays plain). Returns nullptr when plain is kept —
+/// the caller keeps the column. `make_col` turns a std::vector<T> back
+/// into a plain column of the right type.
 template <typename T, typename MakeCol>
 ColumnPtr EncodeTypedImpl(const Column& column, const std::vector<T>& v,
-                          bool dict_eligible, const MakeCol& make_col) {
+                          const MakeCol& make_col) {
   size_t n = v.size();
   const uint8_t* valid = column.validity_data();
   auto row_null = [&](size_t i) { return valid != nullptr && valid[i] == 0; };
-  // Runs use null-equality: two rows are equal iff both null or both valid
-  // with equal payloads.
-  auto rows_equal = [&](size_t a, size_t b) {
-    bool a_null = row_null(a);
-    bool b_null = row_null(b);
-    if (a_null || b_null) return a_null && b_null;
-    return v[a] == v[b];
-  };
-  // One profiling pass: the bytes of each candidate. Runs keep one value
-  // slot each (a null run a default one); the distinct set is dropped once
-  // it is over the dictionary cap.
+  // One profiling pass: the plain bytes and the distinct values' bytes.
+  // Past the dictionary cap the column stays plain.
   size_t plain_bytes = 0;
-  size_t runs = 0;
-  size_t run_value_bytes = 0;
   size_t dict_value_bytes = 0;
-  bool too_many_distinct = !dict_eligible;
   std::unordered_set<T> seen;
   for (size_t i = 0; i < n; ++i) {
     plain_bytes += ValueBytes(v[i]);
-    if (i == 0 || !rows_equal(i - 1, i)) {
-      ++runs;
-      run_value_bytes += row_null(i) ? ValueBytes(T{}) : ValueBytes(v[i]);
-    }
-    if (!too_many_distinct && !row_null(i) && seen.insert(v[i]).second) {
+    if (!row_null(i) && seen.insert(v[i]).second) {
       dict_value_bytes += ValueBytes(v[i]);
-      if (seen.size() > kMaxDictSize) {
-        too_many_distinct = true;  // no dictionary; stop paying for the set
-        seen.clear();
-      }
+      if (seen.size() > kMaxDictSize) return nullptr;  // no dictionary
     }
   }
-  size_t rle_bytes = runs * sizeof(uint32_t) + run_value_bytes;
   // Column::CodeWidth: one code byte up to 256 entries, else two.
-  size_t dict_bytes = too_many_distinct
-                          ? SIZE_MAX
-                          : n * (seen.size() <= (1u << 8) ? 1 : 2) +
-                                dict_value_bytes;
-  if (dict_bytes < plain_bytes && dict_bytes <= rle_bytes) {
-    // Dictionary: sorted unique values, dense codes per row.
-    std::vector<T> uniq(seen.begin(), seen.end());
-    std::sort(uniq.begin(), uniq.end());
-    std::unordered_map<T, uint32_t> code_of;
-    code_of.reserve(uniq.size());
-    for (size_t i = 0; i < uniq.size(); ++i) {
-      code_of.emplace(uniq[i], static_cast<uint32_t>(i));
-    }
-    std::vector<uint32_t> codes(n, 0);
-    for (size_t i = 0; i < n; ++i) {
-      if (!row_null(i)) codes[i] = code_of.find(v[i])->second;
-    }
-    std::vector<uint8_t> validity;
-    if (valid != nullptr) validity.assign(valid, valid + n);
-    Result<ColumnPtr> dict = Column::MakeDictionary(
-        column.type(), std::move(codes), make_col(std::move(uniq)),
-        std::move(validity));
-    return dict.ok() ? dict.ValueOrDie() : nullptr;
+  size_t dict_bytes = n * (seen.size() <= (1u << 8) ? 1 : 2) + dict_value_bytes;
+  if (dict_bytes >= plain_bytes) return nullptr;
+  // Sorted unique values, dense codes per row.
+  std::vector<T> uniq(seen.begin(), seen.end());
+  std::sort(uniq.begin(), uniq.end());
+  std::unordered_map<T, uint32_t> code_of;
+  code_of.reserve(uniq.size());
+  for (size_t i = 0; i < uniq.size(); ++i) {
+    code_of.emplace(uniq[i], static_cast<uint32_t>(i));
   }
-  if (rle_bytes < plain_bytes) {
-    // RLE: one value slot per run (null runs keep a default slot; the
-    // per-row validity is authoritative).
-    std::vector<T> run_vals;
-    std::vector<uint32_t> run_lens;
-    run_vals.reserve(runs);
-    run_lens.reserve(runs);
-    size_t start = 0;
-    for (size_t i = 1; i <= n; ++i) {
-      if (i < n && rows_equal(i - 1, i)) continue;
-      run_vals.push_back(row_null(start) ? T{} : v[start]);
-      run_lens.push_back(static_cast<uint32_t>(i - start));
-      start = i;
-    }
-    std::vector<uint8_t> validity;
-    if (valid != nullptr) validity.assign(valid, valid + n);
-    Result<ColumnPtr> rle =
-        Column::MakeRle(column.type(), make_col(std::move(run_vals)),
-                        std::move(run_lens), std::move(validity));
-    return rle.ok() ? rle.ValueOrDie() : nullptr;
+  std::vector<uint32_t> codes(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (!row_null(i)) codes[i] = code_of.find(v[i])->second;
   }
-  return nullptr;
+  std::vector<uint8_t> validity;
+  if (valid != nullptr) validity.assign(valid, valid + n);
+  Result<ColumnPtr> dict =
+      Column::MakeDictionary(column.type(), std::move(codes),
+                             make_col(std::move(uniq)), std::move(validity));
+  return dict.ok() ? dict.ValueOrDie() : nullptr;
 }
 
 }  // namespace
@@ -162,33 +116,26 @@ ColumnPtr EncodeColumn(const ColumnPtr& column) {
   if (column->size() < kMinRows) return column;
   ColumnPtr encoded;
   switch (column->type()) {
-    case TypeId::kBool:
-      encoded = EncodeTypedImpl(
-          *column, column->bool_data(), /*dict_eligible=*/false,
-          [](std::vector<uint8_t> v) { return Column::FromBool(std::move(v)); });
-      break;
     case TypeId::kInt32:
-      encoded = EncodeTypedImpl(
-          *column, column->i32_data(), /*dict_eligible=*/true,
-          [](std::vector<int32_t> v) {
-            return Column::FromInt32(std::move(v));
-          });
+      encoded = EncodeTypedImpl(*column, column->i32_data(),
+                                [](std::vector<int32_t> v) {
+                                  return Column::FromInt32(std::move(v));
+                                });
       break;
     case TypeId::kInt64:
-      encoded = EncodeTypedImpl(
-          *column, column->i64_data(), /*dict_eligible=*/true,
-          [](std::vector<int64_t> v) {
-            return Column::FromInt64(std::move(v));
-          });
+      encoded = EncodeTypedImpl(*column, column->i64_data(),
+                                [](std::vector<int64_t> v) {
+                                  return Column::FromInt64(std::move(v));
+                                });
       break;
     case TypeId::kVarchar:
       encoded = EncodeTypedImpl(*column, column->str_data(),
-                                /*dict_eligible=*/true,
                                 [](std::vector<std::string> v) {
                                   return Column::FromStrings(std::move(v));
                                 });
       break;
-    case TypeId::kDouble:  // float runs are rare and NaN poisons equality
+    case TypeId::kBool:    // two values: a dictionary saves no bytes
+    case TypeId::kDouble:  // NaN poisons equality
     case TypeId::kBlob:    // serialized model payloads: never encoded
       return column;
   }

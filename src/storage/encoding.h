@@ -9,11 +9,11 @@
 
 namespace mlcs {
 
-/// Encodes one column as whichever of plain, dictionary and RLE takes the
-/// fewest bytes (DESIGN.md §13). Columns under 64 rows, DOUBLE and BLOB
-/// stay plain, BOOL is never dictionary-encoded, and more than 2^16
-/// distinct values rule a dictionary out. Returns the input pointer
-/// unchanged when plain is smallest (or the column is already encoded);
+/// Encodes one column as a dictionary when that takes fewer bytes than
+/// plain (DESIGN.md §13; a tie stays plain). Columns under 64 rows, BOOL,
+/// DOUBLE and BLOB stay plain, and more than 2^16 distinct values rule a
+/// dictionary out. Returns the input pointer
+/// unchanged when plain is kept (or the column is already encoded);
 /// otherwise a freshly built encoded column with identical logical
 /// contents. Never fails — an unencodable column is simply returned as-is.
 ColumnPtr EncodeColumn(const ColumnPtr& column);

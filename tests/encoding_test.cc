@@ -1,23 +1,23 @@
-/// Compressed execution (DESIGN.md §13): dictionary/RLE round-trips,
+/// Compressed execution (DESIGN.md §13): dictionary round-trips,
 /// auto-detect policy edges (all-NULL, single-value, >64k-distinct spill),
-/// encoded serialization + block-file persistence, decoded-value zone maps
-/// over unsorted dictionaries, operate-on-code kernel parity, and the
-/// streaming-scan pinned-bytes high-water contract.
+/// encoded serialization + block-file persistence, rejection of unknown
+/// column tags, decoded-value zone maps over unsorted dictionaries,
+/// operate-on-code kernel parity, and the streaming-scan pinned-bytes
+/// high-water contract.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "bufpool/block_format.h"
 #include "bufpool/buffer_pool.h"
 #include "bufpool/stored_table.h"
 #include "bufpool/zone_map.h"
 #include "common/byte_buffer.h"
 #include "common/file_util.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "exec/aggregate.h"
-#include "exec/filter.h"
 #include "exec/kernels.h"
 #include "obs/metrics.h"
 #include "sql/database.h"
@@ -47,15 +47,6 @@ ColumnPtr MakeCategorical(size_t rows) {
   return col;
 }
 
-/// Sorted, run-heavy int64 column (precinct-shaped: runs of 32).
-ColumnPtr MakeRunHeavy(size_t rows) {
-  auto col = Column::Make(TypeId::kInt64);
-  for (size_t i = 0; i < rows; ++i) {
-    col->AppendInt64(static_cast<int64_t>(i / 32));
-  }
-  return col;
-}
-
 TEST(EncodingTest, DictionaryRoundTrip) {
   ColumnPtr plain = MakeCategorical(512);
   ColumnPtr encoded = EncodeColumn(plain);
@@ -70,22 +61,12 @@ TEST(EncodingTest, DictionaryRoundTrip) {
   EXPECT_LT(encoded->ByteSize(), plain->ByteSize());
 }
 
-TEST(EncodingTest, RleRoundTrip) {
-  ColumnPtr plain = MakeRunHeavy(512);
-  ColumnPtr encoded = EncodeColumn(plain);
-  ASSERT_EQ(encoded->encoding(), ColumnEncoding::kRle);
-  EXPECT_EQ(encoded->run_lengths().size(), 512u / 32u);
-  EXPECT_TRUE(encoded->Equals(*plain));
-  EXPECT_TRUE(encoded->Decode()->Equals(*plain));
-  EXPECT_LT(encoded->ByteSize(), plain->ByteSize());
-}
-
 TEST(EncodingTest, PolicyLeavesSmallAndHighCardinalityAlone) {
   // Below min_rows: untouched even though perfectly encodable.
   auto tiny = Column::Make(TypeId::kInt32);
   for (int i = 0; i < 8; ++i) tiny->AppendInt32(1);
   EXPECT_EQ(EncodeColumn(tiny).get(), tiny.get());
-  // All-distinct: no dictionary, no runs.
+  // All-distinct: no dictionary.
   auto distinct = Column::Make(TypeId::kInt32);
   for (int i = 0; i < 512; ++i) distinct->AppendInt32(i);
   EXPECT_EQ(EncodeColumn(distinct).get(), distinct.get());
@@ -96,8 +77,7 @@ TEST(EncodingTest, PolicyLeavesSmallAndHighCardinalityAlone) {
 }
 
 TEST(EncodingTest, RandomTwoValuedColumnsPickTheSmallestEncoding) {
-  // About half the rows start a run, so RLE would take as many bytes as
-  // plain: an INT32 column codes in one byte a row, a BOOL column (no
+  // An INT32 column codes in one byte a row; a BOOL column (no
   // dictionary) stays plain.
   for (uint64_t seed : {1u, 2u, 42u}) {
     for (size_t rows : {64u, 1000u, 100000u}) {
@@ -118,15 +98,17 @@ TEST(EncodingTest, RandomTwoValuedColumnsPickTheSmallestEncoding) {
           << "seed " << seed << " rows " << rows;
     }
   }
-  // A precinct-sorted column (abl-compress: 2751 runs in 50000 rows)
-  // stays RLE: 8 bytes a run beat 1 byte a row.
+  // A precinct-sorted column (abl-compress: 2751 precincts in 50000 rows)
+  // codes in two bytes a row against a 2751-entry dictionary.
   std::vector<int32_t> sorted(50000);
   for (size_t i = 0; i < sorted.size(); ++i) {
     sorted[i] = static_cast<int32_t>(i * 2751 / sorted.size());
   }
-  ColumnPtr rle = EncodeColumn(Column::FromInt32(sorted));
-  ASSERT_EQ(rle->encoding(), ColumnEncoding::kRle);
-  EXPECT_EQ(rle->run_lengths().size(), 2751u);
+  ColumnPtr precinct = EncodeColumn(Column::FromInt32(sorted));
+  ASSERT_EQ(precinct->encoding(), ColumnEncoding::kDict);
+  EXPECT_EQ(precinct->dict()->size(), 2751u);
+  EXPECT_EQ(precinct->ByteSize(),
+            sorted.size() * sizeof(uint16_t) + 2751 * sizeof(int32_t));
 }
 
 TEST(EncodingTest, Over64kDistinctSpillsToPlain) {
@@ -159,26 +141,13 @@ TEST(EncodingTest, AllNullAndSingleValueColumns) {
   EXPECT_TRUE(enc_single->Decode()->Equals(*single));
 }
 
-TEST(EncodingTest, MakeRleRejectsBadRuns) {
-  // Zero-length run.
-  auto rv = Column::Make(TypeId::kInt32);
-  rv->AppendInt32(1);
-  rv->AppendInt32(2);
-  EXPECT_FALSE(Column::MakeRle(TypeId::kInt32, rv, {4, 0}).ok());
-  // Null run values: per-row validity is the only null authority.
-  auto with_null = Column::Make(TypeId::kInt32);
-  with_null->AppendInt32(1);
-  with_null->AppendNull();
-  EXPECT_FALSE(Column::MakeRle(TypeId::kInt32, with_null, {2, 2}).ok());
-}
-
 TEST(EncodingTest, SerializeRoundTripsBothEncodings) {
   std::vector<ColumnPtr> inputs = {
+      MakeCategorical(300),
       EncodeColumn(MakeCategorical(300)),
-      EncodeColumn(MakeRunHeavy(300)),
   };
-  ASSERT_EQ(inputs[0]->encoding(), ColumnEncoding::kDict);
-  ASSERT_EQ(inputs[1]->encoding(), ColumnEncoding::kRle);
+  ASSERT_EQ(inputs[0]->encoding(), ColumnEncoding::kPlain);
+  ASSERT_EQ(inputs[1]->encoding(), ColumnEncoding::kDict);
   for (const ColumnPtr& col : inputs) {
     ByteWriter writer;
     col->Serialize(&writer);
@@ -188,6 +157,50 @@ TEST(EncodingTest, SerializeRoundTripsBothEncodings) {
     EXPECT_EQ(back.ValueOrDie()->encoding(), col->encoding());
     EXPECT_TRUE(back.ValueOrDie()->Equals(*col));
   }
+}
+
+/// The serialized tag byte is a plain type (0–5) or 0x80 + type. Any other
+/// byte is a ParseError, the retired run-length tag 0xA0 + type included.
+TEST(EncodingTest, DeserializeRejectsUnknownTags) {
+  ByteWriter writer;
+  EncodeColumn(MakeCategorical(300))->Serialize(&writer);
+  std::vector<uint8_t> bytes = writer.data();
+  ASSERT_EQ(bytes[0], 0x80 | static_cast<uint8_t>(TypeId::kInt32));
+  for (uint8_t tag : {0xA1, 0xA0, 0xA5, 0x06, 0x7F, 0x86, 0xC1, 0xFF}) {
+    bytes[0] = tag;
+    ByteReader reader(bytes);
+    auto back = Column::Deserialize(&reader);
+    ASSERT_FALSE(back.ok()) << "tag " << int{tag};
+    EXPECT_EQ(back.status().code(), StatusCode::kParseError)
+        << "tag " << int{tag};
+  }
+}
+
+TEST(EncodingTest, BlockFileWithRetiredTagFailsTheScan) {
+  Database db;
+  ASSERT_TRUE(db.Run("CREATE TABLE t (x INTEGER);").ok());
+  auto t = db.catalog().GetTable("t").ValueOrDie();
+  for (int32_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(t->AppendRow({Value::Int32(i % 3)}).ok());
+  }
+  std::string dir = TempDirFor("enc_retired_tag");
+  MLCS_CHECK_OK(db.SaveTo(dir));
+  // Patch the first block's column tag from dictionary to run-length.
+  std::string block = dir + "/t/block_0000.blk";
+  bufpool::BlockMeta meta = bufpool::ReadBlockMeta(block).ValueOrDie();
+  std::vector<uint8_t> bytes = ReadFileBytes(block).ValueOrDie();
+  uint8_t& tag = bytes[meta.columns[0].payload_offset];
+  ASSERT_EQ(tag, 0x80 | static_cast<uint8_t>(TypeId::kInt32));
+  tag = 0xA0 | static_cast<uint8_t>(TypeId::kInt32);
+  MLCS_CHECK_OK(AtomicWriteFile(block, bytes.data(), bytes.size()));
+
+  // Attaching reads block headers only; the scan reads the payload.
+  Database loaded;
+  MLCS_CHECK_OK(loaded.LoadFrom(dir));
+  auto r = loaded.Query("SELECT x FROM t");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError)
+      << r.status().ToString();
 }
 
 TEST(EncodingTest, AppendColumnMergesCompatibleEncodings) {
@@ -203,88 +216,37 @@ TEST(EncodingTest, AppendColumnMergesCompatibleEncodings) {
   ColumnPtr twice = a->Decode();
   MLCS_CHECK_OK(twice->AppendColumn(*a->Decode()));
   EXPECT_TRUE(acc->Equals(*twice));
-
-  ColumnPtr r = EncodeColumn(MakeRunHeavy(256));
-  auto racc = Column::Make(TypeId::kInt64);
-  MLCS_CHECK_OK(racc->AppendColumn(*r));
-  MLCS_CHECK_OK(racc->AppendColumn(*r));
-  EXPECT_EQ(racc->encoding(), ColumnEncoding::kRle);
-  EXPECT_EQ(racc->size(), 512u);
-  // The adopt deep-copies RLE state: growing the accumulator must not have
-  // grown the source.
-  EXPECT_EQ(r->run_lengths().size(), 8u);
+  // Growing the accumulator must not have grown the source.
+  EXPECT_EQ(a->size(), 256u);
 }
 
 TEST(EncodingTest, TakeAndSlicePreserveLogicalContents) {
   ColumnPtr dict = EncodeColumn(MakeCategorical(256));
-  ColumnPtr rle = EncodeColumn(MakeRunHeavy(256));
+  ASSERT_EQ(dict->encoding(), ColumnEncoding::kDict);
   std::vector<uint32_t> idx = {0, 255, 17, 17, 100};
-  for (const ColumnPtr& col : {dict, rle}) {
-    ColumnPtr taken = col->Take(idx);
-    ColumnPtr expect = col->Decode()->Take(idx);
-    EXPECT_TRUE(taken->Equals(*expect));
-    ColumnPtr sliced = col->Slice(30, 70);
-    EXPECT_TRUE(sliced->Equals(*col->Decode()->Slice(30, 70)));
-  }
+  ColumnPtr taken = dict->Take(idx);
+  EXPECT_EQ(taken->encoding(), ColumnEncoding::kDict);
+  EXPECT_TRUE(taken->Equals(*dict->Decode()->Take(idx)));
+  ColumnPtr sliced = dict->Slice(30, 70);
+  EXPECT_EQ(sliced->encoding(), ColumnEncoding::kDict);
+  EXPECT_TRUE(sliced->Equals(*dict->Decode()->Slice(30, 70)));
 }
 
 /// -- Operate-on-code kernel parity ----------------------------------------
 
 TEST(EncodingTest, KernelsMatchPlainOnEncodedInputs) {
   ColumnPtr dict = EncodeColumn(MakeCategorical(400));
-  ColumnPtr rle = EncodeColumn(MakeRunHeavy(400));
-  ASSERT_TRUE(dict->is_encoded());
-  ASSERT_TRUE(rle->is_encoded());
-  for (const ColumnPtr& col : {dict, rle}) {
-    ColumnPtr plain = col->Decode();
-    ColumnPtr lit = Column::Constant(Value::Int64(3), 1);
-    for (exec::BinOpKind op :
-         {exec::BinOpKind::kEq, exec::BinOpKind::kNe, exec::BinOpKind::kLt,
-          exec::BinOpKind::kAdd, exec::BinOpKind::kMul}) {
-      auto enc = exec::BinaryKernel(op, *col, *lit);
-      auto ref = exec::BinaryKernel(op, *plain, *lit);
-      ASSERT_TRUE(enc.ok() && ref.ok());
-      EXPECT_TRUE(enc.ValueOrDie()->Equals(*ref.ValueOrDie()));
-    }
-    // Hashes drive group-by/join bucketing: non-null rows must hash the
-    // same whichever representation they arrive in.
-    std::vector<uint64_t> h_enc(col->size(), exec::kHashSeed);
-    std::vector<uint64_t> h_ref(col->size(), exec::kHashSeed);
-    exec::HashCombineColumn(*col, &h_enc);
-    exec::HashCombineColumn(*plain, &h_ref);
-    for (size_t i = 0; i < col->size(); ++i) {
-      if (!plain->IsNull(i)) {
-        EXPECT_EQ(h_enc[i], h_ref[i]) << i;
-      }
-    }
+  ASSERT_EQ(dict->encoding(), ColumnEncoding::kDict);
+  ColumnPtr plain = dict->Decode();
+  ColumnPtr lit = Column::Constant(Value::Int64(3), 1);
+  for (exec::BinOpKind op :
+       {exec::BinOpKind::kEq, exec::BinOpKind::kNe, exec::BinOpKind::kLt,
+        exec::BinOpKind::kAdd, exec::BinOpKind::kMul}) {
+    auto enc = exec::BinaryKernel(op, *dict, *lit);
+    auto ref = exec::BinaryKernel(op, *plain, *lit);
+    ASSERT_TRUE(enc.ok() && ref.ok());
+    EXPECT_TRUE(enc.ValueOrDie()->Equals(*ref.ValueOrDie()));
   }
-}
-
-TEST(EncodingTest, RleBoolPredicateSelectsLikePlain) {
-  // A sorted BOOL column (150 false, then 250 true) with a null every 50th
-  // row: the policy stores it as runs.
-  auto plain = Column::Make(TypeId::kBool);
-  for (size_t i = 0; i < 400; ++i) {
-    if (i % 50 == 7) {
-      plain->AppendNull();
-    } else {
-      plain->AppendBool(i >= 150);
-    }
-  }
-  ColumnPtr rle = EncodeColumn(plain);
-  ASSERT_EQ(rle->encoding(), ColumnEncoding::kRle);
-  ThreadPool pool(3);
-  MorselPolicy pooled;
-  pooled.pool = &pool;
-  pooled.morsel_rows = 64;
-  for (const MorselPolicy& policy : {MorselPolicy{}, pooled}) {
-    auto want = exec::SelectionIndices(*plain, 400, policy);
-    auto got = exec::SelectionIndices(*rle, 400, policy);
-    ASSERT_TRUE(want.ok() && got.ok());
-    EXPECT_EQ(want.ValueOrDie().size(), 245u);  // 250 trues, 5 of them null
-    EXPECT_EQ(got.ValueOrDie(), want.ValueOrDie());
-  }
-  EXPECT_FALSE(exec::SelectionIndices(*rle, 399).ok());
 }
 
 /// -- Operate-on-code sites -------------------------------------------------
@@ -293,24 +255,18 @@ TEST(EncodingTest, RleBoolPredicateSelectsLikePlain) {
 /// shape, checks the result against the plain input's, and requires the
 /// counter to rise: the test fails if the site stops firing.
 
-/// 640 rows of a dictionary-shaped key `k` (INTEGER), a key `p` (INTEGER,
-/// 40 distinct) that is always left plain, and a run-shaped value `r`
-/// (BIGINT). `encoded` encodes `k` and `r`.
+/// 640 rows of a dictionary-shaped key `k` (INTEGER) and a column `p`
+/// (INTEGER, 40 distinct) that is always left plain. `encoded` encodes `k`.
 TablePtr GroupTable(bool encoded) {
   Schema schema;
   schema.AddField("k", TypeId::kInt32);
   schema.AddField("p", TypeId::kInt32);
-  schema.AddField("r", TypeId::kInt64);
   std::vector<ColumnPtr> cols = {MakeCategorical(640),
-                                 Column::Make(TypeId::kInt32),
-                                 MakeRunHeavy(640)};
+                                 Column::Make(TypeId::kInt32)};
   for (size_t i = 0; i < 640; ++i) {
     cols[1]->AppendInt32(static_cast<int32_t>((i * 11) % 40));
   }
-  if (encoded) {
-    cols[0] = EncodeColumn(cols[0]);
-    cols[2] = EncodeColumn(cols[2]);
-  }
+  if (encoded) cols[0] = EncodeColumn(cols[0]);
   return std::make_shared<Table>(std::move(schema), std::move(cols));
 }
 
@@ -324,21 +280,6 @@ TEST(EncodingTest, DictionaryKeyGroupsThroughCodeTable) {
   EXPECT_GT(EncodeCodePathHits(), before);
   auto want = exec::HashGroupBy(*GroupTable(false), {"k"}, aggs);
   ASSERT_TRUE(got.ok() && want.ok());
-  EXPECT_TRUE(got.ValueOrDie()->Equals(*want.ValueOrDie()));
-}
-
-TEST(EncodingTest, GroupedSumFoldsRleRuns) {
-  TablePtr encoded = GroupTable(true);
-  ASSERT_EQ(encoded->column(2)->encoding(), ColumnEncoding::kRle);
-  ASSERT_FALSE(encoded->column(1)->is_encoded());
-  std::vector<exec::AggSpec> aggs = {{exec::AggOp::kSum, "r", "sr"},
-                                     {exec::AggOp::kCount, "r", "cr"}};
-  uint64_t before = EncodeCodePathHits();
-  auto got = exec::HashGroupBy(*encoded, {"p"}, aggs);
-  EXPECT_GT(EncodeCodePathHits(), before);
-  auto want = exec::HashGroupBy(*GroupTable(false), {"p"}, aggs);
-  ASSERT_TRUE(got.ok() && want.ok());
-  EXPECT_EQ(got.ValueOrDie()->num_rows(), 40u);
   EXPECT_TRUE(got.ValueOrDie()->Equals(*want.ValueOrDie()));
 }
 

@@ -304,9 +304,9 @@ struct EncodingToggleGuard {
 };
 
 /// Random query over the saved tables. Beyond the optimizer-parity shapes,
-/// leans on `r` (run-heavy: RLE on disk), `q` (runs with whole null runs:
-/// RLE with validity), `c.r` (RLE on the join's build side) and `s`
-/// (low-cardinality strings: dictionary on disk).
+/// leans on `r` (sorted: a dictionary on disk), `q` (sorted with whole
+/// null stretches: a dictionary with validity), `c.r` (a dictionary on the
+/// join's build side) and `s` (low-cardinality strings).
 std::string EncodingParityQuery(Rng& rng) {
   switch (rng.NextBounded(10)) {
     case 0:
@@ -317,21 +317,21 @@ std::string EncodingParityQuery(Rng& rng) {
     case 2:
       return "SELECT k, COUNT(*) AS c, SUM(v) AS sv FROM a WHERE " +
              ParityPredicate(rng, false) + " GROUP BY k ORDER BY k";
-    case 3:  // per-run aggregation over the RLE column
+    case 3:  // aggregation grouped on the sorted dictionary column
       return "SELECT r, COUNT(*) AS c, SUM(w) AS sw FROM a "
              "GROUP BY r ORDER BY r";
-    case 4:  // equality filter straight on the RLE column
+    case 4:  // equality filter straight on the dictionary column
       return "SELECT k, s FROM a WHERE r = " +
              std::to_string(rng.NextInt(0, 14));
     case 5:  // dictionary strings as group keys
       return "SELECT s, COUNT(*) AS c FROM a GROUP BY s ORDER BY s";
-    case 6:  // two RLE group keys, one with null runs
+    case 6:  // two dictionary group keys, one with nulls
       return "SELECT r, q, COUNT(*) AS c, SUM(v) AS sv FROM a WHERE " +
              ParityPredicate(rng, false) + " GROUP BY r, q ORDER BY r, q";
-    case 7:  // RLE keys on both sides of the join
+    case 7:  // dictionary keys on both sides of the join
       return "SELECT k, r, t FROM a JOIN c ON r = r WHERE " +
              ParityPredicate(rng, false);
-    case 8:  // nullable RLE probe key; null keys never match
+    case 8:  // nullable dictionary probe key; null keys never match
       return "SELECT k, q, t FROM a LEFT JOIN c ON q = r";
     default:
       return "SELECT COUNT(*) FROM a WHERE " + ParityPredicate(rng, false);
@@ -345,7 +345,7 @@ TEST(SqlPropertyTest, EncodingParityOnRandomQueries) {
   for (ThreadPool* pool : {&one_thread, &many_threads}) {
     // Build the source data in a scratch database and save it: SaveTo
     // applies the encoding policy, so the reloaded tables serve encoded
-    // blocks (k/v/s dictionary-shaped, r run-shaped).
+    // blocks (k/v/s/r/q dictionary-shaped).
     std::string dir = testing::TempDir() + "/enc_parity_" +
                       std::to_string(pool->num_threads());
     {
@@ -407,20 +407,21 @@ TEST(SqlPropertyTest, EncodingParityOnRandomQueries) {
     ASSERT_TRUE(db.LoadFrom(dir).ok());
 
     // The sweep is only meaningful if the stored tables really serve
-    // encoded columns: the run-shaped keys must have come back RLE.
+    // encoded columns: the sorted keys must have come back as dictionaries.
     {
       auto probe = db.catalog().ScanTable(
           "a", std::vector<std::string>{"r", "q", "s"});
       ASSERT_TRUE(probe.ok());
       EXPECT_EQ(probe.ValueOrDie()->column(0)->encoding(),
-                ColumnEncoding::kRle);
+                ColumnEncoding::kDict);
       EXPECT_EQ(probe.ValueOrDie()->column(1)->encoding(),
-                ColumnEncoding::kRle);
-      EXPECT_TRUE(probe.ValueOrDie()->column(2)->is_encoded());
+                ColumnEncoding::kDict);
+      EXPECT_EQ(probe.ValueOrDie()->column(2)->encoding(),
+                ColumnEncoding::kDict);
       auto build = db.catalog().ScanTable("c", std::vector<std::string>{"r"});
       ASSERT_TRUE(build.ok());
       EXPECT_EQ(build.ValueOrDie()->column(0)->encoding(),
-                ColumnEncoding::kRle);
+                ColumnEncoding::kDict);
     }
 
     Rng rng(pool->num_threads() == 1 ? 2042 : 2043);
@@ -447,7 +448,7 @@ TEST(SqlPropertyTest, EncodingParityOnRandomQueries) {
 /// TrainingSource::FromColumns (plain null-free INTEGER/DOUBLE columns read
 /// in place, anything else converted once); the external channels build a
 /// Matrix with Matrix::FromColumns. Both must yield byte-identical models
-/// and predictions for every model type — over plain vs dict/RLE-encoded
+/// and predictions for every model type — over plain vs dictionary-encoded
 /// columns, NULL feature values, and serial vs pooled forest fits. This is the contract
 /// ml/training_source.h promises.
 TEST(SqlPropertyTest, ColumnIngestionParitySweep) {
@@ -459,8 +460,8 @@ TEST(SqlPropertyTest, ColumnIngestionParitySweep) {
       Rng rng(9100 + (encoded ? 2 : 0) + (nulls ? 1 : 0));
 
       // A wide INTEGER feature and a DOUBLE one (NULL entries on the nulls
-      // axis), a low-cardinality INTEGER (dictionary-shaped), sorted runs
-      // (RLE-shaped), and a BIGINT that is always converted.
+      // axis), a low-cardinality INTEGER (dictionary-shaped), a sorted
+      // INTEGER, and a BIGINT that is always converted.
       Schema schema;
       schema.AddField("wide", TypeId::kInt32);
       schema.AddField("low", TypeId::kInt32);
@@ -496,14 +497,14 @@ TEST(SqlPropertyTest, ColumnIngestionParitySweep) {
         cols.push_back(table->column(c));
       }
       if (encoded) {
-        size_t dict = 0, rle = 0;
+        size_t plain = 0, dict = 0;
         for (auto& col : cols) {
           col = EncodeColumn(col);
+          plain += col->encoding() == ColumnEncoding::kPlain ? 1 : 0;
           dict += col->encoding() == ColumnEncoding::kDict ? 1 : 0;
-          rle += col->encoding() == ColumnEncoding::kRle ? 1 : 0;
         }
+        EXPECT_GT(plain, 0u);
         EXPECT_GT(dict, 0u);
-        EXPECT_GT(rle, 0u);
       }
       auto xm_or = ml::Matrix::FromColumns(cols);
       ASSERT_TRUE(xm_or.ok()) << xm_or.status().ToString();
