@@ -831,14 +831,18 @@ Result<ColumnPtr> Column::Deserialize(ByteReader* reader) {
       return Status::ParseError("invalid type tag in serialized column");
     }
     TypeId type = static_cast<TypeId>(base_byte);
-    MLCS_ASSIGN_OR_RETURN(uint64_t n, reader->ReadVarint());
+    // Every row takes at least one code byte.
+    MLCS_ASSIGN_OR_RETURN(uint64_t n, reader->ReadCount(1, "column row"));
     MLCS_ASSIGN_OR_RETURN(bool has_nulls, reader->ReadBool());
     std::vector<uint8_t> validity;
     if (has_nulls) {
       validity.resize(n);
       MLCS_RETURN_IF_ERROR(reader->ReadRaw(validity.data(), n));
     }
-    MLCS_ASSIGN_OR_RETURN(ColumnPtr dict, Column::Deserialize(reader));
+    // The dictionary is plain; reading it as plain also stops a chain of
+    // dictionary tags from recursing once per three input bytes.
+    MLCS_ASSIGN_OR_RETURN(uint8_t dict_tag, reader->ReadU8());
+    MLCS_ASSIGN_OR_RETURN(ColumnPtr dict, DeserializePlain(dict_tag, reader));
     size_t dict_size = dict->size();
     size_t width = dict_size <= (1u << 8) ? 1 : dict_size <= (1u << 16) ? 2 : 4;
     std::vector<uint32_t> codes(n);
@@ -864,11 +868,17 @@ Result<ColumnPtr> Column::Deserialize(ByteReader* reader) {
     return MakeDictionary(type, std::move(codes), std::move(dict),
                           std::move(validity));
   }
+  return DeserializePlain(type_byte, reader);
+}
+
+Result<ColumnPtr> Column::DeserializePlain(uint8_t type_byte,
+                                           ByteReader* reader) {
   if (type_byte > static_cast<uint8_t>(TypeId::kBlob)) {
     return Status::ParseError("invalid type tag in serialized column");
   }
   TypeId type = static_cast<TypeId>(type_byte);
-  MLCS_ASSIGN_OR_RETURN(uint64_t n, reader->ReadVarint());
+  // Every row takes at least one byte (a BOOL, or a string's length).
+  MLCS_ASSIGN_OR_RETURN(uint64_t n, reader->ReadCount(1, "column row"));
   MLCS_ASSIGN_OR_RETURN(bool has_nulls, reader->ReadBool());
   ColumnPtr col = Make(type);
   if (has_nulls) {

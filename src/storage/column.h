@@ -215,6 +215,10 @@ class Column {
   /// ParseError.
   static constexpr uint8_t kDictTagBase = 0x80;
 
+  /// Deserialize's plain form, after its tag byte has been read.
+  static Result<ColumnPtr> DeserializePlain(uint8_t type_byte,
+                                            ByteReader* reader);
+
   /// Bytes per serialized code, by dictionary size.
   size_t CodeWidth() const;
 

@@ -176,6 +176,30 @@ TEST(EncodingTest, DeserializeRejectsUnknownTags) {
   }
 }
 
+/// A row count beyond the input, or a dictionary whose own dictionary is
+/// encoded, is a ParseError before anything is allocated or recursed.
+TEST(EncodingTest, DeserializeBoundsRowCountsAndNesting) {
+  for (uint8_t tag : {0x01, 0x81}) {
+    ByteWriter writer;
+    writer.WriteU8(tag);
+    writer.WriteVarint(uint64_t{1} << 40);
+    writer.WriteBool(true);
+    ByteReader reader(writer.data());
+    auto back = Column::Deserialize(&reader);
+    ASSERT_FALSE(back.ok()) << "tag " << int{tag};
+    EXPECT_EQ(back.status().code(), StatusCode::kParseError);
+  }
+  // A million nested dictionary tags, three bytes a level.
+  std::vector<uint8_t> chain;
+  for (int level = 0; level < (1 << 20); ++level) {
+    chain.insert(chain.end(), {0x81, 0x00, 0x00});
+  }
+  ByteReader reader(chain);
+  auto back = Column::Deserialize(&reader);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kParseError);
+}
+
 TEST(EncodingTest, BlockFileWithRetiredTagFailsTheScan) {
   Database db;
   ASSERT_TRUE(db.Run("CREATE TABLE t (x INTEGER);").ok());
