@@ -100,12 +100,12 @@ ml::RandomForestOptions Figure1ForestOptions() {
 struct ForestFixture {
   ml::RandomForest forest{Figure1ForestOptions()};
   /// The training input: 95 INTEGER feature columns read in place.
-  ml::TrainingSource source;
+  ml::Matrix x;
   ml::Labels y;
-  /// The input as kBlockRows-row sources, each holding its own INTEGER
+  /// The input as kBlockRows-row matrices, each holding its own INTEGER
   /// columns, so each block's PredictDistribution runs on the thread that
   /// takes it.
-  std::vector<ml::TrainingSource> blocks;
+  std::vector<ml::Matrix> blocks;
   size_t rows = 0;
 };
 
@@ -130,10 +130,10 @@ ForestFixture& Forest() {
           data.seed, static_cast<size_t>(precinct[r]), data.num_precincts);
       f->y[r] = rng.NextDouble() < share ? 1 : 0;
     }
-    auto source = ml::TrainingSource::FromColumns(features);
-    if (!source.ok()) std::abort();
-    f->source = std::move(source).ValueOrDie();
-    if (!f->forest.FitSource(f->source, f->y).ok()) std::abort();
+    auto x = ml::Matrix::FromColumns(features);
+    if (!x.ok()) std::abort();
+    f->x = std::move(x).ValueOrDie();
+    if (!f->forest.Fit(f->x, f->y).ok()) std::abort();
     for (size_t begin = 0; begin < f->rows; begin += kBlockRows) {
       size_t end = std::min(f->rows, begin + kBlockRows);
       std::vector<ColumnPtr> cols;
@@ -142,7 +142,7 @@ ForestFixture& Forest() {
         cols.push_back(Column::FromInt32(
             std::vector<int32_t>(v.begin() + begin, v.begin() + end)));
       }
-      f->blocks.push_back(ml::TrainingSource::FromColumns(cols).ValueOrDie());
+      f->blocks.push_back(ml::Matrix::FromColumns(cols).ValueOrDie());
     }
     return f;
   }();
@@ -182,7 +182,7 @@ void BM_ForestFit(benchmark::State& state) {
   ForestFixture& f = Forest();
   for (auto _ : state) {
     ml::RandomForest forest(Figure1ForestOptions());
-    if (!forest.FitSource(f.source, f.y).ok()) {
+    if (!forest.Fit(f.x, f.y).ok()) {
       state.SkipWithError("fit failed");
       break;
     }

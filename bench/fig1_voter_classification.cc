@@ -15,10 +15,16 @@
 ///                        rep, the BENCH json every rep with its
 ///                        quartiles (default 3)
 ///
+/// Under each row, every rep's wall total is printed beside the process
+/// CPU seconds it used (getrusage(RUSAGE_SELF), all threads); the json
+/// records those as `stages.cpu_seconds`. A rep whose wall time grows
+/// while its CPU time does not waited for the host's vCPUs.
+///
 /// Expected shape (paper §4): the in-database channel is fastest with an
 /// order-of-magnitude lower wrangling share; binary files (npy, h5b) load
 /// fast but stay slower overall; CSV is comparable to socket transfer;
 /// the socket channels are the slowest.
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -62,6 +68,8 @@ double Quantile(std::vector<double> v, double q) {
 /// table prints.
 struct Channel {
   std::vector<mlcs::pipeline::PipelineResult> reps;
+  /// Process CPU seconds (user + system) of each rep.
+  std::vector<double> cpu_seconds;
   size_t median = 0;
 
   std::vector<double> Totals() const {
@@ -81,7 +89,24 @@ void PrintRow(const Channel& channel) {
               r.predict_seconds, r.total_seconds, Quantile(totals, 0.25),
               Quantile(totals, 0.75), Quantile(totals, 0.0),
               r.precinct_share_mae);
+  std::printf("  reps wall/cpu(s):");
+  for (size_t i = 0; i < channel.reps.size(); ++i) {
+    std::printf(" %.3f/%.3f", channel.reps[i].total_seconds,
+                channel.cpu_seconds[i]);
+  }
+  std::printf("\n");
   std::fflush(stdout);
+}
+
+/// User + system CPU seconds of the whole process so far.
+double ProcessCpuSeconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
 }
 
 /// Runs a channel once untimed, so no channel pays the first run after
@@ -93,8 +118,10 @@ mlcs::Status Repeated(Fn&& run) {
   MLCS_RETURN_IF_ERROR(run().status());  // warm-up
   Channel channel;
   for (size_t i = 0; i < std::max<size_t>(g_reps, 1); ++i) {
+    double cpu_before = ProcessCpuSeconds();
     mlcs::Result<mlcs::pipeline::PipelineResult> next = run();
     if (!next.ok()) return next.status();
+    channel.cpu_seconds.push_back(ProcessCpuSeconds() - cpu_before);
     channel.reps.push_back(std::move(next).ValueOrDie());
   }
   std::vector<size_t> order(channel.reps.size());
@@ -153,8 +180,8 @@ void WriteStage(mlcs::bench::JsonWriter* json, const char* name,
 /// Machine-readable twin of the printed table, same schema for every
 /// bench binary: BENCH_<name>.json in the working directory. Each
 /// channel's top-level stage fields are its table row (the median-total
-/// rep); `stages` holds every timed rep's stage times with their
-/// quartiles.
+/// rep); `stages` holds every timed rep's stage times and process CPU
+/// seconds with their quartiles.
 bool WriteJson(const mlcs::pipeline::PipelineConfig& config) {
   mlcs::bench::JsonWriter json;
   json.BeginObject();
@@ -198,6 +225,7 @@ bool WriteJson(const mlcs::pipeline::PipelineConfig& config) {
     WriteStage(&json, "train_seconds", train);
     WriteStage(&json, "predict_seconds", predict);
     WriteStage(&json, "total_seconds", channel.Totals());
+    WriteStage(&json, "cpu_seconds", channel.cpu_seconds);
     json.EndObject();
     json.EndObject();
   }

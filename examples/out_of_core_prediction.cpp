@@ -50,11 +50,15 @@ int main(int argc, char** argv) {
   ColumnPtr labels =
       pipeline::GenerateLabelColumn(*vid, *joined_dem, *joined_rep, 42);
 
-  std::vector<std::string> features;
-  for (size_t c = 1; c < sample->num_columns(); ++c) {
-    features.push_back(sample->schema().field(c).name);
-  }
-  auto x = ml::Matrix::FromTable(*sample, features).ValueOrDie();
+  // Every column but voter_id is a feature, read in place.
+  auto features_of = [](const Table& table) {
+    std::vector<ColumnPtr> cols;
+    for (size_t c = 1; c < table.num_columns(); ++c) {
+      cols.push_back(table.column(c));
+    }
+    return ml::Matrix::FromColumns(cols).ValueOrDie();
+  };
+  ml::Matrix x = features_of(*sample);
   ml::RandomForestOptions opt;
   opt.n_estimators = 8;
   opt.max_depth = 10;
@@ -76,7 +80,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     auto chunk = chunk_or.ValueOrDie();
-    auto cx = ml::Matrix::FromTable(*chunk, features).ValueOrDie();
+    ml::Matrix cx = features_of(*chunk);
     auto pred = forest.Predict(cx).ValueOrDie();
     const auto& cpid =
         chunk->ColumnByName("precinct_id").ValueOrDie()->i32_data();

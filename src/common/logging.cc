@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 
 #include "common/mutex.h"
@@ -8,7 +7,9 @@
 namespace mlcs {
 
 namespace {
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kWarn)};
+/// The minimum level that is emitted, so library internals stay quiet in
+/// tests and benchmarks.
+constexpr LogLevel kLogLevel = LogLevel::kWarn;
 Mutex g_log_mutex{"g_log_mutex"};
 
 const char* LevelName(LogLevel level) {
@@ -26,14 +27,6 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level));
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_log_level.load());
-}
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
@@ -42,7 +35,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 }
 
 LogMessage::~LogMessage() {
-  if (static_cast<int>(level_) < g_log_level.load()) return;
+  if (level_ < kLogLevel) return;
   MutexLock lock(&g_log_mutex);
   std::fprintf(stderr, "%s\n", stream_.str().c_str());
 }

@@ -28,11 +28,6 @@ inline std::string Kv(const char* key, const char* value) {
   return Kv(key, std::string(value));
 }
 
-/// Sets the minimum level that is actually emitted (default: kWarn, so
-/// library internals stay quiet in tests and benchmarks).
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
 namespace internal {
 
 /// Stream-style log sink; emits on destruction. Use via the MLCS_LOG macro.

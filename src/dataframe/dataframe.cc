@@ -47,7 +47,13 @@ DataFrame DataFrame::TakeRows(const std::vector<uint32_t>& indices) const {
 
 Result<ml::Matrix> DataFrame::ToMatrix(
     const std::vector<std::string>& features) const {
-  return ml::Matrix::FromTable(*table_, features);
+  std::vector<ColumnPtr> columns;
+  columns.reserve(features.size());
+  for (const auto& name : features) {
+    MLCS_ASSIGN_OR_RETURN(ColumnPtr col, table_->ColumnByName(name));
+    columns.push_back(std::move(col));
+  }
+  return ml::Matrix::CopyColumns(columns);
 }
 
 Result<ml::Labels> DataFrame::LabelColumn(const std::string& name) const {

@@ -51,7 +51,8 @@ class DataFrame {
   DataFrame SliceRows(size_t offset, size_t length) const;
   DataFrame TakeRows(const std::vector<uint32_t>& indices) const;
 
-  /// Feature matrix view of numeric columns (for the ML library).
+  /// Feature matrix of numeric columns, copied into owned doubles (pandas'
+  /// `df.values`).
   Result<ml::Matrix> ToMatrix(const std::vector<std::string>& features) const;
   /// Int32 labels from a column.
   Result<ml::Labels> LabelColumn(const std::string& name) const;

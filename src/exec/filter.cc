@@ -144,13 +144,15 @@ ColumnPtr SortedDictRangeMask(const Column& enc, const Column& per_entry) {
   const std::vector<uint32_t>& codes = enc.codes();
   size_t n = codes.size();
   ColumnPtr out = Column::Make(TypeId::kBool);
-  std::vector<uint8_t>& bits = out->bool_data();
-  bits.resize(n);
+  out->bool_data().resize(n);
+  // Raw pointers: the store through vector::operator[] kept GCC from
+  // vectorizing this loop (scripts/check_vectorization.sh checks it).
+  uint8_t* bits = out->bool_data().data();
+  const uint32_t* code = codes.data();
   uint32_t band_lo = static_cast<uint32_t>(lo);
   uint32_t band_hi = static_cast<uint32_t>(hi);
   for (size_t i = 0; i < n; ++i) {
-    bits[i] =
-        static_cast<uint8_t>((codes[i] >= band_lo) & (codes[i] < band_hi));
+    bits[i] = static_cast<uint8_t>((code[i] >= band_lo) & (code[i] < band_hi));
   }
   return out;
 }

@@ -128,7 +128,7 @@ struct DecisionTree::Grower {
 DecisionTree::DecisionTree(DecisionTreeOptions options)
     : options_(options) {}
 
-Status DecisionTree::FitSource(const TrainingSource& x, const Labels& y) {
+Status DecisionTree::Fit(const Matrix& x, const Labels& y) {
   MLCS_RETURN_IF_ERROR(internal::CheckFitInputs(x, y));
   MLCS_ASSIGN_OR_RETURN(
       TrainingCodes codes,
@@ -542,7 +542,7 @@ void DecisionTree::AddDistribution(const FeatureView* features, size_t begin,
 }
 
 Result<std::vector<double>> DecisionTree::PredictDistribution(
-    const TrainingSource& x) const {
+    const Matrix& x) const {
   MLCS_RETURN_IF_ERROR(
       internal::CheckPredictInputs(x, num_features_, fitted()));
   std::vector<FeatureView> features = x.views();

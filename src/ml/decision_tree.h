@@ -6,7 +6,6 @@
 
 #include "ml/model.h"
 #include "ml/training_codes.h"
-#include "ml/training_source.h"
 
 namespace mlcs::ml {
 
@@ -37,12 +36,12 @@ class DecisionTree : public Model {
   explicit DecisionTree(DecisionTreeOptions options = {});
 
   ModelType type() const override { return ModelType::kDecisionTree; }
-  /// Codes the TrainingSource once (TrainingCodes, DESIGN.md §14) and
+  /// Codes the matrix once (TrainingCodes, DESIGN.md §14) and
   /// grows the tree from per-code class counts.
-  Status FitSource(const TrainingSource& x, const Labels& y) override;
+  Status Fit(const Matrix& x, const Labels& y) override;
   /// Each row's leaf distribution (AddDistribution).
   Result<std::vector<double>> PredictDistribution(
-      const TrainingSource& x) const override;
+      const Matrix& x) const override;
   const std::vector<int32_t>& classes() const override { return classes_; }
   std::string ParamsString() const override;
   void Serialize(ByteWriter* writer) const override;
@@ -64,7 +63,7 @@ class DecisionTree : public Model {
   /// Adds the leaf class distribution (class-index space) of rows
   /// [begin, end) into `out`, num_classes doubles per row; the forest sums
   /// these across trees. `features` holds num_features views
-  /// (TrainingSource::views). Rows walk the tree in groups of kWalkRows,
+  /// (Matrix::views). Rows walk the tree in groups of kWalkRows,
   /// level by level, each taking exactly the tree's depth in steps
   /// (DESIGN.md §4).
   void AddDistribution(const FeatureView* features, size_t begin, size_t end,

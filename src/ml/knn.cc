@@ -7,7 +7,7 @@ namespace mlcs::ml {
 
 Knn::Knn(KnnOptions options) : options_(options) {}
 
-Status Knn::FitSource(const TrainingSource& x, const Labels& y) {
+Status Knn::Fit(const Matrix& x, const Labels& y) {
   MLCS_RETURN_IF_ERROR(internal::CheckFitInputs(x, y));
   if (options_.k == 0) return Status::InvalidArgument("k must be positive");
   classes_ = internal::DistinctClasses(y);
@@ -32,7 +32,7 @@ Status Knn::FitSource(const TrainingSource& x, const Labels& y) {
   train_ = Matrix(n, d);
   for (size_t c = 0; c < d; ++c) {
     FeatureView src = x.view(c);
-    auto& dst = train_.column(c);
+    double* dst = train_.mutable_column(c);
     for (size_t r = 0; r < n; ++r) {
       double v = std::isnan(src[r]) ? 0.0 : src[r];
       dst[r] = (v - mean_[c]) / std_[c];
@@ -43,7 +43,7 @@ Status Knn::FitSource(const TrainingSource& x, const Labels& y) {
 }
 
 Result<std::vector<double>> Knn::PredictDistribution(
-    const TrainingSource& x) const {
+    const Matrix& x) const {
   MLCS_RETURN_IF_ERROR(
       internal::CheckPredictInputs(x, num_features_, fitted()));
   size_t n = x.rows(), d = x.cols(), m = train_.rows();
@@ -51,6 +51,7 @@ Result<std::vector<double>> Knn::PredictDistribution(
   size_t num_classes = classes_.size();
   std::vector<double> votes(n * num_classes, 0.0);
   std::vector<FeatureView> features = x.views();
+  std::vector<FeatureView> train = train_.views();
   std::vector<std::pair<double, size_t>> distances(m);
   std::vector<double> probe(d);
   for (size_t r = 0; r < n; ++r) {
@@ -61,7 +62,7 @@ Result<std::vector<double>> Knn::PredictDistribution(
     for (size_t t = 0; t < m; ++t) {
       double dist = 0;
       for (size_t c = 0; c < d; ++c) {
-        double e = probe[c] - train_.At(t, c);
+        double e = probe[c] - train[c][t];
         dist += e * e;
       }
       distances[t] = {dist, t};
@@ -94,7 +95,8 @@ void Knn::Serialize(ByteWriter* writer) const {
   for (double v : std_) writer->WriteDouble(v);
   writer->WriteVarint(train_.rows());
   for (size_t c = 0; c < train_.cols(); ++c) {
-    for (double v : train_.column(c)) writer->WriteDouble(v);
+    FeatureView col = train_.view(c);
+    for (size_t r = 0; r < train_.rows(); ++r) writer->WriteDouble(col[r]);
   }
   for (int32_t label : train_labels_) writer->WriteI32(label);
 }
@@ -125,8 +127,9 @@ Result<std::unique_ptr<Knn>> Knn::DeserializeBody(ByteReader* reader) {
                         reader->ReadCount(8 * d + 4, "training row"));
   model->train_ = Matrix(rows, d);
   for (size_t c = 0; c < d; ++c) {
-    for (auto& v : model->train_.column(c)) {
-      MLCS_ASSIGN_OR_RETURN(v, reader->ReadDouble());
+    double* col = model->train_.mutable_column(c);
+    for (size_t r = 0; r < rows; ++r) {
+      MLCS_ASSIGN_OR_RETURN(col[r], reader->ReadDouble());
     }
   }
   model->train_labels_.resize(rows);

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "ml/model.h"
-#include "ml/training_source.h"
 
 namespace mlcs::ml {
 
@@ -23,10 +22,10 @@ class Knn : public Model {
   explicit Knn(KnnOptions options = {});
 
   ModelType type() const override { return ModelType::kKnn; }
-  Status FitSource(const TrainingSource& x, const Labels& y) override;
+  Status Fit(const Matrix& x, const Labels& y) override;
   /// Share of each class among a row's k nearest training rows.
   Result<std::vector<double>> PredictDistribution(
-      const TrainingSource& x) const override;
+      const Matrix& x) const override;
   const std::vector<int32_t>& classes() const override { return classes_; }
   std::string ParamsString() const override;
   void Serialize(ByteWriter* writer) const override;

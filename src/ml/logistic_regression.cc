@@ -13,8 +13,7 @@ double Sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
 LogisticRegression::LogisticRegression(LogisticRegressionOptions options)
     : options_(options) {}
 
-Status LogisticRegression::FitSource(const TrainingSource& x,
-                                     const Labels& y) {
+Status LogisticRegression::Fit(const Matrix& x, const Labels& y) {
   MLCS_RETURN_IF_ERROR(internal::CheckFitInputs(x, y));
   classes_ = internal::DistinctClasses(y);
   num_features_ = x.cols();
@@ -22,10 +21,11 @@ Status LogisticRegression::FitSource(const TrainingSource& x,
 
   // Standardize (constant features get std 1 so they contribute nothing).
   // Per-row accumulation in row order through the views, so the
-  // statistics do not depend on how the source was built.
+  // statistics do not depend on how the matrix was built.
   mean_.assign(d, 0.0);
   std_.assign(d, 1.0);
-  Matrix xs(n, d);  // standardized copy, NaN read as 0
+  // Standardized copy, NaN read as 0.
+  std::vector<std::vector<double>> xs(d, std::vector<double>(n));
   for (size_t c = 0; c < d; ++c) {
     FeatureView col = x.view(c);
     double sum = 0;
@@ -41,7 +41,7 @@ Status LogisticRegression::FitSource(const TrainingSource& x,
     }
     var /= static_cast<double>(n);
     std_[c] = var > 1e-12 ? std::sqrt(var) : 1.0;
-    std::vector<double>& dst = xs.column(c);
+    std::vector<double>& dst = xs[c];
     for (size_t r = 0; r < n; ++r) {
       double v = std::isnan(col[r]) ? 0.0 : col[r];
       dst[r] = (v - mean_[c]) / std_[c];
@@ -65,7 +65,7 @@ Status LogisticRegression::FitSource(const TrainingSource& x,
       // margin = Xw + b, column-major accumulation.
       std::fill(margin.begin(), margin.end(), b);
       for (size_t c = 0; c < d; ++c) {
-        const std::vector<double>& col = xs.column(c);
+        const std::vector<double>& col = xs[c];
         double wc = w[c];
         if (wc == 0.0) continue;
         for (size_t r = 0; r < n; ++r) margin[r] += wc * col[r];
@@ -77,7 +77,7 @@ Status LogisticRegression::FitSource(const TrainingSource& x,
       for (size_t r = 0; r < n; ++r) grad_b += margin[r];
       grad_b *= inv_n;
       for (size_t c = 0; c < d; ++c) {
-        const std::vector<double>& col = xs.column(c);
+        const std::vector<double>& col = xs[c];
         double g = 0;
         for (size_t r = 0; r < n; ++r) g += margin[r] * col[r];
         grad_w[c] = g * inv_n + options_.l2 * w[c];
@@ -90,7 +90,7 @@ Status LogisticRegression::FitSource(const TrainingSource& x,
 }
 
 Result<std::vector<double>> LogisticRegression::PredictDistribution(
-    const TrainingSource& x) const {
+    const Matrix& x) const {
   MLCS_RETURN_IF_ERROR(
       internal::CheckPredictInputs(x, num_features_, fitted()));
   size_t n = x.rows(), d = x.cols(), k = classes_.size();

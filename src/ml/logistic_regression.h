@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "ml/model.h"
-#include "ml/training_source.h"
 
 namespace mlcs::ml {
 
@@ -24,10 +23,10 @@ class LogisticRegression : public Model {
   explicit LogisticRegression(LogisticRegressionOptions options = {});
 
   ModelType type() const override { return ModelType::kLogisticRegression; }
-  Status FitSource(const TrainingSource& x, const Labels& y) override;
+  Status Fit(const Matrix& x, const Labels& y) override;
   /// Per-class sigmoid scores, normalized across classes per row.
   Result<std::vector<double>> PredictDistribution(
-      const TrainingSource& x) const override;
+      const Matrix& x) const override;
   const std::vector<int32_t>& classes() const override { return classes_; }
   std::string ParamsString() const override;
   void Serialize(ByteWriter* writer) const override;

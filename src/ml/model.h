@@ -22,11 +22,9 @@ enum class ModelType : uint8_t {
 
 const char* ModelTypeToString(ModelType type);
 
-class TrainingSource;
-
 /// Abstract classifier, the scikit-learn-estimator analogue. A model
-/// implements two things: FitSource (train on a feature source plus labels)
-/// and PredictDistribution (one class distribution per row). Every other
+/// implements two things: Fit (train on a feature matrix plus labels) and
+/// PredictDistribution (one class distribution per row). Every other
 /// prediction — labels, per-class probabilities and the per-row confidences
 /// the "use the most confident model" ensemble keys on (paper §3.3) — is
 /// derived from that distribution here, once for every model. All models
@@ -37,16 +35,16 @@ class Model {
 
   virtual ModelType type() const = 0;
 
-  /// Trains on x (n rows × d features, training_source.h) and labels y
-  /// (length n). Labels may be arbitrary int32 values; models remap them
-  /// internally and remember the class set.
-  virtual Status FitSource(const TrainingSource& x, const Labels& y) = 0;
+  /// Trains on x (n rows × d features) and labels y (length n). Labels may
+  /// be arbitrary int32 values; models remap them internally and remember
+  /// the class set.
+  virtual Status Fit(const Matrix& x, const Labels& y) = 0;
 
   /// Class distribution per row, flattened [row × class] with classes in
   /// classes() order. Requires a fitted model and x with the fit-time
   /// feature count.
   virtual Result<std::vector<double>> PredictDistribution(
-      const TrainingSource& x) const = 0;
+      const Matrix& x) const = 0;
 
   /// Sorted distinct labels seen at fit time (empty before fitting).
   virtual const std::vector<int32_t>& classes() const = 0;
@@ -60,13 +58,9 @@ class Model {
   /// Writes the body (excluding the type tag, which pickle.h adds).
   virtual void Serialize(ByteWriter* writer) const = 0;
 
-  /// FitSource over a borrowed matrix (TrainingSource::FromMatrix).
-  Status Fit(const Matrix& x, const Labels& y);
-
   /// Predicted label per row: the most probable class, the lowest one on
   /// ties. Requires a fitted model.
   Result<Labels> Predict(const Matrix& x) const;
-  Result<Labels> PredictSource(const TrainingSource& x) const;
 
   /// P(class = `cls`) per row. `cls` must be one of classes().
   Result<std::vector<double>> PredictProba(const Matrix& x,
@@ -92,11 +86,11 @@ std::vector<int32_t> DistinctClasses(const Labels& y);
 /// Index of `cls` in sorted `classes`, or error.
 Result<size_t> ClassIndex(const std::vector<int32_t>& classes, int32_t cls);
 
-/// Shared validation for FitSource inputs.
-Status CheckFitInputs(const TrainingSource& x, const Labels& y);
+/// Shared validation for Fit inputs.
+Status CheckFitInputs(const Matrix& x, const Labels& y);
 /// Shared validation for PredictDistribution inputs against the fitted
 /// feature count.
-Status CheckPredictInputs(const TrainingSource& x, size_t expected_features,
+Status CheckPredictInputs(const Matrix& x, size_t expected_features,
                           bool fitted);
 
 }  // namespace internal

@@ -1,7 +1,6 @@
 #include <algorithm>
 
 #include "ml/model.h"
-#include "ml/training_source.h"
 
 namespace mlcs::ml {
 
@@ -21,15 +20,7 @@ const char* ModelTypeToString(ModelType type) {
   return "unknown";
 }
 
-Status Model::Fit(const Matrix& x, const Labels& y) {
-  return FitSource(TrainingSource::FromMatrix(x), y);
-}
-
 Result<Labels> Model::Predict(const Matrix& x) const {
-  return PredictSource(TrainingSource::FromMatrix(x));
-}
-
-Result<Labels> Model::PredictSource(const TrainingSource& x) const {
   MLCS_ASSIGN_OR_RETURN(std::vector<double> dist, PredictDistribution(x));
   return LabelsOf(dist);
 }
@@ -37,8 +28,7 @@ Result<Labels> Model::PredictSource(const TrainingSource& x) const {
 Result<std::vector<double>> Model::PredictProba(const Matrix& x,
                                                 int32_t cls) const {
   MLCS_ASSIGN_OR_RETURN(size_t cls_idx, internal::ClassIndex(classes(), cls));
-  MLCS_ASSIGN_OR_RETURN(std::vector<double> dist,
-                        PredictDistribution(TrainingSource::FromMatrix(x)));
+  MLCS_ASSIGN_OR_RETURN(std::vector<double> dist, PredictDistribution(x));
   size_t num_classes = classes().size();
   std::vector<double> out(x.rows());
   for (size_t r = 0; r < x.rows(); ++r) {
@@ -48,8 +38,7 @@ Result<std::vector<double>> Model::PredictProba(const Matrix& x,
 }
 
 Result<std::vector<double>> Model::PredictConfidence(const Matrix& x) const {
-  MLCS_ASSIGN_OR_RETURN(std::vector<double> dist,
-                        PredictDistribution(TrainingSource::FromMatrix(x)));
+  MLCS_ASSIGN_OR_RETURN(std::vector<double> dist, PredictDistribution(x));
   return ConfidencesOf(dist);
 }
 
@@ -98,9 +87,9 @@ Result<size_t> ClassIndex(const std::vector<int32_t>& classes, int32_t cls) {
   return static_cast<size_t>(it - classes.begin());
 }
 
-Status CheckFitInputs(const TrainingSource& x, const Labels& y) {
+Status CheckFitInputs(const Matrix& x, const Labels& y) {
   if (x.rows() == 0 || x.cols() == 0) {
-    return Status::InvalidArgument("cannot fit on an empty training source");
+    return Status::InvalidArgument("cannot fit on an empty matrix");
   }
   if (y.size() != x.rows()) {
     return Status::InvalidArgument(
@@ -110,7 +99,7 @@ Status CheckFitInputs(const TrainingSource& x, const Labels& y) {
   return Status::OK();
 }
 
-Status CheckPredictInputs(const TrainingSource& x, size_t expected_features,
+Status CheckPredictInputs(const Matrix& x, size_t expected_features,
                           bool fitted) {
   if (!fitted) {
     return Status::InvalidArgument("model is not fitted");

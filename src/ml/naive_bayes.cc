@@ -6,7 +6,7 @@ namespace mlcs::ml {
 
 NaiveBayes::NaiveBayes(NaiveBayesOptions options) : options_(options) {}
 
-Status NaiveBayes::FitSource(const TrainingSource& x, const Labels& y) {
+Status NaiveBayes::Fit(const Matrix& x, const Labels& y) {
   MLCS_RETURN_IF_ERROR(internal::CheckFitInputs(x, y));
   classes_ = internal::DistinctClasses(y);
   num_features_ = x.cols();
@@ -58,7 +58,7 @@ Status NaiveBayes::FitSource(const TrainingSource& x, const Labels& y) {
 }
 
 Result<std::vector<double>> NaiveBayes::PredictDistribution(
-    const TrainingSource& x) const {
+    const Matrix& x) const {
   MLCS_RETURN_IF_ERROR(
       internal::CheckPredictInputs(x, num_features_, fitted()));
   size_t n = x.rows(), d = x.cols(), k = classes_.size();

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "ml/model.h"
-#include "ml/training_source.h"
 
 namespace mlcs::ml {
 
@@ -22,10 +21,10 @@ class NaiveBayes : public Model {
   explicit NaiveBayes(NaiveBayesOptions options = {});
 
   ModelType type() const override { return ModelType::kNaiveBayes; }
-  Status FitSource(const TrainingSource& x, const Labels& y) override;
+  Status Fit(const Matrix& x, const Labels& y) override;
   /// Row-normalized posterior per class.
   Result<std::vector<double>> PredictDistribution(
-      const TrainingSource& x) const override;
+      const Matrix& x) const override;
   const std::vector<int32_t>& classes() const override { return classes_; }
   std::string ParamsString() const override;
   void Serialize(ByteWriter* writer) const override;

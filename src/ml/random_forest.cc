@@ -19,7 +19,7 @@ constexpr size_t kPredictBlockRows = 2048;
 
 RandomForest::RandomForest(RandomForestOptions options) : options_(options) {}
 
-Status RandomForest::FitSource(const TrainingSource& x, const Labels& y) {
+Status RandomForest::Fit(const Matrix& x, const Labels& y) {
   MLCS_RETURN_IF_ERROR(internal::CheckFitInputs(x, y));
   if (options_.n_estimators <= 0) {
     return Status::InvalidArgument("n_estimators must be positive");
@@ -121,7 +121,7 @@ Status RandomForest::FitSource(const TrainingSource& x, const Labels& y) {
 }
 
 Result<std::vector<double>> RandomForest::PredictDistribution(
-    const TrainingSource& x) const {
+    const Matrix& x) const {
   MLCS_RETURN_IF_ERROR(
       internal::CheckPredictInputs(x, num_features_, fitted()));
   // On the calling thread: the blocks' pool time shows as this span.

@@ -35,12 +35,12 @@ class RandomForest : public Model {
   explicit RandomForest(RandomForestOptions options = {});
 
   ModelType type() const override { return ModelType::kRandomForest; }
-  /// Codes the TrainingSource once (TrainingCodes), then every tree
+  /// Codes the matrix once (TrainingCodes), then every tree
   /// bootstraps and grows from those codes.
-  Status FitSource(const TrainingSource& x, const Labels& y) override;
+  Status Fit(const Matrix& x, const Labels& y) override;
   /// The trees' leaf distributions averaged per row.
   Result<std::vector<double>> PredictDistribution(
-      const TrainingSource& x) const override;
+      const Matrix& x) const override;
   const std::vector<int32_t>& classes() const override { return classes_; }
   std::string ParamsString() const override;
   void Serialize(ByteWriter* writer) const override;

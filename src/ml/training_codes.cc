@@ -208,7 +208,7 @@ void CodeFeature(const FeatureView& col, size_t n, size_t max_codes,
 
 }  // namespace
 
-Result<TrainingCodes> TrainingCodes::Build(const TrainingSource& x,
+Result<TrainingCodes> TrainingCodes::Build(const Matrix& x,
                                            const Labels& y,
                                            std::vector<int32_t> classes,
                                            size_t max_codes, bool parallel) {

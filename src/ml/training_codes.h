@@ -6,7 +6,6 @@
 
 #include "common/result.h"
 #include "ml/matrix.h"
-#include "ml/training_source.h"
 
 namespace mlcs::ml {
 
@@ -29,7 +28,7 @@ class TrainingCodes {
   /// (clamped to [1, kMaxValueCodes]) and every label of `y` as an index
   /// into `classes`, which must be sorted and hold every label.
   /// `parallel` codes large inputs' features on the global pool.
-  static Result<TrainingCodes> Build(const TrainingSource& x, const Labels& y,
+  static Result<TrainingCodes> Build(const Matrix& x, const Labels& y,
                                      std::vector<int32_t> classes,
                                      size_t max_codes, bool parallel);
 

@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "ml/training_source.h"
 
 namespace mlcs::modelstore {
 
@@ -25,12 +24,11 @@ Result<std::vector<size_t>> Winners(const std::vector<ml::ModelPtr>& models,
                                     const ml::Matrix& x,
                                     std::vector<ml::Labels>* labels) {
   MLCS_RETURN_IF_ERROR(CheckModels(models));
-  ml::TrainingSource source = ml::TrainingSource::FromMatrix(x);
   std::vector<std::vector<double>> confidences(models.size());
   if (labels != nullptr) labels->resize(models.size());
   for (size_t m = 0; m < models.size(); ++m) {
     MLCS_ASSIGN_OR_RETURN(std::vector<double> dist,
-                          models[m]->PredictDistribution(source));
+                          models[m]->PredictDistribution(x));
     confidences[m] = models[m]->ConfidencesOf(dist);
     if (labels != nullptr) (*labels)[m] = models[m]->LabelsOf(dist);
   }

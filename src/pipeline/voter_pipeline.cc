@@ -12,7 +12,6 @@
 #include "io/npy.h"
 #include "ml/pickle.h"
 #include "ml/random_forest.h"
-#include "ml/training_source.h"
 #include "modelstore/model_cache.h"
 
 namespace mlcs::pipeline {
@@ -217,9 +216,8 @@ udf::ScalarUdfEntry PredictUdf(
     }
     MLCS_ASSIGN_OR_RETURN(ml::ModelPtr model, load(blob.blob_value()));
     std::vector<ColumnPtr> features(args.begin() + 1, args.end());
-    MLCS_ASSIGN_OR_RETURN(ml::TrainingSource x,
-                          ml::TrainingSource::FromColumns(features));
-    MLCS_ASSIGN_OR_RETURN(ml::Labels pred, model->PredictSource(x));
+    MLCS_ASSIGN_OR_RETURN(ml::Matrix x, ml::Matrix::FromColumns(features));
+    MLCS_ASSIGN_OR_RETURN(ml::Labels pred, model->Predict(x));
     return Column::FromInt32(std::move(pred));
   };
   return entry;
@@ -286,14 +284,13 @@ Status RegisterVoterUdfs(Database* db) {
     opt.n_estimators = static_cast<int>(n_est_v);
     opt.max_depth = static_cast<int>(depth_v);
     opt.seed = static_cast<uint64_t>(seed_v);
-    // The forest reads the feature columns in place; no Matrix copy.
+    // The forest reads the feature columns in place; no copy.
     std::vector<ColumnPtr> features(args.begin() + 3, args.end() - 1);
-    MLCS_ASSIGN_OR_RETURN(ml::TrainingSource x,
-                          ml::TrainingSource::FromColumns(features));
+    MLCS_ASSIGN_OR_RETURN(ml::Matrix x, ml::Matrix::FromColumns(features));
     MLCS_ASSIGN_OR_RETURN(ColumnPtr labels,
                           args.back()->CastTo(TypeId::kInt32));
     ml::RandomForest forest(opt);
-    MLCS_RETURN_IF_ERROR(forest.FitSource(x, labels->i32_data()));
+    MLCS_RETURN_IF_ERROR(forest.Fit(x, labels->i32_data()));
     Schema schema;
     schema.AddField("classifier", TypeId::kBlob);
     schema.AddField("n_estimators", TypeId::kInt32);

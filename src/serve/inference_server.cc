@@ -413,12 +413,12 @@ void InferenceServer::RunGroup(std::vector<Pending*>& members,
   if (live.size() > 1) {
     concat = ml::Matrix(total_rows, cols);
     for (size_t c = 0; c < cols; ++c) {
-      double* out = concat.column(c).data();
-      size_t offset = 0;
+      double* out = concat.mutable_column(c);
       for (Pending* p : live) {
-        const std::vector<double>& src = p->request.features.column(c);
-        std::memcpy(out + offset, src.data(), src.size() * sizeof(double));
-        offset += src.size();
+        // Decoded requests hold owned doubles.
+        const ml::Matrix& src = p->request.features;
+        std::memcpy(out, src.view(c).f64(), src.rows() * sizeof(double));
+        out += src.rows();
       }
     }
     x = &concat;

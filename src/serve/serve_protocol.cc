@@ -74,7 +74,12 @@ void EncodePredictRequest(const PredictRequest& request, Layout layout,
   out->WriteU16(static_cast<uint16_t>(x.cols()));
   if (layout == Layout::kColumnar) {
     for (size_t c = 0; c < x.cols(); ++c) {
-      out->WriteRaw(x.column(c).data(), x.rows() * sizeof(double));
+      ml::FeatureView col = x.view(c);
+      if (col.f64() != nullptr) {
+        out->WriteRaw(col.f64(), x.rows() * sizeof(double));
+      } else {
+        for (size_t r = 0; r < x.rows(); ++r) out->WriteDouble(col[r]);
+      }
     }
   } else {
     for (size_t r = 0; r < x.rows(); ++r) {
@@ -125,7 +130,7 @@ Result<PredictRequest> DecodePredictRequest(ByteReader* in) {
   if (layout == Layout::kColumnar) {
     // Straight per-column copy — the wire layout IS the matrix layout.
     for (size_t c = 0; c < num_features; ++c) {
-      MLCS_RETURN_IF_ERROR(in->ReadRaw(request.features.column(c).data(),
+      MLCS_RETURN_IF_ERROR(in->ReadRaw(request.features.mutable_column(c),
                                        num_rows * sizeof(double)));
     }
   } else {

@@ -83,18 +83,6 @@ void RegisterStringFn(udf::UdfRegistry* registry, const char* name,
 
 }  // namespace
 
-uint64_t PlanCacheHitsTotal() {
-  static obs::Counter* hits =
-      obs::MetricsRegistry::Global().GetCounter("mlcs.plan_cache.hits");
-  return hits->Value();
-}
-
-uint64_t PlanCacheMissesTotal() {
-  static obs::Counter* misses =
-      obs::MetricsRegistry::Global().GetCounter("mlcs.plan_cache.misses");
-  return misses->Value();
-}
-
 Database::Database() {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   cache_hits_ = registry.GetCounter("mlcs.plan_cache.hits");

@@ -18,14 +18,6 @@
 
 namespace mlcs {
 
-/// Counters summed across every Database in the process — the serving
-/// benches read these to report cache effectiveness without plumbing a
-/// Database pointer through the harness. Backed by the metrics registry
-/// (`mlcs.plan_cache.hits` / `mlcs.plan_cache.misses`); mlcs_metrics()
-/// exports the same series.
-uint64_t PlanCacheHitsTotal();
-uint64_t PlanCacheMissesTotal();
-
 /// The embedded analytical database — the library's main entry point.
 ///
 ///   mlcs::Database db;

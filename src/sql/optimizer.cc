@@ -328,7 +328,7 @@ void PruneScope(LogicalNode* scope_root, Catalog* catalog) {
 
 /// -- Rule 4: aggregate pushdown below a join (factorized statistics) ------
 ///
-/// The ML-side counterpart lives in ml/training_source.h: training
+/// The ML-side counterpart is TrainingCodes (ml/training_codes.h): training
 /// statistics are group-by aggregates, and aggregates over fact⋈dim never
 /// need the join output. `Agg_{G}(F ⋈ D)` with every aggregate input on F
 /// rewrites to `FinalAgg_{G}(PartialAgg_{G_F ∪ {k}}(F) ⋈ D)`: the partial

@@ -56,23 +56,6 @@ bool IsNumericType(TypeId type) {
   return false;
 }
 
-size_t FixedWidthOf(TypeId type) {
-  switch (type) {
-    case TypeId::kBool:
-      return 1;
-    case TypeId::kInt32:
-      return 4;
-    case TypeId::kInt64:
-      return 8;
-    case TypeId::kDouble:
-      return 8;
-    case TypeId::kVarchar:
-    case TypeId::kBlob:
-      return 0;
-  }
-  return 0;
-}
-
 Result<TypeId> CommonNumericType(TypeId a, TypeId b) {
   if (!IsNumericType(a) || !IsNumericType(b)) {
     return Status::TypeMismatch(

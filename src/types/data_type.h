@@ -31,10 +31,6 @@ Result<TypeId> TypeIdFromString(std::string_view name);
 /// True for BOOL/INT32/INT64/DOUBLE.
 [[nodiscard]] bool IsNumericType(TypeId type);
 
-/// Width in bytes of the fixed-size physical representation; 0 for
-/// variable-length types (VARCHAR, BLOB).
-size_t FixedWidthOf(TypeId type);
-
 /// Numeric promotion used by arithmetic kernels: the smallest numeric type
 /// both inputs can be losslessly converted to (int32+int32→int32,
 /// int32+int64→int64, any+double→double).

@@ -52,7 +52,7 @@ Result<ml::ModelPtr> ModelArg(const std::string& name,
   return args[i].model();
 }
 
-/// Collects feature columns args[begin, end) into a Matrix.
+/// Feature columns args[begin, end) as a Matrix that reads them in place.
 Result<ml::Matrix> FeaturesArg(const std::string& name,
                                const std::vector<ScriptValue>& args,
                                size_t begin, size_t end) {

@@ -133,8 +133,8 @@ TEST(DecisionTreeTest, InputValidation) {
 TrainingCodes FiveCodedRows() {
   Matrix x(5, 1);
   for (size_t r = 0; r < 5; ++r) x.Set(r, 0, static_cast<double>(r));
-  auto codes = TrainingCodes::Build(TrainingSource::FromMatrix(x),
-                                    {0, 1, 0, 1, 1}, {0, 1}, 255, false);
+  auto codes =
+      TrainingCodes::Build(x, {0, 1, 0, 1, 1}, {0, 1}, 255, false);
   EXPECT_TRUE(codes.ok());
   return std::move(codes).ValueOrDie();
 }
@@ -212,8 +212,8 @@ TEST(DecisionTreeTest, PooledSplitSearchMatchesSerial) {
   opt.max_depth = 8;
   std::vector<int32_t> classes(kClasses);
   std::iota(classes.begin(), classes.end(), 0);
-  auto codes = TrainingCodes::Build(TrainingSource::FromMatrix(x), y,
-                                    classes, opt.max_codes(), false);
+  auto codes =
+      TrainingCodes::Build(x, y, classes, opt.max_codes(), false);
   ASSERT_TRUE(codes.ok());
   ASSERT_GT(codes.ValueOrDie().num_codes(0), 255u);
   std::vector<uint32_t> rows(kRows);
@@ -307,7 +307,7 @@ std::vector<RefNode> SerializedNodes(const DecisionTree& tree) {
 
 /// The per-row recursive walk: NaN and v <= threshold go left.
 const RefNode& ReferenceLeaf(const std::vector<RefNode>& nodes, size_t at,
-                             const TrainingSource& x, size_t row) {
+                             const Matrix& x, size_t row) {
   const RefNode& node = nodes[at];
   if (node.feature < 0) return node;
   double v = x.view(static_cast<size_t>(node.feature))[row];
@@ -330,7 +330,7 @@ void LeafDepths(const std::vector<RefNode>& nodes, size_t at, int depth,
 /// Checks PredictDistribution and AddDistribution over sub-ranges against
 /// the reference walk, exactly.
 void ExpectMatchesReference(const DecisionTree& tree,
-                            const TrainingSource& x) {
+                            const Matrix& x) {
   std::vector<RefNode> nodes = SerializedNodes(tree);
   size_t num_classes = tree.classes().size();
   std::vector<double> want(x.rows() * num_classes);
@@ -358,7 +358,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 /// Three DOUBLE features (with NaN and ±inf) and three INTEGER features,
-/// all read in place by TrainingSource::FromColumns.
+/// all read in place by Matrix::FromColumns.
 std::vector<ColumnPtr> MixedColumns(size_t n, uint64_t seed) {
   Rng rng(seed);
   std::vector<ColumnPtr> cols;
@@ -429,7 +429,7 @@ std::vector<ColumnPtr> ProbeColumns(const std::vector<RefNode>& nodes,
 TEST(DecisionTreeTest, WalkMatchesReferenceOnMixedSource) {
   const size_t n = 3000;
   std::vector<ColumnPtr> train = MixedColumns(n, 31);
-  TrainingSource source = TrainingSource::FromColumns(train).ValueOrDie();
+  Matrix source = Matrix::FromColumns(train).ValueOrDie();
   ASSERT_EQ(source.view(0).i32(), nullptr);
   ASSERT_NE(source.view(3).i32(), nullptr);
   Rng rng(4);
@@ -445,7 +445,7 @@ TEST(DecisionTreeTest, WalkMatchesReferenceOnMixedSource) {
     opt.max_depth = exact ? 20 : 8;
     opt.exact_splits = exact;
     DecisionTree tree(opt);
-    ASSERT_TRUE(tree.FitSource(source, y).ok());
+    ASSERT_TRUE(tree.Fit(source, y).ok());
     std::vector<RefNode> nodes = SerializedNodes(tree);
     std::vector<int> depths;
     LeafDepths(nodes, 0, 0, &depths);
@@ -453,8 +453,7 @@ TEST(DecisionTreeTest, WalkMatchesReferenceOnMixedSource) {
               *std::max_element(depths.begin(), depths.end()));
     for (size_t rows : {0, 1, 31, 32, 33, 2049}) {
       std::vector<ColumnPtr> probe = ProbeColumns(nodes, rows, rows + 7);
-      ExpectMatchesReference(tree,
-                             TrainingSource::FromColumns(probe).ValueOrDie());
+      ExpectMatchesReference(tree, Matrix::FromColumns(probe).ValueOrDie());
     }
     ExpectMatchesReference(tree, source);
   }
@@ -462,14 +461,13 @@ TEST(DecisionTreeTest, WalkMatchesReferenceOnMixedSource) {
 
 TEST(DecisionTreeTest, WalkOfSingleLeafTree) {
   std::vector<ColumnPtr> train = MixedColumns(40, 8);
-  TrainingSource source = TrainingSource::FromColumns(train).ValueOrDie();
+  Matrix source = Matrix::FromColumns(train).ValueOrDie();
   DecisionTree tree;
-  ASSERT_TRUE(tree.FitSource(source, Labels(40, 3)).ok());
+  ASSERT_TRUE(tree.Fit(source, Labels(40, 3)).ok());
   ASSERT_EQ(tree.num_nodes(), 1u);
   for (size_t rows : {0, 1, 31, 32, 33, 2049}) {
     std::vector<ColumnPtr> probe = MixedColumns(rows, rows);
-    ExpectMatchesReference(tree,
-                           TrainingSource::FromColumns(probe).ValueOrDie());
+    ExpectMatchesReference(tree, Matrix::FromColumns(probe).ValueOrDie());
   }
 }
 

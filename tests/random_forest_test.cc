@@ -219,7 +219,7 @@ struct GoldenCase {
   uint64_t prediction_hash;
 };
 
-GoldenFit Pin(const Model& model, const TrainingSource& x) {
+GoldenFit Pin(const Model& model, const Matrix& x) {
   auto dist = model.PredictDistribution(x);
   EXPECT_TRUE(dist.ok()) << dist.status().ToString();
   return {pickle::Dumps(model), dist.ValueOr({})};
@@ -230,7 +230,7 @@ GoldenFit FitForest(const Matrix& x, const Labels& y,
   RandomForest forest(opt);
   Status st = forest.Fit(x, y);
   EXPECT_TRUE(st.ok()) << st.ToString();
-  return Pin(forest, TrainingSource::FromMatrix(x));
+  return Pin(forest, x);
 }
 
 std::vector<GoldenCase> GoldenCases() {
@@ -293,7 +293,7 @@ std::vector<GoldenCase> GoldenCases() {
          opt.exact_splits = true;
          DecisionTree tree(opt);
          EXPECT_TRUE(tree.Fit(x, y).ok());
-         return Pin(tree, TrainingSource::FromMatrix(x));
+         return Pin(tree, x);
        },
        0x7120a8e32d642690ULL,
        0x0fbb324122bb54a4ULL},
@@ -336,12 +336,11 @@ std::vector<GoldenCase> GoldenCases() {
                        static_cast<int64_t>(rng.NextBounded(400));
            y[r] = s > 200;
          }
-         TrainingSource source =
-             TrainingSource::FromColumns(cols).ValueOrDie();
+         Matrix source = Matrix::FromColumns(cols).ValueOrDie();
          RandomForestOptions opt;
          opt.n_estimators = 6;
          RandomForest forest(opt);
-         EXPECT_TRUE(forest.FitSource(source, y).ok());
+         EXPECT_TRUE(forest.Fit(source, y).ok());
          return Pin(forest, source);
        },
        0x54177a94fe14e5daULL,

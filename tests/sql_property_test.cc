@@ -7,13 +7,13 @@
 #include <thread>
 
 #include "common/random.h"
+#include "dataframe/dataframe.h"
 #include "ml/decision_tree.h"
 #include "ml/knn.h"
 #include "ml/logistic_regression.h"
 #include "ml/naive_bayes.h"
 #include "ml/pickle.h"
 #include "ml/random_forest.h"
-#include "ml/training_source.h"
 #include "sql/database.h"
 #include "storage/encoding.h"
 
@@ -445,12 +445,12 @@ TEST(SqlPropertyTest, EncodingParityOnRandomQueries) {
 /// -- Column-ingestion parity -----------------------------------------------
 ///
 /// The in-database UDFs train and predict from table columns through
-/// TrainingSource::FromColumns (plain null-free INTEGER/DOUBLE columns read
-/// in place, anything else converted once); the external channels build a
-/// Matrix with Matrix::FromColumns. Both must yield byte-identical models
-/// and predictions for every model type — over plain vs dictionary-encoded
-/// columns, NULL feature values, and serial vs pooled forest fits. This is the contract
-/// ml/training_source.h promises.
+/// Matrix::FromColumns (plain null-free INTEGER/DOUBLE columns read in
+/// place, anything else converted once); the external channels copy them
+/// into owned doubles with DataFrame::ToMatrix. Both must yield
+/// byte-identical models and predictions for every model type — over plain
+/// vs dictionary-encoded columns, NULL feature values, and serial vs pooled
+/// forest fits. This is the contract ml/matrix.h promises.
 TEST(SqlPropertyTest, ColumnIngestionParitySweep) {
   for (bool encoded : {false, true}) {
     for (bool nulls : {false, true}) {
@@ -506,12 +506,33 @@ TEST(SqlPropertyTest, ColumnIngestionParitySweep) {
         EXPECT_GT(plain, 0u);
         EXPECT_GT(dict, 0u);
       }
-      auto xm_or = ml::Matrix::FromColumns(cols);
+      auto frame = dataframe::DataFrame(
+          std::make_shared<Table>(table->schema(), cols));
+      auto xm_or = frame.ToMatrix({"wide", "low", "runs", "real", "big"});
       ASSERT_TRUE(xm_or.ok()) << xm_or.status().ToString();
       const ml::Matrix& xm = xm_or.ValueOrDie();
-      auto src_or = ml::TrainingSource::FromColumns(cols);
+      auto src_or = ml::Matrix::FromColumns(cols);
       ASSERT_TRUE(src_or.ok()) << src_or.status().ToString();
-      const ml::TrainingSource& src = src_or.ValueOrDie();
+      const ml::Matrix& src = src_or.ValueOrDie();
+      // FromColumns reads every plain null-free INTEGER/DOUBLE column in
+      // place; ToMatrix copies every column.
+      size_t in_place = 0;
+      for (size_t c = 0; c < cols.size(); ++c) {
+        const ColumnPtr& col = cols[c];
+        EXPECT_EQ(xm.view(c).i32(), nullptr);
+        if (col->is_encoded() || col->has_nulls()) continue;
+        if (col->type() == TypeId::kInt32) {
+          EXPECT_EQ(src.view(c).i32(), col->i32_data().data()) << c;
+          ++in_place;
+        } else if (col->type() == TypeId::kDouble) {
+          EXPECT_EQ(src.view(c).f64(), col->f64_data().data()) << c;
+          EXPECT_NE(xm.view(c).f64(), col->f64_data().data()) << c;
+          ++in_place;
+        }
+      }
+      if (!encoded) {
+        EXPECT_GT(in_place, 0u);
+      }
 
       // Random forest: both ingestion paths give the same bytes; serial
       // and pooled fits (whose options, and so bytes, differ) predict the
@@ -532,9 +553,9 @@ TEST(SqlPropertyTest, ColumnIngestionParitySweep) {
         ml::RandomForest rf_mat(opt);
         ml::RandomForest rf_src(opt);
         ASSERT_TRUE(rf_mat.Fit(xm, y).ok());
-        ASSERT_TRUE(rf_src.FitSource(src, y).ok());
+        ASSERT_TRUE(rf_src.Fit(src, y).ok());
         EXPECT_EQ(ml::pickle::Dumps(rf_mat), ml::pickle::Dumps(rf_src));
-        auto pred = rf_src.PredictSource(src);
+        auto pred = rf_src.Predict(src);
         ASSERT_TRUE(pred.ok());
         EXPECT_EQ(pred.ValueOrDie(), ref_pred.ValueOrDie());
         auto conf = rf_src.PredictConfidence(xm);
@@ -549,7 +570,7 @@ TEST(SqlPropertyTest, ColumnIngestionParitySweep) {
       ml::LogisticRegression lr_mat(lr_opt);
       ml::LogisticRegression lr_src(lr_opt);
       ASSERT_TRUE(lr_mat.Fit(xm, y).ok());
-      ASSERT_TRUE(lr_src.FitSource(src, y).ok());
+      ASSERT_TRUE(lr_src.Fit(src, y).ok());
       EXPECT_EQ(ml::pickle::Dumps(lr_mat), ml::pickle::Dumps(lr_src));
       auto lr_pm = lr_mat.Predict(xm);
       auto lr_ps = lr_src.Predict(xm);
@@ -572,11 +593,11 @@ TEST(SqlPropertyTest, ColumnIngestionParitySweep) {
       for (auto& [on_matrix, on_columns] : pairs) {
         SCOPED_TRACE(ml::ModelTypeToString(on_matrix->type()));
         ASSERT_TRUE(on_matrix->Fit(xm, y).ok());
-        ASSERT_TRUE(on_columns->FitSource(src, y).ok());
+        ASSERT_TRUE(on_columns->Fit(src, y).ok());
         EXPECT_EQ(ml::pickle::Dumps(*on_matrix),
                   ml::pickle::Dumps(*on_columns));
         auto from_matrix = on_matrix->Predict(xm);
-        auto from_columns = on_columns->PredictSource(src);
+        auto from_columns = on_columns->Predict(src);
         ASSERT_TRUE(from_matrix.ok() && from_columns.ok());
         EXPECT_EQ(from_matrix.ValueOrDie(), from_columns.ValueOrDie());
         for (int32_t cls : on_matrix->classes()) {

@@ -7,9 +7,7 @@
 
 #include "common/random.h"
 #include "ml/decision_tree.h"
-#include "ml/logistic_regression.h"
 #include "ml/metrics.h"
-#include "ml/pickle.h"
 #include "ml/random_forest.h"
 #include "storage/column.h"
 
@@ -20,8 +18,7 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 TrainingCodes Code(const Matrix& x, size_t max_codes, bool parallel = false) {
   Labels y(x.rows(), 0);
-  auto codes = TrainingCodes::Build(TrainingSource::FromMatrix(x), y, {0},
-                                    max_codes, parallel);
+  auto codes = TrainingCodes::Build(x, y, {0}, max_codes, parallel);
   EXPECT_TRUE(codes.ok()) << codes.status().ToString();
   return std::move(codes).ValueOrDie();
 }
@@ -108,13 +105,11 @@ TEST(TrainingCodesTest, CodingIgnoresThePool) {
 
 TEST(TrainingCodesTest, LabelsBecomeClassIndices) {
   Matrix x = Column({1, 2, 3});
-  TrainingSource source = TrainingSource::FromMatrix(x);
-  auto codes = TrainingCodes::Build(source, {7, -2, 7}, {-2, 7}, 255, false);
+  auto codes = TrainingCodes::Build(x, {7, -2, 7}, {-2, 7}, 255, false);
   ASSERT_TRUE(codes.ok());
   EXPECT_EQ(codes.ValueOrDie().labels(), (std::vector<uint32_t>{1, 0, 1}));
-  EXPECT_FALSE(
-      TrainingCodes::Build(source, {7, 5, 7}, {-2, 7}, 255, false).ok());
-  EXPECT_FALSE(TrainingCodes::Build(source, {7}, {7}, 255, false).ok());
+  EXPECT_FALSE(TrainingCodes::Build(x, {7, 5, 7}, {-2, 7}, 255, false).ok());
+  EXPECT_FALSE(TrainingCodes::Build(x, {7}, {7}, 255, false).ok());
 }
 
 TEST(TrainingCodesTest, ExactTreeSplitsEveryDistinctValue) {
@@ -189,42 +184,21 @@ TEST(TrainingCodesTest, BatchPredictMatchesRowByRow) {
   }
 }
 
-/// Six INTEGER feature columns of small domains, as the voter table holds.
-std::vector<ColumnPtr> IntColumns(size_t rows, Labels* y) {
-  Rng rng(9);
-  std::vector<ColumnPtr> cols;
-  for (size_t c = 0; c < 6; ++c) {
-    std::vector<int32_t> v(rows);
-    for (int32_t& x : v) x = static_cast<int32_t>(rng.NextBounded(3 + 7 * c));
-    cols.push_back(mlcs::Column::FromInt32(std::move(v)));
-  }
-  y->resize(rows);
-  for (size_t r = 0; r < rows; ++r) {
-    (*y)[r] = cols[1]->i32_data()[r] + cols[4]->i32_data()[r] +
-                      static_cast<int32_t>(rng.NextBounded(6)) >
-              12;
-  }
-  return cols;
-}
-
-/// Codes `values` as an INTEGER column read in place and as doubles
-/// through FromMatrix; both must give the same codes, code count and
-/// thresholds.
+/// Codes `values` as an INTEGER column read in place and as owned
+/// doubles; both must give the same codes, code count and thresholds.
 void ExpectIntegerCodingParity(const std::vector<int32_t>& values,
                                size_t max_codes) {
   Matrix x(values.size(), 1);
   for (size_t r = 0; r < values.size(); ++r) {
     x.Set(r, 0, static_cast<double>(values[r]));
   }
-  auto source =
-      TrainingSource::FromColumns({mlcs::Column::FromInt32(values)});
+  auto source = Matrix::FromColumns({mlcs::Column::FromInt32(values)});
   ASSERT_TRUE(source.ok()) << source.status().ToString();
   ASSERT_NE(source.ValueOrDie().view(0).i32(), nullptr);  // read in place
   Labels y(values.size(), 0);
   auto ints =
       TrainingCodes::Build(source.ValueOrDie(), y, {0}, max_codes, false);
-  auto doubles = TrainingCodes::Build(TrainingSource::FromMatrix(x), y, {0},
-                                      max_codes, false);
+  auto doubles = TrainingCodes::Build(x, y, {0}, max_codes, false);
   ASSERT_TRUE(ints.ok());
   ASSERT_TRUE(doubles.ok());
   const TrainingCodes& a = ints.ValueOrDie();
@@ -279,59 +253,6 @@ TEST(TrainingCodesTest, IntegerColumnCodesLikeDoubles) {
                                std::numeric_limits<int32_t>::max()},
                               255);
   }
-}
-
-TEST(TrainingSourceTest, FromColumnsReadsLikeTheMatrix) {
-  ColumnPtr ints = mlcs::Column::FromInt32({4, -1, 7});
-  ColumnPtr doubles = mlcs::Column::FromDouble({0.5, -2.0, 1e300});
-  ColumnPtr with_null = mlcs::Column::FromInt32({1, 2, 3});
-  with_null->SetNull(1);
-  std::vector<ColumnPtr> cols{ints, doubles, with_null};
-  auto source = TrainingSource::FromColumns(cols);
-  ASSERT_TRUE(source.ok()) << source.status().ToString();
-  Matrix m = Matrix::FromColumns(cols).ValueOrDie();
-  ASSERT_EQ(source.ValueOrDie().rows(), 3u);
-  ASSERT_EQ(source.ValueOrDie().cols(), 3u);
-  for (size_t c = 0; c < 3; ++c) {
-    FeatureView view = source.ValueOrDie().view(c);
-    for (size_t r = 0; r < 3; ++r) {
-      if (std::isnan(m.At(r, c))) {
-        EXPECT_TRUE(std::isnan(view[r])) << r << "," << c;
-      } else {
-        EXPECT_EQ(view[r], m.At(r, c)) << r << "," << c;
-      }
-    }
-  }
-  EXPECT_FALSE(
-      TrainingSource::FromColumns({ints, mlcs::Column::FromInt32({1})}).ok());
-}
-
-TEST(TrainingSourceTest, ForestOnColumnsMatchesTheMatrixPath) {
-  Labels y;
-  std::vector<ColumnPtr> cols = IntColumns(4000, &y);
-  Matrix x = Matrix::FromColumns(cols).ValueOrDie();
-  TrainingSource source = TrainingSource::FromColumns(cols).ValueOrDie();
-  RandomForestOptions opt;
-  opt.n_estimators = 4;
-  opt.max_depth = 6;
-  RandomForest on_matrix(opt);
-  RandomForest on_columns(opt);
-  ASSERT_TRUE(on_matrix.Fit(x, y).ok());
-  ASSERT_TRUE(on_columns.FitSource(source, y).ok());
-  EXPECT_EQ(pickle::Dumps(on_matrix), pickle::Dumps(on_columns));
-  EXPECT_EQ(on_columns.PredictSource(source).ValueOrDie(),
-            on_matrix.Predict(x).ValueOrDie());
-
-  // A model without a source walk predicts through a Matrix copy.
-  LogisticRegression lr;
-  ASSERT_TRUE(lr.Fit(x, y).ok());
-  EXPECT_EQ(lr.PredictSource(source).ValueOrDie(),
-            lr.Predict(x).ValueOrDie());
-
-  std::vector<ColumnPtr> fewer(cols.begin(), cols.end() - 1);
-  TrainingSource narrow = TrainingSource::FromColumns(fewer).ValueOrDie();
-  EXPECT_FALSE(on_columns.PredictSource(narrow).ok());
-  EXPECT_FALSE(lr.PredictSource(narrow).ok());
 }
 
 }  // namespace

@@ -75,18 +75,16 @@ Rules
                         the column once before the loop (DESIGN.md §13).
                         Deliberate per-iteration decodes opt out with
                         `// lint:allow(row-decode)` plus a reason.
-  matrix-materialize    Dense-matrix materialization (`Matrix::FromColumns`
-                        / `Matrix::FromTable`, `DecodeTable`, `.ToMatrix(`)
-                        inside src/ml/ outside matrix.{h,cc} — every
-                        model fits and predicts from an
-                        `ml::TrainingSource` (DESIGN.md §14), which reads
-                        plain table columns in place
-                        (TrainingSource::FromColumns) or borrows an
-                        already-built matrix (TrainingSource::FromMatrix),
-                        so neither a fit nor a predict copies its input
-                        into a second matrix. No model is exempt and
-                        src/ml/ carries no opt-out; a new deliberate
-                        conversion would need
+  matrix-materialize    Owned-copy builders of a dense matrix
+                        (`Matrix::CopyColumns`, `.SelectRows(`,
+                        `DecodeTable`, `.ToMatrix(`) inside src/ml/ outside
+                        matrix.{h,cc} — every model fits and predicts from
+                        the `ml::Matrix` it is handed (DESIGN.md §14),
+                        whose features Matrix::FromColumns reads in place
+                        from plain table columns, so neither a fit nor a
+                        predict copies its input into a second matrix. No
+                        model is exempt and src/ml/ carries no opt-out; a
+                        new deliberate copy would need
                         `// lint:allow(matrix-materialize)` plus a reason.
   signal-unsafe         Async-signal-unsafe construct in the crash-handler
                         translation unit (src/obs/crash_dump.cc): heap
@@ -588,8 +586,8 @@ def check_row_decode(path, relpath, lines):
 
 
 MATRIX_MATERIALIZE_RE = re.compile(
-    r"\bMatrix\s*::\s*(?:FromColumns|FromTable)\s*\(|\bDecodeTable\s*\(|"
-    r"(?:\.|->)\s*ToMatrix\s*\(")
+    r"\bMatrix\s*::\s*CopyColumns\s*\(|\bDecodeTable\s*\(|"
+    r"(?:\.|->)\s*(?:ToMatrix|SelectRows)\s*\(")
 MATRIX_MATERIALIZE_EXEMPT = ("src/ml/matrix.h", "src/ml/matrix.cc")
 
 
@@ -604,9 +602,9 @@ def check_matrix_materialize(path, relpath, lines):
         if allowed(raw, "matrix-materialize"):
             continue
         report(path, i + 1, "matrix-materialize",
-               "dense-matrix materialization in ML code; fit and predict "
-               "from an ml::TrainingSource (DESIGN.md §14) instead of "
-               "copying the columns, or justify with "
+               "dense-matrix copy in ML code; fit and predict from the "
+               "ml::Matrix as handed in (DESIGN.md §14) instead of "
+               "copying it, or justify with "
                "`// lint:allow(matrix-materialize)`")
 
 
