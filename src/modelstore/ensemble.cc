@@ -2,7 +2,6 @@
 
 #include <map>
 
-
 namespace mlcs::modelstore {
 
 namespace {
