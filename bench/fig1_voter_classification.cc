@@ -272,14 +272,18 @@ void PrintShapeChecks() {
               runner_up.c_str(), total(runner_up));
 
   double least = 0;
+  const char* least_channel = "";
   for (const char* m :
        {"socket pg-text", "socket mysql-binary", "socket columnar"}) {
     double ratio = wrangle(m) / wrangle(in_db);
-    if (least == 0 || ratio < least) least = ratio;
+    if (least == 0 || ratio < least) {
+      least = ratio;
+      least_channel = m;
+    }
   }
   std::printf("  %s in-database wrangle an order of magnitude below every "
-              "socket channel's: %.0fx at the least\n",
-              mark(least >= 10), least);
+              "socket channel's: %.1fx at the least (%s)\n",
+              mark(least >= 10), least, least_channel);
 
   double binary = std::max(wrangle("numpy-binary"), wrangle("hdf5-like"));
   double text = std::min({wrangle("csv"), wrangle("socket pg-text"),

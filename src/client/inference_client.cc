@@ -1,68 +1,26 @@
 #include "client/inference_client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstring>
-
-#include "common/byte_buffer.h"
-
 namespace mlcs::client {
-
-InferenceClient::~InferenceClient() { Disconnect(); }
-
-Status InferenceClient::Connect(const std::string& host, uint16_t port) {
-  Disconnect();
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) return Status::NetworkError("socket() failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    Disconnect();
-    return Status::InvalidArgument("bad host address '" + host + "'");
-  }
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    Status st = Status::NetworkError("connect() failed: " +
-                                     std::string(std::strerror(errno)));
-    Disconnect();
-    return st;
-  }
-  int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return Status::OK();
-}
-
-void InferenceClient::Disconnect() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
 
 Result<uint64_t> InferenceClient::Send(const std::string& model_name,
                                        const ml::Matrix& features,
                                        const InferenceCallOptions& options) {
-  if (fd_ < 0) return Status::NetworkError("not connected");
   serve::PredictRequest request;
   request.request_id = next_request_id_++;
   request.deadline_ms = options.deadline_ms;
   request.model_name = model_name;
   request.features = features;
-  ByteWriter body;
-  serve::EncodePredictRequest(request, options.layout, &body);
-  MLCS_RETURN_IF_ERROR(serve::WriteFrame(fd_, body));
+  request_.Clear();
+  size_t start = net::BeginFrame(&request_);
+  serve::EncodePredictRequest(request, options.layout, &request_);
+  MLCS_RETURN_IF_ERROR(net::EndFrame(&request_, start));
+  MLCS_RETURN_IF_ERROR(SendFrames(request_));
   return request.request_id;
 }
 
 Result<serve::PredictResponse> InferenceClient::Receive() {
-  if (fd_ < 0) return Status::NetworkError("not connected");
-  MLCS_ASSIGN_OR_RETURN(std::vector<uint8_t> frame, serve::ReadFrame(fd_));
-  ByteReader reader(frame);
+  MLCS_RETURN_IF_ERROR(ReadFrame(&response_));
+  ByteReader reader(response_);
   return serve::DecodePredictResponse(&reader);
 }
 
@@ -78,26 +36,6 @@ Result<serve::PredictResponse> InferenceClient::Call(
                             std::to_string(id));
   }
   return response;
-}
-
-Result<std::string> InferenceClient::FetchMetricsText() {
-  if (fd_ < 0) return Status::NetworkError("not connected");
-  ByteWriter body;
-  serve::EncodeMetricsRequest(&body);
-  MLCS_RETURN_IF_ERROR(serve::WriteFrame(fd_, body));
-  MLCS_ASSIGN_OR_RETURN(std::vector<uint8_t> frame, serve::ReadFrame(fd_));
-  ByteReader reader(frame);
-  return serve::DecodeExportResponse(&reader);
-}
-
-Result<std::string> InferenceClient::FetchChromeTrace(uint64_t trace_id) {
-  if (fd_ < 0) return Status::NetworkError("not connected");
-  ByteWriter body;
-  serve::EncodeTraceExportRequest(trace_id, &body);
-  MLCS_RETURN_IF_ERROR(serve::WriteFrame(fd_, body));
-  MLCS_ASSIGN_OR_RETURN(std::vector<uint8_t> frame, serve::ReadFrame(fd_));
-  ByteReader reader(frame);
-  return serve::DecodeExportResponse(&reader);
 }
 
 Result<std::vector<int32_t>> InferenceClient::Predict(

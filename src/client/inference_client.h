@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "client/net_util.h"
+#include "common/byte_buffer.h"
 #include "common/result.h"
 #include "ml/matrix.h"
 #include "serve/serve_protocol.h"
@@ -22,19 +24,10 @@ struct InferenceCallOptions {
 /// Send() can be called repeatedly without waiting, and Receive() collects
 /// responses in whatever order the server finishes them (the request_id
 /// correlates the two) — that pipelining is what gives the server's
-/// micro-batcher concurrent requests to coalesce.
-class InferenceClient {
+/// micro-batcher concurrent requests to coalesce. Connecting, the export
+/// frame and disconnecting on a broken frame come from net::ClientSocket.
+class InferenceClient : public net::ClientSocket {
  public:
-  InferenceClient() = default;
-  ~InferenceClient();
-
-  InferenceClient(const InferenceClient&) = delete;
-  InferenceClient& operator=(const InferenceClient&) = delete;
-
-  Status Connect(const std::string& host, uint16_t port);
-  void Disconnect();
-  bool connected() const { return fd_ >= 0; }
-  int fd() const { return fd_; }
 
   /// Ships one predict request without waiting for the response; returns
   /// the request id Receive()'s response will carry.
@@ -57,15 +50,10 @@ class InferenceClient {
       const std::string& model_name, const ml::Matrix& features,
       const InferenceCallOptions& options = {});
 
-  /// Observability sideband (serial use, like Call): a Prometheus text
-  /// snapshot of the server's metrics registry, or the Chrome trace_event
-  /// JSON of one recorded trace (0 = every retained trace).
-  Result<std::string> FetchMetricsText();
-  Result<std::string> FetchChromeTrace(uint64_t trace_id);
-
  private:
-  int fd_ = -1;
   uint64_t next_request_id_ = 1;
+  ByteWriter request_;             // reused by every Send
+  std::vector<uint8_t> response_;  // reused by every Receive
 };
 
 }  // namespace mlcs::client

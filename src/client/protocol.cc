@@ -102,6 +102,9 @@ Status DecodeColumnRun(Column* col, size_t count, bool any_null,
                        ByteReader* in) {
   std::vector<uint8_t> bitmap;
   if (any_null) {
+    if (in->remaining() < (count + 7) / 8) {
+      return Status::OutOfRange("truncated columnar null bitmap");
+    }
     bitmap.resize((count + 7) / 8);
     MLCS_RETURN_IF_ERROR(in->ReadRaw(bitmap.data(), bitmap.size()));
   }
@@ -175,6 +178,23 @@ const char* WireProtocolToString(WireProtocol protocol) {
       return "columnar";
   }
   return "?";
+}
+
+void EncodeQueryRequest(WireProtocol protocol, const std::string& sql,
+                        ByteWriter* out) {
+  out->WriteU8(static_cast<uint8_t>(protocol));
+  out->WriteRaw(sql.data(), sql.size());
+}
+
+Result<QueryRequest> DecodeQueryRequest(ByteReader* in) {
+  MLCS_ASSIGN_OR_RETURN(uint8_t protocol, in->ReadU8());
+  if (protocol > static_cast<uint8_t>(WireProtocol::kColumnar)) {
+    return Status::ParseError("bad protocol byte " + std::to_string(protocol));
+  }
+  QueryRequest request{static_cast<WireProtocol>(protocol),
+                       std::string(in->remaining(), '\0')};
+  MLCS_RETURN_IF_ERROR(in->ReadRaw(request.sql.data(), request.sql.size()));
+  return request;
 }
 
 void EncodeHeader(const Schema& schema, ByteWriter* out) {
@@ -323,6 +343,11 @@ Result<bool> DecodeMessages(ByteReader* in, WireProtocol protocol,
         if (len < 0) {
           col->AppendNull();
           continue;
+        }
+        // Checked before allocating: a corrupt length must not size a
+        // buffer beyond the frame itself.
+        if (static_cast<size_t>(len) > in->remaining()) {
+          return Status::OutOfRange("truncated pg-text field");
         }
         std::string text(static_cast<size_t>(len), '\0');
         MLCS_RETURN_IF_ERROR(in->ReadRaw(text.data(), text.size()));

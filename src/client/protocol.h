@@ -31,18 +31,17 @@ enum class WireProtocol : uint8_t { kPgText = 0, kMyBinary = 1, kColumnar = 2 };
 
 const char* WireProtocolToString(WireProtocol protocol);
 
-/// Observability verbs (DESIGN.md §15), carried in the protocol byte of
-/// the TableServer request framing. The "SQL" payload repurposes: empty
-/// for kVerbPrometheus, the decimal trace id (0 = all retained) for
-/// kVerbChromeTrace. The response is the usual u8 ok-flag followed by one
-/// length-prefixed string — the export text — instead of a result set.
-inline constexpr uint8_t kVerbPrometheus = 0xF0;
-inline constexpr uint8_t kVerbChromeTrace = 0xF1;
+/// A TableServer request, the body of one frame (client/net_util.h):
+/// byte 0 the WireProtocol of the answer, the rest the SQL text.
+struct QueryRequest {
+  WireProtocol protocol = WireProtocol::kPgText;
+  std::string sql;
+};
 
-/// Largest frame either side of a TableServer connection accepts: the
-/// server refuses a longer request, and the client rejects a longer
-/// response frame before it allocates anything for it.
-inline constexpr uint64_t kMaxFrameBytes = 64u << 20;
+void EncodeQueryRequest(WireProtocol protocol, const std::string& sql,
+                        ByteWriter* out);
+/// Rejects a protocol byte naming no WireProtocol ("bad protocol").
+Result<QueryRequest> DecodeQueryRequest(ByteReader* in);
 
 /// Result-set header: column names and types.
 void EncodeHeader(const Schema& schema, ByteWriter* out);

@@ -1,18 +1,13 @@
 #include "client/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include "client/net_util.h"
 #include "common/logging.h"
-#include "obs/export.h"
 
 namespace mlcs::client {
 
@@ -24,24 +19,16 @@ namespace {
 /// §4 item 3).
 constexpr size_t kFrameTargetBytes = 256u << 10;
 
-/// Every frame is a u64 payload length, then the payload.
-constexpr size_t kPrefixBytes = sizeof(uint64_t);
-
-/// Empties `frame` and reserves its length prefix.
-void StartFrame(ByteWriter* frame) {
-  frame->Clear();
-  frame->WriteU64(0);
-}
-
-/// Fills in the length prefix and sends prefix and payload in one write.
+/// Fills in the length prefix of the frame `frame` holds and sends it in
+/// one write; false when it exceeds the cap or the peer is gone.
 bool SendFrame(int fd, ByteWriter* frame) {
-  frame->PatchU64(0, frame->size() - kPrefixBytes);
-  return net::WriteAll(fd, frame->data().data(), frame->size());
+  return net::EndFrame(frame, 0).ok() && net::WriteAll(fd, *frame);
 }
 
 /// A whole error response: u8 1, then the message.
 bool SendError(int fd, const std::string& message, ByteWriter* frame) {
-  StartFrame(frame);
+  frame->Clear();
+  net::BeginFrame(frame);
   frame->WriteU8(1);
   frame->WriteString(message);
   return SendFrame(fd, frame);
@@ -52,10 +39,11 @@ bool SendError(int fd, const std::string& message, ByteWriter* frame) {
 /// end marker closing the last. A frame's row count comes from the bytes
 /// per row of the frame before; the first assumes 8 bytes a cell. Returns
 /// false when the connection must close: the peer is gone, or a single row
-/// exceeds kMaxFrameBytes.
+/// exceeds net::kMaxFrameBytes.
 bool SendResultSet(int fd, const Table& table, WireProtocol protocol,
                    ByteWriter* frame) {
-  StartFrame(frame);
+  frame->Clear();
+  net::BeginFrame(frame);
   frame->WriteU8(0);
   EncodeHeader(table.schema(), frame);
   if (!SendFrame(fd, frame)) return false;
@@ -66,17 +54,19 @@ bool SendResultSet(int fd, const Table& table, WireProtocol protocol,
   do {
     size_t count = std::min(frame_rows, num_rows - begin);
     while (true) {
-      StartFrame(frame);
+      frame->Clear();
+      net::BeginFrame(frame);
       if (count > 0 && !EncodeRows(table, protocol, begin, count, frame).ok()) {
         return false;
       }
-      if (frame->size() <= kMaxFrameBytes || count <= 1) break;
+      size_t body_bytes = frame->size() - net::kFramePrefixBytes;
+      if (body_bytes <= net::kMaxFrameBytes || count <= 1) break;
       count /= 2;  // these rows are far wider than the last frame's
     }
-    if (frame->size() > kMaxFrameBytes) return false;
     if (count > 0) {
       frame_rows = std::max<size_t>(
-          1, kFrameTargetBytes * count / (frame->size() - kPrefixBytes));
+          1, kFrameTargetBytes * count /
+                 (frame->size() - net::kFramePrefixBytes));
     }
     begin += count;
     if (begin == num_rows) EncodeEnd(frame);
@@ -91,35 +81,9 @@ TableServer::~TableServer() { Stop(); }
 
 Status TableServer::Start(uint16_t port) {
   if (running_.load()) return Status::InvalidArgument("already running");
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return Status::NetworkError("socket() failed");
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::NetworkError("bind() failed: " +
-                                std::string(std::strerror(errno)));
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
-      0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::NetworkError("getsockname() failed");
-  }
-  port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, SOMAXCONN) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::NetworkError("listen() failed: " +
-                                std::string(std::strerror(errno)));
-  }
+  MLCS_ASSIGN_OR_RETURN(net::Listener listener, net::ListenLoopback(port));
+  listen_fd_ = listener.fd;
+  port_ = listener.port;
   running_.store(true);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
@@ -170,15 +134,13 @@ void TableServer::ReapFinishedLocked(std::list<std::thread>* out)
 
 void TableServer::AcceptLoop() {
   while (running_.load()) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
+    int fd = net::Accept(listen_fd_);
     if (fd < 0) {
       if (running_.load()) {
         MLCS_LOG(kWarn) << "accept() failed: " << std::strerror(errno);
       }
       break;
     }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     std::list<std::thread> to_join;
     {
       MutexLock lock(&threads_mutex_);
@@ -210,61 +172,39 @@ void TableServer::AcceptLoop() {
 }
 
 void TableServer::ServeConnection(int fd) {
-  ByteWriter frame;  // reused for every frame this connection sends
+  std::vector<uint8_t> request;  // reused for every request frame
+  ByteWriter frame;              // reused for every frame this connection sends
   while (running_.load()) {
-    uint8_t protocol_byte = 0;
-    if (!net::ReadExact(fd, &protocol_byte, 1)) break;  // client gone
-    uint32_t sql_len = 0;
-    if (!net::ReadExact(fd, &sql_len, sizeof(sql_len))) break;
-    if (sql_len > kMaxFrameBytes) {
-      // Refuse absurd frames, but tell the client why before hanging up
-      // instead of silently dropping the connection.
-      SendError(fd,
-                "query of " + std::to_string(sql_len) +
-                    " bytes exceeds the frame cap",
-                &frame);
+    Status read = net::ReadFrame(fd, &request);
+    if (!read.ok()) {
+      // Tell a client whose frame is refused why before hanging up; one that
+      // is gone gets nothing.
+      if (read.code() == StatusCode::kInvalidArgument) {
+        SendError(fd, read.message(), &frame);
+      }
       break;
     }
-    std::string sql(sql_len, '\0');
-    if (!net::ReadExact(fd, sql.data(), sql.size())) break;
-
-    if (protocol_byte == kVerbPrometheus ||
-        protocol_byte == kVerbChromeTrace) {
-      // Observability verbs bypass SQL entirely: the payload is empty
-      // (Prometheus) or a decimal trace id (Chrome trace).
-      std::string text =
-          protocol_byte == kVerbPrometheus
-              ? obs::PrometheusText()
-              : obs::ChromeTraceJson(std::strtoull(sql.c_str(), nullptr, 10));
-      if (1 + sizeof(uint32_t) + text.size() > kMaxFrameBytes) {
-        if (!SendError(fd,
-                       "export of " + std::to_string(text.size()) +
-                           " bytes exceeds the frame cap",
-                       &frame)) {
-          break;
-        }
-        continue;
-      }
-      StartFrame(&frame);
-      frame.WriteU8(0);
-      frame.WriteString(text);
-      if (!SendFrame(fd, &frame)) break;
+    if (net::IsExportRequest(request.data(), request.size())) {
+      frame.Clear();
+      net::AppendExportAnswer(request.data(), request.size(), &frame);
+      if (!net::WriteAll(fd, frame)) break;
       continue;
     }
-
-    // Checked before the query runs: a request the server cannot answer
+    // Decoded before the query runs: a request the server cannot answer
     // must not change the database either.
-    if (protocol_byte > static_cast<uint8_t>(WireProtocol::kColumnar)) {
-      if (!SendError(fd, "bad protocol", &frame)) break;
+    ByteReader reader(request);
+    auto decoded = DecodeQueryRequest(&reader);
+    if (!decoded.ok()) {
+      if (!SendError(fd, decoded.status().message(), &frame)) break;
       continue;
     }
-    auto result = db_->Query(sql);
+    const QueryRequest& query = decoded.ValueOrDie();
+    auto result = db_->Query(query.sql);
     if (!result.ok()) {
       if (!SendError(fd, result.status().ToString(), &frame)) break;
       continue;
     }
-    if (!SendResultSet(fd, *result.ValueOrDie(),
-                       static_cast<WireProtocol>(protocol_byte), &frame)) {
+    if (!SendResultSet(fd, *result.ValueOrDie(), query.protocol, &frame)) {
       break;
     }
   }

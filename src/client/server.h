@@ -14,9 +14,11 @@
 namespace mlcs::client {
 
 /// A TCP table server fronting a Database — the "separate database server
-/// + socket connection" deployment the paper benchmarks against. Request
-/// framing: u8 protocol, u32 length, SQL bytes. The response is a stream
-/// of frames, each a u64 payload length and the payload. An error is one
+/// + socket connection" deployment the paper benchmarks against. Requests
+/// and responses are frames of the shared wire layer (client/net_util.h).
+/// A request is one frame: a QueryRequest (protocol byte, then the SQL) or
+/// an export request; one declaring more than net::kMaxFrameBytes is
+/// answered with an error, then the connection closes. An error is one
 /// frame: u8 1 and a length-prefixed message. A result set is a first
 /// frame holding u8 0 and the header, then row frames of about 256 KiB
 /// (whole 'D' rows, or one 'B' block for kColumnar), the end marker

@@ -61,11 +61,18 @@ class ByteWriter {
     WriteU8(static_cast<uint8_t>(v));
   }
 
-  /// Overwrites the 8 bytes at `offset`, which an earlier WriteU64 wrote:
+  /// Overwrites the 4 bytes at `offset`, which an earlier WriteU32 wrote:
   /// a length prefix filled in once the bytes it counts are written.
-  /// Requires offset + 8 <= size().
-  void PatchU64(size_t offset, uint64_t v) {
+  /// Requires offset + 4 <= size().
+  void PatchU32(size_t offset, uint32_t v) {
     std::memcpy(buffer_.data() + offset, &v, sizeof(v));
+  }
+
+  /// Drops every byte from `size` on (requires size <= size()), keeping
+  /// the capacity.
+  void Truncate(size_t size) {
+    buffer_.erase(buffer_.begin() + static_cast<std::ptrdiff_t>(size),
+                  buffer_.end());
   }
 
   /// Empties the writer but keeps its capacity, so a writer reused for

@@ -1,9 +1,6 @@
 #include "serve/inference_server.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -14,9 +11,10 @@
 
 #include "client/net_util.h"
 #include "common/logging.h"
-#include "obs/export.h"
 
 namespace mlcs::serve {
+
+namespace net = client::net;
 
 namespace {
 
@@ -45,37 +43,16 @@ InferenceServer::~InferenceServer() { Stop(); }
 
 Status InferenceServer::Start(uint16_t port) {
   if (running_.load()) return Status::InvalidArgument("already running");
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Status::NetworkError("socket() failed");
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return Status::NetworkError("bind() failed: " +
-                                std::string(std::strerror(errno)));
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    ::close(fd);
-    return Status::NetworkError("getsockname() failed");
-  }
-  if (::listen(fd, 64) != 0) {
-    ::close(fd);
-    return Status::NetworkError("listen() failed");
-  }
+  MLCS_ASSIGN_OR_RETURN(net::Listener listener, net::ListenLoopback(port));
   if (::pipe(wake_pipe_) != 0) {
-    ::close(fd);
+    ::close(listener.fd);
     return Status::NetworkError("pipe() failed");
   }
-  SetNonBlocking(fd);
+  SetNonBlocking(listener.fd);
   SetNonBlocking(wake_pipe_[0]);
   SetNonBlocking(wake_pipe_[1]);
-  port_ = ntohs(addr.sin_port);
-  listen_fd_.store(fd);
+  port_ = listener.port;
+  listen_fd_.store(listener.fd);
   queue_ = std::make_unique<BoundedQueue<Pending>>(
       options_.max_queue_requests, "serve.admission");
   draining_.store(false);
@@ -159,12 +136,10 @@ void InferenceServer::IoLoop() {
       }
       if (lfd >= 0 && p.fd == lfd) {
         while (true) {
-          int cfd = ::accept(lfd, nullptr, nullptr);
+          int cfd = net::Accept(lfd);
           // EAGAIN when the backlog is drained; EBADF if Stop() closed the
           // socket under us — both end the accept burst harmlessly.
           if (cfd < 0) break;
-          int one = 1;
-          ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
           conns.emplace(cfd, std::make_shared<Conn>(cfd));
         }
         continue;
@@ -204,19 +179,20 @@ bool InferenceServer::ReadAndDispatch(const ConnPtr& conn) {
 bool InferenceServer::ProcessBufferedFrames(const ConnPtr& conn) {
   std::vector<uint8_t>& buf = conn->inbuf;
   size_t consumed = 0;
-  while (buf.size() - consumed >= sizeof(uint32_t)) {
-    uint32_t frame_len = 0;
-    std::memcpy(&frame_len, buf.data() + consumed, sizeof(frame_len));
-    if (frame_len > kMaxFrameBytes) {
+  while (true) {
+    auto frame_bytes =
+        net::BufferedFrameSize(buf.data() + consumed, buf.size() - consumed);
+    if (!frame_bytes.ok()) {
       stats_.rejected_bad_request.Add(1);
       RespondError(conn, 0, ServeCode::kBadRequest,
-                   "frame of " + std::to_string(frame_len) +
-                       " bytes exceeds the frame cap");
+                   frame_bytes.status().message());
       return false;  // cannot resynchronize a corrupt stream
     }
-    if (buf.size() - consumed < sizeof(uint32_t) + frame_len) break;
-    HandleFrame(conn, buf.data() + consumed + sizeof(uint32_t), frame_len);
-    consumed += sizeof(uint32_t) + frame_len;
+    size_t n = frame_bytes.ValueOrDie();
+    if (n == 0) break;  // the next frame is not wholly buffered yet
+    HandleFrame(conn, buf.data() + consumed + net::kFramePrefixBytes,
+                n - net::kFramePrefixBytes);
+    consumed += n;
   }
   if (consumed > 0) {
     buf.erase(buf.begin(),
@@ -227,8 +203,14 @@ bool InferenceServer::ProcessBufferedFrames(const ConnPtr& conn) {
 
 void InferenceServer::HandleFrame(const ConnPtr& conn, const uint8_t* body,
                                   size_t size) {
-  if (IsExportRequest(body, size)) {
-    HandleExportFrame(conn, body, size);
+  if (net::IsExportRequest(body, size)) {
+    // Answered here on the I/O thread: a scrape never queues behind
+    // inference.
+    ByteWriter out;
+    net::AppendExportAnswer(body, size, &out);
+    MutexLock lock(&conn->write_mutex);
+    bool ignored = net::WriteAll(conn->fd, out);
+    (void)ignored;
     return;
   }
   ByteReader reader(body, size);
@@ -263,26 +245,6 @@ void InferenceServer::HandleFrame(const ConnPtr& conn, const uint8_t* body,
   }
   stats_.requests_accepted.Add(1);
   stats_.peak_queue_depth.UpdateMax(queue_->size());
-}
-
-void InferenceServer::HandleExportFrame(const ConnPtr& conn,
-                                        const uint8_t* body, size_t size) {
-  ByteReader reader(body, size);
-  auto decoded = DecodeExportRequest(&reader);
-  bool ok = decoded.ok();
-  std::string text;
-  if (!ok) {
-    text = decoded.status().ToString();
-  } else if (decoded.ValueOrDie().kind == 'm') {
-    text = obs::PrometheusText();
-  } else {
-    text = obs::ChromeTraceJson(decoded.ValueOrDie().trace_id);
-  }
-  ByteWriter out;
-  EncodeExportResponse(ok, text, &out);
-  MutexLock lock(&conn->write_mutex);
-  Status ignored = WriteFrame(conn->fd, out);
-  (void)ignored;
 }
 
 void InferenceServer::BatchLoop() {
@@ -455,16 +417,18 @@ void InferenceServer::RunGroup(std::vector<Pending*>& members,
         all.begin() + static_cast<std::ptrdiff_t>(offset),
         all.begin() + static_cast<std::ptrdiff_t>(offset + rows));
     offset += rows;
-    ByteWriter body;
-    EncodePredictResponse(response, &body);
-    AppendFrame(body, &outboxes[p->conn.get()]);
+    ByteWriter* outbox = &outboxes[p->conn.get()];
+    size_t start = net::BeginFrame(outbox);
+    EncodePredictResponse(response, outbox);
+    // Labels of at most kMaxRequestRows rows are far below the frame cap.
+    Status ignored = net::EndFrame(outbox, start);
+    (void)ignored;
   }
   for (auto& [conn, frames] : outboxes) {
     MutexLock lock(&conn->write_mutex);
     // A failed write means the peer vanished; the I/O thread notices the
     // hangup independently, so the error is dropped on purpose.
-    bool ignored =
-        client::net::WriteAll(conn->fd, frames.data().data(), frames.size());
+    bool ignored = net::WriteAll(conn->fd, frames);
     (void)ignored;
   }
 }
@@ -475,11 +439,14 @@ void InferenceServer::RespondError(const ConnPtr& conn, uint64_t request_id,
   response.request_id = request_id;
   response.code = code;
   response.message = std::move(message);
-  ByteWriter body;
-  EncodePredictResponse(response, &body);
+  ByteWriter out;
+  size_t start = net::BeginFrame(&out);
+  EncodePredictResponse(response, &out);
+  // An over-cap message (EndFrame drops it) leaves nothing to send.
+  if (!net::EndFrame(&out, start).ok()) return;
   MutexLock lock(&conn->write_mutex);
   // Dropped on purpose, as in RunGroup: the I/O thread sees the hangup.
-  Status ignored = WriteFrame(conn->fd, body);
+  bool ignored = net::WriteAll(conn->fd, out);
   (void)ignored;
 }
 

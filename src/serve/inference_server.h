@@ -123,11 +123,9 @@ class InferenceServer {
   /// connection must close (peer gone or protocol violation).
   [[nodiscard]] bool ReadAndDispatch(const ConnPtr& conn);
   [[nodiscard]] bool ProcessBufferedFrames(const ConnPtr& conn);
+  /// Routes one request frame: a predict request into the admission queue,
+  /// an export request answered at once.
   void HandleFrame(const ConnPtr& conn, const uint8_t* body, size_t size);
-  /// Observability sideband ('m'/'t' frames): renders the export on the
-  /// I/O thread and answers inline — never queued behind inference.
-  void HandleExportFrame(const ConnPtr& conn, const uint8_t* body,
-                         size_t size);
   /// Groups the batch by (model, feature count) and predicts each group:
   /// the last on this thread, the others as pool tasks.
   void ExecuteBatch(std::vector<Pending> batch);

@@ -1,15 +1,10 @@
 #include "serve/serve_protocol.h"
 
-#include "client/net_util.h"
-
 namespace mlcs::serve {
 
 namespace {
 constexpr uint8_t kRequestKind = 'P';
 constexpr uint8_t kResponseKind = 'R';
-constexpr uint8_t kMetricsRequestKind = 'm';
-constexpr uint8_t kTraceRequestKind = 't';
-constexpr uint8_t kExportResponseKind = 'E';
 }  // namespace
 
 const char* LayoutToString(Layout layout) {
@@ -194,83 +189,6 @@ Result<PredictResponse> DecodePredictResponse(ByteReader* in) {
     MLCS_ASSIGN_OR_RETURN(response.message, in->ReadString());
   }
   return response;
-}
-
-bool IsExportRequest(const uint8_t* body, size_t size) {
-  return size >= 1 && (body[0] == kMetricsRequestKind ||
-                       body[0] == kTraceRequestKind);
-}
-
-void EncodeMetricsRequest(ByteWriter* out) {
-  out->WriteU8(kMetricsRequestKind);
-}
-
-void EncodeTraceExportRequest(uint64_t trace_id, ByteWriter* out) {
-  out->WriteU8(kTraceRequestKind);
-  out->WriteU64(trace_id);
-}
-
-Result<ExportRequest> DecodeExportRequest(ByteReader* in) {
-  ExportRequest request;
-  MLCS_ASSIGN_OR_RETURN(request.kind, in->ReadU8());
-  if (request.kind == kTraceRequestKind) {
-    MLCS_ASSIGN_OR_RETURN(request.trace_id, in->ReadU64());
-  } else if (request.kind != kMetricsRequestKind) {
-    return Status::ParseError("unknown export request kind byte " +
-                              std::to_string(request.kind));
-  }
-  return request;
-}
-
-void EncodeExportResponse(bool ok, const std::string& text,
-                          ByteWriter* out) {
-  out->WriteU8(kExportResponseKind);
-  out->WriteU8(ok ? 1 : 0);
-  out->WriteString(text);
-}
-
-Result<std::string> DecodeExportResponse(ByteReader* in) {
-  MLCS_ASSIGN_OR_RETURN(uint8_t kind, in->ReadU8());
-  if (kind != kExportResponseKind) {
-    return Status::ParseError("unknown export response kind byte " +
-                              std::to_string(kind));
-  }
-  MLCS_ASSIGN_OR_RETURN(uint8_t ok, in->ReadU8());
-  MLCS_ASSIGN_OR_RETURN(std::string text, in->ReadString());
-  if (ok == 0) return Status::Internal("export failed: " + text);
-  return text;
-}
-
-void AppendFrame(const ByteWriter& body, ByteWriter* out) {
-  out->WriteU32(static_cast<uint32_t>(body.size()));
-  out->WriteRaw(body.data().data(), body.size());
-}
-
-Status WriteFrame(int fd, const ByteWriter& body) {
-  // One contiguous buffer (length prefix + body) so the frame leaves in a
-  // single send — with TCP_NODELAY two writes would mean two packets.
-  ByteWriter frame;
-  AppendFrame(body, &frame);
-  if (!client::net::WriteAll(fd, frame.data().data(), frame.size())) {
-    return Status::NetworkError("failed to write frame");
-  }
-  return Status::OK();
-}
-
-Result<std::vector<uint8_t>> ReadFrame(int fd) {
-  uint32_t len = 0;
-  if (!client::net::ReadExact(fd, &len, sizeof(len))) {
-    return Status::NetworkError("connection closed while reading frame");
-  }
-  if (len > kMaxFrameBytes) {
-    return Status::InvalidArgument("frame of " + std::to_string(len) +
-                                   " bytes exceeds the frame cap");
-  }
-  std::vector<uint8_t> body(len);
-  if (!client::net::ReadExact(fd, body.data(), body.size())) {
-    return Status::NetworkError("connection closed mid-frame");
-  }
-  return body;
 }
 
 }  // namespace mlcs::serve

@@ -45,9 +45,9 @@ const char* ServeCodeToString(ServeCode code);
 /// callers that do not need to distinguish the serving-specific codes.
 Status ServeCodeToStatus(ServeCode code, const std::string& message);
 
-/// Frame and payload sanity bounds; a frame declaring more is rejected
-/// with kBadRequest before any allocation happens.
-inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
+/// Payload sanity bounds; a request declaring more is rejected with
+/// kBadRequest before any allocation happens. (The frame around it is
+/// capped by client::net::kMaxFrameBytes.)
 inline constexpr uint32_t kMaxRequestRows = 1u << 20;
 inline constexpr uint32_t kMaxRequestFeatures = 4096;
 
@@ -71,8 +71,8 @@ struct PredictResponse {
   std::string message;          // human-readable detail when code != kOk
 };
 
-/// Encodes the request body (the content of one frame, excluding the
-/// u32 length prefix) in the given layout.
+/// Encodes the request body — the body of one frame of the shared wire
+/// layer (client/net_util.h) — in the given layout.
 void EncodePredictRequest(const PredictRequest& request, Layout layout,
                           ByteWriter* out);
 
@@ -87,35 +87,6 @@ uint64_t PeekRequestId(const uint8_t* body, size_t size);
 
 void EncodePredictResponse(const PredictResponse& response, ByteWriter* out);
 Result<PredictResponse> DecodePredictResponse(ByteReader* in);
-
-/// Observability sideband (DESIGN.md §15) on the same framed transport:
-/// kind 'm' requests a Prometheus text snapshot of the global registry,
-/// kind 't' (+ u64 trace id, 0 = all retained) a Chrome trace_event JSON
-/// export. Both are answered inline by the I/O thread with an 'E' frame —
-/// ok flag + text — so a scraper never queues behind inference.
-struct ExportRequest {
-  uint8_t kind = 0;       // 'm' or 't'
-  uint64_t trace_id = 0;  // 't' only
-};
-
-/// True when `body` opens with an export request kind (how HandleFrame
-/// routes between predict and the sideband without trial decoding).
-bool IsExportRequest(const uint8_t* body, size_t size);
-
-void EncodeMetricsRequest(ByteWriter* out);
-void EncodeTraceExportRequest(uint64_t trace_id, ByteWriter* out);
-Result<ExportRequest> DecodeExportRequest(ByteReader* in);
-
-void EncodeExportResponse(bool ok, const std::string& text, ByteWriter* out);
-/// The exported text, or the server-side error as a Status.
-Result<std::string> DecodeExportResponse(ByteReader* in);
-
-/// Appends one frame, a u32 length prefix followed by `body`, to `out`.
-void AppendFrame(const ByteWriter& body, ByteWriter* out);
-
-/// Blocking frame transport: a u32 length prefix followed by the body.
-Status WriteFrame(int fd, const ByteWriter& body);
-Result<std::vector<uint8_t>> ReadFrame(int fd);
 
 }  // namespace mlcs::serve
 

@@ -36,13 +36,18 @@ TEST(ByteBufferTest, PrimitiveRoundTrip) {
 /// the writer for the next frame without giving back its buffer.
 TEST(ByteBufferTest, PatchedPrefixAndClearKeepsCapacity) {
   ByteWriter w;
-  w.WriteU64(0);
+  w.WriteU32(0);
   w.WriteString("abc");
-  w.PatchU64(0, w.size() - sizeof(uint64_t));
+  w.PatchU32(0, static_cast<uint32_t>(w.size() - sizeof(uint32_t)));
   ByteReader r(w.data());
-  EXPECT_EQ(r.ReadU64().ValueOrDie(), 7u);
+  EXPECT_EQ(r.ReadU32().ValueOrDie(), 7u);
   EXPECT_EQ(r.ReadString().ValueOrDie(), "abc");
   EXPECT_TRUE(r.AtEnd());
+
+  // Truncate cuts the tail back off and keeps what came before.
+  w.WriteU8(0xEE);
+  w.Truncate(w.size() - 1);
+  EXPECT_EQ(w.size(), 11u);
 
   size_t capacity = w.data().capacity();
   w.Clear();

@@ -1,15 +1,13 @@
-#include <arpa/inet.h>
 #include <gtest/gtest.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
+
+#include <chrono>
+#include <thread>
 
 #include "client/client.h"
 #include "client/net_util.h"
 #include "client/server.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace mlcs::client {
 namespace {
@@ -190,7 +188,8 @@ TEST_F(ServerClientTest, RowLargerThanFrameTargetRoundTrips) {
 TEST_F(ServerClientTest, RowAboveFrameCapFailsQueryAndServerSurvives) {
   Schema schema;
   schema.AddField("s", TypeId::kVarchar);
-  std::vector<std::string> cells(1, std::string(kMaxFrameBytes + 16, 'w'));
+  std::vector<std::string> cells(1,
+                                 std::string(net::kMaxFrameBytes + 16, 'w'));
   auto wide = std::make_shared<Table>(
       std::move(schema),
       std::vector<ColumnPtr>{Column::FromStrings(std::move(cells))});
@@ -210,32 +209,6 @@ TEST_F(ServerClientTest, RowAboveFrameCapFailsQueryAndServerSurvives) {
   EXPECT_EQ(t.ValueOrDie()->GetValue(0, 0).ValueOrDie(), Value::Int64(3));
 }
 
-/// An export larger than the frame cap is answered with an error frame;
-/// the connection stays usable.
-TEST_F(ServerClientTest, ExportAboveFrameCapIsAnErrorFrame) {
-  obs::FlightRecorder::Global().Clear();
-  uint64_t trace_id = 0;
-  {
-    obs::TraceContext ctx("oversized_export", /*force=*/true);
-    trace_id = ctx.trace_id();
-    obs::ScopedSpan span("oversized_note");
-    // Each control byte escapes to six JSON bytes ("\u0001").
-    span.set_note(std::string(kMaxFrameBytes / 6 + 1024, '\x01'));
-  }
-  TableClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
-  auto trace = client.FetchChromeTrace(trace_id);
-  ASSERT_FALSE(trace.ok());
-  EXPECT_NE(trace.status().ToString().find("exceeds the frame cap"),
-            std::string::npos)
-      << trace.status().ToString();
-  EXPECT_TRUE(client.connected());
-  obs::FlightRecorder::Global().Clear();
-  auto t = client.Query("SELECT COUNT(*) FROM t", WireProtocol::kMyBinary);
-  ASSERT_TRUE(t.ok()) << t.status().ToString();
-  EXPECT_EQ(t.ValueOrDie()->GetValue(0, 0).ValueOrDie(), Value::Int64(3));
-}
-
 /// last_response_bytes() counts every frame's payload and no length
 /// prefix: a raw reader of the same stream sums the payloads it sees.
 TEST_F(ServerClientTest, ResponseBytesSumFramePayloads) {
@@ -246,29 +219,24 @@ TEST_F(ServerClientTest, ResponseBytesSumFramePayloads) {
     ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
     ASSERT_TRUE(client.Query(sql, protocol).ok());
 
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(server_->port());
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    ASSERT_EQ(
-        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-    uint8_t protocol_byte = static_cast<uint8_t>(protocol);
-    uint32_t sql_len = static_cast<uint32_t>(sql.size());
-    ASSERT_TRUE(net::WriteAll(fd, &protocol_byte, 1));
-    ASSERT_TRUE(net::WriteAll(fd, &sql_len, sizeof(sql_len)));
-    ASSERT_TRUE(net::WriteAll(fd, sql.data(), sql.size()));
+    net::ClientSocket raw;
+    ASSERT_TRUE(raw.Connect("127.0.0.1", server_->port()).ok());
+    // The request frame by hand: u32 length, protocol byte, SQL.
+    ByteWriter request;
+    request.WriteU32(static_cast<uint32_t>(1 + sql.size()));
+    request.WriteU8(static_cast<uint8_t>(protocol));
+    request.WriteRaw(sql.data(), sql.size());
+    ASSERT_TRUE(net::WriteAll(raw.fd(), request));
     size_t frames = 0;
     size_t payload_bytes = 0;
     TablePtr table;
     bool ended = false;
     while (!ended) {
-      uint64_t frame_len = 0;
-      ASSERT_TRUE(net::ReadExact(fd, &frame_len, sizeof(frame_len)));
-      ASSERT_LE(frame_len, kMaxFrameBytes);
+      uint32_t frame_len = 0;
+      ASSERT_TRUE(net::ReadExact(raw.fd(), &frame_len, sizeof(frame_len)));
+      ASSERT_LE(frame_len, net::kMaxFrameBytes);
       std::vector<uint8_t> frame(frame_len);
-      ASSERT_TRUE(net::ReadExact(fd, frame.data(), frame.size()));
+      ASSERT_TRUE(net::ReadExact(raw.fd(), frame.data(), frame.size()));
       ++frames;
       payload_bytes += frame.size();
       ByteReader reader(frame);
@@ -279,12 +247,67 @@ TEST_F(ServerClientTest, ResponseBytesSumFramePayloads) {
         ended = DecodeMessages(&reader, protocol, table.get()).ValueOrDie();
       }
     }
-    ::close(fd);
     EXPECT_EQ(payload_bytes, client.last_response_bytes())
         << WireProtocolToString(protocol);
     EXPECT_GT(frames, 3u) << WireProtocolToString(protocol);
     EXPECT_EQ(table->num_rows(), 40000u);
   }
+}
+
+/// A request naming no WireProtocol is answered with an error before its
+/// SQL runs, and the connection stays usable.
+TEST_F(ServerClientTest, UnknownProtocolByteAnswered) {
+  net::ClientSocket raw;
+  ASSERT_TRUE(raw.Connect("127.0.0.1", server_->port()).ok());
+  const std::string sql = "CREATE TABLE leaked (a INTEGER)";
+  ByteWriter request;
+  size_t start = net::BeginFrame(&request);
+  request.WriteU8(0x7F);
+  request.WriteRaw(sql.data(), sql.size());
+  ASSERT_TRUE(net::EndFrame(&request, start).ok());
+  ASSERT_TRUE(net::WriteAll(raw.fd(), request));
+  std::vector<uint8_t> frame;
+  ASSERT_TRUE(net::ReadFrame(raw.fd(), &frame).ok());
+  ByteReader reader(frame);
+  EXPECT_EQ(reader.ReadU8().ValueOrDie(), 1);
+  EXPECT_NE(reader.ReadString().ValueOrDie().find("bad protocol"),
+            std::string::npos);
+  // A request the server refuses must not have run.
+  EXPECT_FALSE(db_.catalog().GetTable("leaked").ok());
+
+  request.Clear();
+  start = net::BeginFrame(&request);
+  EncodeQueryRequest(WireProtocol::kColumnar, "SELECT COUNT(*) FROM t",
+                     &request);
+  ASSERT_TRUE(net::EndFrame(&request, start).ok());
+  ASSERT_TRUE(net::WriteAll(raw.fd(), request));
+  ASSERT_TRUE(net::ReadFrame(raw.fd(), &frame).ok());
+  EXPECT_EQ(frame[0], 0);  // the ok flag of a result set
+}
+
+/// Regression for the unbounded connection_threads_ growth: after many
+/// sequential connections the tracked-thread count must stay O(concurrent
+/// connections), not O(total connections ever accepted).
+TEST_F(ServerClientTest, ConnectionThreadsAreReaped) {
+  for (int i = 0; i < 32; ++i) {
+    TableClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+    ASSERT_TRUE(
+        client.Query("SELECT COUNT(*) FROM t", WireProtocol::kMyBinary)
+            .ok());
+    client.Disconnect();
+  }
+  // Each new connection reaps previously finished threads; give the last
+  // disconnect a moment to land, then connect once more to trigger a reap.
+  TableClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(
+      client.Query("SELECT COUNT(*) FROM t", WireProtocol::kMyBinary).ok());
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    if (server_->tracked_connection_threads() <= 4) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(server_->tracked_connection_threads(), 4u);
 }
 
 TEST_F(ServerClientTest, QueryWithoutConnectFails) {
@@ -321,7 +344,7 @@ TEST_F(ServerClientTest, RepeatedQueriesHitPlanCache) {
   EXPECT_GE(db_.plan_cache_size(), 1u);
 }
 
-/// The 0xF0/0xF1 observability verbs ride the same connection as queries:
+/// The export frame rides the same connection as queries:
 /// a monitoring scrape needs no second endpoint.
 TEST_F(ServerClientTest, MetricsAndTraceExportVerbs) {
   TableClient client;

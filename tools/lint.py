@@ -68,6 +68,13 @@ Rules
                         eviction, and the mlcs.bufpool.* metrics see it.
                         Deliberate exceptions (e.g. a recovery tool) opt
                         out with `// lint:allow(blk-io)`.
+  raw-socket            Calling `::socket(` / `::bind(` / `::listen(` /
+                        `::connect(` in src/ outside src/client/net_util.cc
+                        — socket setup lives in the one wire layer
+                        (net::ListenLoopback, net::ClientSocket) so both
+                        socket services share the frame format, the frame
+                        cap and TCP_NODELAY. A deliberate exception opts
+                        out with `// lint:allow(raw-socket)` plus a reason.
   row-decode            Calling `.Decode()` / `->Decode()` inside a for/
                         while loop body under src/exec/ — decoding per row
                         (or per morsel iteration) throws away compressed
@@ -546,6 +553,23 @@ def check_blk_io(path, relpath, lines):
                "mlcs.bufpool.* metrics stay accurate")
 
 
+RAW_SOCKET_RE = re.compile(r"(?<![\w:])::\s*(socket|bind|listen|connect)\s*\(")
+
+
+def check_raw_socket(path, relpath, lines):
+    rel = relpath.replace(os.sep, "/")
+    if not rel.startswith("src/") or rel == "src/client/net_util.cc":
+        return
+    for i, raw in enumerate(lines):
+        m = RAW_SOCKET_RE.search(strip_comments_and_strings(raw))
+        if not m or allowed(raw, "raw-socket"):
+            continue
+        report(path, i + 1, "raw-socket",
+               f"`::{m.group(1)}(` outside src/client/net_util.cc; set up "
+               "sockets through net::ListenLoopback / net::ClientSocket so "
+               "every endpoint shares one wire layer")
+
+
 DECODE_CALL_RE = re.compile(r"(?:\.|->)\s*Decode\s*\(")
 LOOP_HEADER_RE = re.compile(r"\b(?:for|while)\s*\(")
 
@@ -705,6 +729,7 @@ def lint_file(path, headers):
     check_naked_thread(path, relpath, lines)
     check_exec_operator_call(path, relpath, lines)
     check_blk_io(path, relpath, lines)
+    check_raw_socket(path, relpath, lines)
     check_row_decode(path, relpath, lines)
     check_matrix_materialize(path, relpath, lines)
     check_adhoc_stats(path, relpath, lines)
