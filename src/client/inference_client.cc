@@ -5,17 +5,14 @@ namespace mlcs::client {
 Result<uint64_t> InferenceClient::Send(const std::string& model_name,
                                        const ml::Matrix& features,
                                        const InferenceCallOptions& options) {
-  serve::PredictRequest request;
-  request.request_id = next_request_id_++;
-  request.deadline_ms = options.deadline_ms;
-  request.model_name = model_name;
-  request.features = features;
+  const uint64_t request_id = next_request_id_++;
   request_.Clear();
   size_t start = net::BeginFrame(&request_);
-  serve::EncodePredictRequest(request, options.layout, &request_);
+  serve::EncodePredictRequest(request_id, options.deadline_ms, model_name,
+                              features, options.layout, &request_);
   MLCS_RETURN_IF_ERROR(net::EndFrame(&request_, start));
   MLCS_RETURN_IF_ERROR(SendFrames(request_));
-  return request.request_id;
+  return request_id;
 }
 
 Result<serve::PredictResponse> InferenceClient::Receive() {

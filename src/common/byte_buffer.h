@@ -52,6 +52,16 @@ class ByteWriter {
   }
 #pragma GCC diagnostic pop
 
+  /// Appends `size` bytes for the caller to write in place and returns a
+  /// pointer to the first, valid until the next write. An encoder sizes a
+  /// whole record's worst case once, writes through the pointer, then
+  /// Truncates the unwritten tail.
+  uint8_t* Extend(size_t size) {
+    size_t old_size = buffer_.size();
+    buffer_.resize(old_size + size);
+    return buffer_.data() + old_size;
+  }
+
   /// Variable-length unsigned integer (LEB128); compact counts in formats.
   void WriteVarint(uint64_t v) {
     while (v >= 0x80) {
@@ -106,6 +116,9 @@ class ByteReader {
       : ByteReader(v.data(), v.size()) {}
 
   size_t position() const { return pos_; }
+  /// The next unread byte. A decoder that bounds-checks a whole record
+  /// against remaining() once reads it from here, then Skips past it.
+  const uint8_t* cursor() const { return data_ + pos_; }
   size_t remaining() const { return size_ - pos_; }
   [[nodiscard]] bool AtEnd() const { return pos_ == size_; }
 

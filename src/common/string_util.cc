@@ -22,20 +22,6 @@ std::vector<std::string> SplitString(std::string_view input, char delim) {
   return out;
 }
 
-std::string_view TrimView(std::string_view s) {
-  size_t begin = 0;
-  while (begin < s.size() &&
-         std::isspace(static_cast<unsigned char>(s[begin]))) {
-    ++begin;
-  }
-  size_t end = s.size();
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(s[end - 1]))) {
-    --end;
-  }
-  return s.substr(begin, end - begin);
-}
-
 std::string Trim(std::string_view s) { return std::string(TrimView(s)); }
 
 std::string ToLower(std::string_view s) {
@@ -87,27 +73,16 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 Result<int64_t> ParseInt64(std::string_view s) {
   s = TrimView(s);
   int64_t v = 0;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc() || ptr != s.data() + s.size()) {
+  if (!FromCharsWhole(s, &v)) {
     return Status::ParseError("invalid integer: '" + std::string(s) + "'");
   }
   return v;
 }
 
-Result<int32_t> ParseInt32(std::string_view s) {
-  MLCS_ASSIGN_OR_RETURN(int64_t v, ParseInt64(s));
-  if (v < INT32_MIN || v > INT32_MAX) {
-    return Status::OutOfRange("integer out of int32 range: " +
-                              std::string(s));
-  }
-  return static_cast<int32_t>(v);
-}
-
 Result<double> ParseDouble(std::string_view s) {
   s = TrimView(s);
   double v = 0;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc() || ptr != s.data() + s.size()) {
+  if (!FromCharsWhole(s, &v)) {
     return Status::ParseError("invalid double: '" + std::string(s) + "'");
   }
   return v;

@@ -1,10 +1,11 @@
 #include "io/csv.h"
 
-#include <charconv>
 #include <cstdio>
 #include <memory>
+#include <string_view>
+#include <vector>
 
-#include "common/string_util.h"
+#include "storage/text_cell.h"
 
 namespace mlcs::io {
 
@@ -49,74 +50,72 @@ void AppendQuoted(std::string* out, const std::string& s) {
   out->push_back('"');
 }
 
-/// Splits one line into field views, handling quoted fields. `line` must
-/// outlive the returned views.
-void SplitLine(std::string_view line, char delimiter,
-               std::vector<std::string>* fields) {
+/// One field of a record as it sits in the file. A quoted field's text
+/// is what lies between its quotes; `escaped` marks one that still holds
+/// "" pairs, the only fields that are copied before parsing.
+struct Field {
+  std::string_view text;
+  bool escaped = false;
+};
+
+/// Splits the record starting at data[*pos] into `fields` and moves *pos
+/// past the newline that ends it. A quoted field may hold the delimiter
+/// and newlines; a '\r' before the record's newline is dropped. `*lines`
+/// counts the newlines consumed.
+void SplitRecord(std::string_view data, char delimiter, size_t* pos,
+                 std::vector<Field>* fields, size_t* lines) {
   fields->clear();
-  size_t i = 0;
+  const size_t n = data.size();
+  size_t i = *pos;
   while (true) {
-    std::string field;
-    if (i < line.size() && line[i] == '"') {
-      ++i;
-      while (i < line.size()) {
-        if (line[i] == '"') {
-          if (i + 1 < line.size() && line[i + 1] == '"') {
-            field.push_back('"');
+    Field field;
+    if (i < n && data[i] == '"') {
+      size_t start = ++i;
+      while (i < n) {
+        if (data[i] == '"') {
+          if (i + 1 < n && data[i + 1] == '"') {
+            field.escaped = true;
             i += 2;
             continue;
           }
-          ++i;
           break;
         }
-        field.push_back(line[i]);
+        if (data[i] == '\n') ++*lines;
+        ++i;
+      }
+      field.text = data.substr(start, i - start);
+      if (i < n) ++i;  // the closing quote
+      if (i < n && data[i] == '\r' && (i + 1 == n || data[i + 1] == '\n')) {
         ++i;
       }
     } else {
       size_t start = i;
-      while (i < line.size() && line[i] != delimiter) ++i;
-      field.assign(line.substr(start, i - start));
+      while (i < n && data[i] != delimiter && data[i] != '\n') ++i;
+      field.text = data.substr(start, i - start);
+      if ((i == n || data[i] == '\n') && !field.text.empty() &&
+          field.text.back() == '\r') {
+        field.text.remove_suffix(1);
+      }
     }
-    fields->push_back(std::move(field));
-    if (i >= line.size()) break;
-    if (line[i] == delimiter) ++i;
+    fields->push_back(field);
+    if (i >= n) break;
+    if (data[i] == '\n') {
+      ++*lines;
+      ++i;
+      break;
+    }
+    if (data[i] == delimiter) ++i;
   }
+  *pos = i;
 }
 
-Status AppendField(Column* col, const std::string& field) {
-  if (field.empty() && col->type() != TypeId::kVarchar) {
-    col->AppendNull();
-    return Status::OK();
+/// Copies a quoted field's text with each "" pair read as one '"'.
+void Unescape(std::string_view text, std::string* out) {
+  out->clear();
+  for (size_t i = 0; i < text.size(); ++i) {
+    out->push_back(text[i]);
+    if (text[i] == '"') ++i;
   }
-  switch (col->type()) {
-    case TypeId::kBool: {
-      MLCS_ASSIGN_OR_RETURN(Value v, Value::Varchar(field).CastTo(
-                                         TypeId::kBool));
-      col->AppendBool(v.bool_value());
-      return Status::OK();
-    }
-    case TypeId::kInt32: {
-      MLCS_ASSIGN_OR_RETURN(int32_t v, ParseInt32(field));
-      col->AppendInt32(v);
-      return Status::OK();
-    }
-    case TypeId::kInt64: {
-      MLCS_ASSIGN_OR_RETURN(int64_t v, ParseInt64(field));
-      col->AppendInt64(v);
-      return Status::OK();
-    }
-    case TypeId::kDouble: {
-      MLCS_ASSIGN_OR_RETURN(double v, ParseDouble(field));
-      col->AppendDouble(v);
-      return Status::OK();
-    }
-    case TypeId::kVarchar:
-      col->AppendString(field);
-      return Status::OK();
-    case TypeId::kBlob:
-      return Status::NotImplemented("BLOB columns cannot be read from CSV");
-  }
-  return Status::Internal("unreachable");
 }
 
 }  // namespace
@@ -156,14 +155,12 @@ Status WriteCsv(const Table& table, const std::string& path,
           buffer.append(col.bool_data()[r] != 0 ? "true" : "false");
           break;
         case TypeId::kInt32:
-          buffer.append(std::to_string(col.i32_data()[r]));
-          break;
         case TypeId::kInt64:
-          buffer.append(std::to_string(col.i64_data()[r]));
+        case TypeId::kDouble: {
+          char text[kMaxNumberCellBytes];
+          buffer.append(text, FormatNumberCell(col, r, text));
           break;
-        case TypeId::kDouble:
-          buffer.append(FormatDouble(col.f64_data()[r]));
-          break;
+        }
         case TypeId::kVarchar: {
           const std::string& s = col.str_data()[r];
           if (NeedsQuoting(s, options.delimiter)) {
@@ -198,31 +195,53 @@ Result<TablePtr> ReadCsv(const std::string& path, const Schema& schema,
                          const CsvOptions& options) {
   MLCS_ASSIGN_OR_RETURN(std::string data, ReadWholeFile(path));
   auto table = Table::Make(schema);
-  std::vector<std::string> fields;
+  std::vector<Column*> cols(schema.num_fields());
+  for (size_t c = 0; c < cols.size(); ++c) cols[c] = table->column(c).get();
+  std::vector<Field> fields;
+  fields.reserve(cols.size());
+  std::string unescaped;
   size_t pos = 0;
-  bool first_line = true;
-  size_t line_no = 0;
+  bool first_record = true;
+  size_t lines = 0;  // newlines before the current record
   while (pos < data.size()) {
-    size_t end = data.find('\n', pos);
-    if (end == std::string::npos) end = data.size();
-    std::string_view line(data.data() + pos, end - pos);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    pos = end + 1;
-    ++line_no;
-    if (line.empty()) continue;
-    if (first_line) {
-      first_line = false;
+    // Blank lines (a lone "\r" included) hold no record.
+    if (data[pos] == '\n') {
+      ++lines;
+      ++pos;
+      continue;
+    }
+    if (data[pos] == '\r' &&
+        (pos + 1 == data.size() || data[pos + 1] == '\n')) {
+      ++pos;
+      continue;
+    }
+    const size_t line_no = lines + 1;
+    SplitRecord(data, options.delimiter, &pos, &fields, &lines);
+    if (first_record) {
+      first_record = false;
       if (options.has_header) continue;
     }
-    SplitLine(line, options.delimiter, &fields);
-    if (fields.size() != schema.num_fields()) {
+    if (fields.size() != cols.size()) {
       return Status::ParseError(
           "line " + std::to_string(line_no) + " of '" + path + "' has " +
           std::to_string(fields.size()) + " fields, expected " +
-          std::to_string(schema.num_fields()));
+          std::to_string(cols.size()));
     }
-    for (size_t c = 0; c < fields.size(); ++c) {
-      MLCS_RETURN_IF_ERROR(AppendField(table->column(c).get(), fields[c]));
+    for (size_t c = 0; c < cols.size(); ++c) {
+      Column* col = cols[c];
+      std::string_view text = fields[c].text;
+      if (fields[c].escaped) {
+        Unescape(text, &unescaped);
+        text = unescaped;
+      }
+      if (text.empty() && col->type() != TypeId::kVarchar) {
+        col->AppendNull();  // empty field → NULL
+        continue;
+      }
+      if (col->type() == TypeId::kBlob) {
+        return Status::NotImplemented("BLOB columns cannot be read from CSV");
+      }
+      MLCS_RETURN_IF_ERROR(AppendTextCell(col, text));
     }
   }
   return table;

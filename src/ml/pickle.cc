@@ -27,30 +27,40 @@ Result<ModelPtr> Loads(const std::string& bytes) {
     return Status::ParseError("not a pickled mlcs model");
   }
   MLCS_ASSIGN_OR_RETURN(uint8_t tag, reader.ReadU8());
+  ModelPtr model;
   switch (static_cast<ModelType>(tag)) {
     case ModelType::kDecisionTree: {
-      MLCS_ASSIGN_OR_RETURN(auto m, DecisionTree::DeserializeBody(&reader));
-      return ModelPtr(std::move(m));
+      MLCS_ASSIGN_OR_RETURN(model, DecisionTree::DeserializeBody(&reader));
+      break;
     }
     case ModelType::kRandomForest: {
-      MLCS_ASSIGN_OR_RETURN(auto m, RandomForest::DeserializeBody(&reader));
-      return ModelPtr(std::move(m));
+      MLCS_ASSIGN_OR_RETURN(model, RandomForest::DeserializeBody(&reader));
+      break;
     }
     case ModelType::kLogisticRegression: {
-      MLCS_ASSIGN_OR_RETURN(auto m,
+      MLCS_ASSIGN_OR_RETURN(model,
                             LogisticRegression::DeserializeBody(&reader));
-      return ModelPtr(std::move(m));
+      break;
     }
     case ModelType::kNaiveBayes: {
-      MLCS_ASSIGN_OR_RETURN(auto m, NaiveBayes::DeserializeBody(&reader));
-      return ModelPtr(std::move(m));
+      MLCS_ASSIGN_OR_RETURN(model, NaiveBayes::DeserializeBody(&reader));
+      break;
     }
     case ModelType::kKnn: {
-      MLCS_ASSIGN_OR_RETURN(auto m, Knn::DeserializeBody(&reader));
-      return ModelPtr(std::move(m));
+      MLCS_ASSIGN_OR_RETURN(model, Knn::DeserializeBody(&reader));
+      break;
     }
+    default:
+      return Status::ParseError("unknown model type tag " +
+                                std::to_string(tag));
   }
-  return Status::ParseError("unknown model type tag " + std::to_string(tag));
+  // One model has one BLOB: bytes past the body would give the same model
+  // a second ModelCache key.
+  if (!reader.AtEnd()) {
+    return Status::ParseError(std::to_string(reader.remaining()) +
+                              " trailing bytes after the pickled model");
+  }
+  return model;
 }
 
 }  // namespace mlcs::ml::pickle

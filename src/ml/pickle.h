@@ -15,7 +15,8 @@ namespace mlcs::ml::pickle {
 std::string Dumps(const Model& model);
 
 /// Reconstructs a model from bytes — `pickle.loads(classifier)` in
-/// Listing 2. Rejects unknown type tags and truncated payloads.
+/// Listing 2. Rejects unknown type tags, truncated payloads and trailing
+/// bytes, so each model has exactly one BLOB.
 Result<ModelPtr> Loads(const std::string& bytes);
 
 }  // namespace mlcs::ml::pickle

@@ -57,14 +57,15 @@ Status ServeCodeToStatus(ServeCode code, const std::string& message) {
   return Status::Internal(std::move(text));
 }
 
-void EncodePredictRequest(const PredictRequest& request, Layout layout,
+void EncodePredictRequest(uint64_t request_id, uint32_t deadline_ms,
+                          const std::string& model_name,
+                          const ml::Matrix& x, Layout layout,
                           ByteWriter* out) {
   out->WriteU8(kRequestKind);
-  out->WriteU64(request.request_id);
-  out->WriteU32(request.deadline_ms);
-  out->WriteString(request.model_name);
+  out->WriteU64(request_id);
+  out->WriteU32(deadline_ms);
+  out->WriteString(model_name);
   out->WriteU8(static_cast<uint8_t>(layout));
-  const ml::Matrix& x = request.features;
   out->WriteU32(static_cast<uint32_t>(x.rows()));
   out->WriteU16(static_cast<uint16_t>(x.cols()));
   if (layout == Layout::kColumnar) {

@@ -72,9 +72,18 @@ struct PredictResponse {
 };
 
 /// Encodes the request body — the body of one frame of the shared wire
-/// layer (client/net_util.h) — in the given layout.
-void EncodePredictRequest(const PredictRequest& request, Layout layout,
+/// layer (client/net_util.h) — in the given layout. The features are read
+/// in place, so a client encodes its caller's matrix without first copying
+/// it into a PredictRequest.
+void EncodePredictRequest(uint64_t request_id, uint32_t deadline_ms,
+                          const std::string& model_name,
+                          const ml::Matrix& features, Layout layout,
                           ByteWriter* out);
+inline void EncodePredictRequest(const PredictRequest& request, Layout layout,
+                                 ByteWriter* out) {
+  EncodePredictRequest(request.request_id, request.deadline_ms,
+                       request.model_name, request.features, layout, out);
+}
 
 /// Decodes a request body. Row-major payloads are transposed into the
 /// column-major Matrix here — that transpose is the measured layout cost.

@@ -362,26 +362,27 @@ Status Column::AppendValue(const Value& v) {
     AppendNull();
     return Status::OK();
   }
-  Value coerced = v;
   if (v.type() != type_) {
-    MLCS_ASSIGN_OR_RETURN(coerced, v.CastTo(type_));
+    // Only a mismatch pays for a copy: CastTo yields a value of type_.
+    MLCS_ASSIGN_OR_RETURN(Value coerced, v.CastTo(type_));
+    return AppendValue(coerced);
   }
   switch (type_) {
     case TypeId::kBool:
-      AppendBool(coerced.bool_value());
+      AppendBool(v.bool_value());
       break;
     case TypeId::kInt32:
-      AppendInt32(coerced.int32_value());
+      AppendInt32(v.int32_value());
       break;
     case TypeId::kInt64:
-      AppendInt64(coerced.int64_value());
+      AppendInt64(v.int64_value());
       break;
     case TypeId::kDouble:
-      AppendDouble(coerced.double_value());
+      AppendDouble(v.double_value());
       break;
     case TypeId::kVarchar:
     case TypeId::kBlob:
-      AppendString(coerced.string_value());
+      AppendString(v.string_value());
       break;
   }
   return Status::OK();

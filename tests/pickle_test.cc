@@ -31,14 +31,9 @@ void MakeBlobs(size_t n, Matrix* x, Labels* y) {
 
 class PickleRoundTripTest : public ::testing::TestWithParam<ModelType> {};
 
-/// Property: dumps → loads preserves type, classes and all predictions,
-/// for every model family — the paper's model-BLOB storage invariant.
-TEST_P(PickleRoundTripTest, DumpsLoadsPreservesPredictions) {
-  Matrix x;
-  Labels y;
-  MakeBlobs(300, &x, &y);
+ModelPtr MakeModel(ModelType type) {
   ModelPtr model;
-  switch (GetParam()) {
+  switch (type) {
     case ModelType::kDecisionTree:
       model = std::make_shared<DecisionTree>();
       break;
@@ -58,6 +53,16 @@ TEST_P(PickleRoundTripTest, DumpsLoadsPreservesPredictions) {
       model = std::make_shared<Knn>();
       break;
   }
+  return model;
+}
+
+/// Property: dumps → loads preserves type, classes and all predictions,
+/// for every model family — the paper's model-BLOB storage invariant.
+TEST_P(PickleRoundTripTest, DumpsLoadsPreservesPredictions) {
+  Matrix x;
+  Labels y;
+  MakeBlobs(300, &x, &y);
+  ModelPtr model = MakeModel(GetParam());
   ASSERT_TRUE(model->Fit(x, y).ok());
 
   std::string blob = pickle::Dumps(*model);
@@ -69,6 +74,25 @@ TEST_P(PickleRoundTripTest, DumpsLoadsPreservesPredictions) {
   auto pa = model->PredictConfidence(x).ValueOrDie();
   auto pb = back->PredictConfidence(x).ValueOrDie();
   for (size_t i = 0; i < pa.size(); ++i) EXPECT_NEAR(pa[i], pb[i], 1e-12);
+}
+
+// A model has one BLOB: bytes past its body are rejected, so two BLOBs of
+// one model cannot reach the ModelCache under two keys.
+TEST_P(PickleRoundTripTest, RejectsTrailingBytes) {
+  Matrix x;
+  Labels y;
+  MakeBlobs(100, &x, &y);
+  ModelPtr model = MakeModel(GetParam());
+  ASSERT_TRUE(model->Fit(x, y).ok());
+  const std::string blob = pickle::Dumps(*model);
+  ASSERT_TRUE(pickle::Loads(blob).ok());
+  const std::string tail("\0yz", 3);
+  for (size_t n : {1, 3}) {
+    auto loaded = pickle::Loads(blob + tail.substr(0, n));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(loaded.status().message().find("trailing"), std::string::npos);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, PickleRoundTripTest,

@@ -66,12 +66,6 @@ TEST(StringUtilTest, ParseInt64Strict) {
   EXPECT_FALSE(ParseInt64("1.5").ok());
 }
 
-TEST(StringUtilTest, ParseInt32RangeChecked) {
-  EXPECT_EQ(ParseInt32("2147483647").ValueOrDie(), 2147483647);
-  EXPECT_FALSE(ParseInt32("2147483648").ok());
-  EXPECT_FALSE(ParseInt32("-2147483649").ok());
-}
-
 TEST(StringUtilTest, ParseDouble) {
   EXPECT_DOUBLE_EQ(ParseDouble("3.5").ValueOrDie(), 3.5);
   EXPECT_DOUBLE_EQ(ParseDouble("-0.25").ValueOrDie(), -0.25);

@@ -1,13 +1,15 @@
 // The shared wire layer (client/net_util.h) under hostile input: one
 // malformed-frame suite run against both socket services over real
 // sockets, and a deterministic sweep of mutated encodings through every
-// decoder of the formats the two services speak.
+// decoder of the formats the two services speak, and of CSV files, whose
+// reader shares the pg-text cell parser.
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -21,6 +23,7 @@
 #include "client/protocol.h"
 #include "client/server.h"
 #include "common/random.h"
+#include "io/csv.h"
 #include "ml/logistic_regression.h"
 #include "modelstore/model_cache.h"
 #include "modelstore/model_store.h"
@@ -656,6 +659,77 @@ TEST(HostileInputSweep, ExportRequestAndResponse) {
           // The one NetworkError this decode returns is "server error".
           return st.code() == StatusCode::kNetworkError ? Status::OK() : st;
         });
+}
+
+/// Writes `bytes` to `path`, replacing it.
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+// A CSV file takes the sweep's cuts and flips: each mutant is written to a
+// file and read back with the table's schema. Every read must end in a
+// table or a Status.
+TEST(HostileInputSweep, CsvFileCutsAndBitFlips) {
+  TablePtr full = SweepTable();
+  Schema schema;  // every column but the BLOB, which CSV cannot carry
+  for (size_t c = 0; c + 1 < full->num_columns(); ++c) {
+    schema.AddField(full->schema().field(c).name, full->schema().field(c).type);
+  }
+  auto t = Table::Make(schema);
+  for (size_t r = 0; r < full->num_rows(); ++r) {
+    std::vector<Value> row;
+    for (size_t c = 0; c < schema.num_fields(); ++c) {
+      row.push_back(full->GetValue(r, c).ValueOrDie());
+    }
+    ASSERT_TRUE(t->AppendRow(row).ok());
+  }
+  ASSERT_TRUE(t->AppendRow({Value::Int32(7), Value::Int64(8),
+                            Value::Double(1e-300), Value::Bool(true),
+                            Value::Varchar("a \"q\", b\nc")})
+                  .ok());
+  const std::string path = testing::TempDir() + "/hostile_sweep.csv";
+  ASSERT_TRUE(io::WriteCsv(*t, path).ok());
+  std::string valid;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) valid.append(buf, n);
+    std::fclose(f);
+  }
+  {
+    auto back = io::ReadCsv(path, schema);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back.ValueOrDie()->num_rows(), t->num_rows());
+  }
+  SweepCount count;
+  auto read_mutant = [&](const std::string& mutant) {
+    WriteBytes(path, mutant);
+    auto back = io::ReadCsv(path, schema);
+    ++count.decodes;
+    if (!back.ok()) {
+      ++count.rejected;
+    } else {
+      EXPECT_LE(back.ValueOrDie()->num_rows(), t->num_rows() + 1);
+    }
+  };
+  for (size_t cut = 0; cut < valid.size(); ++cut) {
+    read_mutant(valid.substr(0, cut));
+  }
+  Rng rng(50);
+  for (int flip = 0; flip < 200; ++flip) {
+    std::string mutant = valid;
+    size_t bit = rng.NextBounded(mutant.size() * 8);
+    mutant[bit / 8] = static_cast<char>(mutant[bit / 8] ^ (1u << (bit % 8)));
+    read_mutant(mutant);
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(count.decodes, valid.size() + 200);
+  EXPECT_GT(count.rejected, 0u);
 }
 
 }  // namespace

@@ -75,6 +75,16 @@ Rules
                         socket services share the frame format, the frame
                         cap and TCP_NODELAY. A deliberate exception opts
                         out with `// lint:allow(raw-socket)` plus a reason.
+  text-cell             Calling `std::to_string(`, `FormatDouble(`,
+                        `ParseInt32(`, `ParseInt64(` or `ParseDouble(` in
+                        src/client/protocol.cc or src/io/csv.cc — text
+                        cells go through the one in-place parser and
+                        formatter (AppendTextCell / FormatNumberCell,
+                        storage/text_cell.h), never a string per cell. A
+                        statement that builds a `Status::` (an error
+                        message, not a cell) is exempt; a deliberate
+                        exception opts out with `// lint:allow(text-cell)`
+                        plus a reason.
   row-decode            Calling `.Decode()` / `->Decode()` inside a for/
                         while loop body under src/exec/ — decoding per row
                         (or per morsel iteration) throws away compressed
@@ -570,6 +580,32 @@ def check_raw_socket(path, relpath, lines):
                "every endpoint shares one wire layer")
 
 
+TEXT_CELL_FILES = {"src/client/protocol.cc", "src/io/csv.cc"}
+TEXT_CELL_RE = re.compile(
+    r"(?:\bstd::to_string|(?<![\w:])(?:mlcs::)?"
+    r"(?:FormatDouble|ParseInt32|ParseInt64|ParseDouble))\s*\(")
+
+
+def check_text_cell(path, relpath, lines):
+    """Statement-level: code since the last `;`, `{` or `}` is one
+    statement; a match inside a statement that mentions `Status::` builds
+    an error message and is exempt."""
+    if relpath.replace(os.sep, "/") not in TEXT_CELL_FILES:
+        return
+    statement = ""
+    for i, raw in enumerate(lines):
+        code = strip_comments_and_strings(raw)
+        statement += code
+        m = TEXT_CELL_RE.search(code)
+        if m and "Status::" not in statement and not allowed(raw, "text-cell"):
+            report(path, i + 1, "text-cell",
+                   f"`{m.group(0).rstrip('( ')}(` converts a cell outside the "
+                   "shared text-cell code; parse with AppendTextCell and "
+                   "format with FormatNumberCell (storage/text_cell.h)")
+        if code.rstrip().endswith((";", "{", "}")):
+            statement = ""
+
+
 DECODE_CALL_RE = re.compile(r"(?:\.|->)\s*Decode\s*\(")
 LOOP_HEADER_RE = re.compile(r"\b(?:for|while)\s*\(")
 
@@ -730,6 +766,7 @@ def lint_file(path, headers):
     check_exec_operator_call(path, relpath, lines)
     check_blk_io(path, relpath, lines)
     check_raw_socket(path, relpath, lines)
+    check_text_cell(path, relpath, lines)
     check_row_decode(path, relpath, lines)
     check_matrix_materialize(path, relpath, lines)
     check_adhoc_stats(path, relpath, lines)
