@@ -14,19 +14,18 @@ namespace mlcs {
 /// Splits on a single character; keeps empty fields.
 std::vector<std::string> SplitString(std::string_view input, char delim);
 
-/// ASCII whitespace: space, \t, \n, \v, \f, \r — what std::isspace
-/// matches in the "C" locale the engine runs in, without a call per char.
-[[nodiscard]] constexpr bool IsAsciiSpace(char c) {
-  return c == ' ' || static_cast<unsigned char>(c - '\t') <= '\r' - '\t';
-}
-
-/// Removes ASCII whitespace from both ends. Inline: the text-cell parser
-/// (storage/text_cell.h) trims every numeric cell.
+/// Removes ASCII whitespace (space, \t, \n, \v, \f, \r: std::isspace in
+/// the "C" locale the engine runs in) from both ends. Inline, with no call
+/// per char: the text-cell parser (storage/text_cell.h) trims every
+/// numeric cell.
 inline std::string_view TrimView(std::string_view s) {
+  auto space = [](char c) {
+    return c == ' ' || static_cast<unsigned char>(c - '\t') <= '\r' - '\t';
+  };
   size_t begin = 0;
   size_t end = s.size();
-  while (begin < end && IsAsciiSpace(s[begin])) ++begin;
-  while (end > begin && IsAsciiSpace(s[end - 1])) --end;
+  while (begin < end && space(s[begin])) ++begin;
+  while (end > begin && space(s[end - 1])) --end;
   return s.substr(begin, end - begin);
 }
 std::string Trim(std::string_view s);
