@@ -233,6 +233,37 @@ GoldenFit FitForest(const Matrix& x, const Labels& y,
   return Pin(forest, x);
 }
 
+/// Four INTEGER columns with small, negative, wide (past 255 values) and
+/// very wide ranges, and labels drawn from them.
+void MakeIntegerColumns(std::vector<ColumnPtr>* cols, Labels* y) {
+  Rng rng(23);
+  const size_t n = 3000;
+  const int32_t spans[] = {3, 40, 1000, 2000000};
+  cols->clear();
+  for (int32_t span : spans) {
+    std::vector<int32_t> v(n);
+    for (int32_t& e : v) {
+      e = static_cast<int32_t>(rng.NextBounded(span)) - span / 2;
+    }
+    cols->push_back(mlcs::Column::FromInt32(std::move(v)));
+  }
+  y->resize(n);
+  const std::vector<ColumnPtr>& c = *cols;
+  for (size_t r = 0; r < n; ++r) {
+    int64_t s = int64_t{c[0]->i32_data()[r]} * 300 +
+                c[1]->i32_data()[r] * 10 + c[2]->i32_data()[r] / 2 +
+                c[3]->i32_data()[r] / 4000 +
+                static_cast<int64_t>(rng.NextBounded(400));
+    (*y)[r] = s > 200;
+  }
+}
+
+RandomForestOptions IntegerColumnsOptions() {
+  RandomForestOptions opt;
+  opt.n_estimators = 6;
+  return opt;
+}
+
 std::vector<GoldenCase> GoldenCases() {
   return {
       {"default_bootstrap",
@@ -315,33 +346,23 @@ std::vector<GoldenCase> GoldenCases() {
        0x4ff0a72792019c88ULL},
       {"integer_columns",
        [] {
-         // Small, negative, wide (past 255 values) and very wide ranges.
-         Rng rng(23);
-         const size_t n = 3000;
-         const int32_t spans[] = {3, 40, 1000, 2000000};
          std::vector<ColumnPtr> cols;
-         for (int32_t span : spans) {
-           std::vector<int32_t> v(n);
-           for (int32_t& e : v) {
-             e = static_cast<int32_t>(rng.NextBounded(span)) - span / 2;
-           }
-           cols.push_back(mlcs::Column::FromInt32(std::move(v)));
-         }
-         Labels y(n);
-         for (size_t r = 0; r < n; ++r) {
-           int64_t s = int64_t{cols[0]->i32_data()[r]} * 300 +
-                       cols[1]->i32_data()[r] * 10 +
-                       cols[2]->i32_data()[r] / 2 +
-                       cols[3]->i32_data()[r] / 4000 +
-                       static_cast<int64_t>(rng.NextBounded(400));
-           y[r] = s > 200;
-         }
-         Matrix source = Matrix::FromColumns(cols).ValueOrDie();
-         RandomForestOptions opt;
-         opt.n_estimators = 6;
-         RandomForest forest(opt);
-         EXPECT_TRUE(forest.Fit(source, y).ok());
-         return Pin(forest, source);
+         Labels y;
+         MakeIntegerColumns(&cols, &y);
+         return FitForest(Matrix::FromColumns(cols).ValueOrDie(), y,
+                          IntegerColumnsOptions());
+       },
+       0x54177a94fe14e5daULL,
+       0xea59d4f31ba332baULL},
+      {"integer_columns_as_owned_doubles",
+       [] {
+         // The same integral values as owned doubles (the external
+         // channels' df.values copy) must grow the same forest.
+         std::vector<ColumnPtr> cols;
+         Labels y;
+         MakeIntegerColumns(&cols, &y);
+         return FitForest(Matrix::CopyColumns(cols).ValueOrDie(), y,
+                          IntegerColumnsOptions());
        },
        0x54177a94fe14e5daULL,
        0xea59d4f31ba332baULL},
