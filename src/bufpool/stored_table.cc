@@ -88,6 +88,21 @@ bool CanSkipBlock(const BlockMeta& block,
   return false;
 }
 
+/// The predicates on columns of `schema`, or none when zone-map skipping
+/// is off; predicates on unknown columns are dropped (fail open).
+std::vector<ResolvedPredicate> ResolvePredicates(
+    const Schema& schema, const std::vector<ZonePredicate>& predicates) {
+  std::vector<ResolvedPredicate> resolved;
+  if (!ZoneMapSkippingEnabled()) return resolved;
+  resolved.reserve(predicates.size());
+  for (const ZonePredicate& p : predicates) {
+    std::optional<size_t> idx = schema.FieldIndex(p.column);
+    if (!idx.has_value()) continue;
+    resolved.push_back(ResolvedPredicate{*idx, p.op, &p.literal});
+  }
+  return resolved;
+}
+
 }  // namespace
 
 Status StoredTable::Write(const Table& table, const std::string& dir,
@@ -200,16 +215,8 @@ Status StoredTable::ScanBlocks(
     const Field& field = schema_.field(idx);
     out_schema.AddField(field.name, field.type);
   }
-  // Resolve predicates by name; unknown columns are ignored (fail open).
-  std::vector<ResolvedPredicate> resolved;
-  if (ZoneMapSkippingEnabled()) {
-    resolved.reserve(predicates.size());
-    for (const ZonePredicate& p : predicates) {
-      std::optional<size_t> idx = schema_.FieldIndex(p.column);
-      if (!idx.has_value()) continue;
-      resolved.push_back(ResolvedPredicate{*idx, p.op, &p.literal});
-    }
-  }
+  std::vector<ResolvedPredicate> resolved =
+      ResolvePredicates(schema_, predicates);
   ScanCounters local;
   ScanCounters& c = counters != nullptr ? *counters : local;
   for (const BlockMeta& block : blocks_) {
@@ -269,11 +276,23 @@ Result<TablePtr> StoredTable::Scan(
     out_schema.AddField(field.name, field.type);
     out_columns.push_back(Column::Make(field.type));
   }
+  // Each output column is reserved once for the rows of the blocks that
+  // survive skipping, right after its first block: an empty column may
+  // adopt that block whole, encoding included.
+  uint64_t rows = 0;
+  std::vector<ResolvedPredicate> resolved =
+      ResolvePredicates(schema_, predicates);
+  for (const BlockMeta& block : blocks_) {
+    if (!CanSkipBlock(block, resolved)) rows += block.rows;
+  }
   MLCS_RETURN_IF_ERROR(ScanBlocks(
-      columns, predicates, counters, [&out_columns](const TablePtr& block) {
+      columns, predicates, counters,
+      [&out_columns, rows](const TablePtr& block) {
         for (size_t j = 0; j < out_columns.size(); ++j) {
+          bool first = out_columns[j]->size() == 0;
           MLCS_RETURN_IF_ERROR(
               out_columns[j]->AppendColumn(*block->column(j)));
+          if (first) out_columns[j]->Reserve(rows);
         }
         return Status::OK();
       }));

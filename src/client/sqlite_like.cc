@@ -4,20 +4,15 @@ namespace mlcs::client {
 
 Status RowCursor::Prepare(Database* db, const std::string& sql) {
   MLCS_ASSIGN_OR_RETURN(result_, db->Query(sql));
-  row_ = 0;
-  started_ = false;
+  stepped_ = 0;
+  on_row_ = false;
   return Status::OK();
 }
 
 bool RowCursor::Step() {
-  if (result_ == nullptr) return false;
-  if (!started_) {
-    started_ = true;
-    return result_->num_rows() > 0;
-  }
-  if (row_ + 1 >= result_->num_rows()) return false;
-  ++row_;
-  return true;
+  on_row_ = result_ != nullptr && stepped_ < result_->num_rows();
+  stepped_ += on_row_ ? 1 : 0;
+  return on_row_;
 }
 
 size_t RowCursor::num_columns() const {
@@ -25,10 +20,15 @@ size_t RowCursor::num_columns() const {
 }
 
 Result<Value> RowCursor::ColumnValue(size_t col) const {
-  if (result_ == nullptr || !started_) {
+  if (!on_row_) {
     return Status::InvalidArgument("cursor is not positioned on a row");
   }
-  return result_->GetValue(row_, col);
+  if (col >= num_columns()) {
+    return Status::OutOfRange("column " + std::to_string(col) +
+                              " out of range (" +
+                              std::to_string(num_columns()) + " columns)");
+  }
+  return Cell(col);
 }
 
 Result<int64_t> RowCursor::ColumnInt(size_t col) const {
@@ -55,12 +55,12 @@ Result<TablePtr> FetchAllRowAtATime(Database* db, const std::string& sql) {
   RowCursor cursor;
   MLCS_RETURN_IF_ERROR(cursor.Prepare(db, sql));
   auto out = Table::Make(cursor.schema());
-  std::vector<Value> row(cursor.num_columns());
+  // The result and `out` share one schema, so every column index is in
+  // range and every value appends without a cast.
   while (cursor.Step()) {
-    for (size_t c = 0; c < cursor.num_columns(); ++c) {
-      MLCS_ASSIGN_OR_RETURN(row[c], cursor.ColumnValue(c));
+    for (size_t c = 0; c < out->num_columns(); ++c) {
+      MLCS_RETURN_IF_ERROR(out->column(c)->AppendValue(cursor.Cell(c)));
     }
-    MLCS_RETURN_IF_ERROR(out->AppendRow(row));
   }
   return out;
 }

@@ -34,14 +34,26 @@ class RowCursor {
   Result<Value> ColumnValue(size_t col) const;
 
  private:
+  friend Result<TablePtr> FetchAllRowAtATime(Database* db,
+                                             const std::string& sql);
+
+  /// The current row's value in column `col`, unchecked: requires a Step()
+  /// that returned true and col < num_columns().
+  Value Cell(size_t col) const {
+    return result_->column(col)->ValueAt(stepped_ - 1);
+  }
+
   TablePtr result_;
-  size_t row_ = 0;
-  bool started_ = false;
+  /// Rows Step() has moved onto; the current row is stepped_ - 1.
+  size_t stepped_ = 0;
+  /// Whether the last Step() landed on a row.
+  bool on_row_ = false;
 };
 
 /// Fetches an entire result set through the row-at-a-time cursor into a
 /// fresh columnar table — models `cursor.fetchall()` + per-cell conversion
-/// in the paper's SQLite pipeline.
+/// in the paper's SQLite pipeline: each cell is boxed into one Value, the
+/// modelled cost, and appended to its column.
 Result<TablePtr> FetchAllRowAtATime(Database* db, const std::string& sql);
 
 }  // namespace mlcs::client

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <type_traits>
 
 #include "common/parallel_for.h"
 #include "obs/trace.h"
@@ -90,39 +91,93 @@ void CodeBySorting(const FeatureView& col, size_t n, size_t max_codes,
   }
 }
 
-/// Codes an int32 feature whose values span `range` = max - min + 1
-/// integers: one pass counts them into a directly indexed array, whose
+/// Whether a feature is coded by counting: every non-NaN value is an
+/// integer in int32 and they span at most max(n, 65536) integers. If so,
+/// sets the smallest value and the span. One pass decides.
+bool CountableSpan(const int32_t* values, size_t n, int64_t* min,
+                   size_t* range) {
+  if (n == 0) return false;
+  int32_t lo = values[0];
+  int32_t hi = values[0];
+  for (size_t r = 1; r < n; ++r) {  // vectorizes; minmax_element does not
+    lo = std::min(lo, values[r]);
+    hi = std::max(hi, values[r]);
+  }
+  *min = lo;
+  *range = static_cast<size_t>(int64_t{hi} - lo + 1);
+  return *range <= std::max<size_t>(n, 65536);
+}
+
+bool CountableSpan(const double* values, size_t n, int64_t* min,
+                   size_t* range) {
+  // (v + 1.5·2^52) - 1.5·2^52 rounds any |v| < 2^51 to an integer, so it
+  // equals v exactly when v is integral; larger values fail the int32
+  // bounds below anyway.
+  constexpr double kRound = 0x1.8p52;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double lo = kInf;
+  double hi = -kInf;
+  bool fractional = false;
+  for (size_t r = 0; r < n; ++r) {
+    double v = values[r];
+    lo = v < lo ? v : lo;  // NaN compares false and is passed over
+    hi = v > hi ? v : hi;
+    fractional |= (v == v) & ((v + kRound) - kRound != v);
+  }
+  // All-NaN leaves lo > hi; ±inf and anything past int32 fail the bounds.
+  if (fractional || !(lo <= hi) ||
+      lo < std::numeric_limits<int32_t>::min() ||
+      hi > std::numeric_limits<int32_t>::max()) {
+    return false;
+  }
+  *min = static_cast<int64_t>(lo);  // -0.0 becomes 0
+  *range = static_cast<size_t>(static_cast<int64_t>(hi) - *min + 1);
+  return *range <= std::max<size_t>(n, 65536);
+}
+
+/// Codes a feature by counting if CountableSpan accepts it, and returns
+/// whether it did: one pass counts the values into a directly indexed
+/// array (slot 0 takes the NaN rows, slot 1 + i the value min + i), whose
 /// nonzero entries are the distinct values in ascending order with their
 /// counts — what the hash pass and its sort produce — and one gather
 /// writes the codes.
-void CodeByCounting(const int32_t* values, size_t n, int32_t min,
-                    size_t range, size_t max_codes,
+template <typename T>
+bool CodeByCounting(const T* values, size_t n, size_t max_codes,
                     std::vector<uint16_t>* codes, std::vector<double>* lo,
                     std::vector<double>* hi) {
-  auto offset = [min](int32_t v) {
-    return static_cast<size_t>(int64_t{v} - min);
+  int64_t min = 0;
+  size_t range = 0;
+  if (!CountableSpan(values, n, &min, &range)) return false;
+  auto slot = [min](T v) -> size_t {
+    if constexpr (std::is_floating_point_v<T>) {
+      if (std::isnan(v)) return 0;
+    }
+    return static_cast<size_t>(static_cast<int64_t>(v) - min) + 1;
   };
-  std::vector<uint32_t> counts(range, 0);
-  for (size_t r = 0; r < n; ++r) ++counts[offset(values[r])];
+  std::vector<uint32_t> counts(range + 1, 0);
+  for (size_t r = 0; r < n; ++r) ++counts[slot(values[r])];
   ValueCounts vc;
-  for (size_t i = 0; i < range; ++i) {
+  for (size_t i = 1; i <= range; ++i) {
     if (counts[i] == 0) continue;
-    vc.values.push_back(static_cast<double>(min) + static_cast<double>(i));
+    vc.values.push_back(
+        static_cast<double>(min + static_cast<int64_t>(i) - 1));
     vc.counts.push_back(counts[i]);
   }
   std::vector<uint16_t> code_of = AssignCodes(vc, max_codes, lo, hi);
-  // The count array becomes the value → code table.
-  for (size_t i = 0, d = 0; i < range; ++i) {
+  // The count array becomes the value → code table; NaN keeps code 0.
+  counts[0] = 0;
+  for (size_t i = 1, d = 0; i <= range; ++i) {
     if (counts[i] != 0) counts[i] = code_of[d++];
   }
   codes->resize(n);
   for (size_t r = 0; r < n; ++r) {
-    (*codes)[r] = static_cast<uint16_t>(counts[offset(values[r])]);
+    (*codes)[r] = static_cast<uint16_t>(counts[slot(values[r])]);
   }
+  return true;
 }
 
-/// Codes one feature. An int32 feature whose values span at most
-/// max(n, 65536) integers is coded by counting; any other feature takes
+/// Codes one feature. A feature CountableSpan accepts, read in place as
+/// int32 or held as doubles, is coded by counting; any other feature takes
 /// one pass over the rows that finds the distinct values with an
 /// open-addressing table on their bits and numbers them in first-seen
 /// order; sorting just the distinct values then maps those numbers to
@@ -130,19 +185,10 @@ void CodeByCounting(const int32_t* values, size_t n, int32_t min,
 void CodeFeature(const FeatureView& col, size_t n, size_t max_codes,
                  std::vector<uint16_t>* codes, std::vector<double>* lo,
                  std::vector<double>* hi) {
-  if (const int32_t* values = col.i32(); values != nullptr && n > 0) {
-    int32_t min = values[0];
-    int32_t max = values[0];
-    for (size_t r = 1; r < n; ++r) {  // vectorizes; minmax_element does not
-      min = std::min(min, values[r]);
-      max = std::max(max, values[r]);
-    }
-    int64_t range = int64_t{max} - min + 1;
-    if (range <= static_cast<int64_t>(std::max<size_t>(n, 65536))) {
-      CodeByCounting(values, n, min, static_cast<size_t>(range), max_codes,
-                     codes, lo, hi);
-      return;
-    }
+  if (col.i32() != nullptr
+          ? CodeByCounting(col.i32(), n, max_codes, codes, lo, hi)
+          : CodeByCounting(col.f64(), n, max_codes, codes, lo, hi)) {
+    return;
   }
   codes->assign(n, 0);  // NaN rows keep code 0
   int log_slots = 8;

@@ -1,6 +1,7 @@
 #include "storage/column.h"
 
 #include <cmath>
+#include <cstdlib>
 
 #include "storage/encoding.h"
 
@@ -481,10 +482,12 @@ Result<Value> Column::GetValue(size_t row) const {
                               " out of range (size " +
                               std::to_string(size()) + ")");
   }
+  return ValueAt(row);
+}
+
+Value Column::ValueAt(size_t row) const {
   if (IsNull(row)) return Value::MakeNull(type_);
-  if (encoding_ == ColumnEncoding::kDict) {
-    return dict_->GetValue(codes_[row]);
-  }
+  if (encoding_ == ColumnEncoding::kDict) return dict_->ValueAt(codes_[row]);
   switch (type_) {
     case TypeId::kBool:
       return Value::Bool(std::get<kBoolIdx>(data_)[row] != 0);
@@ -499,7 +502,7 @@ Result<Value> Column::GetValue(size_t row) const {
     case TypeId::kBlob:
       return Value::Blob(std::get<kStrIdx>(data_)[row]);
   }
-  return Status::Internal("unreachable");
+  std::abort();  // every TypeId is a case above
 }
 
 Result<ColumnPtr> Column::CastTo(TypeId target) const {

@@ -173,7 +173,10 @@ class Column {
   Status AppendColumn(const Column& other);
 
   /// -- Row access (boundaries, tests, protocols) --------------------------
+  /// ValueAt(row) after checking that row < size().
   Result<Value> GetValue(size_t row) const;
+  /// The value of `row`, unchecked: requires row < size().
+  Value ValueAt(size_t row) const;
 
   /// -- Bulk transforms ----------------------------------------------------
   /// Element-wise cast; NULLs are preserved.

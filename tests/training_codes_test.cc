@@ -184,31 +184,51 @@ TEST(TrainingCodesTest, BatchPredictMatchesRowByRow) {
   }
 }
 
-/// Codes `values` as an INTEGER column read in place and as owned
-/// doubles; both must give the same codes, code count and thresholds.
-void ExpectIntegerCodingParity(const std::vector<int32_t>& values,
-                               size_t max_codes) {
-  Matrix x(values.size(), 1);
-  for (size_t r = 0; r < values.size(); ++r) {
-    x.Set(r, 0, static_cast<double>(values[r]));
-  }
-  auto source = Matrix::FromColumns({mlcs::Column::FromInt32(values)});
-  ASSERT_TRUE(source.ok()) << source.status().ToString();
-  ASSERT_NE(source.ValueOrDie().view(0).i32(), nullptr);  // read in place
-  Labels y(values.size(), 0);
-  auto ints =
-      TrainingCodes::Build(source.ValueOrDie(), y, {0}, max_codes, false);
-  auto doubles = TrainingCodes::Build(x, y, {0}, max_codes, false);
-  ASSERT_TRUE(ints.ok());
-  ASSERT_TRUE(doubles.ok());
-  const TrainingCodes& a = ints.ValueOrDie();
-  const TrainingCodes& b = doubles.ValueOrDie();
+/// Codes feature 0 of `x`, which holds `values`, and a reference matrix
+/// of the same values plus 0.5. The reference is fractional, so it takes
+/// the hash pass; adding 0.5 keeps every value's order and count, so both
+/// must give the same codes, and each threshold must sit exactly 0.5 below
+/// the reference's wherever adding 0.5 to it is exact.
+void ExpectCodesLikeTheHashPass(const Matrix& x,
+                                const std::vector<double>& values,
+                                size_t max_codes) {
+  std::vector<double> shifted = values;
+  for (double& v : shifted) v += 0.5;
+  TrainingCodes a = Code(x, max_codes);
+  TrainingCodes b = Code(Column(shifted), max_codes);
   EXPECT_EQ(a.codes(0), b.codes(0));
   ASSERT_EQ(a.num_codes(0), b.num_codes(0));
   for (size_t c = 0; c + 1 < a.num_codes(0); ++c) {
     auto left = static_cast<uint16_t>(c);
     auto right = static_cast<uint16_t>(c + 1);
-    EXPECT_EQ(a.Threshold(0, left, right), b.Threshold(0, left, right)) << c;
+    double t = a.Threshold(0, left, right);
+    if (std::isinf(t) || std::abs(t) < 0x1p51) {
+      EXPECT_EQ(t + 0.5, b.Threshold(0, left, right)) << c;
+    }
+  }
+}
+
+/// Codes `values` as owned doubles against the hash-pass reference.
+void ExpectDoublesCodeLikeTheHashPass(const std::vector<double>& values,
+                                      size_t max_codes) {
+  ExpectCodesLikeTheHashPass(Column(values), values, max_codes);
+}
+
+/// Codes `values` as an INTEGER column read in place and as owned
+/// doubles; both must code like the hash pass.
+void ExpectIntegerCodingParity(const std::vector<int32_t>& values,
+                               size_t max_codes) {
+  std::vector<double> doubles(values.begin(), values.end());
+  auto source = Matrix::FromColumns({mlcs::Column::FromInt32(values)});
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  ASSERT_NE(source.ValueOrDie().view(0).i32(), nullptr);  // read in place
+  {
+    SCOPED_TRACE("INTEGER column read in place");
+    ExpectCodesLikeTheHashPass(source.ValueOrDie(), doubles, max_codes);
+  }
+  {
+    SCOPED_TRACE("owned doubles");
+    ExpectDoublesCodeLikeTheHashPass(doubles, max_codes);
   }
 }
 
@@ -244,7 +264,9 @@ TEST(TrainingCodesTest, IntegerColumnCodesLikeDoubles) {
     for (size_t r = 0; r < values.size(); ++r) {
       values[r] = static_cast<int32_t>((r * 7919) % values.size());
     }
-    ExpectIntegerCodingParity(values, 255);
+    ExpectIntegerCodingParity(values, 255);  // range = rows
+    values[0] = -1;
+    ExpectIntegerCodingParity(values, 255);  // range = rows + 1
   }
   {
     SCOPED_TRACE("the whole int32 range");
@@ -252,6 +274,40 @@ TEST(TrainingCodesTest, IntegerColumnCodesLikeDoubles) {
                                std::numeric_limits<int32_t>::min(), -1,
                                std::numeric_limits<int32_t>::max()},
                               255);
+  }
+}
+
+TEST(TrainingCodesTest, IntegralDoublesCodeLikeTheHashPass) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  {
+    SCOPED_TRACE("NaN rows");
+    ExpectDoublesCodeLikeTheHashPass({3, kNaN, -2, 3, kNaN, 0, kNaN}, 255);
+  }
+  {
+    SCOPED_TRACE("-0.0 next to +0.0");
+    ExpectDoublesCodeLikeTheHashPass({-0.0, 0.0, 1, -0.0, -1}, 255);
+    ExpectDoublesCodeLikeTheHashPass({-0.0, 2, -0.0}, 255);
+  }
+  {
+    SCOPED_TRACE("all NaN");
+    ExpectDoublesCodeLikeTheHashPass({kNaN, kNaN, kNaN}, 255);
+    TrainingCodes codes = Code(Column({kNaN, kNaN, kNaN}), 255);
+    EXPECT_EQ(codes.codes(0), (std::vector<uint16_t>{0, 0, 0}));
+    EXPECT_EQ(codes.num_codes(0), 1u);
+  }
+  {
+    SCOPED_TRACE("values the counting pass must leave to the hash pass");
+    ExpectDoublesCodeLikeTheHashPass({1, 2, kInf, 2, kNaN}, 255);
+    ExpectDoublesCodeLikeTheHashPass({1, -kInf, 2, -kInf}, 255);
+    ExpectDoublesCodeLikeTheHashPass({1, 3e9, 2, 1}, 255);
+    ExpectDoublesCodeLikeTheHashPass({1, -3e9, 2, 1}, 255);
+    ExpectDoublesCodeLikeTheHashPass({1, 0x1p53, 5, 0x1p53}, 255);
+    ExpectDoublesCodeLikeTheHashPass({1, 2, 2.5, 3, 2}, 255);
+  }
+  {
+    SCOPED_TRACE("span at the cap and just above it");
+    ExpectDoublesCodeLikeTheHashPass({0, 65535, kNaN, 17, 40000, 17}, 255);
+    ExpectDoublesCodeLikeTheHashPass({0, 65536, kNaN, 17, 40000, 17}, 255);
   }
 }
 
