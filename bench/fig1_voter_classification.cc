@@ -26,9 +26,10 @@
 ///
 /// Before the first channel, every pool thread spins in ~50 ms rounds
 /// until a round's process CPU ÷ wall reaches 0.8 × threads, or for at
-/// most 5 s with a warning: a process that starts after a minute of idle
-/// host otherwise runs its first ~1 s of parallel work on one vCPU. The
-/// json's `spin_up` records the time it took and the last round's ratio.
+/// most 5 s with a warning: on a shared VM a fresh process, above all one
+/// started after a minute of idle host, otherwise runs its first ~1 s of
+/// parallel work on about one vCPU. The json's `spin_up` records the time
+/// it took and the last round's ratio.
 ///
 /// Expected shape (paper §4): the in-database channel is fastest with an
 /// order-of-magnitude lower wrangling share; binary files (npy, h5b) load
