@@ -91,7 +91,7 @@ fi
 step "clang thread-safety analysis (-Wthread-safety)"
 thread_safety_analysis
 
-step "auto-vectorization gate (kernels.cc, filter.cc range mask)"
+step "auto-vectorization gate (kernels.cc)"
 bash scripts/check_vectorization.sh
 
 assert_metrics_block() {

@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
-# Auto-vectorization gate for the exec hot loops (DESIGN.md §13).
+# Auto-vectorization gate for the exec hot loops.
 #
 # Compiles src/exec/kernels.cc the way the Release build does (g++ -O3)
 # with -fopt-info-vec-optimized and asserts that GCC attributes at least
 # MLCS_MIN_VECTORIZED_LOOPS "loop vectorized" reports to kernels.cc
-# itself. It also compiles src/exec/filter.cc and asserts that the
-# sorted-dictionary range-mask loop (SortedDictRangeMask) is reported as
-# "loop vectorized". The kernel loops are deliberately flat (typed buffers, no
+# itself. The kernel loops are deliberately flat (typed buffers, no
 # per-row virtual calls, branch-free bodies) so the vectorizer can take
 # them; this gate catches regressions that reintroduce per-row branches
 # or indirect calls. Skips loudly when g++ is unavailable — the opt-info
@@ -49,29 +47,4 @@ if [ "$count" -lt "$MIN_VECTORIZED" ]; then
   exit 1
 fi
 
-"$CXX_BIN" -std=c++20 -O3 -Wall -Wextra -fopt-info-vec-optimized \
-  -I . -I src -c src/exec/filter.cc -o "$tmp_dir/filter.o" \
-  2>"$tmp_dir/filter_info.txt" || {
-  echo "check_vectorization: FAILED to compile src/exec/filter.cc"
-  cat "$tmp_dir/filter_info.txt"
-  exit 1
-}
-
-# The first per-row loop after SortedDictRangeMask's signature.
-mask_line="$(awk '/^ColumnPtr SortedDictRangeMask\(/ { in_fn = 1 }
-  in_fn && /for \(size_t i = 0; i < n; \+\+i\)/ { print FNR; exit }' \
-  src/exec/filter.cc)"
-if [ -z "$mask_line" ]; then
-  echo "check_vectorization: FAILED — range-mask loop not found in" \
-    "src/exec/filter.cc"
-  exit 1
-fi
-if ! grep -qE "filter\.cc:$mask_line:[0-9]+: optimized: loop vectorized" \
-  "$tmp_dir/filter_info.txt"; then
-  echo "check_vectorization: FAILED — the range-mask loop at" \
-    "src/exec/filter.cc:$mask_line stopped auto-vectorizing"
-  exit 1
-fi
-echo "check_vectorization: range-mask loop at src/exec/filter.cc:$mask_line" \
-  "vectorized"
 echo "check_vectorization: OK"

@@ -8,7 +8,6 @@
 #include "common/file_util.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
-#include "storage/encoding.h"
 
 namespace mlcs::bufpool {
 
@@ -248,11 +247,6 @@ Status StoredTable::ScanBlocks(
       // reference), so blocks are shared with the cache copy-free; the
       // pin itself releases at end of scope — one pinned chunk at a time.
       ColumnPtr col = chunk.column();
-      if (col->is_encoded() && !EncodingEnabled()) {
-        // Parity axis: with encoding globally disabled, previously-saved
-        // encoded tables execute plain end-to-end.
-        col = col->Decode();
-      }
       c.bytes_materialized += col->ByteSize();
       block_columns.push_back(std::move(col));
     }
@@ -268,6 +262,14 @@ Result<TablePtr> StoredTable::Scan(
     ScanCounters* counters) const {
   MLCS_ASSIGN_OR_RETURN(std::vector<size_t> indices,
                         ResolveProjection(columns));
+  // Each output column is reserved once for the rows of the blocks that
+  // survive skipping.
+  uint64_t rows = 0;
+  std::vector<ResolvedPredicate> resolved =
+      ResolvePredicates(schema_, predicates);
+  for (const BlockMeta& block : blocks_) {
+    if (!CanSkipBlock(block, resolved)) rows += block.rows;
+  }
   Schema out_schema;
   std::vector<ColumnPtr> out_columns;
   out_columns.reserve(indices.size());
@@ -275,24 +277,13 @@ Result<TablePtr> StoredTable::Scan(
     const Field& field = schema_.field(idx);
     out_schema.AddField(field.name, field.type);
     out_columns.push_back(Column::Make(field.type));
-  }
-  // Each output column is reserved once for the rows of the blocks that
-  // survive skipping, right after its first block: an empty column may
-  // adopt that block whole, encoding included.
-  uint64_t rows = 0;
-  std::vector<ResolvedPredicate> resolved =
-      ResolvePredicates(schema_, predicates);
-  for (const BlockMeta& block : blocks_) {
-    if (!CanSkipBlock(block, resolved)) rows += block.rows;
+    out_columns.back()->Reserve(rows);
   }
   MLCS_RETURN_IF_ERROR(ScanBlocks(
-      columns, predicates, counters,
-      [&out_columns, rows](const TablePtr& block) {
+      columns, predicates, counters, [&out_columns](const TablePtr& block) {
         for (size_t j = 0; j < out_columns.size(); ++j) {
-          bool first = out_columns[j]->size() == 0;
           MLCS_RETURN_IF_ERROR(
               out_columns[j]->AppendColumn(*block->column(j)));
-          if (first) out_columns[j]->Reserve(rows);
         }
         return Status::OK();
       }));
@@ -301,10 +292,7 @@ Result<TablePtr> StoredTable::Scan(
 }
 
 Result<TablePtr> StoredTable::Materialize() const {
-  MLCS_ASSIGN_OR_RETURN(TablePtr table, Scan(std::nullopt, {}));
-  // Promotion hands the table to in-place writers (INSERT/UPDATE append
-  // paths, raw-accessor readers); those assume plain columns.
-  return DecodeTable(table);
+  return Scan(std::nullopt, {});
 }
 
 }  // namespace mlcs::bufpool

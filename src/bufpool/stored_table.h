@@ -78,10 +78,8 @@ class StoredTable {
   /// to `emit` as a self-contained table, and unpins before moving to the
   /// next block — peak pool pin footprint is one block's projected
   /// columns, not the whole table (asserted against
-  /// mlcs.bufpool.pinned_bytes_hw in tests). Emitted columns may be
-  /// dictionary-encoded exactly as stored (decoded here only when
-  /// encoding is globally disabled) and are shared with the buffer pool
-  /// cache — callers must treat them as immutable.
+  /// mlcs.bufpool.pinned_bytes_hw in tests). Emitted columns are shared
+  /// with the buffer pool cache — callers must treat them as immutable.
   Status ScanBlocks(const std::optional<std::vector<std::string>>& columns,
                     const std::vector<ZonePredicate>& predicates,
                     ScanCounters* counters, const BlockEmit& emit) const;
@@ -94,9 +92,6 @@ class StoredTable {
                         ScanCounters* counters = nullptr) const;
 
   /// Full materialization (catalog promotion on first write access).
-  /// Decodes to plain columns: promoted tables are mutated in place by
-  /// INSERT/UPDATE and read through raw accessors, both of which assume
-  /// plain storage.
   Result<TablePtr> Materialize() const;
 
  private:

@@ -68,24 +68,6 @@ ZoneMap ComputeZoneMap(const Column& column) {
   if (column.type() == TypeId::kBlob || zone.null_count >= n) {
     return zone;  // unsummarizable payload or no non-null values
   }
-  if (column.encoding() == ColumnEncoding::kDict) {
-    // Zone over DECODED values: code order need not be value order (the
-    // dictionary may be unsorted), so min/max come from the dictionary
-    // entries actually referenced by this block's non-null rows — exact
-    // per block even when blocks share a dictionary.
-    const auto& codes = column.codes();
-    std::vector<uint8_t> used(column.dict()->size(), 0);
-    for (size_t i = 0; i < n; ++i) {
-      if (!column.IsNull(i)) used[codes[i]] = 1;
-    }
-    std::vector<uint32_t> sel;
-    for (size_t e = 0; e < used.size(); ++e) {
-      if (used[e] != 0) sel.push_back(static_cast<uint32_t>(e));
-    }
-    ZoneMap z = ComputeZoneMap(*column.dict()->Take(sel));
-    z.null_count = zone.null_count;
-    return z;
-  }
   switch (column.type()) {
     case TypeId::kBool: {
       uint8_t lo = 1, hi = 0;

@@ -59,8 +59,6 @@ Result<ml::Matrix> DataFrame::ToMatrix(
 Result<ml::Labels> DataFrame::LabelColumn(const std::string& name) const {
   MLCS_ASSIGN_OR_RETURN(ColumnPtr col, table_->ColumnByName(name));
   MLCS_ASSIGN_OR_RETURN(ColumnPtr as_int, col->CastTo(TypeId::kInt32));
-  // Same-type CastTo preserves encoding; i32_data() needs plain storage.
-  if (as_int->is_encoded()) as_int = as_int->Decode();
   return ml::Labels(as_int->i32_data());
 }
 

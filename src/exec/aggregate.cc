@@ -7,7 +7,6 @@
 
 #include "common/string_util.h"
 #include "exec/kernels.h"
-#include "storage/encoding.h"
 
 namespace mlcs::exec {
 
@@ -172,10 +171,6 @@ struct AggInput {
   std::vector<double> numeric;
   const std::vector<int32_t>* i32 = nullptr;
   const std::vector<int64_t>* i64 = nullptr;
-  /// Owns the plain copy when the input column arrived encoded: the morsel
-  /// loop reads the typed vectors directly, so encoded inputs decode once
-  /// here (decode-at-materialization) rather than per row.
-  ColumnPtr decoded;
 };
 
 /// Aggregation morsels are 16× the policy width. Each morsel pays for a
@@ -221,24 +216,9 @@ Result<TablePtr> HashGroupBy(const Table& input,
     key_cols.push_back(std::move(col));
   }
 
-  // Group-on-codes fast path: a single dictionary-encoded key groups by
-  // code through a flat first-seen lookup table — no hashing, no probe
-  // chain, no per-row key compare. Dictionary entries are distinct, so
-  // code equality ⇔ value equality (nulls get the one-past-the-dict
-  // bucket), and first-seen gid assignment walks rows in the same order as
-  // GroupSet::Resolve — group ids, output order, and accumulation order
-  // are identical to the hash path, keeping results bit-identical with
-  // encoding disabled.
-  const Column* code_key = group_keys.size() == 1 &&
-                                   key_cols[0]->encoding() ==
-                                       ColumnEncoding::kDict
-                               ? key_cols[0].get()
-                               : nullptr;
-  if (code_key != nullptr) CountCodePathHit();
-
-  // Hash the keys morsel-parallel (skipped when grouping on codes).
+  // Hash the keys morsel-parallel.
   std::vector<uint64_t> hashes;
-  if (!group_keys.empty() && code_key == nullptr) {
+  if (!group_keys.empty()) {
     hashes.assign(n, kHashSeed);
     MLCS_RETURN_IF_ERROR(ParallelMorsels(
         policy, n, [&](size_t, size_t begin, size_t end) -> Status {
@@ -277,8 +257,7 @@ Result<TablePtr> HashGroupBy(const Table& input,
       policy, aggregates.size(), [&](size_t a) -> Status {
         if (aggregates[a].op == AggOp::kCountStar) return Status::OK();
         AggInput& in = agg_inputs[a];
-        if (agg_cols[a]->is_encoded()) in.decoded = agg_cols[a]->Decode();
-        const Column& col = in.decoded != nullptr ? *in.decoded : *agg_cols[a];
+        const Column& col = *agg_cols[a];
         in.col = &col;
         in.is_string = col.type() == TypeId::kVarchar;
         if (!in.is_string) {
@@ -306,23 +285,6 @@ Result<TablePtr> HashGroupBy(const Table& input,
         std::vector<uint32_t> lgid(end - begin, 0);
         if (group_keys.empty()) {
           lg.groups.rep.push_back(static_cast<uint32_t>(begin));
-        } else if (code_key != nullptr) {
-          const std::vector<uint32_t>& codes = code_key->codes();
-          uint32_t null_bucket =
-              static_cast<uint32_t>(code_key->dict()->size());
-          std::vector<uint32_t> lut(null_bucket + 1, UINT32_MAX);
-          bool key_nulls = code_key->has_nulls();
-          for (size_t row = begin; row < end; ++row) {
-            uint32_t c = key_nulls && code_key->IsNull(row) ? null_bucket
-                                                            : codes[row];
-            uint32_t g = lut[c];
-            if (g == UINT32_MAX) {
-              g = static_cast<uint32_t>(lg.groups.rep.size());
-              lg.groups.rep.push_back(static_cast<uint32_t>(row));
-              lut[c] = g;
-            }
-            lgid[row - begin] = g;
-          }
         } else {
           for (size_t row = begin; row < end; ++row) {
             lgid[row - begin] = lg.groups.Resolve(hashes[row], row, key_cols);
@@ -386,29 +348,12 @@ Result<TablePtr> HashGroupBy(const Table& input,
     for (auto& v : accs) v.resize(1);
     for (auto& v : strs) v.resize(1);
   }
-  // Code-keyed global ids: same first-seen LUT as the morsel loop, over
-  // (morsel asc, local gid asc) — the order Resolve would see.
-  std::vector<uint32_t> global_lut;
-  if (code_key != nullptr) {
-    global_lut.assign(code_key->dict()->size() + 1, UINT32_MAX);
-  }
   for (const LocalGroups& lg : locals) {
     for (size_t l = 0; l < lg.groups.rep.size(); ++l) {
       uint32_t gid = 0;
       if (!group_keys.empty()) {
         uint32_t rrow = lg.groups.rep[l];
-        if (code_key != nullptr) {
-          uint32_t c = code_key->has_nulls() && code_key->IsNull(rrow)
-                           ? static_cast<uint32_t>(code_key->dict()->size())
-                           : code_key->codes()[rrow];
-          if (global_lut[c] == UINT32_MAX) {
-            global_lut[c] = static_cast<uint32_t>(global.rep.size());
-            global.rep.push_back(rrow);
-          }
-          gid = global_lut[c];
-        } else {
-          gid = global.Resolve(hashes[rrow], rrow, key_cols);
-        }
+        gid = global.Resolve(hashes[rrow], rrow, key_cols);
         for (auto& v : accs) {
           if (v.size() < global.rep.size()) v.resize(global.rep.size());
         }

@@ -85,10 +85,6 @@ Result<ColumnPtr> CaseExpr::Evaluate(const EvalContext& ctx) const {
     if (b.condition->type() != TypeId::kBool) {
       return Status::TypeMismatch("CASE WHEN condition must be BOOLEAN");
     }
-    // The row loop below reads bool_data() directly; a condition that is a
-    // bare reference to an encoded stored column decodes once here — per
-    // WHEN branch, not per row.
-    if (b.condition->is_encoded()) b.condition = b.condition->Decode();  // lint:allow(row-decode)
     MLCS_ASSIGN_OR_RETURN(b.value, value_expr->Evaluate(ctx));
     branches.push_back(std::move(b));
   }

@@ -41,9 +41,6 @@ Result<std::vector<uint32_t>> SelectionIndices(const Column& predicate,
     return Status::TypeMismatch("filter predicate must be BOOLEAN, got " +
                                 std::string(TypeIdToString(predicate.type())));
   }
-  if (predicate.is_encoded()) {
-    return SelectionIndices(*predicate.Decode(), num_rows, policy);
-  }
   std::vector<uint32_t> indices;
   if (predicate.size() == 1) {
     // Broadcast scalar predicate.
@@ -120,41 +117,6 @@ Result<TablePtr> GatherRows(const Table& input,
         return Status::OK();
       }));
   return std::make_shared<Table>(input.schema(), std::move(cols));
-}
-
-ColumnPtr SortedDictRangeMask(const Column& enc, const Column& per_entry) {
-  if (enc.encoding() != ColumnEncoding::kDict || !enc.dict_sorted()) {
-    return nullptr;
-  }
-  if (per_entry.type() != TypeId::kBool || per_entry.has_nulls() ||
-      per_entry.encoding() != ColumnEncoding::kPlain) {
-    return nullptr;
-  }
-  const std::vector<uint8_t>& t = per_entry.bool_data();
-  size_t k = t.size();
-  size_t lo = 0;
-  while (lo < k && t[lo] == 0) ++lo;
-  size_t hi = k;
-  while (hi > lo && t[hi - 1] == 0) --hi;
-  // A comparison against a sorted dictionary always yields one band, but
-  // verify: any interior false means the caller must gather instead.
-  for (size_t i = lo; i < hi; ++i) {
-    if (t[i] == 0) return nullptr;
-  }
-  const std::vector<uint32_t>& codes = enc.codes();
-  size_t n = codes.size();
-  ColumnPtr out = Column::Make(TypeId::kBool);
-  out->bool_data().resize(n);
-  // Raw pointers: the store through vector::operator[] kept GCC from
-  // vectorizing this loop (scripts/check_vectorization.sh checks it).
-  uint8_t* bits = out->bool_data().data();
-  const uint32_t* code = codes.data();
-  uint32_t band_lo = static_cast<uint32_t>(lo);
-  uint32_t band_hi = static_cast<uint32_t>(hi);
-  for (size_t i = 0; i < n; ++i) {
-    bits[i] = static_cast<uint8_t>((code[i] >= band_lo) & (code[i] < band_hi));
-  }
-  return out;
 }
 
 Result<TablePtr> FilterTable(const Table& input, const Column& predicate,

@@ -33,19 +33,6 @@ Result<TablePtr> GatherRows(const Table& input,
                             const std::vector<uint32_t>& indices,
                             const MorselPolicy& policy = {});
 
-/// Sorted-dictionary range predicate (DESIGN.md §13): when `enc` is a
-/// dictionary column whose dictionary is sorted ascending, the true
-/// entries of a comparison's per-entry result form one contiguous code
-/// band [lo, hi), so the row mask is two branchless code compares —
-/// no per-row gather through the dictionary-sized result. Returns the
-/// BOOLEAN mask (null-free; the caller overlays `enc`'s validity), or
-/// nullptr when the shape does not apply (unsorted dictionary, non-BOOL
-/// or nullable per-entry input, non-contiguous trues) — callers fall
-/// back to the gather path. Values match `per_entry.Take(enc.codes())`
-/// bit for bit.
-[[nodiscard]] ColumnPtr SortedDictRangeMask(const Column& enc,
-                                            const Column& per_entry);
-
 }  // namespace mlcs::exec
 
 #endif  // MLCS_EXEC_FILTER_H_

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "exec/filter.h"
-#include "storage/encoding.h"
 
 namespace mlcs::exec {
 
@@ -230,45 +228,6 @@ uint64_t HashBytes(const void* data, size_t len) {
 
 constexpr uint64_t kNullHash = 0x6E756C6C6E756C6CULL;  // "nullnull"
 
-/// One row's hash word, exactly as the plain typed loops in
-/// HashCombineColumnRange compute it — the per-dictionary-entry hashing
-/// below must produce bit-identical words for non-null rows.
-uint64_t ValueWord(const Column& col, size_t i) {
-  switch (col.type()) {
-    case TypeId::kBool:
-      return col.bool_data()[i];
-    case TypeId::kInt32:
-      return static_cast<uint64_t>(static_cast<int64_t>(col.i32_data()[i]));
-    case TypeId::kInt64:
-      return static_cast<uint64_t>(col.i64_data()[i]);
-    case TypeId::kDouble: {
-      uint64_t bits;
-      std::memcpy(&bits, &col.f64_data()[i], sizeof(bits));
-      return bits;
-    }
-    case TypeId::kVarchar:
-    case TypeId::kBlob:
-      return HashBytes(col.str_data()[i].data(), col.str_data()[i].size());
-  }
-  return 0;
-}
-
-/// The broadcastable literal shape the encoded fast paths rewrite against:
-/// one plain non-null row.
-bool IsPlainLiteral(const Column& c) {
-  return !c.is_encoded() && c.size() == 1 && !c.has_nulls();
-}
-
-/// Nulls in `src` become nulls in `out` — the validity overlay the
-/// gather-based fast paths apply after expanding a per-code result.
-void OverlayNulls(const Column& src, Column* out) {
-  if (!src.has_nulls()) return;
-  size_t n = src.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (src.IsNull(i)) out->SetNull(i);
-  }
-}
-
 /// Serial element-wise binary kernel over full columns — the pre-morsel
 /// code path, also the per-morsel worker body.
 Result<ColumnPtr> BinaryKernelSerial(BinOpKind op, const Column& left,
@@ -340,54 +299,6 @@ Result<ColumnPtr> BinaryKernelSerial(BinOpKind op, const Column& left,
   return out;
 }
 
-/// Operate-on-encoded-data fast path (DESIGN.md §13). A dictionary
-/// operand against a scalar literal computes the op once per dictionary
-/// entry on the small plain payload, then expands that per-code
-/// result through the codes with one gather — O(distinct + n) instead of
-/// O(n) typed work. Because the per-entry values are exactly the column's
-/// distinct plain values, every SQL semantic (type promotion, ÷0 nulls,
-/// VARCHAR compares) falls out of the same serial kernel the plain path
-/// runs, so results are bit-identical with encoding disabled. Shapes
-/// without a fast path decode and re-enter the plain kernel.
-Result<ColumnPtr> EncodedBinaryKernel(BinOpKind op, const Column& left,
-                                      const Column& right,
-                                      const MorselPolicy& policy) {
-  const Column* enc = nullptr;
-  const Column* lit = nullptr;
-  bool enc_left = false;
-  if (left.is_encoded() && IsPlainLiteral(right)) {
-    enc = &left;
-    lit = &right;
-    enc_left = true;
-  } else if (right.is_encoded() && IsPlainLiteral(left)) {
-    enc = &right;
-    lit = &left;
-  }
-  if (enc != nullptr) {
-    const Column& per_input = *enc->dict();
-    // An empty dictionary means every row is NULL (or the column is
-    // empty): nothing to gather from, take the decode path.
-    if (per_input.size() > 0) {
-      MLCS_ASSIGN_OR_RETURN(ColumnPtr per,
-                            enc_left ? BinaryKernelSerial(op, per_input, *lit)
-                                     : BinaryKernelSerial(op, *lit, per_input));
-      // Sorted-dictionary comparisons skip the per-row gather entirely:
-      // the per-entry trues are one code band, so the mask is two
-      // branchless code compares (filter.h).
-      ColumnPtr out;
-      if (IsComparison(op)) out = SortedDictRangeMask(*enc, *per);
-      if (out == nullptr) out = per->Take(enc->codes());
-      OverlayNulls(*enc, out.get());
-      CountCodePathHit();
-      return out;
-    }
-  }
-  ColumnPtr lp = left.is_encoded() ? left.Decode() : nullptr;
-  ColumnPtr rp = right.is_encoded() ? right.Decode() : nullptr;
-  return BinaryKernel(op, lp != nullptr ? *lp : left,
-                      rp != nullptr ? *rp : right, policy);
-}
-
 /// Concatenates per-morsel result slices in morsel order.
 Result<ColumnPtr> SpliceParts(const std::vector<ColumnPtr>& parts,
                               size_t total_rows) {
@@ -445,10 +356,6 @@ Result<ColumnPtr> BinaryKernel(BinOpKind op, const Column& left,
   }
   size_t n = ln == rn ? ln : (ln == 1 ? rn : ln);
 
-  if (left.is_encoded() || right.is_encoded()) {
-    return EncodedBinaryKernel(op, left, right, policy);
-  }
-
   if (!ShouldParallelize(policy, n)) {
     return BinaryKernelSerial(op, left, right);
   }
@@ -474,7 +381,6 @@ Result<ColumnPtr> BinaryKernel(BinOpKind op, const Column& left,
 Result<ColumnPtr> UnaryKernel(UnOpKind op, const Column& input,
                               const MorselPolicy& policy) {
   size_t n = input.size();
-  if (input.is_encoded()) return UnaryKernel(op, *input.Decode(), policy);
   if (ShouldParallelize(policy, n)) {
     std::vector<ColumnPtr> parts(NumMorsels(policy, n));
     MLCS_RETURN_IF_ERROR(ParallelMorsels(
@@ -535,31 +441,6 @@ void HashCombineColumn(const Column& column, std::vector<uint64_t>* hashes) {
 
 void HashCombineColumnRange(const Column& column, size_t begin, size_t end,
                             std::vector<uint64_t>* hashes) {
-  if (column.is_encoded()) {
-    // Hash each dictionary entry once, then mix the gathered word per
-    // row. Non-null rows mix exactly the word the plain loops
-    // below would (the dictionary holds the plain values), so hashes agree
-    // across encodings wherever equality can hold; null rows are excluded
-    // from joins and resolved by CellEquals in group-by, so their value
-    // word is free to differ from the decoded default slot's.
-    const Column& vals = *column.dict();
-    size_t k = vals.size();
-    std::vector<uint64_t> words(k);
-    for (size_t e = 0; e < k; ++e) words[e] = ValueWord(vals, e);
-    if (k > 0) {
-      const auto& codes = column.codes();
-      for (size_t i = begin; i < end; ++i) {
-        (*hashes)[i] = MixHash((*hashes)[i], words[codes[i]]);
-      }
-    }
-    if (column.has_nulls()) {
-      for (size_t i = begin; i < end; ++i) {
-        if (column.IsNull(i)) (*hashes)[i] = MixHash((*hashes)[i], kNullHash);
-      }
-    }
-    CountCodePathHit();
-    return;
-  }
   switch (column.type()) {
     case TypeId::kBool: {
       const auto& src = column.bool_data();
@@ -610,48 +491,21 @@ void HashCombineColumnRange(const Column& column, size_t begin, size_t end,
   }
 }
 
-namespace {
-
-/// (column, row) rewritten to the plain payload cell behind an encoding:
-/// a dictionary cell resolves to its dictionary entry. The cell must be
-/// non-null (null codes are never valid).
-struct CellRef {
-  const Column* col;
-  size_t row;
-};
-
-CellRef ResolveCell(const Column& c, size_t i) {
-  if (c.encoding() == ColumnEncoding::kDict) {
-    return {c.dict().get(), c.codes()[i]};
-  }
-  return {&c, i};
-}
-
-}  // namespace
-
 bool CellEquals(const Column& a, size_t ai, const Column& b, size_t bi) {
   bool an = a.IsNull(ai), bn = b.IsNull(bi);
   if (an || bn) return an == bn;
-  if (a.encoding() == ColumnEncoding::kDict &&
-      b.encoding() == ColumnEncoding::kDict && a.dict() == b.dict()) {
-    // Shared dictionary: entries are distinct, so code equality is value
-    // equality — the O(1) probe code-path joins and group-bys rely on.
-    return a.codes()[ai] == b.codes()[bi];
-  }
-  CellRef ra = ResolveCell(a, ai);
-  CellRef rb = ResolveCell(b, bi);
-  switch (ra.col->type()) {
+  switch (a.type()) {
     case TypeId::kBool:
-      return ra.col->bool_data()[ra.row] == rb.col->bool_data()[rb.row];
+      return a.bool_data()[ai] == b.bool_data()[bi];
     case TypeId::kInt32:
-      return ra.col->i32_data()[ra.row] == rb.col->i32_data()[rb.row];
+      return a.i32_data()[ai] == b.i32_data()[bi];
     case TypeId::kInt64:
-      return ra.col->i64_data()[ra.row] == rb.col->i64_data()[rb.row];
+      return a.i64_data()[ai] == b.i64_data()[bi];
     case TypeId::kDouble:
-      return ra.col->f64_data()[ra.row] == rb.col->f64_data()[rb.row];
+      return a.f64_data()[ai] == b.f64_data()[bi];
     case TypeId::kVarchar:
     case TypeId::kBlob:
-      return ra.col->str_data()[ra.row] == rb.col->str_data()[rb.row];
+      return a.str_data()[ai] == b.str_data()[bi];
   }
   return false;
 }
@@ -662,28 +516,19 @@ int CellCompare(const Column& a, size_t ai, const Column& b, size_t bi) {
     if (an && bn) return 0;
     return an ? -1 : 1;  // NULLs first
   }
-  if (a.encoding() == ColumnEncoding::kDict &&
-      b.encoding() == ColumnEncoding::kDict && a.dict() == b.dict() &&
-      a.dict_sorted()) {
-    // Sorted shared dictionary: code order is value order.
-    uint32_t ca = a.codes()[ai], cb = b.codes()[bi];
-    return ca < cb ? -1 : (ca > cb ? 1 : 0);
-  }
-  CellRef ra = ResolveCell(a, ai);
-  CellRef rb = ResolveCell(b, bi);
   auto cmp3 = [](auto x, auto y) { return x < y ? -1 : (x > y ? 1 : 0); };
-  switch (ra.col->type()) {
+  switch (a.type()) {
     case TypeId::kBool:
-      return cmp3(ra.col->bool_data()[ra.row], rb.col->bool_data()[rb.row]);
+      return cmp3(a.bool_data()[ai], b.bool_data()[bi]);
     case TypeId::kInt32:
-      return cmp3(ra.col->i32_data()[ra.row], rb.col->i32_data()[rb.row]);
+      return cmp3(a.i32_data()[ai], b.i32_data()[bi]);
     case TypeId::kInt64:
-      return cmp3(ra.col->i64_data()[ra.row], rb.col->i64_data()[rb.row]);
+      return cmp3(a.i64_data()[ai], b.i64_data()[bi]);
     case TypeId::kDouble:
-      return cmp3(ra.col->f64_data()[ra.row], rb.col->f64_data()[rb.row]);
+      return cmp3(a.f64_data()[ai], b.f64_data()[bi]);
     case TypeId::kVarchar:
     case TypeId::kBlob: {
-      int c = ra.col->str_data()[ra.row].compare(rb.col->str_data()[rb.row]);
+      int c = a.str_data()[ai].compare(b.str_data()[bi]);
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
   }
@@ -706,7 +551,6 @@ std::vector<T> GatherDense(const std::vector<T>& src,
 }  // namespace
 
 ColumnPtr TakeOrNull(const Column& column, const std::vector<int64_t>& idx) {
-  if (column.is_encoded()) return TakeOrNull(*column.Decode(), idx);
   if (!column.has_nulls() &&
       std::none_of(idx.begin(), idx.end(),
                    [](int64_t i) { return i < 0; })) {

@@ -127,14 +127,6 @@ Status WriteCsv(const Table& table, const std::string& path,
   if (f == nullptr) {
     return Status::IoError("cannot open '" + path + "' for writing");
   }
-  // The row loop reads raw payload vectors; encoded columns write their
-  // decoded form (CSV is plain text either way).
-  std::vector<ColumnPtr> decoded(table.num_columns());
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    if (table.column(c)->is_encoded()) {
-      decoded[c] = table.column(c)->Decode();
-    }
-  }
   std::string buffer;
   buffer.reserve(1 << 20);
   if (options.has_header) {
@@ -147,8 +139,7 @@ Status WriteCsv(const Table& table, const std::string& path,
   for (size_t r = 0; r < table.num_rows(); ++r) {
     for (size_t c = 0; c < table.num_columns(); ++c) {
       if (c > 0) buffer.push_back(options.delimiter);
-      const auto& col =
-          decoded[c] != nullptr ? *decoded[c] : *table.column(c);
+      const Column& col = *table.column(c);
       if (col.IsNull(r)) continue;  // NULL → empty field
       switch (col.type()) {
         case TypeId::kBool:

@@ -24,7 +24,7 @@ Result<Matrix> Matrix::Build(const std::vector<ColumnPtr>& columns,
           " does not match matrix rows " + std::to_string(m.rows_));
     }
     Feature f;
-    if (in_place && !col->is_encoded() && !col->has_nulls() &&
+    if (in_place && !col->has_nulls() &&
         (col->type() == TypeId::kInt32 || col->type() == TypeId::kDouble)) {
       f.column = col;
     } else {

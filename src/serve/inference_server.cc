@@ -204,13 +204,18 @@ bool InferenceServer::ProcessBufferedFrames(const ConnPtr& conn) {
 void InferenceServer::HandleFrame(const ConnPtr& conn, const uint8_t* body,
                                   size_t size) {
   if (net::IsExportRequest(body, size)) {
-    // Answered here on the I/O thread: a scrape never queues behind
-    // inference.
-    ByteWriter out;
-    net::AppendExportAnswer(body, size, &out);
-    MutexLock lock(&conn->write_mutex);
-    bool ignored = net::WriteAll(conn->fd, out);
-    (void)ignored;
+    // Rendered as a pool task, not on this I/O thread: a large export must
+    // not stall reads on every connection. The task holds only the
+    // connection and its own copy of the request, so it may outlive the
+    // server; a scrape never queues behind inference.
+    std::vector<uint8_t> request(body, body + size);
+    pool_->Submit([conn, request = std::move(request)] {
+      ByteWriter out;
+      net::AppendExportAnswer(request.data(), request.size(), &out);
+      MutexLock lock(&conn->write_mutex);
+      bool ignored = net::WriteAll(conn->fd, out);
+      (void)ignored;
+    });
     return;
   }
   ByteReader reader(body, size);

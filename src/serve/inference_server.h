@@ -124,7 +124,7 @@ class InferenceServer {
   [[nodiscard]] bool ReadAndDispatch(const ConnPtr& conn);
   [[nodiscard]] bool ProcessBufferedFrames(const ConnPtr& conn);
   /// Routes one request frame: a predict request into the admission queue,
-  /// an export request answered at once.
+  /// an export request to a pool task that renders and writes its answer.
   void HandleFrame(const ConnPtr& conn, const uint8_t* body, size_t size);
   /// Groups the batch by (model, feature count) and predicts each group:
   /// the last on this thread, the others as pool tasks.

@@ -12,7 +12,6 @@
 #include "obs/introspection.h"
 #include "obs/trace.h"
 #include "sql/parser.h"
-#include "storage/encoding.h"
 
 namespace mlcs {
 
@@ -275,10 +274,6 @@ Status Database::SaveTo(const std::string& dir) const {
   for (const std::string& name : catalog_.ListTables()) {
     // ReadTable: saving must not promote stored entries to resident.
     MLCS_ASSIGN_OR_RETURN(TablePtr table, catalog_.ReadTable(name));
-    // Compress at the save boundary: encoded columns serialize encoded
-    // (block files shrink, scans stay encoded end-to-end). No-op when
-    // encoding is disabled or nothing meets the policy thresholds.
-    table = EncodeTable(table);
     MLCS_RETURN_IF_ERROR(
         bufpool::StoredTable::Write(*table, dir + "/" + name, block_rows));
     manifest += name + "\n";

@@ -8,7 +8,6 @@
 #include "common/string_util.h"
 #include "obs/trace.h"
 #include "exec/operator.h"
-#include "storage/encoding.h"
 #include "sql/optimizer.h"
 #include "sql/plan.h"
 #include "vscript/vs_interpreter.h"
@@ -41,13 +40,7 @@ exec::EvalContext Executor::MakeContext(const Table* input) const {
   ctx.call_function = [this](const std::string& name,
                              const std::vector<ColumnPtr>& args,
                              size_t num_rows) -> Result<ColumnPtr> {
-    // Decode boundary: UDF bodies (builtins and VectorScript alike) read
-    // raw payload vectors and never see encoded columns.
-    std::vector<ColumnPtr> plain = args;
-    for (ColumnPtr& a : plain) {
-      if (a->is_encoded()) a = a->Decode();
-    }
-    return udfs_->CallScalar(name, plain, num_rows);
+    return udfs_->CallScalar(name, args, num_rows);
   };
   return ctx;
 }
@@ -150,10 +143,7 @@ Result<PlannedSelect> Executor::PlanSelect(const SelectStatement& select) {
 Result<TablePtr> Executor::ExecuteSelect(const SelectStatement& select) {
   MLCS_ASSIGN_OR_RETURN(PlannedSelect planned, PlanSelect(select));
   MLCS_ASSIGN_OR_RETURN(exec::OpResult out, planned.root->Run());
-  // Decode boundary: operators execute on encoded columns, but result
-  // consumers (wire protocol, pipelines, CTAS/INSERT appends) read raw
-  // payload vectors.
-  return DecodeTable(out.table);
+  return out.table;
 }
 
 Result<std::shared_ptr<const PreparedSelect>> Executor::Prepare(
@@ -177,7 +167,7 @@ Result<std::shared_ptr<const PreparedSelect>> Executor::Prepare(
 
 Result<TablePtr> Executor::RunPrepared(const PreparedSelect& prepared) {
   MLCS_ASSIGN_OR_RETURN(exec::OpResult out, prepared.root->Run());
-  return DecodeTable(out.table);
+  return out.table;
 }
 
 Result<std::string> Executor::RenderAnalyzedPlan(const Statement& stmt) {
@@ -347,7 +337,6 @@ Result<TablePtr> Executor::ExecuteDelete(const DeleteStmt& stmt) {
     if (mask->type() != TypeId::kBool) {
       return Status::TypeMismatch("DELETE predicate must be BOOLEAN");
     }
-    if (mask->is_encoded()) mask = mask->Decode();  // bool_data() below
     // Keep rows where the predicate is NOT true (false or NULL stay).
     std::vector<uint32_t> keep;
     size_t n = table->num_rows();
@@ -376,7 +365,6 @@ Result<TablePtr> Executor::ExecuteUpdate(const UpdateStmt& stmt) {
     if (mask->type() != TypeId::kBool) {
       return Status::TypeMismatch("UPDATE predicate must be BOOLEAN");
     }
-    if (mask->is_encoded()) mask = mask->Decode();  // bool_data() below
     for (size_t r = 0; r < n; ++r) {
       size_t mi = mask->size() == 1 ? 0 : r;
       update_row[r] =

@@ -304,10 +304,7 @@ Result<exec::OpResult> TableFunctionOperator::Execute() const {
       MLCS_ASSIGN_OR_RETURN(exec::OpResult t,
                             children_[child++]->Run());
       for (size_t c = 0; c < t.table->num_columns(); ++c) {
-        // Decode boundary: table-UDF bodies read raw payload vectors.
-        ColumnPtr col = t.table->column(c);
-        if (col->is_encoded()) col = col->Decode();
-        args.push_back(std::move(col));
+        args.push_back(t.table->column(c));
       }
     } else {
       MLCS_ASSIGN_OR_RETURN(Value v, exec_->EvaluateConstant(*arg.scalar));

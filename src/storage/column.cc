@@ -3,8 +3,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "storage/encoding.h"
-
 namespace mlcs {
 
 namespace {
@@ -24,54 +22,6 @@ size_t VariantIndexFor(TypeId type) {
       return 4;
   }
   return 1;
-}
-
-/// True when a plain, null-free column's values are strictly ascending —
-/// the precondition for translating range predicates to code comparisons.
-/// NaN-bearing DOUBLE dictionaries are never "sorted" (comparisons with
-/// NaN are unordered).
-bool StrictlyAscending(const Column& dict) {
-  size_t n = dict.size();
-  if (n < 2) return true;
-  switch (dict.type()) {
-    case TypeId::kBool: {
-      const auto& v = dict.bool_data();
-      for (size_t i = 1; i < n; ++i) {
-        if (!(v[i - 1] < v[i])) return false;
-      }
-      return true;
-    }
-    case TypeId::kInt32: {
-      const auto& v = dict.i32_data();
-      for (size_t i = 1; i < n; ++i) {
-        if (!(v[i - 1] < v[i])) return false;
-      }
-      return true;
-    }
-    case TypeId::kInt64: {
-      const auto& v = dict.i64_data();
-      for (size_t i = 1; i < n; ++i) {
-        if (!(v[i - 1] < v[i])) return false;
-      }
-      return true;
-    }
-    case TypeId::kDouble: {
-      const auto& v = dict.f64_data();
-      for (size_t i = 1; i < n; ++i) {
-        if (!(v[i - 1] < v[i])) return false;
-      }
-      return true;
-    }
-    case TypeId::kVarchar:
-    case TypeId::kBlob: {
-      const auto& v = dict.str_data();
-      for (size_t i = 1; i < n; ++i) {
-        if (!(v[i - 1] < v[i])) return false;
-      }
-      return true;
-    }
-  }
-  return false;
 }
 }  // namespace
 
@@ -139,58 +89,7 @@ ColumnPtr Column::FromStrings(std::vector<std::string> data, TypeId type) {
   return col;
 }
 
-Result<ColumnPtr> Column::MakeDictionary(TypeId type,
-                                         std::vector<uint32_t> codes,
-                                         ColumnPtr dict,
-                                         std::vector<uint8_t> validity) {
-  if (dict == nullptr) {
-    return Status::InvalidArgument("MakeDictionary: null dictionary");
-  }
-  if (dict->is_encoded()) {
-    return Status::InvalidArgument("MakeDictionary: dictionary must be plain");
-  }
-  if (dict->type() != type) {
-    return Status::TypeMismatch("MakeDictionary: dictionary type mismatch");
-  }
-  if (dict->has_nulls()) {
-    return Status::InvalidArgument(
-        "MakeDictionary: dictionary must be null-free");
-  }
-  if (!validity.empty() && validity.size() != codes.size()) {
-    return Status::InvalidArgument(
-        "MakeDictionary: validity/codes length mismatch");
-  }
-  size_t dict_size = dict->size();
-  size_t nulls = 0;
-  for (size_t i = 0; i < codes.size(); ++i) {
-    if (!validity.empty() && validity[i] == 0) {
-      codes[i] = 0;  // normalize: null rows' codes are never dereferenced
-      ++nulls;
-      continue;
-    }
-    if (codes[i] >= dict_size) {
-      return Status::InvalidArgument(
-          "MakeDictionary: code out of dictionary range");
-    }
-  }
-  if (nulls == 0) validity.clear();
-  ColumnPtr col = Make(type);
-  col->encoding_ = ColumnEncoding::kDict;
-  col->codes_ = std::move(codes);
-  col->dict_sorted_ = StrictlyAscending(*dict);
-  col->dict_ = std::move(dict);
-  col->validity_ = std::move(validity);
-  col->null_count_ = nulls;
-  return col;
-}
-
 size_t Column::size() const {
-  switch (encoding_) {
-    case ColumnEncoding::kDict:
-      return codes_.size();
-    case ColumnEncoding::kPlain:
-      break;
-  }
   switch (data_.index()) {
     case kBoolIdx:
       return std::get<kBoolIdx>(data_).size();
@@ -206,98 +105,6 @@ size_t Column::size() const {
   return 0;
 }
 
-size_t Column::CodeWidth() const {
-  size_t dict_size = dict_ != nullptr ? dict_->size() : 0;
-  if (dict_size <= (1u << 8)) return 1;
-  if (dict_size <= (1u << 16)) return 2;
-  return 4;
-}
-
-ColumnPtr Column::Decode() const {
-  if (encoding_ == ColumnEncoding::kPlain) {
-    return std::make_shared<Column>(*this);
-  }
-  CountDecodeEvent();
-  size_t n = size();
-  ColumnPtr out = Make(type_);
-  const uint32_t* codes = codes_.data();
-  const uint8_t* valid = validity_data();
-  switch (type_) {
-    case TypeId::kBool: {
-      const auto& dv = dict_->bool_data();
-      auto& dst = out->bool_data();
-      if (dv.empty()) {
-        dst.assign(n, 0);  // all-null column: empty dictionary
-        break;
-      }
-      dst.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        dst[i] = (valid == nullptr || valid[i]) ? dv[codes[i]] : 0;
-      }
-      break;
-    }
-    case TypeId::kInt32: {
-      const auto& dv = dict_->i32_data();
-      auto& dst = out->i32_data();
-      if (dv.empty()) {
-        dst.assign(n, 0);
-        break;
-      }
-      dst.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        dst[i] = (valid == nullptr || valid[i]) ? dv[codes[i]] : 0;
-      }
-      break;
-    }
-    case TypeId::kInt64: {
-      const auto& dv = dict_->i64_data();
-      auto& dst = out->i64_data();
-      if (dv.empty()) {
-        dst.assign(n, 0);
-        break;
-      }
-      dst.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        dst[i] = (valid == nullptr || valid[i]) ? dv[codes[i]] : 0;
-      }
-      break;
-    }
-    case TypeId::kDouble: {
-      const auto& dv = dict_->f64_data();
-      auto& dst = out->f64_data();
-      if (dv.empty()) {
-        dst.assign(n, 0.0);
-        break;
-      }
-      dst.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        dst[i] = (valid == nullptr || valid[i]) ? dv[codes[i]] : 0.0;
-      }
-      break;
-    }
-    case TypeId::kVarchar:
-    case TypeId::kBlob: {
-      const auto& dv = dict_->str_data();
-      auto& dst = out->str_data();
-      dst.resize(n);
-      if (dv.empty()) break;
-      for (size_t i = 0; i < n; ++i) {
-        if (valid == nullptr || valid[i]) dst[i] = dv[codes[i]];
-      }
-      break;
-    }
-  }
-  out->validity_ = validity_;
-  out->null_count_ = null_count_;
-  return out;
-}
-
-void Column::EnsurePlain() {
-  if (encoding_ == ColumnEncoding::kPlain) return;
-  ColumnPtr plain = Decode();
-  *this = std::move(*plain);
-}
-
 void Column::EnsureValidity() {
   if (validity_.empty()) validity_.assign(size(), 1);
 }
@@ -311,10 +118,6 @@ void Column::SetNull(size_t row) {
 }
 
 void Column::Reserve(size_t capacity) {
-  if (encoding_ == ColumnEncoding::kDict) {
-    codes_.reserve(capacity);
-    return;
-  }
   switch (data_.index()) {
     case kBoolIdx:
       std::get<kBoolIdx>(data_).reserve(capacity);
@@ -335,7 +138,6 @@ void Column::Reserve(size_t capacity) {
 }
 
 void Column::AppendNull() {
-  if (encoding_ != ColumnEncoding::kPlain) EnsurePlain();
   // Push a default slot, then mark it null.
   switch (data_.index()) {
     case kBoolIdx:
@@ -396,40 +198,6 @@ Status Column::AppendColumn(const Column& other) {
                                 TypeIdToString(type_) + " column");
   }
   if (other.size() == 0) return Status::OK();
-  // An empty plain column adopts the first appended column's encoding:
-  // block scans splice chunks with Make(type) + AppendColumn, and this is
-  // what keeps encoded chunks encoded end-to-end. The dictionary is
-  // shared, never grown: later appends add codes only.
-  if (size() == 0 && encoding_ == ColumnEncoding::kPlain &&
-      validity_.empty() && other.is_encoded()) {
-    *this = other;
-    return Status::OK();
-  }
-  if (encoding_ == ColumnEncoding::kDict &&
-      other.encoding_ == ColumnEncoding::kDict &&
-      (dict_ == other.dict_ || dict_->PlainPayloadEquals(*other.dict_))) {
-    size_t old_size = codes_.size();
-    codes_.insert(codes_.end(), other.codes_.begin(), other.codes_.end());
-    if (other.has_nulls() || !validity_.empty()) {
-      if (validity_.empty()) validity_.assign(old_size, 1);
-      if (other.validity_.empty()) {
-        validity_.insert(validity_.end(), other.size(), 1);
-      } else {
-        validity_.insert(validity_.end(), other.validity_.begin(),
-                         other.validity_.end());
-      }
-      null_count_ += other.null_count_;
-    }
-    return Status::OK();
-  }
-  if (is_encoded() || other.is_encoded()) {
-    // Incompatible mix (different dictionaries, dict+plain): fall back.
-    EnsurePlain();
-    if (other.is_encoded()) {
-      ColumnPtr plain = other.Decode();
-      return AppendColumn(*plain);
-    }
-  }
   size_t old_size = size();
   switch (data_.index()) {
     case kBoolIdx: {
@@ -487,7 +255,6 @@ Result<Value> Column::GetValue(size_t row) const {
 
 Value Column::ValueAt(size_t row) const {
   if (IsNull(row)) return Value::MakeNull(type_);
-  if (encoding_ == ColumnEncoding::kDict) return dict_->ValueAt(codes_[row]);
   switch (type_) {
     case TypeId::kBool:
       return Value::Bool(std::get<kBoolIdx>(data_)[row] != 0);
@@ -509,13 +276,6 @@ Result<ColumnPtr> Column::CastTo(TypeId target) const {
   if (target == type_) {
     return std::make_shared<Column>(*this);
   }
-  if (is_encoded()) {
-    // A cast could collapse distinct dictionary entries (e.g. double →
-    // int32 truncation), breaking the distinctness the code-equality fast
-    // paths rely on — decode instead of remapping the dictionary.
-    ColumnPtr plain = Decode();
-    return plain->CastTo(target);
-  }
   ColumnPtr out = Make(target);
   size_t n = size();
   out->Reserve(n);
@@ -536,30 +296,8 @@ ColumnPtr Column::Take(const std::vector<uint32_t>& indices) const {
 }
 
 ColumnPtr Column::Take(const uint32_t* indices, size_t count) const {
-  if (encoding_ == ColumnEncoding::kDict) {
-    // Gather the codes, share the dictionary.
-    ColumnPtr out = Make(type_);
-    out->encoding_ = ColumnEncoding::kDict;
-    out->dict_ = dict_;
-    out->dict_sorted_ = dict_sorted_;
-    out->codes_.resize(count);
-    const uint32_t* src = codes_.data();
-    uint32_t* dst = out->codes_.data();
-    for (size_t i = 0; i < count; ++i) dst[i] = src[indices[i]];
-    if (has_nulls()) {
-      out->validity_.reserve(count);
-      for (size_t i = 0; i < count; ++i) {
-        uint8_t valid = validity_[indices[i]];
-        out->validity_.push_back(valid);
-        if (valid == 0) ++out->null_count_;
-      }
-      if (out->null_count_ == 0) out->validity_.clear();
-    }
-    return out;
-  }
   // resize + indexed stores, not push_back: the per-element capacity check
-  // blocks the compiler from keeping this a tight gather, and this loop
-  // expands every per-entry kernel result back to row space.
+  // blocks the compiler from keeping this a tight gather.
   ColumnPtr out = Make(type_);
   switch (data_.index()) {
     case kBoolIdx: {
@@ -615,23 +353,6 @@ ColumnPtr Column::Take(const uint32_t* indices, size_t count) const {
 ColumnPtr Column::Slice(size_t offset, size_t length) const {
   // Contiguous range copy, not a gather: the morsel-parallel operators
   // slice every input column once per morsel, so this is a hot path.
-  if (encoding_ == ColumnEncoding::kDict) {
-    ColumnPtr out = Make(type_);
-    out->encoding_ = ColumnEncoding::kDict;
-    out->dict_ = dict_;
-    out->dict_sorted_ = dict_sorted_;
-    out->codes_.assign(codes_.begin() + offset,
-                       codes_.begin() + offset + length);
-    if (has_nulls()) {
-      out->validity_.assign(validity_.begin() + offset,
-                            validity_.begin() + offset + length);
-      for (uint8_t v : out->validity_) {
-        if (v == 0) ++out->null_count_;
-      }
-      if (out->null_count_ == 0) out->validity_.clear();
-    }
-    return out;
-  }
   ColumnPtr out = Make(type_);
   switch (data_.index()) {
     case kBoolIdx: {
@@ -683,36 +404,27 @@ Result<std::vector<double>> Column::ToDoubleVector() const {
   }
   size_t n = size();
   std::vector<double> out(n);
-  if (encoding_ == ColumnEncoding::kDict) {
-    MLCS_ASSIGN_OR_RETURN(std::vector<double> dict_vals,
-                          dict_->ToDoubleVector());
-    if (!dict_vals.empty()) {
-      const uint32_t* codes = codes_.data();
-      for (size_t i = 0; i < n; ++i) out[i] = dict_vals[codes[i]];
+  switch (type_) {
+    case TypeId::kBool: {
+      const auto& src = std::get<kBoolIdx>(data_);
+      for (size_t i = 0; i < n; ++i) out[i] = src[i];
+      break;
     }
-  } else {
-    switch (type_) {
-      case TypeId::kBool: {
-        const auto& src = std::get<kBoolIdx>(data_);
-        for (size_t i = 0; i < n; ++i) out[i] = src[i];
-        break;
-      }
-      case TypeId::kInt32: {
-        const auto& src = std::get<kI32Idx>(data_);
-        for (size_t i = 0; i < n; ++i) out[i] = src[i];
-        break;
-      }
-      case TypeId::kInt64: {
-        const auto& src = std::get<kI64Idx>(data_);
-        for (size_t i = 0; i < n; ++i) out[i] = static_cast<double>(src[i]);
-        break;
-      }
-      case TypeId::kDouble:
-        out = std::get<kF64Idx>(data_);
-        break;
-      default:
-        break;
+    case TypeId::kInt32: {
+      const auto& src = std::get<kI32Idx>(data_);
+      for (size_t i = 0; i < n; ++i) out[i] = src[i];
+      break;
     }
+    case TypeId::kInt64: {
+      const auto& src = std::get<kI64Idx>(data_);
+      for (size_t i = 0; i < n; ++i) out[i] = static_cast<double>(src[i]);
+      break;
+    }
+    case TypeId::kDouble:
+      out = std::get<kF64Idx>(data_);
+      break;
+    default:
+      break;
   }
   if (has_nulls()) {
     for (size_t i = 0; i < n; ++i) {
@@ -724,9 +436,6 @@ Result<std::vector<double>> Column::ToDoubleVector() const {
 
 size_t Column::ByteSize() const {
   size_t bytes = validity_.size();
-  if (encoding_ == ColumnEncoding::kDict) {
-    return bytes + codes_.size() * CodeWidth() + dict_->ByteSize();
-  }
   switch (type_) {
     case TypeId::kBool:
       bytes += std::get<kBoolIdx>(data_).size();
@@ -755,7 +464,6 @@ bool Column::Equals(const Column& other) const {
     if (IsNull(i) != other.IsNull(i)) return false;
   }
   // Payload comparison skips null slots (their stored defaults may differ).
-  // GetValue is encoding-aware, so any encoding mix compares logically.
   for (size_t i = 0; i < n; ++i) {
     if (IsNull(i)) continue;
     auto a = GetValue(i);
@@ -768,37 +476,6 @@ bool Column::Equals(const Column& other) const {
 
 void Column::Serialize(ByteWriter* writer) const {
   size_t n = size();
-  if (encoding_ == ColumnEncoding::kDict) {
-    writer->WriteU8(kDictTagBase | static_cast<uint8_t>(type_));
-    writer->WriteVarint(n);
-    writer->WriteBool(has_nulls());
-    if (has_nulls()) writer->WriteRaw(validity_.data(), n);
-    dict_->Serialize(writer);
-    // Codes at their packed width (1/2/4 bytes by dictionary size; the
-    // reader recomputes the width from the dictionary it just read).
-    switch (CodeWidth()) {
-      case 1: {
-        std::vector<uint8_t> packed(n);
-        for (size_t i = 0; i < n; ++i) {
-          packed[i] = static_cast<uint8_t>(codes_[i]);
-        }
-        writer->WriteRaw(packed.data(), n);
-        break;
-      }
-      case 2: {
-        std::vector<uint16_t> packed(n);
-        for (size_t i = 0; i < n; ++i) {
-          packed[i] = static_cast<uint16_t>(codes_[i]);
-        }
-        writer->WriteRaw(packed.data(), n * sizeof(uint16_t));
-        break;
-      }
-      default:
-        writer->WriteRaw(codes_.data(), n * sizeof(uint32_t));
-        break;
-    }
-    return;
-  }
   writer->WriteU8(static_cast<uint8_t>(type_));
   writer->WriteVarint(n);
   writer->WriteBool(has_nulls());
@@ -827,56 +504,6 @@ void Column::Serialize(ByteWriter* writer) const {
 
 Result<ColumnPtr> Column::Deserialize(ByteReader* reader) {
   MLCS_ASSIGN_OR_RETURN(uint8_t type_byte, reader->ReadU8());
-  if ((type_byte & kDictTagBase) != 0) {
-    // Dictionary form: 0x80|type. Every other high-bit tag (the retired
-    // run-length 0xA0|type among them) leaves a base above kBlob.
-    uint8_t base_byte = type_byte & ~kDictTagBase;
-    if (base_byte > static_cast<uint8_t>(TypeId::kBlob)) {
-      return Status::ParseError("invalid type tag in serialized column");
-    }
-    TypeId type = static_cast<TypeId>(base_byte);
-    // Every row takes at least one code byte.
-    MLCS_ASSIGN_OR_RETURN(uint64_t n, reader->ReadCount(1, "column row"));
-    MLCS_ASSIGN_OR_RETURN(bool has_nulls, reader->ReadBool());
-    std::vector<uint8_t> validity;
-    if (has_nulls) {
-      validity.resize(n);
-      MLCS_RETURN_IF_ERROR(reader->ReadRaw(validity.data(), n));
-    }
-    // The dictionary is plain; reading it as plain also stops a chain of
-    // dictionary tags from recursing once per three input bytes.
-    MLCS_ASSIGN_OR_RETURN(uint8_t dict_tag, reader->ReadU8());
-    MLCS_ASSIGN_OR_RETURN(ColumnPtr dict, DeserializePlain(dict_tag, reader));
-    size_t dict_size = dict->size();
-    size_t width = dict_size <= (1u << 8) ? 1 : dict_size <= (1u << 16) ? 2 : 4;
-    std::vector<uint32_t> codes(n);
-    switch (width) {
-      case 1: {
-        std::vector<uint8_t> packed(n);
-        MLCS_RETURN_IF_ERROR(reader->ReadRaw(packed.data(), n));
-        for (uint64_t i = 0; i < n; ++i) codes[i] = packed[i];
-        break;
-      }
-      case 2: {
-        std::vector<uint16_t> packed(n);
-        MLCS_RETURN_IF_ERROR(
-            reader->ReadRaw(packed.data(), n * sizeof(uint16_t)));
-        for (uint64_t i = 0; i < n; ++i) codes[i] = packed[i];
-        break;
-      }
-      default:
-        MLCS_RETURN_IF_ERROR(
-            reader->ReadRaw(codes.data(), n * sizeof(uint32_t)));
-        break;
-    }
-    return MakeDictionary(type, std::move(codes), std::move(dict),
-                          std::move(validity));
-  }
-  return DeserializePlain(type_byte, reader);
-}
-
-Result<ColumnPtr> Column::DeserializePlain(uint8_t type_byte,
-                                           ByteReader* reader) {
   if (type_byte > static_cast<uint8_t>(TypeId::kBlob)) {
     return Status::ParseError("invalid type tag in serialized column");
   }

@@ -72,8 +72,6 @@ Result<ml::Labels> LabelsArg(const std::string& /*name*/,
                              size_t i) {
   MLCS_ASSIGN_OR_RETURN(ColumnPtr col, args[i].AsColumn());
   MLCS_ASSIGN_OR_RETURN(ColumnPtr as_int, col->CastTo(TypeId::kInt32));
-  // Same-type CastTo preserves encoding; i32_data() needs plain storage.
-  if (as_int->is_encoded()) as_int = as_int->Decode();
   ml::Labels labels(as_int->i32_data());
   return labels;
 }
@@ -290,7 +288,6 @@ Result<ScriptValue> VecBuiltin(const std::string& name,
     if (cond->type() != TypeId::kBool) {
       return Status::TypeMismatch("vec.where condition must be boolean");
     }
-    if (cond->is_encoded()) cond = cond->Decode();  // bool_data() below
     MLCS_ASSIGN_OR_RETURN(ColumnPtr a, args[1].AsColumn());
     MLCS_ASSIGN_OR_RETURN(ColumnPtr b, args[2].AsColumn());
     size_t n = cond->size();

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "common/byte_buffer.h"
 #include "common/random.h"
 
 namespace mlcs {
@@ -171,6 +174,57 @@ TEST(ColumnTest, EqualsIgnoresNullPayloadGarbage) {
   c.AppendInt32(1);
   c.AppendInt32(0);
   EXPECT_FALSE(a.Equals(c));
+}
+
+/// The serialized tag byte is the bare type byte (0–5). Any other byte is a
+/// ParseError: the retired dictionary tags 0x80 + type and run-length tags
+/// 0xA0 + type included.
+TEST(ColumnTest, DeserializeRejectsUnknownTags) {
+  ColumnPtr col = Column::Make(TypeId::kInt32);
+  for (int32_t i = 0; i < 300; ++i) {
+    if (i % 13 == 4) {
+      col->AppendNull();
+    } else {
+      col->AppendInt32((i * 7) % 8);
+    }
+  }
+  ByteWriter writer;
+  col->Serialize(&writer);
+  std::vector<uint8_t> bytes = writer.data();
+  ASSERT_EQ(bytes[0], static_cast<uint8_t>(TypeId::kInt32));
+  for (uint8_t tag : {0x80, 0x81, 0x82, 0x83, 0x84, 0x85, 0xA1, 0xA0, 0xA5,
+                      0x06, 0x7F, 0x86, 0xC1, 0xFF}) {
+    bytes[0] = tag;
+    ByteReader reader(bytes);
+    auto back = Column::Deserialize(&reader);
+    ASSERT_FALSE(back.ok()) << "tag " << int{tag};
+    EXPECT_EQ(back.status().code(), StatusCode::kParseError)
+        << "tag " << int{tag};
+  }
+}
+
+/// A row count beyond the input is a ParseError before anything is
+/// allocated, and a chain of retired dictionary tags fails on its first.
+TEST(ColumnTest, DeserializeBoundsRowCounts) {
+  ByteWriter writer;
+  writer.WriteU8(static_cast<uint8_t>(TypeId::kInt32));
+  writer.WriteVarint(uint64_t{1} << 40);
+  writer.WriteBool(true);
+  ByteReader reader(writer.data());
+  auto back = Column::Deserialize(&reader);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kParseError);
+
+  // A million levels of the retired dictionary tag, three bytes a level.
+  std::vector<uint8_t> chain;
+  for (int level = 0; level < (1 << 20); ++level) {
+    chain.insert(chain.end(), {0x81, 0x00, 0x00});
+  }
+  ByteReader chain_reader(chain);
+  auto nested = Column::Deserialize(&chain_reader);
+  ASSERT_FALSE(nested.ok());
+  EXPECT_EQ(nested.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(chain_reader.position(), 1u);
 }
 
 class ColumnRoundTripTest : public ::testing::TestWithParam<TypeId> {};

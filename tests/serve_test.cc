@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <map>
@@ -334,6 +335,53 @@ TEST_F(InferenceServerTest, MetricsAndTraceExportFrames) {
 
   // Export frames interleave with predicts on one connection.
   EXPECT_EQ(client.Predict("m", query_).ValueOrDie(), expected_);
+}
+
+// An export renders off the I/O thread: while one connection waits for a
+// large Chrome-trace render (over the frame cap, so it ends in an error
+// frame), a predict on a second connection is read and answered.
+TEST_F(InferenceServerTest, LargeExportDoesNotBlockOtherConnections) {
+  obs::FlightRecorder::Global().Clear();
+  uint64_t trace_id = 0;
+  {
+    obs::TraceContext ctx("oversized_export", /*force=*/true);
+    trace_id = ctx.trace_id();
+    obs::ScopedSpan span("oversized_note");
+    // Each control byte escapes to six JSON bytes ("\u0001").
+    span.set_note(
+        std::string(client::net::kMaxFrameBytes / 6 + 1024, '\x01'));
+  }
+  auto server = MakeServer({});
+  client::InferenceClient exporter;
+  client::InferenceClient predictor;
+  ASSERT_TRUE(exporter.Connect("127.0.0.1", server->port()).ok());
+  ASSERT_TRUE(predictor.Connect("127.0.0.1", server->port()).ok());
+
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point export_done;
+  Status export_status;
+  std::thread export_thread([&] {
+    export_status = exporter.FetchChromeTrace(trace_id).status();
+    export_done = Clock::now();
+  });
+  // Let the server start rendering before the predict arrives.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  auto labels = predictor.Predict("m", query_);
+  Clock::time_point predict_done = Clock::now();
+  export_thread.join();
+  obs::FlightRecorder::Global().Clear();
+
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  EXPECT_EQ(labels.ValueOrDie(), expected_);
+  ASSERT_FALSE(export_status.ok());
+  EXPECT_NE(export_status.ToString().find("exceeds the frame cap"),
+            std::string::npos)
+      << export_status.ToString();
+  std::chrono::duration<double, std::milli> lead = export_done - predict_done;
+  EXPECT_GT(lead.count(), 0.0)
+      << "the export answer arrived before the predict on the other "
+         "connection";
+  EXPECT_TRUE(exporter.connected());
 }
 
 TEST_F(InferenceServerTest, UnknownModelAnswersModelNotFound) {

@@ -70,6 +70,13 @@ TEST_F(SqlExecutorTest, GlobalAggregates) {
   EXPECT_EQ(t->GetValue(0, 0).ValueOrDie(), Value::Int64(5));
   EXPECT_EQ(t->GetValue(0, 1).ValueOrDie(), Value::Int64(225));
   EXPECT_DOUBLE_EQ(t->GetValue(0, 2).ValueOrDie().double_value(), 45.0);
+  // COUNT(*) alone answers the row count; no rows left is one row of 0.
+  auto all = Q("SELECT COUNT(*) AS n FROM voters");
+  ASSERT_EQ(all->num_rows(), 1u);
+  EXPECT_EQ(all->GetValue(0, 0).ValueOrDie(), Value::Int64(5));
+  auto none = Q("SELECT COUNT(*) AS n FROM voters WHERE age > 1000");
+  ASSERT_EQ(none->num_rows(), 1u);
+  EXPECT_EQ(none->GetValue(0, 0).ValueOrDie(), Value::Int64(0));
 }
 
 TEST_F(SqlExecutorTest, GroupBy) {

@@ -15,7 +15,6 @@
 #include "ml/pickle.h"
 #include "ml/random_forest.h"
 #include "sql/database.h"
-#include "storage/encoding.h"
 
 namespace mlcs {
 namespace {
@@ -202,8 +201,11 @@ std::string ParityPredicate(Rng& rng, bool join_scope) {
   return out;
 }
 
+/// Random query over tables a (k, v, w, r, s, q), b (k, u) and c (r, t).
+/// `r` is sorted, `q` is sorted with whole NULL stretches, `c.r` is a
+/// sorted join key with duplicates and `s` holds low-cardinality strings.
 std::string ParityQuery(Rng& rng) {
-  switch (rng.NextBounded(8)) {
+  switch (rng.NextBounded(14)) {
     case 0:  // plain filter + projection (pruning applies)
       return "SELECT k, v FROM a WHERE " + ParityPredicate(rng, false);
     case 1:  // inner join: pushdown to either side
@@ -227,12 +229,32 @@ std::string ParityQuery(Rng& rng) {
              // fact side still collapses by the join key
       return "SELECT u, COUNT(*) AS c, SUM(v) AS sv FROM a JOIN b "
              "ON k = k GROUP BY u ORDER BY u";
-    case 7:
+    case 7:  // aggregation grouped on the sorted column
+      return "SELECT r, COUNT(*) AS c, SUM(w) AS sw FROM a "
+             "GROUP BY r ORDER BY r";
+    case 8:  // equality filter on the sorted column
+      return "SELECT k, s FROM a WHERE r = " +
+             std::to_string(rng.NextInt(0, 14));
+    case 9:  // strings as group keys
+      return "SELECT s, COUNT(*) AS c FROM a GROUP BY s ORDER BY s";
+    case 10:  // two group keys, one with NULL stretches
+      return "SELECT r, q, COUNT(*) AS c, SUM(v) AS sv FROM a WHERE " +
+             ParityPredicate(rng, false) + " GROUP BY r, q ORDER BY r, q";
+    case 11:  // join on a sorted key with duplicates on the build side
+      return "SELECT k, r, t FROM a JOIN c ON r = r WHERE " +
+             ParityPredicate(rng, false);
+    case 12:  // nullable probe key; NULL keys never match
+      return "SELECT k, q, t FROM a LEFT JOIN c ON q = r";
+    case 13:
     default:  // no column refs at all: narrowest-column scan kicks in
       return "SELECT COUNT(*) FROM a WHERE " + ParityPredicate(rng, false);
   }
 }
 
+/// Every query returns the same table with the optimizer on and off, and
+/// the same again from a SaveTo/LoadFrom copy of the tables, whose scans
+/// read block files through the buffer pool and skip blocks by zone map.
+/// Runs at one worker thread and several.
 TEST(SqlPropertyTest, OptimizerParityOnRandomQueries) {
   ThreadPool one_thread(1);
   ThreadPool many_threads(3);
@@ -243,12 +265,13 @@ TEST(SqlPropertyTest, OptimizerParityOnRandomQueries) {
     policy.morsel_rows = 64;  // several morsels even on a small table
     db.set_exec_policy(policy);
     ASSERT_TRUE(db.Run("CREATE TABLE a (k INTEGER, v INTEGER, w INTEGER, "
-                       "s VARCHAR); "
-                       "CREATE TABLE b (k INTEGER, u INTEGER);")
+                       "r INTEGER, s VARCHAR, q INTEGER); "
+                       "CREATE TABLE b (k INTEGER, u INTEGER); "
+                       "CREATE TABLE c (r INTEGER, t INTEGER);")
                     .ok());
     Rng rng(pool->num_threads() == 1 ? 42 : 43);
     auto a = db.catalog().GetTable("a").ValueOrDie();
-    for (size_t i = 0; i < 400; ++i) {
+    for (size_t i = 0; i < 600; ++i) {
       Value v = rng.NextDouble() < 0.05
                     ? Value::MakeNull(TypeId::kInt32)
                     : Value::Int32(static_cast<int32_t>(
@@ -262,7 +285,10 @@ TEST(SqlPropertyTest, OptimizerParityOnRandomQueries) {
                         v,
                         Value::Int32(static_cast<int32_t>(
                             rng.NextInt(-50, 50))),
-                        s})
+                        Value::Int32(static_cast<int32_t>(i / 40)), s,
+                        i / 30 % 4 == 1
+                            ? Value::MakeNull(TypeId::kInt32)
+                            : Value::Int32(static_cast<int32_t>(i / 30))})
               .ok());
     }
     auto b = db.catalog().GetTable("b").ValueOrDie();
@@ -273,8 +299,22 @@ TEST(SqlPropertyTest, OptimizerParityOnRandomQueries) {
                                     rng.NextInt(-50, 50)))})
                       .ok());
     }
+    auto c = db.catalog().GetTable("c").ValueOrDie();
+    for (size_t i = 0; i < 240; ++i) {
+      ASSERT_TRUE(c->AppendRow({Value::Int32(static_cast<int32_t>(i / 12)),
+                                Value::Int32(static_cast<int32_t>(
+                                    rng.NextInt(-50, 50)))})
+                      .ok());
+    }
 
-    for (int i = 0; i < 80; ++i) {
+    std::string dir = testing::TempDir() + "/parity_" +
+                      std::to_string(pool->num_threads());
+    ASSERT_TRUE(db.SaveTo(dir).ok());
+    Database stored;
+    stored.set_exec_policy(policy);
+    ASSERT_TRUE(stored.LoadFrom(dir).ok());
+
+    for (int i = 0; i < 140; ++i) {
       std::string sql = ParityQuery(rng);
       db.set_optimizer_enabled(true);
       auto on = db.Query(sql);
@@ -286,159 +326,16 @@ TEST(SqlPropertyTest, OptimizerParityOnRandomQueries) {
           << sql << "\noptimized:\n"
           << on.ValueOrDie()->ToString() << "\nunoptimized:\n"
           << off.ValueOrDie()->ToString();
+      auto from_blocks = stored.Query(sql);
+      ASSERT_TRUE(from_blocks.ok())
+          << sql << " -> " << from_blocks.status().ToString();
+      EXPECT_TRUE(on.ValueOrDie()->Equals(*from_blocks.ValueOrDie()))
+          << sql << "\nresident:\n"
+          << on.ValueOrDie()->ToString() << "\nstored:\n"
+          << from_blocks.ValueOrDie()->ToString();
     }
-  }
-}
-
-/// -- Compressed-execution parity --------------------------------------------
-///
-/// The same random queries over stored (block-file) tables must return
-/// bit-identical tables with encoding on and off — the contract
-/// storage/encoding.h promises and the abl-compress encoding axis relies
-/// on. Runs at one worker thread and several.
-
-/// Restores the global encoding knob even when an ASSERT unwinds early
-/// (later tests in this process assume the default).
-struct EncodingToggleGuard {
-  ~EncodingToggleGuard() { SetEncodingEnabled(true); }
-};
-
-/// Random query over the saved tables. Beyond the optimizer-parity shapes,
-/// leans on `r` (sorted: a dictionary on disk), `q` (sorted with whole
-/// null stretches: a dictionary with validity), `c.r` (a dictionary on the
-/// join's build side) and `s` (low-cardinality strings).
-std::string EncodingParityQuery(Rng& rng) {
-  switch (rng.NextBounded(10)) {
-    case 0:
-      return "SELECT k, v FROM a WHERE " + ParityPredicate(rng, false);
-    case 1:
-      return "SELECT k, v, u FROM a JOIN b ON k = k WHERE " +
-             ParityPredicate(rng, true);
-    case 2:
-      return "SELECT k, COUNT(*) AS c, SUM(v) AS sv FROM a WHERE " +
-             ParityPredicate(rng, false) + " GROUP BY k ORDER BY k";
-    case 3:  // aggregation grouped on the sorted dictionary column
-      return "SELECT r, COUNT(*) AS c, SUM(w) AS sw FROM a "
-             "GROUP BY r ORDER BY r";
-    case 4:  // equality filter straight on the dictionary column
-      return "SELECT k, s FROM a WHERE r = " +
-             std::to_string(rng.NextInt(0, 14));
-    case 5:  // dictionary strings as group keys
-      return "SELECT s, COUNT(*) AS c FROM a GROUP BY s ORDER BY s";
-    case 6:  // two dictionary group keys, one with nulls
-      return "SELECT r, q, COUNT(*) AS c, SUM(v) AS sv FROM a WHERE " +
-             ParityPredicate(rng, false) + " GROUP BY r, q ORDER BY r, q";
-    case 7:  // dictionary keys on both sides of the join
-      return "SELECT k, r, t FROM a JOIN c ON r = r WHERE " +
-             ParityPredicate(rng, false);
-    case 8:  // nullable dictionary probe key; null keys never match
-      return "SELECT k, q, t FROM a LEFT JOIN c ON q = r";
-    default:
-      return "SELECT COUNT(*) FROM a WHERE " + ParityPredicate(rng, false);
-  }
-}
-
-TEST(SqlPropertyTest, EncodingParityOnRandomQueries) {
-  EncodingToggleGuard restore;
-  ThreadPool one_thread(1);
-  ThreadPool many_threads(3);
-  for (ThreadPool* pool : {&one_thread, &many_threads}) {
-    // Build the source data in a scratch database and save it: SaveTo
-    // applies the encoding policy, so the reloaded tables serve encoded
-    // blocks (k/v/s/r/q dictionary-shaped).
-    std::string dir = testing::TempDir() + "/enc_parity_" +
-                      std::to_string(pool->num_threads());
-    {
-      Database source;
-      ASSERT_TRUE(
-          source
-              .Run("CREATE TABLE a (k INTEGER, v INTEGER, w INTEGER, "
-                   "r INTEGER, s VARCHAR, q INTEGER); "
-                   "CREATE TABLE b (k INTEGER, u INTEGER); "
-                   "CREATE TABLE c (r INTEGER, t INTEGER);")
-              .ok());
-      Rng rng(pool->num_threads() == 1 ? 1042 : 1043);
-      auto a = source.catalog().GetTable("a").ValueOrDie();
-      for (size_t i = 0; i < 600; ++i) {
-        Value v = rng.NextDouble() < 0.05
-                      ? Value::MakeNull(TypeId::kInt32)
-                      : Value::Int32(static_cast<int32_t>(
-                            rng.NextInt(-50, 50)));
-        Value s = rng.NextDouble() < 0.10
-                      ? Value::MakeNull(TypeId::kVarchar)
-                      : Value::Varchar("s" +
-                                       std::to_string(rng.NextBounded(7)));
-        ASSERT_TRUE(a->AppendRow(
-                         {Value::Int32(static_cast<int32_t>(
-                              rng.NextBounded(10))),
-                          v,
-                          Value::Int32(static_cast<int32_t>(
-                              rng.NextInt(-50, 50))),
-                          Value::Int32(static_cast<int32_t>(i / 40)),
-                          s,
-                          i / 30 % 4 == 1 ? Value::MakeNull(TypeId::kInt32)
-                                          : Value::Int32(static_cast<int32_t>(
-                                                i / 30))})
-                        .ok());
-      }
-      auto c = source.catalog().GetTable("c").ValueOrDie();
-      for (size_t i = 0; i < 240; ++i) {
-        ASSERT_TRUE(c->AppendRow({Value::Int32(static_cast<int32_t>(i / 12)),
-                                  Value::Int32(static_cast<int32_t>(
-                                      rng.NextInt(-50, 50)))})
-                        .ok());
-      }
-      auto b = source.catalog().GetTable("b").ValueOrDie();
-      for (size_t i = 0; i < 30; ++i) {
-        ASSERT_TRUE(b->AppendRow({Value::Int32(static_cast<int32_t>(
-                                      rng.NextBounded(13))),
-                                  Value::Int32(static_cast<int32_t>(
-                                      rng.NextInt(-50, 50)))})
-                        .ok());
-      }
-      ASSERT_TRUE(source.SaveTo(dir).ok());
-    }
-
-    Database db;
-    MorselPolicy policy;
-    policy.pool = pool;
-    policy.morsel_rows = 64;
-    db.set_exec_policy(policy);
-    ASSERT_TRUE(db.LoadFrom(dir).ok());
-
-    // The sweep is only meaningful if the stored tables really serve
-    // encoded columns: the sorted keys must have come back as dictionaries.
-    {
-      auto probe = db.catalog().ScanTable(
-          "a", std::vector<std::string>{"r", "q", "s"});
-      ASSERT_TRUE(probe.ok());
-      EXPECT_EQ(probe.ValueOrDie()->column(0)->encoding(),
-                ColumnEncoding::kDict);
-      EXPECT_EQ(probe.ValueOrDie()->column(1)->encoding(),
-                ColumnEncoding::kDict);
-      EXPECT_EQ(probe.ValueOrDie()->column(2)->encoding(),
-                ColumnEncoding::kDict);
-      auto build = db.catalog().ScanTable("c", std::vector<std::string>{"r"});
-      ASSERT_TRUE(build.ok());
-      EXPECT_EQ(build.ValueOrDie()->column(0)->encoding(),
-                ColumnEncoding::kDict);
-    }
-
-    Rng rng(pool->num_threads() == 1 ? 2042 : 2043);
-    for (int i = 0; i < 80; ++i) {
-      std::string sql = EncodingParityQuery(rng);
-      SetEncodingEnabled(true);
-      auto on = db.Query(sql);
-      ASSERT_TRUE(on.ok()) << sql << " -> " << on.status().ToString();
-      SetEncodingEnabled(false);
-      auto off = db.Query(sql);
-      SetEncodingEnabled(true);
-      ASSERT_TRUE(off.ok()) << sql << " -> " << off.status().ToString();
-      EXPECT_TRUE(on.ValueOrDie()->Equals(*off.ValueOrDie()))
-          << sql << "\nencoded:\n"
-          << on.ValueOrDie()->ToString() << "\ndecoded:\n"
-          << off.ValueOrDie()->ToString();
-    }
+    // The stored copy was read from blocks, not promoted to resident.
+    EXPECT_FALSE(stored.catalog().IsResident("a"));
   }
 }
 
@@ -448,169 +345,154 @@ TEST(SqlPropertyTest, EncodingParityOnRandomQueries) {
 /// Matrix::FromColumns (plain null-free INTEGER/DOUBLE columns read in
 /// place, anything else converted once); the external channels copy them
 /// into owned doubles with DataFrame::ToMatrix. Both must yield
-/// byte-identical models and predictions for every model type — over plain
-/// vs dictionary-encoded columns, NULL feature values, and serial vs pooled
-/// forest fits. This is the contract ml/matrix.h promises.
+/// byte-identical models and predictions for every model type — over
+/// columns read in place, NULL feature values, converted columns, and
+/// serial vs pooled forest fits. This is the contract ml/matrix.h promises.
 TEST(SqlPropertyTest, ColumnIngestionParitySweep) {
-  for (bool encoded : {false, true}) {
-    for (bool nulls : {false, true}) {
-      SCOPED_TRACE("encoded=" + std::to_string(encoded) +
-                   " nulls=" + std::to_string(nulls));
-      const size_t n = 700;
-      Rng rng(9100 + (encoded ? 2 : 0) + (nulls ? 1 : 0));
+  for (bool nulls : {false, true}) {
+    SCOPED_TRACE("nulls=" + std::to_string(nulls));
+    const size_t n = 700;
+    Rng rng(9100 + (nulls ? 1 : 0));
 
-      // A wide INTEGER feature and a DOUBLE one (NULL entries on the nulls
-      // axis), a low-cardinality INTEGER (dictionary-shaped), a sorted
-      // INTEGER, and a BIGINT that is always converted.
-      Schema schema;
-      schema.AddField("wide", TypeId::kInt32);
-      schema.AddField("low", TypeId::kInt32);
-      schema.AddField("runs", TypeId::kInt32);
-      schema.AddField("real", TypeId::kDouble);
-      schema.AddField("big", TypeId::kInt64);
-      auto table = Table::Make(std::move(schema));
-      ml::Labels y(n);
-      for (size_t r = 0; r < n; ++r) {
-        bool wide_null = nulls && rng.NextDouble() < 0.05;
-        bool real_null = nulls && rng.NextDouble() < 0.05;
-        auto wide = static_cast<int32_t>(rng.NextInt(-50, 50));
-        auto low = static_cast<int32_t>(rng.NextBounded(4));
-        auto runs = static_cast<int32_t>(r / 25);
-        double real = rng.NextGaussian();
-        int64_t big = rng.NextInt(-1000000, 1000000) * 1000003;
-        ASSERT_TRUE(
-            table
-                ->AppendRow({wide_null ? Value::MakeNull(TypeId::kInt32)
-                                       : Value::Int32(wide),
-                             Value::Int32(low), Value::Int32(runs),
-                             real_null ? Value::MakeNull(TypeId::kDouble)
-                                       : Value::Double(real),
-                             Value::Int64(big)})
-                .ok());
-        y[r] = static_cast<int32_t>(
-            ((wide_null ? 3 : wide + 50) + low * 7 + runs +
-             (real > 0.5 ? 1 : 0)) %
-            3);
+    // A wide INTEGER feature and a DOUBLE one (NULL entries on the nulls
+    // axis), a low-cardinality INTEGER, a sorted INTEGER, and a BIGINT
+    // that is always converted.
+    Schema schema;
+    schema.AddField("wide", TypeId::kInt32);
+    schema.AddField("low", TypeId::kInt32);
+    schema.AddField("runs", TypeId::kInt32);
+    schema.AddField("real", TypeId::kDouble);
+    schema.AddField("big", TypeId::kInt64);
+    auto table = Table::Make(std::move(schema));
+    ml::Labels y(n);
+    for (size_t r = 0; r < n; ++r) {
+      bool wide_null = nulls && rng.NextDouble() < 0.05;
+      bool real_null = nulls && rng.NextDouble() < 0.05;
+      auto wide = static_cast<int32_t>(rng.NextInt(-50, 50));
+      auto low = static_cast<int32_t>(rng.NextBounded(4));
+      auto runs = static_cast<int32_t>(r / 25);
+      double real = rng.NextGaussian();
+      int64_t big = rng.NextInt(-1000000, 1000000) * 1000003;
+      ASSERT_TRUE(
+          table
+              ->AppendRow({wide_null ? Value::MakeNull(TypeId::kInt32)
+                                     : Value::Int32(wide),
+                           Value::Int32(low), Value::Int32(runs),
+                           real_null ? Value::MakeNull(TypeId::kDouble)
+                                     : Value::Double(real),
+                           Value::Int64(big)})
+              .ok());
+      y[r] = static_cast<int32_t>(
+          ((wide_null ? 3 : wide + 50) + low * 7 + runs +
+           (real > 0.5 ? 1 : 0)) %
+          3);
+    }
+    std::vector<ColumnPtr> cols;
+    for (size_t c = 0; c < table->num_columns(); ++c) {
+      cols.push_back(table->column(c));
+    }
+    auto frame = dataframe::DataFrame(
+        std::make_shared<Table>(table->schema(), cols));
+    auto xm_or = frame.ToMatrix({"wide", "low", "runs", "real", "big"});
+    ASSERT_TRUE(xm_or.ok()) << xm_or.status().ToString();
+    const ml::Matrix& xm = xm_or.ValueOrDie();
+    auto src_or = ml::Matrix::FromColumns(cols);
+    ASSERT_TRUE(src_or.ok()) << src_or.status().ToString();
+    const ml::Matrix& src = src_or.ValueOrDie();
+    // FromColumns reads every plain null-free INTEGER/DOUBLE column in
+    // place; ToMatrix copies every column.
+    size_t in_place = 0;
+    for (size_t c = 0; c < cols.size(); ++c) {
+      const ColumnPtr& col = cols[c];
+      EXPECT_EQ(xm.view(c).i32(), nullptr);
+      if (col->has_nulls()) continue;
+      if (col->type() == TypeId::kInt32) {
+        EXPECT_EQ(src.view(c).i32(), col->i32_data().data()) << c;
+        ++in_place;
+      } else if (col->type() == TypeId::kDouble) {
+        EXPECT_EQ(src.view(c).f64(), col->f64_data().data()) << c;
+        EXPECT_NE(xm.view(c).f64(), col->f64_data().data()) << c;
+        ++in_place;
       }
-      std::vector<ColumnPtr> cols;
-      for (size_t c = 0; c < table->num_columns(); ++c) {
-        cols.push_back(table->column(c));
-      }
-      if (encoded) {
-        size_t plain = 0, dict = 0;
-        for (auto& col : cols) {
-          col = EncodeColumn(col);
-          plain += col->encoding() == ColumnEncoding::kPlain ? 1 : 0;
-          dict += col->encoding() == ColumnEncoding::kDict ? 1 : 0;
-        }
-        EXPECT_GT(plain, 0u);
-        EXPECT_GT(dict, 0u);
-      }
-      auto frame = dataframe::DataFrame(
-          std::make_shared<Table>(table->schema(), cols));
-      auto xm_or = frame.ToMatrix({"wide", "low", "runs", "real", "big"});
-      ASSERT_TRUE(xm_or.ok()) << xm_or.status().ToString();
-      const ml::Matrix& xm = xm_or.ValueOrDie();
-      auto src_or = ml::Matrix::FromColumns(cols);
-      ASSERT_TRUE(src_or.ok()) << src_or.status().ToString();
-      const ml::Matrix& src = src_or.ValueOrDie();
-      // FromColumns reads every plain null-free INTEGER/DOUBLE column in
-      // place; ToMatrix copies every column.
-      size_t in_place = 0;
-      for (size_t c = 0; c < cols.size(); ++c) {
-        const ColumnPtr& col = cols[c];
-        EXPECT_EQ(xm.view(c).i32(), nullptr);
-        if (col->is_encoded() || col->has_nulls()) continue;
-        if (col->type() == TypeId::kInt32) {
-          EXPECT_EQ(src.view(c).i32(), col->i32_data().data()) << c;
-          ++in_place;
-        } else if (col->type() == TypeId::kDouble) {
-          EXPECT_EQ(src.view(c).f64(), col->f64_data().data()) << c;
-          EXPECT_NE(xm.view(c).f64(), col->f64_data().data()) << c;
-          ++in_place;
-        }
-      }
-      if (!encoded) {
-        EXPECT_GT(in_place, 0u);
-      }
+    }
+    EXPECT_GT(in_place, 0u);
 
-      // Random forest: both ingestion paths give the same bytes; serial
-      // and pooled fits (whose options, and so bytes, differ) predict the
-      // same as the serial matrix-fit reference.
-      ml::RandomForestOptions opt;
-      opt.n_estimators = 5;
-      opt.max_depth = 6;
-      opt.seed = 11;
-      opt.parallel_fit = false;
-      ml::RandomForest reference(opt);
-      ASSERT_TRUE(reference.Fit(xm, y).ok());
-      auto ref_pred = reference.Predict(xm);
-      auto ref_conf = reference.PredictConfidence(xm);
-      ASSERT_TRUE(ref_pred.ok() && ref_conf.ok());
-      for (bool parallel : {false, true}) {
-        SCOPED_TRACE("parallel=" + std::to_string(parallel));
-        opt.parallel_fit = parallel;
-        ml::RandomForest rf_mat(opt);
-        ml::RandomForest rf_src(opt);
-        ASSERT_TRUE(rf_mat.Fit(xm, y).ok());
-        ASSERT_TRUE(rf_src.Fit(src, y).ok());
-        EXPECT_EQ(ml::pickle::Dumps(rf_mat), ml::pickle::Dumps(rf_src));
-        auto pred = rf_src.Predict(src);
-        ASSERT_TRUE(pred.ok());
-        EXPECT_EQ(pred.ValueOrDie(), ref_pred.ValueOrDie());
-        auto conf = rf_src.PredictConfidence(xm);
-        ASSERT_TRUE(conf.ok());
-        EXPECT_EQ(conf.ValueOrDie(), ref_conf.ValueOrDie());
-      }
+    // Random forest: both ingestion paths give the same bytes; serial
+    // and pooled fits (whose options, and so bytes, differ) predict the
+    // same as the serial matrix-fit reference.
+    ml::RandomForestOptions opt;
+    opt.n_estimators = 5;
+    opt.max_depth = 6;
+    opt.seed = 11;
+    opt.parallel_fit = false;
+    ml::RandomForest reference(opt);
+    ASSERT_TRUE(reference.Fit(xm, y).ok());
+    auto ref_pred = reference.Predict(xm);
+    auto ref_conf = reference.PredictConfidence(xm);
+    ASSERT_TRUE(ref_pred.ok() && ref_conf.ok());
+    for (bool parallel : {false, true}) {
+      SCOPED_TRACE("parallel=" + std::to_string(parallel));
+      opt.parallel_fit = parallel;
+      ml::RandomForest rf_mat(opt);
+      ml::RandomForest rf_src(opt);
+      ASSERT_TRUE(rf_mat.Fit(xm, y).ok());
+      ASSERT_TRUE(rf_src.Fit(src, y).ok());
+      EXPECT_EQ(ml::pickle::Dumps(rf_mat), ml::pickle::Dumps(rf_src));
+      auto pred = rf_src.Predict(src);
+      ASSERT_TRUE(pred.ok());
+      EXPECT_EQ(pred.ValueOrDie(), ref_pred.ValueOrDie());
+      auto conf = rf_src.PredictConfidence(xm);
+      ASSERT_TRUE(conf.ok());
+      EXPECT_EQ(conf.ValueOrDie(), ref_conf.ValueOrDie());
+    }
 
-      // Logistic regression: standardization and gradient sums read the
-      // same doubles in the same order either way.
-      ml::LogisticRegressionOptions lr_opt;
-      lr_opt.epochs = 12;
-      ml::LogisticRegression lr_mat(lr_opt);
-      ml::LogisticRegression lr_src(lr_opt);
-      ASSERT_TRUE(lr_mat.Fit(xm, y).ok());
-      ASSERT_TRUE(lr_src.Fit(src, y).ok());
-      EXPECT_EQ(ml::pickle::Dumps(lr_mat), ml::pickle::Dumps(lr_src));
-      auto lr_pm = lr_mat.Predict(xm);
-      auto lr_ps = lr_src.Predict(xm);
-      ASSERT_TRUE(lr_pm.ok() && lr_ps.ok());
-      EXPECT_EQ(lr_pm.ValueOrDie(), lr_ps.ValueOrDie());
-      auto lr_cm = lr_mat.PredictProba(xm, 1);
-      auto lr_cs = lr_src.PredictProba(xm, 1);
-      ASSERT_TRUE(lr_cm.ok() && lr_cs.ok());
-      EXPECT_EQ(lr_cm.ValueOrDie(), lr_cs.ValueOrDie());
+    // Logistic regression: standardization and gradient sums read the
+    // same doubles in the same order either way.
+    ml::LogisticRegressionOptions lr_opt;
+    lr_opt.epochs = 12;
+    ml::LogisticRegression lr_mat(lr_opt);
+    ml::LogisticRegression lr_src(lr_opt);
+    ASSERT_TRUE(lr_mat.Fit(xm, y).ok());
+    ASSERT_TRUE(lr_src.Fit(src, y).ok());
+    EXPECT_EQ(ml::pickle::Dumps(lr_mat), ml::pickle::Dumps(lr_src));
+    auto lr_pm = lr_mat.Predict(xm);
+    auto lr_ps = lr_src.Predict(xm);
+    ASSERT_TRUE(lr_pm.ok() && lr_ps.ok());
+    EXPECT_EQ(lr_pm.ValueOrDie(), lr_ps.ValueOrDie());
+    auto lr_cm = lr_mat.PredictProba(xm, 1);
+    auto lr_cs = lr_src.PredictProba(xm, 1);
+    ASSERT_TRUE(lr_cm.ok() && lr_cs.ok());
+    EXPECT_EQ(lr_cm.ValueOrDie(), lr_cs.ValueOrDie());
 
-      // Tree, naive Bayes and kNN: one model fit from the Matrix, one from
-      // the columns; the same bytes, labels, probabilities and confidences.
-      std::vector<std::pair<ml::ModelPtr, ml::ModelPtr>> pairs;
-      pairs.emplace_back(std::make_shared<ml::DecisionTree>(),
-                         std::make_shared<ml::DecisionTree>());
-      pairs.emplace_back(std::make_shared<ml::NaiveBayes>(),
-                         std::make_shared<ml::NaiveBayes>());
-      pairs.emplace_back(std::make_shared<ml::Knn>(),
-                         std::make_shared<ml::Knn>());
-      for (auto& [on_matrix, on_columns] : pairs) {
-        SCOPED_TRACE(ml::ModelTypeToString(on_matrix->type()));
-        ASSERT_TRUE(on_matrix->Fit(xm, y).ok());
-        ASSERT_TRUE(on_columns->Fit(src, y).ok());
-        EXPECT_EQ(ml::pickle::Dumps(*on_matrix),
-                  ml::pickle::Dumps(*on_columns));
-        auto from_matrix = on_matrix->Predict(xm);
-        auto from_columns = on_columns->Predict(src);
-        ASSERT_TRUE(from_matrix.ok() && from_columns.ok());
-        EXPECT_EQ(from_matrix.ValueOrDie(), from_columns.ValueOrDie());
-        for (int32_t cls : on_matrix->classes()) {
-          auto pm = on_matrix->PredictProba(xm, cls);
-          auto pc = on_columns->PredictProba(xm, cls);
-          ASSERT_TRUE(pm.ok() && pc.ok());
-          EXPECT_EQ(pm.ValueOrDie(), pc.ValueOrDie());
-        }
-        auto cm = on_matrix->PredictConfidence(xm);
-        auto cc = on_columns->PredictConfidence(xm);
-        ASSERT_TRUE(cm.ok() && cc.ok());
-        EXPECT_EQ(cm.ValueOrDie(), cc.ValueOrDie());
+    // Tree, naive Bayes and kNN: one model fit from the Matrix, one from
+    // the columns; the same bytes, labels, probabilities and confidences.
+    std::vector<std::pair<ml::ModelPtr, ml::ModelPtr>> pairs;
+    pairs.emplace_back(std::make_shared<ml::DecisionTree>(),
+                       std::make_shared<ml::DecisionTree>());
+    pairs.emplace_back(std::make_shared<ml::NaiveBayes>(),
+                       std::make_shared<ml::NaiveBayes>());
+    pairs.emplace_back(std::make_shared<ml::Knn>(),
+                       std::make_shared<ml::Knn>());
+    for (auto& [on_matrix, on_columns] : pairs) {
+      SCOPED_TRACE(ml::ModelTypeToString(on_matrix->type()));
+      ASSERT_TRUE(on_matrix->Fit(xm, y).ok());
+      ASSERT_TRUE(on_columns->Fit(src, y).ok());
+      EXPECT_EQ(ml::pickle::Dumps(*on_matrix),
+                ml::pickle::Dumps(*on_columns));
+      auto from_matrix = on_matrix->Predict(xm);
+      auto from_columns = on_columns->Predict(src);
+      ASSERT_TRUE(from_matrix.ok() && from_columns.ok());
+      EXPECT_EQ(from_matrix.ValueOrDie(), from_columns.ValueOrDie());
+      for (int32_t cls : on_matrix->classes()) {
+        auto pm = on_matrix->PredictProba(xm, cls);
+        auto pc = on_columns->PredictProba(xm, cls);
+        ASSERT_TRUE(pm.ok() && pc.ok());
+        EXPECT_EQ(pm.ValueOrDie(), pc.ValueOrDie());
       }
+      auto cm = on_matrix->PredictConfidence(xm);
+      auto cc = on_columns->PredictConfidence(xm);
+      ASSERT_TRUE(cm.ok() && cc.ok());
+      EXPECT_EQ(cm.ValueOrDie(), cc.ValueOrDie());
     }
   }
 }

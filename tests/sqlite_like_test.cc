@@ -5,14 +5,14 @@
 #include <string>
 #include <vector>
 
+#include "bufpool/block_format.h"
 #include "common/file_util.h"
 
 namespace mlcs::client {
 namespace {
 
 /// Rows of every column type, with NULLs in the first, a middle and the
-/// last row; 70 rows of few distinct values, so SaveTo dictionary-encodes
-/// the INTEGER, BIGINT and VARCHAR columns.
+/// last row; 70 rows of few distinct values.
 std::vector<std::vector<Value>> AllTypeRows() {
   std::vector<std::vector<Value>> rows;
   for (int32_t r = 0; r < 70; ++r) {
@@ -157,23 +157,29 @@ TEST_F(SqliteLikeTest, FetchAllMatchesDirectQuery) {
     ExpectFetchAllMatches(&db);
   }
   {
-    SCOPED_TRACE("dictionary-encoded blocks read back through LoadFrom");
+    SCOPED_TRACE("block files read back through LoadFrom");
     Database db;
     CreateAllTypes(&db);
     std::string dir = testing::TempDir() + "/sqlite_like_all_types";
     ASSERT_TRUE(MakeDirs(dir).ok());
     ASSERT_TRUE(db.SaveTo(dir).ok());
-    Database loaded;
-    ASSERT_TRUE(loaded.LoadFrom(dir).ok());
-    // Queries decode at the executor boundary; the stored scan itself
-    // hands out the dictionary columns.
-    auto stored = loaded.catalog().ScanTable("all_types", std::nullopt);
-    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
-    for (size_t c : {1, 2, 4}) {  // INTEGER, BIGINT, VARCHAR
-      EXPECT_EQ(stored.ValueOrDie()->column(c)->encoding(),
-                ColumnEncoding::kDict)
+    // Every column is stored plain: its payload starts with the bare type
+    // byte.
+    bufpool::BlockMeta meta =
+        bufpool::ReadBlockMeta(dir + "/all_types/block_0000.blk").ValueOrDie();
+    std::vector<uint8_t> bytes = ReadFileBytes(meta.path).ValueOrDie();
+    TablePtr resident = db.catalog().GetTable("all_types").ValueOrDie();
+    ASSERT_EQ(meta.columns.size(), resident->num_columns());
+    for (size_t c = 0; c < meta.columns.size(); ++c) {
+      EXPECT_EQ(bytes[meta.columns[c].payload_offset],
+                static_cast<uint8_t>(resident->column(c)->type()))
           << c;
     }
+    Database loaded;
+    ASSERT_TRUE(loaded.LoadFrom(dir).ok());
+    auto stored = loaded.catalog().ScanTable("all_types", std::nullopt);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    EXPECT_TRUE(stored.ValueOrDie()->Equals(*resident));
     ExpectFetchAllMatches(&loaded);
     EXPECT_TRUE(stored.ValueOrDie()->Equals(
         *FetchAllRowAtATime(&loaded, "SELECT * FROM all_types").ValueOrDie()));

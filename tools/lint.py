@@ -85,16 +85,9 @@ Rules
                         message, not a cell) is exempt; a deliberate
                         exception opts out with `// lint:allow(text-cell)`
                         plus a reason.
-  row-decode            Calling `.Decode()` / `->Decode()` inside a for/
-                        while loop body under src/exec/ — decoding per row
-                        (or per morsel iteration) throws away compressed
-                        execution; operate on codes / run values, or decode
-                        the column once before the loop (DESIGN.md §13).
-                        Deliberate per-iteration decodes opt out with
-                        `// lint:allow(row-decode)` plus a reason.
   matrix-materialize    Owned-copy builders of a dense matrix
                         (`Matrix::CopyColumns`, `.SelectRows(`,
-                        `DecodeTable`, `.ToMatrix(`) inside src/ml/ outside
+                        `.ToMatrix(`) inside src/ml/ outside
                         matrix.{h,cc} — every model fits and predicts from
                         the `ml::Matrix` it is handed (DESIGN.md §14),
                         whose features Matrix::FromColumns reads in place
@@ -606,47 +599,8 @@ def check_text_cell(path, relpath, lines):
             statement = ""
 
 
-DECODE_CALL_RE = re.compile(r"(?:\.|->)\s*Decode\s*\(")
-LOOP_HEADER_RE = re.compile(r"\b(?:for|while)\s*\(")
-
-
-def check_row_decode(path, relpath, lines):
-    """Brace-depth heuristic: track the depths at which for/while bodies
-    open; a Decode() call while any loop body is open re-expands a column
-    per iteration. A decode hoisted above the loop (or running once on a
-    whole column) is fine and never matches."""
-    rel = relpath.replace(os.sep, "/")
-    if not rel.startswith("src/exec/"):
-        return
-    depth = 0
-    loop_depths = []   # brace depths at which a loop body opened
-    pending_loop = False  # loop header seen, its '{' not yet
-    for i, raw in enumerate(lines):
-        line = strip_comments_and_strings(raw)
-        if loop_depths and DECODE_CALL_RE.search(line) and \
-                not allowed(raw, "row-decode"):
-            report(path, i + 1, "row-decode",
-                   "`Decode()` inside a loop body in src/exec/ re-expands "
-                   "the column every iteration; operate on codes/run values "
-                   "or hoist the decode above the loop")
-        if LOOP_HEADER_RE.search(line):
-            pending_loop = True
-        for ch in line:
-            if ch == "{":
-                depth += 1
-                if pending_loop:
-                    loop_depths.append(depth)
-                    pending_loop = False
-            elif ch == "}":
-                if loop_depths and loop_depths[-1] == depth:
-                    loop_depths.pop()
-                depth -= 1
-        if pending_loop and line.strip().endswith(";"):
-            pending_loop = False  # brace-less single-statement body
-
-
 MATRIX_MATERIALIZE_RE = re.compile(
-    r"\bMatrix\s*::\s*CopyColumns\s*\(|\bDecodeTable\s*\(|"
+    r"\bMatrix\s*::\s*CopyColumns\s*\(|"
     r"(?:\.|->)\s*(?:ToMatrix|SelectRows)\s*\(")
 MATRIX_MATERIALIZE_EXEMPT = ("src/ml/matrix.h", "src/ml/matrix.cc")
 
@@ -767,7 +721,6 @@ def lint_file(path, headers):
     check_blk_io(path, relpath, lines)
     check_raw_socket(path, relpath, lines)
     check_text_cell(path, relpath, lines)
-    check_row_decode(path, relpath, lines)
     check_matrix_materialize(path, relpath, lines)
     check_adhoc_stats(path, relpath, lines)
     check_signal_unsafe(path, relpath, lines)
